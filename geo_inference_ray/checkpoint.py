@@ -50,10 +50,12 @@ class PartitionedRun:
 
     def completed(self, fingerprints: dict[str, str] | None = None) -> set[str]:
         """Keys whose manifest record exists, whose directory exists, and
-        whose recorded fingerprint matches the expected one (if given)."""
+        whose recorded fingerprint matches the expected one (if given).
+        Only a key's latest record counts: its directory holds the rows
+        of the last write, whatever earlier runs recorded."""
         done = set()
-        for rec in self.records():
-            key = rec["key"]
+        latest = {rec["key"]: rec for rec in self.records()}
+        for key, rec in latest.items():
             kdir = os.path.join(self.stage_dir, f"key={key}")
             if not os.path.isdir(kdir):
                 continue

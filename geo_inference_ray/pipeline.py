@@ -110,9 +110,14 @@ class GeoInferenceRay:
             return batch.drop_columns(["warc_ts"]).append_column(
                 "part_key", pa.array(part.tolist(), pa.string()))
 
+        # the crop changes every partition's rows, so it is part of the
+        # input identity; uncropped runs keep the bare path so their
+        # existing checkpoints still resume
+        fp = inference_input if bbox is None else \
+            f"{inference_input}|bbox={tuple(map(float, bbox))}"
         res = run.run_single_pass(
             keys, geo_mat, decile_key,
-            fingerprints={k: inference_input for k in keys})
+            fingerprints={k: fp for k in keys})
         out["pages_partitions"] = res
 
         tiles = mask_tiles(geo_mat, grid, self.scorer_cls)

@@ -412,29 +412,36 @@ class TiffSource(PagesSource):
         tile = self.tile
 
         class ReadWindows:
-            """File handle opened once per actor; each window reads its
+            """The file is opened once per batch; each window reads its
             rows strip-by-strip (offset = strip base + row-in-strip *
-            width + col, all uncompressed-baseline arithmetic)."""
-
-            def __init__(self):
-                self.f = open(path, "rb")
+            width + col, all uncompressed-baseline arithmetic).  A read
+            that returns fewer bytes than the row needs (a truncated
+            file) raises ``ValueError``."""
 
             def __call__(self, batch: "_pa.Table") -> "_pa.Table":
                 payloads = None
                 if read_payload:
                     payloads = []
-                    for r0, c0, hh, www in zip(
-                            batch["row_off"].to_pylist(),
-                            batch["col_off"].to_pylist(),
-                            batch["win_h"].to_pylist(),
-                            batch["win_w"].to_pylist()):
-                        rows = []
-                        for r in range(r0, r0 + hh):
-                            base = offsets[r // rps]
-                            self.f.seek(base + ((r % rps) * width + c0)
-                                        * itemsize)
-                            rows.append(self.f.read(www * itemsize))
-                        payloads.append(b"".join(rows))
+                    with open(path, "rb") as f:
+                        for r0, c0, hh, www in zip(
+                                batch["row_off"].to_pylist(),
+                                batch["col_off"].to_pylist(),
+                                batch["win_h"].to_pylist(),
+                                batch["win_w"].to_pylist()):
+                            rows = []
+                            for r in range(r0, r0 + hh):
+                                pos = offsets[r // rps] \
+                                    + ((r % rps) * width + c0) * itemsize
+                                f.seek(pos)
+                                row = f.read(www * itemsize)
+                                if len(row) < www * itemsize:
+                                    raise ValueError(
+                                        f"{path}: short strip read at "
+                                        f"byte {pos} (row {r}): got "
+                                        f"{len(row)} of "
+                                        f"{www * itemsize} bytes")
+                                rows.append(row)
+                            payloads.append(b"".join(rows))
                 return window_pages_table(
                     path, batch["idx"].to_numpy(),
                     batch["row_off"].to_numpy(),
@@ -781,8 +788,9 @@ class ConvNpzScorer:
     same-padded conv + ``b1`` ReLU, ``w2`` (num_classes,F,1,1) 1x1 conv
     + ``b2``, softmax over classes — executed with numpy
     (sliding_window_view + einsum).  This runs the reference's model
-    contract ((C,H,W) counts in -> (num_classes,H,W) probabilities
-    out, examples/script_model.py:4-43) with weights that actually
+    contract ((C,H,W) counts in, C = 1 here, or plain (H,W) ->
+    (num_classes,H,W) probabilities out,
+    examples/script_model.py:4-43) with weights that actually
     come from a fetched artifact: fetch + np.load happen ONCE per
     actor in ``__init__`` (the ST1 load-once contract), scoring is
     per-patch in ``__call__`` — the closest executable stand-in for
@@ -818,6 +826,11 @@ class ConvNpzScorer:
         import numpy as np
 
         x = np.asarray(patch_counts, dtype=np.float64)
+        if x.ndim == 3 and x.shape[0] == 1:
+            x = x[0]                                   # (1,H,W) -> (H,W)
+        if x.ndim != 2:
+            raise ValueError(
+                f"expected (H,W) or (1,H,W) counts, got shape {x.shape}")
         p = self.k // 2
         xp = np.pad(x, p, mode="constant")
         win = np.lib.stride_tricks.sliding_window_view(

@@ -4,7 +4,7 @@ stateful actor classes) for the flagship spatial pipeline.
 Stage taxonomy follows SURVEY §7.3:
 * stateless vectorized fns   -> plain functions (Ray tasks)
 * stages with one-time state -> callable classes (Ray actor pools):
-  - ExtractText   (compiled regex)     ~ reference's model-load-once ST1
+  - ExtractText   (no state, pooled)   ~ reference's model-load-once ST1
   - Geocoder      (compiled regex)     ~ the north-rule "stateful geocoder"
   - PIPJoiner     (STRtree broadcast)  ~ reference spatial semi-join ST4/J1
     (/root/reference/geo_inference/utils/geo_transforms.py:197-258)
@@ -27,21 +27,45 @@ from .cells import HEX7_SIZE, HEX9_SIZE, hex_cell, s2_cell
 from .geom import STRtree, point_in_polygon
 
 _URL_ID_RE = r"/(\d+)$"
-_P_TAG_RE = r"<p>(.*)</p>"
+
+
+def _p_body(s: pa.StringArray) -> pa.StringArray:
+    """Per row, the bytes between the first ``<p>`` and the last
+    ``</p>`` after it; null when either tag is missing or the row is
+    null.  Byte offsets come from two substring scans (``</p>`` is
+    found as ``>p/<`` in the byte-reversed rows).  The body and the gap
+    after it, for every row in order, are consecutive slices of the
+    data buffer, so one zero-copy string array holds them all and a
+    take of the even slots gathers the bodies.  Both tags are ASCII,
+    so every body of a valid UTF-8 row is valid UTF-8."""
+    n = len(s)
+    first = pc.find_substring(s, "<p>").fill_null(-1).to_numpy()
+    last = pc.find_substring(pc.binary_reverse(s.cast(pa.binary())),
+                             ">p/<").fill_null(-1).to_numpy()
+    _, offsets, data = s.buffers()
+    row = np.frombuffer(offsets, np.int32, n + 1, s.offset * 4)
+    lo = row[:-1] + first + 3
+    hi = row[1:] - last - 4          # start of the last </p>
+    ok = (first >= 0) & (last >= 0) & (hi >= lo)
+    bounds = np.append(np.column_stack([np.where(ok, lo, row[:-1]),
+                                        np.where(ok, hi, row[:-1])]),
+                       row[-1]).astype(np.int32)
+    spans = pa.StringArray.from_buffers(2 * n, pa.py_buffer(bounds), data)
+    return pc.take(spans, pa.array(np.arange(0, 2 * n, 2, np.int32),
+                                   mask=~ok))
 
 
 class ExtractText:
     """html binary -> extracted text.  Per-row invariant (BASELINE
     input_hint): extracted text must be byte-identical to the original
-    ``text`` per url.  Regex compiled once per actor."""
-
-    def __init__(self):
-        self._pat = _P_TAG_RE  # pyarrow compiles the pattern internally per call
+    ``text`` per url.  The text is the body of the outermost
+    ``<p>...</p>`` (see :func:`_p_body`); the string cast is the UTF-8
+    validation, so invalid bytes raise ``ArrowInvalid``."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         html_str = pc.cast(batch["html"], pa.string())
-        ext = pc.extract_regex(html_str, r"<p>(?P<t>(?s:.*))</p>")
-        extracted = pc.struct_field(ext, "t")
+        extracted = pa.chunked_array(
+            [_p_body(c) for c in html_str.chunks], pa.string())
         cols = {n: batch[n] for n in batch.column_names if n != "html"}
         cols["text"] = extracted
         return pa.table(cols)

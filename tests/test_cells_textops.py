@@ -123,6 +123,57 @@ def test_pages_synth_roundtrip_invariant():
     assert out["url"].to_pylist() == ["https://example.org/srcX/7"]
 
 
+def _extract_regex_oracle(html):
+    import pyarrow.compute as pc
+
+    return pc.struct_field(pc.extract_regex(
+        pc.cast(html, pa.string()), r"<p>(?P<t>(?s:.*))</p>"), "t")
+
+
+def test_extract_text_matches_regex_oracle():
+    """ExtractText's byte-offset kernel returns exactly what the regex
+    ``<p>(?P<t>(?s:.*))</p>`` captures (first <p> to the last </p> after
+    it, null when either is missing), on edge rows and seeded random
+    rows, over whole, empty and sliced multi-chunk columns."""
+    import random
+
+    from geo_inference_ray.stages import ExtractText
+
+    edge = [None, b"", b"no tags", b"<p>open only", b"close only</p>",
+            b"</p><p>", b"<p></p><p>", b"<p><p>x</p></p>",
+            b"a<p>b</p>c</p>d</p>e", b"<p>line\nbreak\r\n</p>\n",
+            "\u00e9<p>\u00fc\u20ac\U0001f30d</p>\u00df".encode(),
+            b"<p>", b"</p>", b"<p</p>", b"<p>/p>", b"</p><p></p>"]
+    rng = random.Random(11)
+    tokens = ["<p>", "</p>", "<", "p", ">", "/", "a", "\n", "\u00e9",
+              "\U0001f30d"]
+    fuzz = [None if rng.random() < 0.1 else "".join(
+        rng.choice(tokens) for _ in range(rng.randrange(8))).encode()
+        for _ in range(400)]
+    rows = pa.array(edge + fuzz, pa.binary())
+    # the last edge row matches and the two before it do not, so the
+    # 3-row slice ending there holds one match at a non-zero offset
+    one_match = len(edge) - 1
+    columns = [
+        pa.chunked_array([rows]),
+        pa.chunked_array([], pa.binary()),
+        pa.chunked_array([rows.slice(0, 0)]),
+        pa.chunked_array([rows.slice(3, 7), rows.slice(one_match, 1),
+                          rows.slice(one_match - 2, 3),
+                          rows.slice(40, 200), rows.slice(0, 0)]),
+    ]
+    for html in columns:
+        got = ExtractText()(pa.table({"html": html}))["text"]
+        want = _extract_regex_oracle(html)
+        assert got.type == pa.string()
+        assert got.to_pylist() == want.to_pylist()
+        for c in got.chunks:
+            c.validate(full=True)
+
+    with pytest.raises(pa.ArrowInvalid):
+        ExtractText()(pa.table({"html": pa.array([b"<p>\xff</p>"])}))
+
+
 def test_repetition_ratio_bounds():
     from geo_inference_ray.dedup import RepetitionRatio
 

@@ -150,6 +150,41 @@ def test_pipeline_bbox_crop(ray_session, sf_dir, tmp_path):
     assert len(tiles) < len(pd.read_parquet(full["mask_tiles"]))
 
 
+def test_pipeline_bbox_rerun_recomputes_partitions(ray_session, sf_dir,
+                                                   tmp_path):
+    """The crop is part of the checkpoint fingerprint: re-running the
+    same work_dir/run_name with a bbox rewrites every partition, and a
+    later uncropped re-run does not resume the cropped rows."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from geo_inference_ray.pipeline import GeoInferenceRay
+
+    gi = GeoInferenceRay(work_dir=str(tmp_path))
+
+    def run(bbox=None):
+        res = gi(sf_dir, bbox=bbox, run_name="rerun")["pages_partitions"]
+        rows = {}
+        for d in glob.glob(os.path.join(str(tmp_path), "rerun", "key=*")):
+            rows[os.path.basename(d)] = sum(
+                pq.read_metadata(f).num_rows
+                for f in glob.glob(os.path.join(d, "*.parquet")))
+        return res, rows
+
+    res, full = run()
+    assert not res["skipped"]
+    res, crop = run((-75.0, -75.0, -60.0, -60.0))
+    assert not res["skipped"]
+    assert crop != full
+    assert all(crop[k] <= full[k] for k in full)
+    assert sum(crop.values()) < sum(full.values())
+    res, again = run()
+    assert not res["skipped"] and again == full
+    res, _ = run()
+    assert not res["computed"]  # unchanged input still resumes
+
+
 def test_cli_yaml(ray_session, sf_dir, tmp_path):
     from geo_inference_ray.pipeline import cmd_interface
 

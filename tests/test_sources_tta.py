@@ -226,6 +226,10 @@ def test_conv_npz_scorer_real_weights(ray_session, tmp_path, sf_dir):
     got = sc(x)
     np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_allclose(got.sum(axis=0), 1.0)
+    # the documented (C,H,W) input with C = 1 scores like (H,W)
+    np.testing.assert_array_equal(sc(x[None]), got)
+    with pytest.raises(ValueError, match="counts"):
+        sc(np.stack([x, x]))
 
     # end-to-end: the artifact-backed conv net drives the tile
     # pipeline through the standard scorer seam
@@ -347,11 +351,14 @@ def test_raster_source_import_guard(tmp_path):
 
 
 def _write_tiff(path, arr, rows_per_strip, endian="<",
-                scale_tiepoint=None):
+                scale_tiepoint=None, truncate=0):
     """Hand-write a baseline strip-based single-band GeoTIFF from the
     public TIFF 6.0 + GeoTIFF specs (header, one IFD, uncompressed
     strips, PixelScale/Tiepoint tags) — no tiff library in the
-    container, which is exactly what TiffSource's reader is for."""
+    container, which is exactly what TiffSource's reader is for.
+    ``truncate`` cuts that many bytes off the strip data while the IFD
+    still lists the full strips, so the last strips lie past the end of
+    the file."""
     import struct
 
     import numpy as np
@@ -367,7 +374,8 @@ def _write_tiff(path, arr, rows_per_strip, endian="<",
     for s in strips:
         offs.append(pos)
         pos += len(s)
-    ifd_off = pos
+    data = data[:len(data) - truncate]
+    ifd_off = pos - truncate
 
     entries = [
         (256, 3, 1, (w,)), (257, 3, 1, (h,)), (258, 3, 1, (item * 8,)),
@@ -442,6 +450,21 @@ def test_tiff_source_reads_strips(ray_session, tmp_path, endian, dtype):
             k += 1
     assert df["text"].iloc[0].startswith(
         f"geo:{10.0 - 0.5 * 16:.6f},{-20.0 + 0.5 * 16:.6f}")
+
+
+def test_tiff_source_short_strip_read_raises(ray_session, tmp_path):
+    """A TIFF whose strip table promises more bytes than the file holds
+    fails loudly instead of yielding short window payloads."""
+    import numpy as np
+
+    from geo_inference_ray.sources import TiffSource
+
+    arr = np.arange(50 * 70, dtype=np.uint8).reshape(50, 70)
+    path = str(tmp_path / "cut.tif")
+    _write_tiff(path, arr, 7, truncate=1000)
+    # Ray Data re-raises the task's ValueError inside UserCodeException
+    with pytest.raises(Exception, match="short strip read"):
+        TiffSource(tile=32).dataset(path).materialize()
 
 
 def test_real_tiff_through_geo_pipeline(ray_session, tmp_path):
