@@ -3383,7 +3383,10 @@ FROM pick GROUP BY s""",
         # power constants (tiny k — no recursive CTE needed), per-
         # window rightmost-min selection via a w-row range join on the
         # window-min, distinct selected positions.  Sentinels for docs
-        # under k+w-1 bytes (COALESCE; engine emits the same).
+        # under k+w-1 bytes (COALESCE; engine emits the same).  The
+        # hash reads code points (ord(substr(..))) where the engine
+        # reads bytes: the two agree only because the corpus is ASCII,
+        # so each character is one byte and ord() equals its value.
         "winnow_fp": (lambda K, W, M, P: f"""
 WITH g AS (
   SELECT doc_id, i,

@@ -14,7 +14,12 @@ designed replacement:
 * resume: completed keys are read from the manifest AND validated
   against the directory (both must agree); pending keys are recomputed.
   If the input fingerprint of a completed key changed, it is
-  invalidated and recomputed.
+  invalidated and recomputed;
+* per-task reductions: ``run_single_pass`` can hand every write task's
+  rows to a ``reduce_fn`` and return the small per-task results, so a
+  consumer that needs a summary of the written rows (the flagship's
+  pixel counts) gets it from the same pass instead of re-running the
+  input pipeline.
 
 The unit of partitioning is the caller's key (hex-cell prefix, shard id,
 tile range...).  Keys must deterministically map to their input slice —
@@ -27,6 +32,8 @@ import json
 import os
 import shutil
 import time
+
+from ray.data import Datasink
 
 
 class PartitionedRun:
@@ -109,17 +116,25 @@ class PartitionedRun:
 
     def run_single_pass(self, keys: list[str], ds, key_fn,
                         fingerprints: dict[str, str] | None = None,
-                        attempt: int = 1) -> dict:
+                        attempt: int = 1, reduce_fn=None) -> dict:
         """Write every pending partition in ONE dataset execution.
 
         ``key_fn(batch) -> pa.Table`` appends a string ``part_key``
-        column; the write uses Ray's hive-partitioned parquet sink
-        (``partition_cols``), then each completed subdirectory is
+        column; each write task of the hive-partitioned sink
+        (:class:`_HivePartitionSink`) writes its rows under
+        ``part_key=<key>/``, then each completed subdirectory is
         atomically renamed into the ``key=<key>`` layout with its
         lineage record.  Replaces the one-filter-pass-per-key pattern
         (10 keys meant 10 full input scans); rows not belonging to any
         pending key are filtered out before the write, so resume skips
         finished partitions without recomputing them.
+
+        ``reduce_fn(table) -> pa.Table``, if given, runs in every write
+        task over the rows that task wrote (``part_key`` included); the
+        per-task results come back as ``"reduced"`` — one table per
+        write task that wrote rows, so a caller can summarise the
+        written rows without a second pass over ``ds``.  Rows of skipped
+        partitions are not in them.
         """
         import pyarrow as pa
 
@@ -140,7 +155,7 @@ class PartitionedRun:
         pending = [k for k in keys if k not in done]
         skipped = [k for k in keys if k in done]
         if not pending:
-            return {"computed": [], "skipped": skipped}
+            return {"computed": [], "skipped": skipped, "reduced": []}
         t0 = time.time()
         pend_set = set(pending)
         known = set(keys)
@@ -163,9 +178,9 @@ class PartitionedRun:
         if os.path.exists(tmp_root):
             shutil.rmtree(tmp_root)
         os.makedirs(tmp_root)
+        sink = _HivePartitionSink(tmp_root, reduce_fn)
         ds.map_batches(keyed, batch_format="pyarrow",
-                       zero_copy_batch=True) \
-          .write_parquet(tmp_root, partition_cols=["part_key"])
+                       zero_copy_batch=True).write_datasink(sink)
         wall_ms = int((time.time() - t0) * 1000)
         computed = []
         for key in pending:
@@ -187,10 +202,15 @@ class PartitionedRun:
             })
             computed.append(key)
         shutil.rmtree(tmp_root, ignore_errors=True)
-        return {"computed": computed, "skipped": skipped}
+        return {"computed": computed, "skipped": skipped,
+                "reduced": sink.reduced}
 
-    def read(self, keys: list[str] | None = None):
-        """Dataset over completed partitions (all, or the given keys)."""
+    def read(self, keys: list[str] | None = None,
+             columns: list[str] | None = None):
+        """Dataset over completed partitions (all, or the given keys),
+        optionally pruned to ``columns``.  Partitions that hold no file
+        (empty keys) contribute nothing; if none holds a file the
+        dataset is empty."""
         import ray.data as rd
 
         done = sorted(self.completed()) if keys is None else keys
@@ -200,7 +220,44 @@ class PartitionedRun:
             paths.extend(os.path.join(kdir, f)
                          for f in sorted(os.listdir(kdir))
                          if f.endswith(".parquet"))
-        return rd.read_parquet(paths)
+        if not paths:
+            return rd.from_items([])
+        return rd.read_parquet(paths, columns=columns)
+
+
+class _HivePartitionSink(Datasink):
+    """Parquet sink for ``run_single_pass``: each write task writes its
+    rows under ``<root>/part_key=<key>/`` and returns ``reduce_fn`` of
+    them; the driver collects the returns in ``reduced``.  File names
+    carry the write task's index, so a retried task overwrites the
+    files of its failed attempt instead of adding to them."""
+
+    def __init__(self, root: str, reduce_fn=None):
+        self.root = root
+        self.reduce_fn = reduce_fn
+        self.reduced: list = []
+
+    def write(self, blocks, ctx):
+        import pyarrow as pa
+        import pyarrow.dataset as pads
+        from ray.data.block import BlockAccessor
+
+        # empty blocks may arrive without a schema; they hold nothing
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow()
+                              for b in blocks) if t.num_rows]
+        if not tables:
+            return None
+        table = pa.concat_tables(tables)
+        pads.write_dataset(
+            table, self.root, format="parquet",
+            partitioning=["part_key"], partitioning_flavor="hive",
+            basename_template=f"part-{ctx.task_idx:06d}-{{i}}.parquet",
+            existing_data_behavior="overwrite_or_ignore")
+        return None if self.reduce_fn is None else self.reduce_fn(table)
+
+    def on_write_complete(self, write_result) -> None:
+        self.reduced = [r for r in write_result.write_returns
+                        if r is not None]
 
 
 def _parquet_stats(d: str) -> tuple[int, int]:

@@ -25,12 +25,14 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import ray.data as rd
 
 from . import stages, synth
 from .annotations import filter_min_area, to_coco, to_yolo, yolo_lines
 from .checkpoint import PartitionedRun
 from .polygonize import polygons_from_tiles
-from .tiling import DensityScorer, GridConfig, mask_tiles
+from .tiling import (DensityScorer, GridConfig, mask_tiles, rasterize,
+                     rasterize_partial)
 
 
 class GeoInferenceRay:
@@ -92,10 +94,6 @@ class GeoInferenceRay:
         # checkpointed, partitioned outputs: one partition per cluster
         # decile of the geocoded pages (pure function of the key),
         # written in ONE dataset pass via the hive-partitioned sink.
-        # The lazy pipeline is re-executed per consumer (partition write,
-        # then tiles) — streaming re-execution of fused maps, never an
-        # input-sized object-store pin.
-        geo_mat = geo
         # "geo" partition: rows geocoded from an explicit geo-token get
         # cluster = -1 (stages.Geocoder, FIXTURES F1) — without a
         # declared key they'd trip run_single_pass's novel-key guard
@@ -115,12 +113,22 @@ class GeoInferenceRay:
         # existing checkpoints still resume
         fp = inference_input if bbox is None else \
             f"{inference_input}|bbox={tuple(map(float, bbox))}"
+        # the write tasks also rasterize the rows they write, so the
+        # pages are decoded once per run: the tiles are built from
+        # those per-task partial counts, never from a second pass
         res = run.run_single_pass(
-            keys, geo_mat, decile_key,
-            fingerprints={k: fp for k in keys})
+            keys, geo, decile_key,
+            fingerprints={k: fp for k in keys},
+            reduce_fn=rasterize_partial(grid))
+        partials = rd.from_arrow(res.pop("reduced"))
+        if res["skipped"]:
+            # resume: partitions finished by an earlier run were not
+            # rewritten, so their pixels come from the checkpoint
+            partials = partials.union(rasterize(
+                run.read(res["skipped"], columns=["lat", "lon"]), grid))
         out["pages_partitions"] = res
 
-        tiles = mask_tiles(geo_mat, grid, self.scorer_cls)
+        tiles = mask_tiles(partials, grid, self.scorer_cls, rasterized=True)
         if self.mask_to_vec:
             # consumed twice (parquet sink + vectorization): pin the
             # grid-bounded merge OUTPUT (tiles, never input rows) so
@@ -133,15 +141,16 @@ class GeoInferenceRay:
         # re-run with the same work_dir/run_name (the kill-resume
         # workflow) must not duplicate or stale-mix tiles
         tiles.write_parquet(mask_path, mode="overwrite")
-        if not os.path.exists(mask_path):
+        os.makedirs(mask_path, exist_ok=True)
+        if not os.listdir(mask_path):
             # Ray writes no files for an empty dataset (e.g. a bbox
-            # crop that excludes every page): emit a typed empty file
+            # crop that excludes every page; on a re-run the overwrite
+            # leaves the old directory empty): emit a typed empty file
             # so the artifact path always reads back
             import pyarrow.parquet as pq
 
             from .tiling import TILE_SCHEMA
 
-            os.makedirs(mask_path, exist_ok=True)
             pq.write_table(TILE_SCHEMA.empty_table(),
                            os.path.join(mask_path, "empty.parquet"))
         out["mask_tiles"] = mask_path

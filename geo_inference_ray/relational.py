@@ -1001,7 +1001,10 @@ def weekly_growth(sf_dir: str):
     keys.  The first observed week (empty LAG window) emits sentinel
     0 delta/pct as plain int64 — COALESCEd the same in the mirror;
     nullable Int64 renders differently across duckdb versions and
-    hash-diverges driver-side (the asof_prior_anchor lesson)."""
+    hash-diverges driver-side (the asof_prior_anchor lesson).  So a
+    first week's delta = pct_milli = 0 cannot be told apart from a
+    flat week (same count as the week before); only its position as
+    the earliest week marks it."""
     import ray.data as rd
     from ray.data.aggregate import Sum
 

@@ -182,21 +182,9 @@ DRIVER_COMBINE_MAX_PARTIAL_ROWS = 16_000_000
 _LAST_COMBINE_PATH: str | None = None
 
 
-def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID):
-    """Full rasterization: partial counts per batch -> global sum.
-
-    The partial stream is bounded by (n_batches x occupied pixels) and
-    the final key space by the raster grid, NOT the input rows.  For
-    grids up to DRIVER_COMBINE_MAX_PIXELS the combine STARTS as a
-    streaming driver-side np.unique over iter_batches — measured 2x
-    faster than the groupby at 8 CPUs because a downstream AllToAll
-    throttles the (dominant) map stage — but BAILS OUT to the
-    distributed groupby the moment the partial stream exceeds
-    DRIVER_COMBINE_MAX_PARTIAL_ROWS (many-block inputs), costing one
-    abandoned partial pass only at the scale where the driver funnel
-    would dominate.  Grids over the pixel bound go distributed
-    directly."""
-    global _LAST_COMBINE_PATH
+def rasterize(geo_ds, grid: GridConfig = DEFAULT_GRID):
+    """Geocoded rows -> one partial-count table (py, px, n) per block:
+    the distributed half of :func:`pixel_counts`."""
     # Column pruning only when the schema is ALREADY known (parquet
     # metadata / materialized): schema(fetch_if_missing=True) on a lazy
     # map_batches chain executes the upstream pipeline with limit-1 —
@@ -212,9 +200,35 @@ def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID):
     # slice — measured 13.5x fewer partial rows (80 K vs 1.08 M at the
     # bench's 10.24 M-row input) for the same per-task memory (the
     # kernel touches two int64 columns only)
-    part = geo_ds.map_batches(
+    return geo_ds.map_batches(
         rasterize_partial(grid), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=None)
+
+
+def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
+                 rasterized: bool = False):
+    """Full rasterization: partial counts per batch -> global sum.
+
+    ``rasterized=True`` means ``geo_ds`` already holds partial counts
+    (``rasterize_partial`` output, e.g. the per-task reductions of a
+    checkpoint write) and only the combine runs.
+
+    The partial stream is bounded by (n_batches x occupied pixels) and
+    the final key space by the raster grid, NOT the input rows.  For
+    grids up to DRIVER_COMBINE_MAX_PIXELS the combine STARTS as a
+    streaming driver-side np.unique over iter_batches — measured 2x
+    faster than the groupby at 8 CPUs because a downstream AllToAll
+    throttles the (dominant) map stage — but BAILS OUT to the
+    distributed groupby the moment the partial stream exceeds
+    DRIVER_COMBINE_MAX_PARTIAL_ROWS (many-block inputs), costing one
+    abandoned partial pass only at the scale where the driver funnel
+    would dominate.  Grids over the pixel bound go distributed
+    directly."""
+    global _LAST_COMBINE_PATH
+    # precomputed partials are small and usually driver-resident
+    # (from_arrow): materialize() hands their blocks over without a Ray
+    # execution, where iterating the lazy dataset would start one
+    part = geo_ds.materialize() if rasterized else rasterize(geo_ds, grid)
     if grid.width * grid.height <= DRIVER_COMBINE_MAX_PIXELS:
         import ray.data as rd
 
@@ -401,9 +415,11 @@ TILE_SCHEMA = pa.schema([
 
 
 def mask_tiles(geo_ds, grid: GridConfig = DEFAULT_GRID,
-               scorer_cls=DensityScorer, scorer_resources=None):
+               scorer_cls=DensityScorer, scorer_resources=None, *,
+               rasterized: bool = False):
     """Full tile pipeline: geocoded pages -> mask tile rows
-    (oy, ox, mask uint8[s*s], n_valid).
+    (oy, ox, mask uint8[s*s], n_valid).  With ``rasterized=True`` the
+    input is partial pixel counts instead (see :func:`pixel_counts`).
 
     The input reduction (rows -> per-pixel counts) is the distributed
     part; everything after is bounded by the raster grid, not the input.
@@ -420,10 +436,13 @@ def mask_tiles(geo_ds, grid: GridConfig = DEFAULT_GRID,
     driver-side)."""
     if (scorer_resources is None
             and grid.width * grid.height <= DRIVER_COMBINE_MAX_PIXELS):
-        pix_df = pixel_counts(geo_ds, grid).to_pandas()
+        # the driver combine returns an in-memory dataset; materialize()
+        # lets to_pandas() read it without starting a Ray execution
+        pix_df = pixel_counts(geo_ds, grid, rasterized=rasterized) \
+            .materialize().to_pandas()
         return _tiles_from_pixels_local(pix_df, grid, scorer_cls)
     return mask_tiles_distributed(geo_ds, grid, scorer_cls,
-                                  scorer_resources)
+                                  scorer_resources, rasterized=rasterized)
 
 
 def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
@@ -483,7 +502,8 @@ def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
 
 
 def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,
-                           scorer_cls=DensityScorer, scorer_resources=None):
+                           scorer_cls=DensityScorer, scorer_resources=None,
+                           *, rasterized: bool = False):
     """Distributed tile suffix (fine grids): groupby(patch) scoring and
     groupby(cell) merge as Ray Data shuffles.  ``scorer_resources``
     (e.g. {"num_gpus": 0.25}) is forwarded to the scoring stage's Ray
@@ -493,7 +513,7 @@ def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,
     # of occupied pixels, bounded by the raster grid — without this the
     # patch groupby sorts one partial row per (batch, pixel), which at
     # 20M input rows meant a 20M-row shuffle and a 7x slowdown)
-    pix = pixel_counts(geo_ds, grid)
+    pix = pixel_counts(geo_ds, grid, rasterized=rasterized)
 
     def rename_n(batch: pa.Table) -> pa.Table:
         return pa.table({"py": batch["py"], "px": batch["px"],

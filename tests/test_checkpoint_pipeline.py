@@ -101,10 +101,23 @@ def test_single_pass_write_and_resume(ray_session, tmp_path):
     import shutil
 
     shutil.rmtree(os.path.join(str(tmp_path), "stage1", "key=b"))
-    res3 = run.run_single_pass(["a", "b", "empty"], ds, key_fn)
+
+    def n_rows(table: pa.Table) -> pa.Table:
+        return pa.table({"n": [table.num_rows]})
+
+    res3 = run.run_single_pass(["a", "b", "empty"], ds, key_fn,
+                               reduce_fn=n_rows)
     assert res3["computed"] == ["b"]
+    # the write tasks' reductions cover exactly the rewritten rows
+    assert sum(t["n"][0].as_py() for t in res3["reduced"]) == 6
+    assert res2["reduced"] == []
     got = run.read(["a", "b"]).to_pandas()
     assert len(got) == 10
+    assert list(run.read(["a", "b"], columns=["v"]).to_pandas()
+                .columns) == ["v"]
+    # a partition without files reads as an empty dataset
+    assert run.read(["empty"]).count() == 0
+    assert run.read(["empty"], columns=["v"]).count() == 0
 
 
 def test_fingerprint_invalidation(ray_session, tmp_path):
@@ -183,6 +196,103 @@ def test_pipeline_bbox_rerun_recomputes_partitions(ray_session, sf_dir,
     assert not res["skipped"] and again == full
     res, _ = run()
     assert not res["computed"]  # unchanged input still resumes
+
+
+def test_pipeline_decodes_pages_once(ray_session, sf_dir, tmp_path,
+                                     monkeypatch):
+    """The checkpoint write is the only pass over the pages: a marker
+    stage appended to the page pipeline sees every row once, not once
+    for the partitions and again for the mask tiles."""
+    import uuid
+
+    from geo_inference_ray import pipeline
+
+    log_dir = tmp_path / "decoded"
+    log_dir.mkdir()
+    orig = pipeline.stages.geo_pipeline
+
+    def log_rows(batch):
+        (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return batch
+
+    def logged(*a, **kw):
+        return orig(*a, **kw).map_batches(
+            log_rows, batch_format="pyarrow", zero_copy_batch=True)
+
+    monkeypatch.setattr(pipeline.stages, "geo_pipeline", logged)
+    out = pipeline.GeoInferenceRay(work_dir=str(tmp_path / "wd"))(sf_dir)
+    decoded = sum(int(f.read_text()) for f in log_dir.iterdir())
+    written = sum(r["rows_out"] for r in
+                  PartitionedRun(out["work_dir"], "run").records())
+    assert written > 0
+    assert decoded == written
+
+
+def _crop(ds, bbox):
+    import pyarrow as pa
+
+    min_lon, min_lat, max_lon, max_lat = bbox
+
+    def keep(batch: pa.Table) -> pa.Table:
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
+        lon = batch["lon"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array((lon >= min_lon) & (lon <= max_lon)
+                                     & (lat >= min_lat) & (lat <= max_lat)))
+
+    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+
+
+# (-75, -75, -60, -60) holds no page at sf0.001; the second crop keeps
+# clusters 0 and 2 and drops the rest
+@pytest.mark.parametrize("bbox, n_tiles_min", [
+    (None, 1), ((-75.0, -75.0, -60.0, -60.0), 0),
+    ((-180.0, -75.0, -140.0, 0.0), 1)])
+def test_pipeline_mask_tiles_match_direct(ray_session, sf_dir, tmp_path,
+                                          bbox, n_tiles_min):
+    """The tiles built from the checkpoint write's partial counts equal
+    mask_tiles over the geocoded pages, with and without a crop."""
+    from geo_inference_ray import stages
+    from geo_inference_ray.pipeline import GeoInferenceRay
+    from geo_inference_ray.tiling import DEFAULT_GRID, mask_tiles
+
+    out = GeoInferenceRay(work_dir=str(tmp_path))(sf_dir, bbox=bbox)
+    got = pd.read_parquet(out["mask_tiles"])
+    geo = stages.geo_pipeline(sf_dir)
+    if bbox is not None:
+        geo = _crop(geo, bbox)
+    want = mask_tiles(geo, DEFAULT_GRID).to_pandas()
+    assert len(got) == len(want) >= n_tiles_min
+    if not len(want):
+        return  # Ray's to_pandas() drops the columns of an empty dataset
+    got = got.sort_values(["oy", "ox"]).reset_index(drop=True)
+    want = want.sort_values(["oy", "ox"]).reset_index(drop=True)
+    assert got[["oy", "ox", "n_valid"]].equals(want[["oy", "ox", "n_valid"]])
+    assert [bytes(m) for m in got["mask"]] == \
+        [bytes(m) for m in want["mask"]]
+
+
+def test_pipeline_empty_crop_reruns(ray_session, sf_dir, tmp_path):
+    """A bbox that excludes every page writes only empty partitions and
+    a typed empty mask artifact; a re-run resumes every key (all of
+    them empty, so nothing is read back) and gives the same artifact."""
+    import pyarrow.parquet as pq
+
+    from geo_inference_ray.pipeline import GeoInferenceRay
+    from geo_inference_ray.tiling import TILE_SCHEMA
+
+    gi = GeoInferenceRay(work_dir=str(tmp_path))
+    bbox = (-179.99, 89.98, -179.98, 89.99)
+    first = gi(sf_dir, bbox=bbox, run_name="none")
+    assert len(first["pages_partitions"]["computed"]) == 11
+    recs = PartitionedRun(str(tmp_path), "none").records()
+    assert sum(r["rows_out"] for r in recs) == 0
+    second = gi(sf_dir, bbox=bbox, run_name="none")
+    assert second["pages_partitions"]["computed"] == []
+    assert len(second["pages_partitions"]["skipped"]) == 11
+    for out in (first, second):
+        tiles = pq.read_table(out["mask_tiles"])
+        assert tiles.num_rows == 0
+        assert tiles.schema.equals(TILE_SCHEMA)
 
 
 def test_cli_yaml(ray_session, sf_dir, tmp_path):
