@@ -119,12 +119,6 @@ def _tiling_sql_polygons() -> str:
     return sql_polygons()
 
 
-def _pool_caps(max_actors):
-    from geo_inference_ray.pools import pool_caps
-
-    return pool_caps(max_actors)
-
-
 def _docs_text(sf_dir: str):
     import ray.data as rd
 
@@ -142,8 +136,8 @@ def q_pages(sf_dir: str):
 
 def q_extract_text(sf_dir: str):
     ds = _synth.pages_dataset(sf_dir)
-    ds = ds.map_batches(_stages.ExtractText, batch_format="pyarrow",
-                        zero_copy_batch=True, concurrency=_pool_caps(None))
+    ds = ds.map_batches(lambda b: _stages.ExtractText()(b),
+                        batch_format="pyarrow", zero_copy_batch=True)
     return ds.select_columns(["url", "doc_id", "text"])
 
 
@@ -426,8 +420,7 @@ def q_token_count(sf_dir: str):
 
 def q_token_regex(sf_dir: str):
     return _docs_text(sf_dir).map_batches(
-        _textops.RegexTokens, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=_pool_caps(None))
+        _textops.regex_tokens, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_quality(sf_dir: str):
@@ -437,8 +430,8 @@ def q_quality(sf_dir: str):
 
 def q_langid(sf_dir: str):
     return _docs_text(sf_dir).map_batches(
-        _textops.LangId, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=_pool_caps(None))
+        lambda b: _textops.LangId()(b), batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def q_word_count(sf_dir: str):
@@ -447,8 +440,8 @@ def q_word_count(sf_dir: str):
 
 def q_repetition(sf_dir: str):
     return _docs_text(sf_dir).map_batches(
-        _dedup.RepetitionRatio, batch_format="pyarrow",
-        zero_copy_batch=True, concurrency=_pool_caps(None))
+        lambda b: _dedup.RepetitionRatio()(b), batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def q_source_stats(sf_dir: str):
@@ -576,8 +569,8 @@ def q_stratified_sample(sf_dir: str):
 
 def q_fingerprint(sf_dir: str):
     return _docs_text(sf_dir).map_batches(
-        _textops.Fingerprint, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=_pool_caps(None))
+        lambda b: _textops.Fingerprint()(b), batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def q_rasterize(sf_dir: str):
@@ -2048,9 +2041,8 @@ def q_extract_title(sf_dir: str):
     """<title> field extraction from the raw html bytes with the
     page-integrity probe (title == 'doc <id>')."""
     ds = _synth.pages_dataset(sf_dir)
-    return ds.map_batches(_stages.ExtractTitle, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          concurrency=_pool_caps(None))
+    return ds.map_batches(_stages.extract_title, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 # ROUND-5 DRIVER WINDOW (see README "Driver correctness window" and

@@ -448,18 +448,13 @@ def minhash_candidates(ds, max_actors: int | None = None,
     else:
         hot_ref = ray.put(hot)
 
-        class FilterHot:
-            def __init__(self):
-                self.hot = ray.get(hot_ref)  # sorted int64 gid array
+        def filter_hot(batch: pa.Table) -> pa.Table:
+            # hot_ref holds the sorted int64 gid array
+            keep = np.isin(batch["gid"].to_numpy(), ray.get(hot_ref))
+            return batch.filter(pa.array(keep))
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                keep = np.isin(batch["gid"].to_numpy(), self.hot,
-                               assume_unique=False)
-                return batch.filter(pa.array(keep))
-
-        survivors = bands.map_batches(FilterHot, batch_format="pyarrow",
-                                      zero_copy_batch=True,
-                                      concurrency=pool_caps(max_actors))
+        survivors = bands.map_batches(filter_hot, batch_format="pyarrow",
+                                      zero_copy_batch=True)
 
     def bucket_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
         """ONE kernel for every bucket in the partition: sort by
@@ -884,8 +879,7 @@ def distributed_components(pairs, n_pairs: int,
 
 def dedup_clusters(docs_ds, pairs_ds, *,
                    driver_pair_limit: int = CC_DRIVER_PAIR_LIMIT,
-                   force_distributed: bool = False,
-                   max_actors: int | None = None):
+                   force_distributed: bool = False):
     """Connected components over the near-dup pair graph -> one cluster
     representative (min doc_id) per document; the "drop duplicates"
     step after candidate generation.
@@ -899,8 +893,6 @@ def dedup_clusters(docs_ds, pairs_ds, *,
     root is the min id, so min(doc_id-as-label, any root label) is
     exactly the cluster)."""
     import ray
-
-    from .pools import pool_caps
 
     pairs = pairs_ds.materialize()
     n_pairs = pairs.count()
@@ -938,23 +930,25 @@ def dedup_clusters(docs_ds, pairs_ds, *,
                     parent[rb] = ra
                 else:
                     parent[ra] = rb
-    cluster = {x: find(x) for x in list(parent)}
-    cmap_ref = ray.put(cluster)
+    # sorted (doc_id, root) arrays over the paired docs only
+    keys = np.sort(np.fromiter(parent, dtype=np.int64, count=len(parent)))
+    roots = np.fromiter((find(x) for x in keys.tolist()), dtype=np.int64,
+                        count=len(keys))
+    cmap_ref = ray.put((keys, roots))
 
-    class AttachCluster:
-        def __init__(self):
-            self.cmap = ray.get(cmap_ref)
+    def attach_cluster(batch: pa.Table) -> pa.Table:
+        keys, roots = ray.get(cmap_ref)
+        ids = batch["doc_id"].to_numpy()
+        out = ids.astype(np.int64)      # unpaired docs keep their own id
+        pos = np.searchsorted(keys, out)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == out[hit]
+        out[hit] = roots[pos[hit]]
+        return pa.table({"doc_id": pa.array(ids),
+                         "cluster": pa.array(out)})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy()
-            out = np.fromiter((self.cmap.get(i, i) for i in ids.tolist()),
-                              dtype=np.int64, count=len(ids))
-            return pa.table({"doc_id": pa.array(ids),
-                             "cluster": pa.array(out)})
-
-    return docs_ds.map_batches(AttachCluster, batch_format="pyarrow",
-                               zero_copy_batch=True,
-                               concurrency=pool_caps(max_actors))
+    return docs_ds.map_batches(attach_cluster, batch_format="pyarrow",
+                               zero_copy_batch=True)
 
 
 def dedup_apply(docs_ds, pairs_ds, *,
@@ -975,7 +969,6 @@ def dedup_apply(docs_ds, pairs_ds, *,
     its other columns pass through to the output."""
     import ray
 
-    from .pools import pool_caps
     from .relational import join_partitions_for
 
     clusters = dedup_clusters(
@@ -1012,17 +1005,12 @@ def dedup_apply(docs_ds, pairs_ds, *,
          drops.iter_batches(batch_size=65536, batch_format="pyarrow")]))
     ids_ref = ray.put(ids)
 
-    class KeepFilter:
-        def __init__(self):
-            self.drop = ray.get(ids_ref)
+    def keep_filter(batch: pa.Table) -> pa.Table:
+        keep = ~np.isin(batch["doc_id"].to_numpy(), ray.get(ids_ref))
+        return batch.filter(pa.array(keep))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keep = ~np.isin(batch["doc_id"].to_numpy(), self.drop)
-            return batch.filter(pa.array(keep))
-
-    return corpus.map_batches(KeepFilter, batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              concurrency=pool_caps(None))
+    return corpus.map_batches(keep_filter, batch_format="pyarrow",
+                              zero_copy_batch=True)
 
 
 class RepetitionRatio:

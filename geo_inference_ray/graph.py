@@ -116,7 +116,6 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .pools import pool_caps
     from .relational import join_partitions_for
 
     spill, n_edges = _edge_spill(sf_dir, work_dir)
@@ -165,19 +164,13 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
             contrib = rank // deg_arr
             cref = ray.put((node_arr, contrib))
 
-            class AddContrib:
-                def __init__(self):
-                    self.nodes, self.contrib = ray.get(cref)
+            def add_contrib(batch: pa.Table) -> pa.Table:
+                nodes, contrib = ray.get(cref)
+                idx = np.searchsorted(nodes, batch["src"].to_numpy())
+                b = batch.append_column("contrib", pa.array(contrib[idx]))
+                return inc_partial(b)
 
-                def __call__(self, batch: pa.Table) -> pa.Table:
-                    src = batch["src"].to_numpy()
-                    idx = np.searchsorted(self.nodes, src)
-                    b = batch.append_column(
-                        "contrib", pa.array(self.contrib[idx]))
-                    return inc_partial(b)
-
-            inc = edges().map_batches(AddContrib, batch_format="pyarrow",
-                                      concurrency=pool_caps(None)) \
+            inc = edges().map_batches(add_contrib, batch_format="pyarrow") \
                 .groupby("node").aggregate(Sum("i", alias_name="inc"))
             # fold the node-bounded aggregate back into the rank array
             new = np.empty(n_nodes, dtype=np.int64)
@@ -290,7 +283,6 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
     import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
-    from .pools import pool_caps
     from .relational import join_partitions_for
 
     spill, n_edges = _edge_spill(sf_dir, work_dir, directed=True)
@@ -356,19 +348,13 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
             side's (sorted nodes, rescaled scores)."""
             cref = ray.put((nodes, scores))
 
-            class Push:
-                def __init__(self):
-                    self.nodes, self.scores = ray.get(cref)
+            def push(batch: pa.Table) -> pa.Table:
+                nodes, scores = ray.get(cref)
+                idx = np.searchsorted(nodes, batch[src_key].to_numpy())
+                b = batch.append_column("contrib", pa.array(scores[idx]))
+                return sum_partial(dst_key)(b)
 
-                def __call__(self, batch: pa.Table) -> pa.Table:
-                    src = batch[src_key].to_numpy()
-                    idx = np.searchsorted(self.nodes, src)
-                    b = batch.append_column(
-                        "contrib", pa.array(self.scores[idx]))
-                    return sum_partial(dst_key)(b)
-
-            agg = edges().map_batches(Push, batch_format="pyarrow",
-                                      concurrency=pool_caps(None)) \
+            agg = edges().map_batches(push, batch_format="pyarrow") \
                 .groupby("node").aggregate(Sum("s", alias_name="s"))
             nl, sl = [], []
             for b in agg.iter_batches(batch_size=65536,
@@ -520,7 +506,6 @@ def kcore(sf_dir: str, *, k: int | None = None,
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .pools import pool_caps
     from .relational import join_partitions_for
 
     spill, n_edges = _edge_spill(sf_dir, work_dir)
@@ -566,22 +551,17 @@ def kcore(sf_dir: str, *, k: int | None = None,
         def alive_degrees(alive_arr: np.ndarray):
             aref = ray.put(alive_arr)
 
-            class DegAlive:
-                def __init__(self):
-                    self.alive = ray.get(aref)
+            def deg_alive(batch: pa.Table) -> pa.Table:
+                alive = ray.get(aref)
+                s = batch["src"].to_numpy()
+                d = batch["dst"].to_numpy()
+                keep = np.isin(s, alive) & np.isin(d, alive)
+                u, c = np.unique(s[keep], return_counts=True)
+                return pa.table({
+                    "node": pa.array(u.astype(np.int64)),
+                    "c": pa.array(c.astype(np.int64))})
 
-                def __call__(self, batch: pa.Table) -> pa.Table:
-                    s = batch["src"].to_numpy()
-                    d = batch["dst"].to_numpy()
-                    keep = np.isin(s, self.alive) & \
-                        np.isin(d, self.alive)
-                    u, c = np.unique(s[keep], return_counts=True)
-                    return pa.table({
-                        "node": pa.array(u.astype(np.int64)),
-                        "c": pa.array(c.astype(np.int64))})
-
-            agg = edges().map_batches(DegAlive, batch_format="pyarrow",
-                                      concurrency=pool_caps(None)) \
+            agg = edges().map_batches(deg_alive, batch_format="pyarrow") \
                 .groupby("node").aggregate(Sum("c", alias_name="c"))
             nl, cl = [], []
             for b in agg.iter_batches(batch_size=65536,

@@ -7,8 +7,7 @@ Surface parity:
 * constructor flags: mask_to_vec / mask_to_yolo / mask_to_coco chain
   toggles (reference geo_inference.py:400-405), num_classes,
   prediction_threshold, work_dir, pluggable scorer (the model plugin);
-* call args: inference input (sf_dir), patch size, bbox crop (S8),
-  workers;
+* call args: inference input (sf_dir), patch size, bbox crop (S8);
 * YAML config: an ``arguments:`` block mirroring the reference's
   sample.yaml keys where they translate.
 
@@ -47,7 +46,7 @@ class GeoInferenceRay:
                  mask_to_vec: bool = False, mask_to_coco: bool = False,
                  mask_to_yolo: bool = False, num_classes: int = 3,
                  prediction_threshold: float = 0.3,
-                 min_area: float = 0.0, workers: int = 4,
+                 min_area: float = 0.0,
                  simplify_tolerance: float | None = None):
         self.scorer_cls = scorer_cls
         self.work_dir = work_dir
@@ -57,7 +56,6 @@ class GeoInferenceRay:
         self.num_classes = num_classes
         self.prediction_threshold = prediction_threshold
         self.min_area = min_area
-        self.workers = workers
         # reference default tolerance is 0.5 px when simplify=True
         # (polygon.py:67-68); None = no simplification
         self.simplify_tolerance = simplify_tolerance
@@ -73,8 +71,7 @@ class GeoInferenceRay:
         grid = GridConfig(stride=patch_size // 2,
                           num_classes=self.num_classes,
                           prediction_threshold=self.prediction_threshold)
-        geo = stages.geo_pipeline(inference_input, mode=None,
-                                  max_actors=self.workers)
+        geo = stages.geo_pipeline(inference_input, mode=None)
         if bbox is not None:
             min_lon, min_lat, max_lon, max_lat = bbox
 
@@ -259,7 +256,6 @@ def cmd_interface(argv=None) -> argparse.Namespace:
     p.add_argument("--simplify-tolerance", type=float, default=None,
                    help="Douglas-Peucker tolerance in coordinate units "
                         "(reference simplify=True uses 0.5 px)")
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--bbox", help="min_lon,min_lat,max_lon,max_lat")
     ns = p.parse_args(argv)
     if ns.args:
@@ -298,7 +294,7 @@ def main(argv=None) -> None:
             mask_to_yolo=ns.mask_to_yolo, mask_to_coco=ns.mask_to_coco,
             num_classes=ns.num_classes,
             prediction_threshold=ns.prediction_threshold,
-            min_area=ns.min_area, workers=ns.workers,
+            min_area=ns.min_area,
             simplify_tolerance=ns.simplify_tolerance)
         bbox = tuple(float(x) for x in ns.bbox.split(",")) if ns.bbox else None
         out = gi(ns.input, patch_size=ns.patch_size, bbox=bbox)

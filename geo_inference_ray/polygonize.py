@@ -560,27 +560,19 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
     nodes_ref = ray.put(nodes)
     gid_ref = ray.put(gid)
 
-    class Relabel:
-        def __init__(self):
-            self.nodes = ray.get(nodes_ref)
-            self.gid = ray.get(gid_ref)
+    def relabel(batch: pa.Table) -> pa.Table:
+        keep = np.asarray(batch["kind"]) == 0
+        m = batch.filter(pa.array(keep))
+        node = (np.asarray(m["tkey"], dtype=np.int64) * mult
+                + np.asarray(m["llab"], dtype=np.int64))
+        comp = ray.get(gid_ref)[np.searchsorted(ray.get(nodes_ref), node)]
+        return pa.table({
+            "comp_id": pa.array(comp),
+            "class_id": m["class_id"],
+            "py": m["a"], "px": m["b"],
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keep = np.asarray(batch["kind"]) == 0
-            m = batch.filter(pa.array(keep))
-            node = (np.asarray(m["tkey"], dtype=np.int64) * mult
-                    + np.asarray(m["llab"], dtype=np.int64))
-            comp = self.gid[np.searchsorted(self.nodes, node)]
-            return pa.table({
-                "comp_id": pa.array(comp),
-                "class_id": m["class_id"],
-                "py": m["a"], "px": m["b"],
-            })
-
-    from .pools import pool_caps
-
-    pixels = labeled.map_batches(Relabel, batch_format="pyarrow",
-                                 concurrency=pool_caps(None))
+    pixels = labeled.map_batches(relabel, batch_format="pyarrow")
 
     def _empty_rings() -> pd.DataFrame:
         return pd.DataFrame({

@@ -1,11 +1,15 @@
 """Actor-pool sizing + per-process parquet spill scratch.
 
-``pool_caps`` replaces the hard-coded ``concurrency=(1, 4)`` caps in the
-dedup / multimodal / ANN query wrappers: the upper bound now scales with
-the session's CPU count by default (a fixed cap of 4 pins the most
-compute-heavy stages at 4 workers on a 256-node cluster), while the
-lower bound stays 1 so narrow sessions (2-CPU canary tests) never
-deadlock on idle pool reservations.
+``pool_caps`` sizes the few ``map_batches`` stages that still run as
+actor pools because their per-worker state is costly to build: the
+dedup ``MinHasher`` (md5 memo) and ``SimHasher``, the multimodal
+decoders (``MediaFeatures``, ``AudioFrameSampler``, ``ThumbSampler``,
+``ImageDHash``) and the ANN searchers (``BruteForceTopK``,
+``HyperplaneLSH``, ``IVFSearch``, ``SQTopK``).  Every other stage runs
+as a Ray task; a broadcast lookup reads its ``ray.put`` ref inside the
+task function.  The upper bound scales with the session's CPU count,
+while the lower bound stays 1 so narrow sessions (2-CPU canary tests)
+never deadlock on idle pool reservations.
 
 ``spill_dir`` replaces ad-hoc ``tempfile.mkdtemp(dir="/tmp")`` scratch:
 spills live under ``<tmp>/geo_inference_ray_spill/pid<NNN>/``, the whole
@@ -26,7 +30,8 @@ POOL_RESERVE = 1    # CPUs left for the read / downstream tasks
 
 
 def pool_caps(max_actors: int | None = None) -> tuple[int, int]:
-    """(min, max) actor-pool concurrency for ``map_batches``.
+    """(min, max) actor-pool concurrency for the actor-pool stages named
+    in the module docstring.
 
     Explicit ``max_actors`` wins; otherwise the cap is
     ``max(POOL_FLOOR, session CPUs - POOL_RESERVE)`` so pools scale with

@@ -98,20 +98,13 @@ def top_customers(sf_dir: str, k: int = 10):
             Sum("tc", alias_name="total_cents"),
             Sum("n", alias_name="n_orders"))
 
-    class AttachName:
-        def __init__(self):
-            self.cust = ray.get(cust_ref)
+    def attach_name(batch: pa.Table) -> pa.Table:
+        joined = batch.join(ray.get(cust_ref), keys="o_custkey",
+                            join_type="inner")
+        return joined.select(["o_custkey", "c_name", "c_mktsegment",
+                              "total_cents", "n_orders"])
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            joined = batch.join(self.cust, keys="o_custkey",
-                                join_type="inner")
-            return joined.select(["o_custkey", "c_name", "c_mktsegment",
-                                  "total_cents", "n_orders"])
-
-    from .pools import pool_caps
-
-    named = per_cust.map_batches(AttachName, batch_format="pyarrow",
-                                 concurrency=pool_caps(None))
+    named = per_cust.map_batches(attach_name, batch_format="pyarrow")
     # exact global top-k: sort is a small shuffle over the aggregate
     top = named.sort(["total_cents", "o_custkey"],
                      descending=[True, False]).limit(k)
@@ -1794,7 +1787,7 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
-    from .pools import pool_caps, spill_dir
+    from .pools import spill_dir
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
@@ -1854,20 +1847,14 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
               np.array([], dtype=np.int64))
         fref = ray.put((u, cd))
 
-        class AttachCohort:
-            def __init__(self):
-                self.users, self.cohort = ray.get(fref)
+        def attach_cohort(batch: pa.Table) -> pa.Table:
+            users, cohort = ray.get(fref)
+            idx = np.searchsorted(users, batch["user_id"].to_numpy())
+            b = batch.append_column("cohort_day", pa.array(cohort[idx]))
+            return cell_partial(b)
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                idx = np.searchsorted(self.users,
-                                      batch["user_id"].to_numpy())
-                b = batch.append_column(
-                    "cohort_day", pa.array(self.cohort[idx]))
-                return cell_partial(b)
-
-        cells = user_days_ds().map_batches(AttachCohort,
-                                           batch_format="pyarrow",
-                                           concurrency=pool_caps(None))
+        cells = user_days_ds().map_batches(attach_cohort,
+                                           batch_format="pyarrow")
     else:
         # big-user-space path: native hash join sized by the user-day
         # side (n_users is a truncated lower bound but already > cap)

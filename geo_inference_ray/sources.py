@@ -411,48 +411,45 @@ class TiffSource(PagesSource):
         itemsize = np.dtype(dtype).itemsize
         tile = self.tile
 
-        class ReadWindows:
+        def read_windows(batch: "_pa.Table") -> "_pa.Table":
             """The file is opened once per batch; each window reads its
             rows strip-by-strip (offset = strip base + row-in-strip *
             width + col, all uncompressed-baseline arithmetic).  A read
             that returns fewer bytes than the row needs (a truncated
             file) raises ``ValueError``."""
+            payloads = None
+            if read_payload:
+                payloads = []
+                with open(path, "rb") as f:
+                    for r0, c0, hh, www in zip(
+                            batch["row_off"].to_pylist(),
+                            batch["col_off"].to_pylist(),
+                            batch["win_h"].to_pylist(),
+                            batch["win_w"].to_pylist()):
+                        rows = []
+                        for r in range(r0, r0 + hh):
+                            pos = offsets[r // rps] \
+                                + ((r % rps) * width + c0) * itemsize
+                            f.seek(pos)
+                            row = f.read(www * itemsize)
+                            if len(row) < www * itemsize:
+                                raise ValueError(
+                                    f"{path}: short strip read at "
+                                    f"byte {pos} (row {r}): got "
+                                    f"{len(row)} of "
+                                    f"{www * itemsize} bytes")
+                            rows.append(row)
+                        payloads.append(b"".join(rows))
+            return window_pages_table(
+                path, batch["idx"].to_numpy(),
+                batch["row_off"].to_numpy(),
+                batch["col_off"].to_numpy(),
+                batch["win_h"].to_numpy(),
+                batch["win_w"].to_numpy(),
+                batch["lat"].to_numpy(), batch["lon"].to_numpy(),
+                payloads, include_html=read_payload)
 
-            def __call__(self, batch: "_pa.Table") -> "_pa.Table":
-                payloads = None
-                if read_payload:
-                    payloads = []
-                    with open(path, "rb") as f:
-                        for r0, c0, hh, www in zip(
-                                batch["row_off"].to_pylist(),
-                                batch["col_off"].to_pylist(),
-                                batch["win_h"].to_pylist(),
-                                batch["win_w"].to_pylist()):
-                            rows = []
-                            for r in range(r0, r0 + hh):
-                                pos = offsets[r // rps] \
-                                    + ((r % rps) * width + c0) * itemsize
-                                f.seek(pos)
-                                row = f.read(www * itemsize)
-                                if len(row) < www * itemsize:
-                                    raise ValueError(
-                                        f"{path}: short strip read at "
-                                        f"byte {pos} (row {r}): got "
-                                        f"{len(row)} of "
-                                        f"{www * itemsize} bytes")
-                                rows.append(row)
-                            payloads.append(b"".join(rows))
-                return window_pages_table(
-                    path, batch["idx"].to_numpy(),
-                    batch["row_off"].to_numpy(),
-                    batch["col_off"].to_numpy(),
-                    batch["win_h"].to_numpy(),
-                    batch["win_w"].to_numpy(),
-                    batch["lat"].to_numpy(), batch["lon"].to_numpy(),
-                    payloads, include_html=read_payload)
-
-        return grid.map_batches(ReadWindows, batch_format="pyarrow",
-                                concurrency=(1, 4),
+        return grid.map_batches(read_windows, batch_format="pyarrow",
                                 batch_size=max(1, 2 ** 22 // tile ** 2))
 
 

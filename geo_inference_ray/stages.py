@@ -1,13 +1,15 @@
-"""Ray Data pipeline stages: map_batches callables (stateless fns and
-stateful actor classes) for the flagship spatial pipeline.
+"""Ray Data pipeline stages for the flagship spatial pipeline: the
+per-row page maps and :func:`transform_pages`, which runs them.
 
-Stage taxonomy follows SURVEY §7.3:
-* stateless vectorized fns   -> plain functions (Ray tasks)
-* stages with one-time state -> callable classes (Ray actor pools):
-  - ExtractText   (no state, pooled)   ~ reference's model-load-once ST1
-  - Geocoder      (compiled regex)     ~ the north-rule "stateful geocoder"
-  - PIPJoiner     (STRtree broadcast)  ~ reference spatial semi-join ST4/J1
+Stage taxonomy follows SURVEY §7.3.  Every page stage is a per-batch
+callable; the classes are the reusable in-process form:
+  - ExtractText   (html -> text)      ~ reference's model-load-once ST1
+  - Geocoder      (url/text -> point) ~ the north-rule geocoder
+  - encode_cells  (point -> cell ids)
+  - PIPJoiner     (STRtree broadcast) ~ reference spatial semi-join ST4/J1
     (/root/reference/geo_inference/utils/geo_transforms.py:197-258)
+At run time they are fused into ONE Ray task function
+(:func:`fused_page_fn`), which also fuses with the upstream read.
 
 All hot stages are Arrow-in/Arrow-out (``batch_format="pyarrow"``,
 ``zero_copy_batch=True``) with numpy / pyarrow.compute kernels; no Python
@@ -15,8 +17,6 @@ row loops.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -77,9 +77,9 @@ _GEO_TOKEN_RE = r"geo:(?P<glat>-?\d+\.\d+),(?P<glon>-?\d+\.\d+)"
 class Geocoder:
     """(url, text) -> (lat, lon, cluster).
 
-    The "stateful geocoder actor" of the north rule: state = compiled
-    patterns (in a real deployment: a gazetteer / model).  Two sources,
-    in priority order (FIXTURES.md F1 contract — a pure deterministic
+    The geocoder of the north rule.  It holds no state here (in a real
+    deployment it would load a gazetteer / model).  Two sources, in
+    priority order (FIXTURES.md F1 contract — a pure deterministic
     function of (url, text)):
 
     1. an explicit ``geo:{lat},{lon}`` token in the text (vectorized
@@ -90,10 +90,6 @@ class Geocoder:
     Rows geocoded from a text token get cluster = -1 (no synthetic
     cluster identity).
     """
-
-    def __init__(self):
-        self.pat = re.compile(_URL_ID_RE)
-        self.geo_pat = re.compile(_GEO_TOKEN_RE)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = pc.extract_regex(batch["url"], _URL_ID_RE.replace(r"(\d+)", r"(?P<id>\d+)"))
@@ -128,11 +124,11 @@ def encode_cells(batch: pa.Table) -> pa.Table:
 class PIPJoiner:
     """Broadcast STRtree point-in-polygon join.
 
-    The small polygon layer is built once per actor in ``__init__`` (in a
-    cluster it is ``ray.put`` once and read from the object store — pass
-    ``polygons_ref``); probes are vectorized numpy per batch.  Mirrors the
-    reference's RTree semi-join (geo_transforms.py:197-258) generalized to
-    bbox-candidate -> exact ray-cast containment.
+    The small polygon layer and its STRtree are built once per instance
+    in ``__init__`` (pass ``polygons_ref`` to read a ``ray.put`` layer
+    from the object store); probes are vectorized numpy per batch.
+    Mirrors the reference's RTree semi-join (geo_transforms.py:197-258)
+    generalized to bbox-candidate -> exact ray-cast containment.
 
     mode="inner": emit one row per (page, polygon) hit, with poly_id/class_id.
     mode="semi":  keep pages with >=1 hit, no polygon columns.
@@ -198,71 +194,20 @@ class PIPJoiner:
 
 
 def transform_pages(ds, mode: str | None = None, with_cells: bool = True,
-                    batch_size: int = 8192, max_actors: int = 4,
-                    fixed_pools: bool = False):
-    """pages Dataset -> extract_text -> geocode -> [cells] -> [pip join].
+                    batch_size: int = 8192):
+    """pages Dataset -> extract_text -> geocode -> [cells] -> [pip join],
+    as one task-pool map (:func:`fused_page_fn`).
 
-    ``html`` is projected away by ExtractText immediately after
-    extraction so the wide binary column never crosses a shuffle
-    boundary.  ``max_actors`` sizes the actor pools — pass ~1/3 of the
-    session CPU budget for compute-bound runs (three pools share the
-    node; a pool that reserves every CPU starves the rest and the
-    pipeline serializes).  ``fixed_pools=True`` uses exact-size pools
-    (deterministic startup, benchmark mode); the default autoscales
-    (1, max_actors) which is friendlier to small interactive runs.
-
-    The narrow-session guard below counts only THIS function's pools:
-    a caller that chains further actor-pool stages onto the returned
-    dataset (without a materialize() barrier) must budget its own CPU
-    headroom or reuse the fused fallback pattern.
-    """
-    import ray
-
-    # Narrow-session guard: each chained (1, N) actor pool pins >=1 CPU
-    # even while idle, so at session CPUs < n_pools + 1 the read task
-    # starves and the pipeline deadlocks (Ray 2.49).  A planner would
-    # pick the fused physical plan there — identical output, stage
-    # state memoized per worker task instead of per actor.
-    n_pools = 2 + (1 if mode else 0)
-    ncpu = (int(ray.cluster_resources().get("CPU", 0))
-            if ray.is_initialized() else 0)
-    if ncpu and ncpu < n_pools + 1:
-        if fixed_pools:
-            import warnings
-
-            warnings.warn(
-                "transform_pages: fixed_pools=True requested but the "
-                f"session has only {ncpu} CPUs (< {n_pools + 1}); "
-                "running the fused task plan instead to avoid the "
-                "actor-pool deadlock", stacklevel=2)
-        return ds.map_batches(fused_page_fn(mode, with_cells),
-                              batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              batch_size=batch_size)
-
-    cc = max_actors if fixed_pools else (1, max_actors)
-    ds = ds.map_batches(ExtractText, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=batch_size,
-                        concurrency=cc)
-    ds = ds.map_batches(Geocoder, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=batch_size,
-                        concurrency=cc)
-    if with_cells:
-        ds = ds.map_batches(encode_cells, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=batch_size)
-    if mode:
-        ref = ray.put(synth.polygon_arrays())
-        ds = ds.map_batches(PIPJoiner, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=batch_size,
-                            concurrency=cc,
-                            fn_constructor_kwargs={"polygons_ref": ref,
-                                                   "mode": mode})
-    return ds
+    ``html`` is projected away by ExtractText inside the task, so the
+    wide binary column never reaches the object store."""
+    return ds.map_batches(fused_page_fn(mode, with_cells),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=batch_size)
 
 
 def geo_pipeline(sf_dir: str, mode: str | None = None,
                  with_cells: bool = True, batch_size: int = 8192,
-                 max_actors: int = 4, source: str = "parquet-documents"):
+                 source: str = "parquet-documents"):
     """read pages at sf_dir (via the named PagesSource — sources.py
     seam) and run :func:`transform_pages` (the canonical SURVEY §7.2
     slice)."""
@@ -270,18 +215,18 @@ def geo_pipeline(sf_dir: str, mode: str | None = None,
 
     ds = get_source(source).dataset(sf_dir)
     return transform_pages(ds, mode=mode, with_cells=with_cells,
-                           batch_size=batch_size, max_actors=max_actors)
+                           batch_size=batch_size)
 
 
 class FusedPageStage:
-    """Operator-fused fast path: extract_text + geocode + cells + pip
-    join in ONE actor stage (one object-store hop instead of four).
+    """extract_text + geocode + [cells] + [pip join] in one callable
+    (one object-store hop instead of four).
 
     The composable stages above are the readable/reusable form; this is
     the physical plan a planner would produce for the flagship pipeline
     — all four are per-row maps with no shuffle between them, so fusing
-    is semantics-preserving.  Used by bench.py; state (regexes + STRtree)
-    still loads once per actor.
+    is semantics-preserving.  :func:`fused_page_fn` runs it as a Ray
+    task function.
     """
 
     def __init__(self, polygons_ref=None, mode: str | None = "inner",
@@ -301,43 +246,22 @@ class FusedPageStage:
         return batch
 
 
-def transform_pages_fused(ds, mode: str | None = "inner",
-                          with_cells: bool = True, batch_size: int = 8192,
-                          max_actors: int = 8, fixed_pools: bool = False):
-    import ray
-
-    ref = ray.put(synth.polygon_arrays()) if mode else None
-    cc = max_actors if fixed_pools else (1, max_actors)
-    return ds.map_batches(
-        FusedPageStage, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=cc,
-        fn_constructor_kwargs={"polygons_ref": ref, "mode": mode,
-                               "with_cells": with_cells})
-
-
-_FUSED_MEMO: dict = {}
-
-
 def fused_page_fn(mode: str | None = "inner", with_cells: bool = True,
                   keep: list[str] | None = None):
-    """Stateless-fn variant of FusedPageStage for READ-FUSION.
+    """Task function running :class:`FusedPageStage` — the page stages'
+    only run-time form.
 
     A task-pool ``map_batches(fn)`` fuses with the upstream ReadParquet
     operator, so page bytes go disk -> transform inside ONE task and the
     object store only carries the (small) transform output.  With an
     actor-pool stage the read output must cross the object store first —
     measured 2x slower and anti-scaling at 32 CPUs (plasma saturation).
-    Stage state (regexes, STRtree) is built lazily once per worker
-    process via a module-level memo — same amortization as an actor,
-    without forfeiting read fusion.
+    The stage (polygon layer + STRtree, a few KB pickled) is built once
+    here, on the caller, and travels inside the pickled function.
     """
+    stage = FusedPageStage(None, mode, with_cells)
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = (mode, with_cells)
-        stage = _FUSED_MEMO.get(key)
-        if stage is None:
-            stage = FusedPageStage(None, mode, with_cells)
-            _FUSED_MEMO[key] = stage
         out = stage(batch)
         if keep is not None:
             # projection pushdown: only the consumed columns leave the
@@ -349,7 +273,7 @@ def fused_page_fn(mode: str | None = "inner", with_cells: bool = True,
     return fn
 
 
-class ExtractTitle:
+def extract_title(batch: pa.Table) -> pa.Table:
     """html binary -> <title> field (the second field-extraction stage
     next to ExtractText: a WARC pipeline extracts MANY fields from the
     same raw bytes — title, canonical link, meta lang — each a
@@ -357,18 +281,15 @@ class ExtractTitle:
     its length, and ``title_ok`` = 1 when the title matches the
     synth contract ``doc <doc_id>`` (a cheap end-to-end page-integrity
     probe, like extract_text's byte-identity invariant)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        html_str = pc.cast(batch["html"], pa.string())
-        ext = pc.extract_regex(html_str,
-                               r"<title>(?P<t>[^<]*)</title>")
-        title = pc.struct_field(ext, "t")
-        expect = pc.binary_join_element_wise(
-            pa.scalar("doc "),
-            pc.cast(batch["doc_id"], pa.string()), pa.scalar(""))
-        ok = pc.cast(pc.equal(title, expect), pa.int64())
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "title": title,
-            "n_title_chars": pc.cast(pc.utf8_length(title), pa.int64()),
-            "title_ok": ok})
+    html_str = pc.cast(batch["html"], pa.string())
+    ext = pc.extract_regex(html_str, r"<title>(?P<t>[^<]*)</title>")
+    title = pc.struct_field(ext, "t")
+    expect = pc.binary_join_element_wise(
+        pa.scalar("doc "),
+        pc.cast(batch["doc_id"], pa.string()), pa.scalar(""))
+    ok = pc.cast(pc.equal(title, expect), pa.int64())
+    return pa.table({
+        "doc_id": batch["doc_id"],
+        "title": title,
+        "n_title_chars": pc.cast(pc.utf8_length(title), pa.int64()),
+        "title_ok": ok})

@@ -2,9 +2,9 @@
 
 Training-data-pipeline operators (first-class per the build brief):
 token counting, quality scoring, language-ID heuristic, document
-fingerprinting.  All vectorized (pyarrow.compute / numpy); the stages
-that hold compiled state (marker-word lists, hash coefficients) are
-callable classes for actor pools.
+fingerprinting.  All vectorized (pyarrow.compute / numpy) and run as
+Ray tasks; the stages with setup (marker-word lists, hash powers) are
+small callable classes, built per batch by the task function.
 
 Oracle mirrors: token/quality/langid are expressed with the exact same
 integer arithmetic in SQL (see __ray_entry__.oracle_sql); the rolling
@@ -70,7 +70,7 @@ def quality_score(batch: pa.Table) -> pa.Table:
 
 
 class LangId:
-    """Marker-word counting language classifier (actor-pool stage).
+    """Marker-word counting language classifier.
 
     score(lang) = total occurrences of that language's marker words as
     whole tokens; predicted = argmax, ties broken by LANG_ORDER.
@@ -112,14 +112,15 @@ class LangId:
         return pa.table(out)
 
 
-class LangConfusion(LangId):
-    """Confusion-matrix partial: (labelled lang, predicted lang) counts
-    per batch — the classifier-QA sweep over the corpus.  Actor-pool
-    stage (marker set built once per actor); one row per (label, pred)
-    pair per batch crosses the shuffle, never documents."""
+def lang_confusion(ds):
+    """(label, prediction) confusion counts — the classifier-QA sweep
+    over the corpus.  Per-batch partials (one row per (label, pred)
+    pair, never documents) -> one groupby Sum bounded by |langs|^2
+    keys."""
+    from ray.data.aggregate import Sum
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        pred, _ = self.predict(batch["text"])
+    def partial(batch: pa.Table) -> pa.Table:
+        pred, _ = LangId().predict(batch["text"])
         t = pa.table({"lang": batch["lang"],
                       "pred_lang": pa.array(pred, pa.string()),
                       "n": pa.array(np.ones(len(batch), np.int64))})
@@ -128,17 +129,8 @@ class LangConfusion(LangId):
                          "pred_lang": g["pred_lang"],
                          "n": g["n_sum"]})
 
-
-def lang_confusion(ds):
-    """(label, prediction) confusion counts: LangConfusion partials ->
-    one groupby Sum bounded by |langs|^2 keys."""
-    from ray.data.aggregate import Sum
-
-    from .pools import pool_caps
-
-    return ds.map_batches(LangConfusion, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          concurrency=pool_caps(None)) \
+    return ds.map_batches(partial, batch_format="pyarrow",
+                          zero_copy_batch=True) \
         .groupby(["lang", "pred_lang"]).aggregate(
             Sum("n", alias_name="n"))
 
@@ -452,26 +444,20 @@ RE_NUM = "[0-9]+"
 RE_PUNCT = "[^A-Za-z0-9 ]"
 
 
-class RegexTokens:
-    """Regex token counting (actor-pool stage; pattern state is
-    per-actor).  Counts word / number / punctuation tokens with RE2 via
-    pyarrow count_substring_regex — mirrored in SQL by
+def regex_tokens(batch: pa.Table) -> pa.Table:
+    """Regex token counting.  Counts word / number / punctuation tokens
+    with RE2 via pyarrow count_substring_regex — mirrored in SQL by
     length(regexp_extract_all(...)), both RE2 dialects."""
-
-    def __init__(self):
-        self.pats = {"n_word": RE_WORD, "n_num": RE_NUM,
-                     "n_punct": RE_PUNCT}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        text = batch["text"]
-        out = {"doc_id": batch["doc_id"]}
-        total = None
-        for name, pat in self.pats.items():
-            c = pc.cast(pc.count_substring_regex(text, pat), pa.int64())
-            out[name] = c
-            total = c if total is None else pc.add(total, c)
-        out["n_bpe_tokens"] = total
-        return pa.table(out)
+    text = batch["text"]
+    out = {"doc_id": batch["doc_id"]}
+    total = None
+    for name, pat in (("n_word", RE_WORD), ("n_num", RE_NUM),
+                      ("n_punct", RE_PUNCT)):
+        c = pc.cast(pc.count_substring_regex(text, pat), pa.int64())
+        out[name] = c
+        total = c if total is None else pc.add(total, c)
+    out["n_bpe_tokens"] = total
+    return pa.table(out)
 
 
 def ngram_topk(ds, n: int = 2, k: int = 20):

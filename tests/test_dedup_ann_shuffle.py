@@ -283,22 +283,31 @@ def test_ivf_topk_recall_vs_exact(ray_session, sf_dir):
 
 def test_dedup_clusters_transitive(ray_session):
     """a-b and b-c pairs collapse into one cluster with the min id as
-    representative; untouched docs stay singletons."""
+    representative; untouched docs stay singletons wherever they fall
+    among the paired ids (before, between, after the last), also when
+    there are no pairs at all."""
     import ray.data as rd
 
     from geo_inference_ray.dedup import dedup_clusters
 
-    docs = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3, 4, 9], pa.int64()),
-        "text": pa.array(["x"] * 5),
-    }))
-    pairs = rd.from_arrow(pa.table({
-        "doc_a": pa.array([1, 2], pa.int64()),
-        "doc_b": pa.array([2, 3], pa.int64()),
-    }))
-    out = dedup_clusters(docs, pairs).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out["cluster"].tolist() == [1, 1, 1, 4, 9]
+    def clusters(ids, a, b):
+        docs = rd.from_arrow(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(["x"] * len(ids)),
+        }))
+        pairs = rd.from_arrow(pa.table({
+            "doc_a": pa.array(a, pa.int64()),
+            "doc_b": pa.array(b, pa.int64()),
+        }))
+        out = dedup_clusters(docs, pairs).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        assert out["doc_id"].tolist() == ids
+        return out["cluster"].tolist()
+
+    assert clusters([1, 2, 3, 4, 9], [1, 2], [2, 3]) == [1, 1, 1, 4, 9]
+    ids = [0, 2, 3, 5, 6, 7, 8, 11]
+    assert clusters(ids, [7, 5, 11], [5, 2, 8]) == [0, 2, 3, 2, 6, 2, 8, 8]
+    assert clusters(ids, [], []) == ids
 
 
 def test_length_quantiles_golden(ray_session):

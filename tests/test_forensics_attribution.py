@@ -519,8 +519,8 @@ def test_extract_title_integrity(ray_session):
     from geo_inference_ray import stages, synth
 
     ds = synth.pages_dataset("/root/testdata/sf0.001")
-    df = ds.map_batches(stages.ExtractTitle, batch_format="pyarrow",
-                        concurrency=(1, 2)).to_pandas()
+    df = ds.map_batches(stages.extract_title,
+                        batch_format="pyarrow").to_pandas()
     assert (df.title_ok == 1).all()
     assert (df.title == "doc " + df.doc_id.astype(str)).all()
     assert (df.n_title_chars == df.title.str.len()).all()

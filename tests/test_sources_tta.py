@@ -251,25 +251,34 @@ def test_conv_npz_scorer_real_weights(ray_session, tmp_path, sf_dir):
 
 
 def test_fused_plan_matches_staged_pipeline(ray_session, sf_dir):
-    """The narrow-session fallback in transform_pages swaps the chained
-    actor pools for the fused stateless plan — pin that both physical
-    plans produce byte-identical rows (same columns, same values)."""
-    import ray.data as rd
+    """transform_pages runs the page stages as one Ray task function
+    over many small batches; its rows must equal those of the per-stage
+    classes chained in-process over the whole table, in every join
+    mode."""
+    import pyarrow.parquet as pq
 
     from geo_inference_ray import stages, synth
 
-    def run(ds):
-        return ds.to_pandas().sort_values(["doc_id", "poly_id"]) \
-            .reset_index(drop=True)
+    docs = pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text", "lang", "source"])
+    staged = stages.encode_cells(stages.Geocoder()(
+        stages.ExtractText()(synth.synth_pages_batch(docs))))
 
-    src = synth.pages_dataset(sf_dir)
-    staged = run(stages.transform_pages(src, mode="inner"))
-    fused = run(synth.pages_dataset(sf_dir).map_batches(
-        stages.fused_page_fn("inner", True), batch_format="pyarrow",
-        zero_copy_batch=True))
-    assert list(staged.columns) == list(fused.columns)
-    for c in staged.columns:
-        assert staged[c].tolist() == fused[c].tolist(), c
+    def rows(t):
+        df = t.to_pandas()
+        return df.sort_values([c for c in ("doc_id", "poly_id")
+                               if c in df]).reset_index(drop=True)
+
+    for mode in (None, "inner", "semi", "anti", "left"):
+        want = rows(stages.PIPJoiner(None, mode)(staged) if mode
+                    else staged)
+        ds = stages.transform_pages(synth.pages_dataset(sf_dir),
+                                    mode=mode, batch_size=64)
+        got = rows(ds)
+        assert len(want) > 0, mode
+        assert list(got.columns) == list(want.columns), mode
+        for c in want.columns:
+            assert got[c].tolist() == want[c].tolist(), (mode, c)
 
 
 def test_raster_seam_contract_full_pipeline(ray_session):
