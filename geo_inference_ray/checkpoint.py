@@ -137,6 +137,7 @@ class PartitionedRun:
         partitions are not in them.
         """
         import pyarrow as pa
+        import pyarrow.compute as pc
 
         fingerprints = fingerprints or {}
         # hive-layout safety: key strings become directory names
@@ -157,22 +158,25 @@ class PartitionedRun:
         if not pending:
             return {"computed": [], "skipped": skipped, "reduced": []}
         t0 = time.time()
-        pend_set = set(pending)
-        known = set(keys)
+        known = pa.array(keys, pa.string())
+        pend = pa.array(pending, pa.string())
+        all_pending = len(pending) == len(keys)
 
         def keyed(batch):
             out = key_fn(batch)
-            pk = out["part_key"].to_pylist()
-            novel = [k for k in pk if k not in known]
-            if novel:
+            pk = out["part_key"]
+            declared = pc.is_in(pk, value_set=known)
+            if not pc.all(declared, min_count=0).as_py():
                 # a key outside `keys` would be silently dropped —
                 # that's data loss, not resume-skipping; fail loudly
+                novel = pk.filter(pc.invert(declared)).unique()
                 raise ValueError(
                     f"run_single_pass: key_fn produced partition keys "
                     f"outside the declared key list: "
-                    f"{sorted(set(novel))[:5]}")
-            keep = [k in pend_set for k in pk]
-            return out.filter(pa.array(keep))
+                    f"{sorted(novel.to_pylist())[:5]}")
+            if all_pending:
+                return out
+            return out.filter(pc.is_in(pk, value_set=pend))
 
         tmp_root = os.path.join(self.stage_dir, "_singlepass.tmp")
         if os.path.exists(tmp_root):

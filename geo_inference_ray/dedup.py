@@ -91,8 +91,8 @@ _TOKEN_CACHE: dict[str, int] = {}
 # Hard cap on the per-worker token->hash memo: web-scale corpora have
 # an effectively unbounded long-tail vocabulary, so an uncapped dict
 # grows with every distinct token the worker ever sees.  Clear-on-full
-# (same policy as _SALT_MEMO/_CAND_MEMO) keeps the hot head cached —
-# Zipf means the head re-fills instantly and the tail misses anyway.
+# keeps the hot head cached — Zipf means the head re-fills instantly
+# and the tail misses anyway.
 _TOKEN_CACHE_MAX = 1_000_000
 
 
@@ -524,9 +524,6 @@ def minhash_candidates(ds, max_actors: int | None = None,
         {"doc_a": pa.int64(), "doc_b": pa.int64()})
 
 
-_CAND_MEMO: dict = {}
-
-
 def _empty_verified(containment: bool = False):
     import ray.data as rd
 
@@ -625,26 +622,16 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
         ids_ref = ray.put(np.fromiter(cand, dtype=np.int64,
                                       count=len(cand)))
 
-        # Stateless TASK fn (per-worker memoized candidate-id array): an
-        # actor pool here pins a CPU next to the hash-join aggregator
-        # actors, which deadlocks narrow sessions (2 CPUs: pool + join
-        # actor starve the read task).  Emits (doc_id, sh: binary) for
-        # candidate docs only; the shingle-hash array travels as raw
-        # int64 bytes because Acero hash joins accept binary payloads
-        # but not list columns.
-        memo_key = ids_ref.hex()
-
+        # Stateless TASK fn that reads the candidate-id array with
+        # ray.get per batch: an actor pool here pins a CPU next to the
+        # hash-join aggregator actors, which deadlocks narrow sessions
+        # (2 CPUs: pool + join actor starve the read task).  Emits
+        # (doc_id, sh: binary) for candidate docs only; the shingle-hash
+        # array travels as raw int64 bytes because Acero hash joins
+        # accept binary payloads but not list columns.
         def cand_shingles(batch: pa.Table) -> pa.Table:
-            # single-slot memo (replace on key mismatch): an unbounded
-            # dict would pin one plasma buffer per jaccard_pairs call
-            # for the life of the worker
-            ids = _CAND_MEMO.get(memo_key)
-            if ids is None:
-                ids = ray.get(ids_ref)
-                _CAND_MEMO.clear()
-                _CAND_MEMO[memo_key] = ids
             d = batch["doc_id"].to_numpy()
-            keep = np.isin(d, ids)
+            keep = np.isin(d, ray.get(ids_ref))
             d = d[keep]
             texts = batch.filter(pa.array(keep))["text"].to_pylist()
             sh = [_token_hashes(t).tobytes() for t in texts]

@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from . import stages, synth
@@ -97,13 +98,15 @@ class GeoInferenceRay:
         keys = ["geo"] + [f"{lo}-{lo + 10}" for lo in range(0, 100, 10)]
 
         def decile_key(batch: pa.Table) -> pa.Table:
-            c = batch["cluster"].to_numpy()
-            lo = (c // 10) * 10
-            part = np.char.add(np.char.add(lo.astype("U3"), "-"),
-                               (lo + 10).astype("U3"))
-            part = np.where(c < 0, "geo", part)
+            c = batch["cluster"]
+            # integer divide truncates; c < 0 becomes "geo" below
+            lo = pc.multiply(pc.divide(c, 10), 10)
+            part = pc.binary_join_element_wise(
+                pc.cast(lo, pa.string()),
+                pc.cast(pc.add(lo, 10), pa.string()), "-")
+            part = pc.if_else(pc.less(c, 0), "geo", part)
             return batch.drop_columns(["warc_ts"]).append_column(
-                "part_key", pa.array(part.tolist(), pa.string()))
+                "part_key", part)
 
         # the crop changes every partition's rows, so it is part of the
         # input identity; uncropped runs keep the bare path so their
@@ -179,22 +182,34 @@ class GeoInferenceRay:
 
 
 def _rings_to_geojson(polys) -> dict:
+    """One Polygon feature per component, in ascending ``comp_id``: its
+    first outer ring, then its holes in row order.  A component with no
+    outer ring is dropped."""
+    cid = polys["comp_id"].to_numpy()
+    hole = polys["is_hole"].to_numpy(dtype=bool)
+    cls = polys["class_id"].to_numpy()
+    xs = polys["xs"].to_numpy()
+    ys = polys["ys"].to_numpy()
+    order = np.argsort(cid, kind="stable")
+    cs = cid[order]
+    bounds = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1], True])
+
+    def coords(i):
+        return np.column_stack([np.asarray(xs[i], dtype=float),
+                                np.asarray(ys[i], dtype=float)]).tolist()
+
     feats = []
-    for cid, g in polys.groupby("comp_id"):
-        outer = g[~g["is_hole"]]
-        holes = g[g["is_hole"]]
-        if outer.empty:
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        rows = order[s0:s1]
+        outer = rows[~hole[rows]]
+        if not len(outer):
             continue
-        o = outer.iloc[0]
-        rings = [[[float(x), float(y)]
-                  for x, y in zip(o["xs"], o["ys"])]]
-        for _, h in holes.iterrows():
-            rings.append([[float(x), float(y)]
-                          for x, y in zip(h["xs"], h["ys"])])
+        o = outer[0]
         feats.append({
             "type": "Feature",
-            "properties": {"value": float(o["class_id"])},
-            "geometry": {"type": "Polygon", "coordinates": rings},
+            "properties": {"value": float(cls[o])},
+            "geometry": {"type": "Polygon", "coordinates":
+                         [coords(o)] + [coords(h) for h in rows[hole[rows]]]},
         })
     return {"type": "FeatureCollection", "features": feats}
 

@@ -21,6 +21,11 @@ Distributed design:
    rings (outer ring + holes, pixel-edge following with interior kept on
    the left), convert to geo coords via the grid affine.
 
+Driver path (:func:`stitch_polygons`, coarse grids): the tiles' pixels
+are labeled in one pass over their raster positions, so there is no
+border merge; components are numbered in the same order as the
+distributed path's, which is its test oracle.
+
 Output: one row per ring: (comp_id, class_id, ring_idx, is_hole,
 n_pixels, area_px, xs, ys) with xs/ys in lon/lat degrees.
 """
@@ -43,28 +48,39 @@ def label_components(mask: np.ndarray) -> np.ndarray:
     Returns int64 labels, 0 = background; labels are dense 1..K in
     first-encounter (row-major scan) order — the same relative order as
     the per-pixel reference kernel, which downstream comp-id sorting
-    relies on.
-
-    Vectorized two-pass: row runs of equal value (numpy break-flag
-    cumsum) -> union-find over runs joined by vertical adjacency
-    (deduped pair list, bounded by run count, not pixels)."""
+    relies on.  The work runs on the foreground pixels only
+    (:func:`label_pixels`)."""
     h, w = mask.shape
-    fg = (mask > 0) & (mask != NODATA)
-    if not fg.any():
-        return np.zeros((h, w), dtype=np.int64)
-    flat_fg = fg.reshape(-1)
-    vals = mask.reshape(-1).astype(np.int64)
-    newrow = np.zeros(h * w, dtype=bool)
-    newrow[::w] = True
-    prev_fg = np.concatenate([[False], flat_fg[:-1]])
-    prev_val = np.concatenate([[-1], vals[:-1]])
-    start = flat_fg & (newrow | ~prev_fg | (vals != prev_val))
-    run_id = np.cumsum(start) * flat_fg  # 0 = background, 1..K scan order
-    nruns = int(run_id.max())
-    r2 = run_id.reshape(h, w)
-    adj = fg[1:, :] & fg[:-1, :] & (mask[1:, :] == mask[:-1, :])
-    pa = r2[1:, :][adj]
-    pb = r2[:-1, :][adj]
+    flat = mask.reshape(-1)
+    key = np.flatnonzero((flat > 0) & (flat != NODATA))
+    out = np.zeros(h * w, dtype=np.int64)
+    out[key] = label_pixels(key, flat[key], w)
+    return out.reshape(h, w)
+
+
+def label_pixels(key: np.ndarray, vals: np.ndarray, w: int) -> np.ndarray:
+    """Component labels of foreground pixels given as ascending flat
+    row-major indices ``key`` (raster width ``w``) with their values:
+    4-connected, equal value, dense 1..K in first-encounter order.
+
+    Vectorized two-pass: row runs of equal value (break-flag cumsum)
+    -> union-find over runs joined by vertical adjacency (deduped pair
+    list, bounded by run count); memory grows with the foreground
+    pixels, not the raster area."""
+    n = len(key)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64)
+    start = np.ones(n, dtype=bool)
+    start[1:] = (key[1:] != key[:-1] + 1) | (key[1:] % w == 0) \
+        | (vals[1:] != vals[:-1])
+    run_id = np.cumsum(start)  # 1..K in scan order
+    nruns = int(run_id[-1])
+    # the pixel above each pixel, if it is foreground of the same value
+    up = np.minimum(np.searchsorted(key, key - w), n - 1)
+    adj = (key[up] == key - w) & (vals[up] == vals)
+    pa = run_id[adj]
+    pb = run_id[up[adj]]
     pairs = np.unique(pa * np.int64(nruns + 1) + pb)
     parent = np.arange(nruns + 1, dtype=np.int64)
 
@@ -91,7 +107,7 @@ def label_components(mask: np.ndarray) -> np.ndarray:
     uniq = np.unique(roots[1:])  # component roots, ascending
     dense = np.zeros(nruns + 1, dtype=np.int64)
     dense[1:] = np.searchsorted(uniq, roots[1:]) + 1
-    return dense[run_id].reshape(h, w)
+    return dense[run_id]
 
 
 def label_components_ref(mask: np.ndarray) -> np.ndarray:
@@ -366,74 +382,67 @@ def _tile_components(tiles_df: pd.DataFrame, stride: int):
 
 def stitch_polygons(tiles_df: pd.DataFrame, grid: GridConfig,
                     min_area_px: float = 0.0) -> pd.DataFrame:
-    """Full polygonize + stitch (driver orchestration; the heavy pixel
-    work is per-tile and the equivalence set is perimeter-bounded).
+    """Driver-side polygonize of a mask-tile table (absent tiles =
+    nodata).  The foreground pixels of all tiles are labeled in one
+    :func:`label_pixels` pass over their raster positions, so
+    components that cross tile borders need no stitch, and memory
+    grows with the tiles, not with the grid area.
 
-    In the distributed deployment _tile_components runs inside
-    map_batches over mask-tile blocks and only the border rows +
-    per-component metadata come to the driver; here tiles are already
-    small enough to process in-process, which keeps the unit of work
-    identical and the stitch logic shared."""
-    prows, brows = _tile_components(tiles_df, grid.stride)
-    if prows.empty:
+    Components are numbered by their first pixel in tile-major scan
+    order (tile row-major, then row-major within the tile).  That is
+    the order of the minimal (tile, local label) member that
+    :func:`polygons_distributed`'s per-tile labeling and border
+    union-find produce, so both paths give the same ``comp_id`` and
+    the same ring rows."""
+    s = grid.stride
+    oy = tiles_df["oy"].to_numpy(dtype=np.int64)
+    ox = tiles_df["ox"].to_numpy(dtype=np.int64)
+    tiles = np.lexsort((ox, oy))
+    oy, ox = oy[tiles], ox[tiles]
+    masks = np.array(list(tiles_df["mask"].to_numpy()[tiles]),
+                     dtype=np.uint8).reshape(-1, s * s)
+    # foreground pixels in tile-major scan order
+    ti, pi = np.nonzero((masks > 0) & (masks != NODATA))
+    if not len(ti):
         return pd.DataFrame(columns=["comp_id", "class_id", "ring_idx",
                                      "is_hole", "n_pixels", "area_px",
                                      "xs", "ys"])
-    # equivalences across facing borders
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for key in prows.groupby(["tkey", "llab"]).groups:
-        find(key)
-    for _, g in brows.groupby("edge_key"):
-        sides = g["side"].unique()
-        if len(sides) < 2:
-            continue
-        # match top(0) of lower tile with bottom(1) of upper, left(2)
-        # with right(3): same offset + same class -> union
-        a = g[g["side"].isin([0, 2])]
-        b = g[g["side"].isin([1, 3])]
-        m = a.merge(b, on="offset", suffixes=("_a", "_b"))
-        m = m[m["class_id_a"] == m["class_id_b"]]
-        for r in m.itertuples():
-            union((r.tkey_a, r.llab_a), (r.tkey_b, r.llab_b))
-    # global ids: dense ints in deterministic key order
-    roots = {k: find(k) for k in list(parent)}
-    uniq = sorted(set(roots.values()))
-    gid = {r: i for i, r in enumerate(uniq)}
-    prows["comp_id"] = [gid[roots[(t, l)]]
-                        for t, l in zip(prows["tkey"], prows["llab"])]
+    pys = oy[ti] * s + pi // s
+    pxs = ox[ti] * s + pi % s
+    cls = masks[ti, pi].astype(np.int64)
+    key = pys * grid.width + pxs
+    scan = np.argsort(key, kind="stable")
+    labs = np.empty(len(key), dtype=np.int64)
+    labs[scan] = label_pixels(key[scan], cls[scan], grid.width)
+    # rank the components by their first pixel in tile-major order
+    _, first = np.unique(labs, return_index=True)
+    comp_of = np.empty(len(first), dtype=np.int64)
+    comp_of[np.argsort(first)] = np.arange(len(first))
+    comp = comp_of[labs - 1]
+    order = np.argsort(comp, kind="stable")
+    comp, pys, pxs, cls = comp[order], pys[order], pxs[order], cls[order]
+    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    ends = np.r_[starts[1:], len(comp)]
     out = []
-    for cid, g in prows.groupby("comp_id"):
-        rings = trace_rings_arrays(g["py"].to_numpy(dtype=np.int64),
-                                   g["px"].to_numpy(dtype=np.int64))
+    for st, en in zip(starts.tolist(), ends.tolist()):
+        cid = int(comp[st])
+        rings = trace_rings_arrays(pys[st:en], pxs[st:en])
         # outer ring = largest |signed area|
         areas = [ring_signed_area(rg) for rg in rings]
         outer = int(np.argmax(np.abs(areas)))
         area_px = abs(areas[outer])
         if area_px < min_area_px:
             continue
-        for ri, (rg, a) in enumerate(zip(rings, areas)):
+        for ri, rg in enumerate(rings):
             xs = np.array([p[0] for p in rg], dtype=float)
             ys = np.array([p[1] for p in rg], dtype=float)
             lon = grid.min_lon + xs * grid.pix
             lat = grid.max_lat - ys * grid.pix
             out.append({
                 "comp_id": cid,
-                "class_id": int(g["class_id"].iloc[0]),
+                "class_id": int(cls[st]),
                 "ring_idx": ri, "is_hole": ri != outer,
-                "n_pixels": len(g), "area_px": area_px,
+                "n_pixels": en - st, "area_px": area_px,
                 "xs": lon, "ys": lat,
             })
     return pd.DataFrame(out)
@@ -441,9 +450,9 @@ def stitch_polygons(tiles_df: pd.DataFrame, grid: GridConfig,
 
 def polygons_from_tiles(tiles_ds, grid: GridConfig,
                         min_area_px: float = 0.0) -> pd.DataFrame:
-    """Ray entry: consume the mask-tile Dataset and stitch.  Mask tiles
-    are bounded by the raster grid (not the input row count), so
-    collecting them to the driver for the stitch is scale-safe for
+    """Ray entry: collect the mask-tile Dataset and polygonize it on the
+    driver (:func:`stitch_polygons`).  Mask tiles are bounded by the
+    raster grid (not the input row count), so this is scale-safe for
     coarse grids; :func:`polygons_distributed` is the fine-grid path."""
     return stitch_polygons(tiles_ds.to_pandas(), grid, min_area_px)
 

@@ -108,50 +108,24 @@ def plan_lookup(plan: dict[int, int]):
     return n_salt
 
 
-_SALT_MEMO: dict = {}
-
-
 def add_salt(ds, key: str, plan: dict[int, int], id_col: str):
     """Append a deterministic ``salt`` column: id % n_salts(key), 0 for
     cold keys.  Use before groupby([key, "salt"]) with per-salt partial
     aggregation.
 
-    A stateless TASK-pool fn (per-worker memoized plan, the
-    fused_page_fn pattern), not an actor pool: a second actor pool in
-    the same dataset pins another CPU even while idle, which deadlocks
-    narrow sessions (2 CPUs: upstream pool + this pool starve the read
-    task) — and task fns keep operator fusion available."""
+    A stateless TASK fn that reads the broadcast plan with ``ray.get``
+    per batch (the hot-key map is small, so :func:`plan_lookup` sorts
+    it per batch), not an actor pool: a second actor pool in the same
+    dataset pins another CPU even while idle, which deadlocks narrow
+    sessions (2 CPUs: upstream pool + this pool starve the read task)
+    — and task fns keep operator fusion available."""
     import ray
 
     plan_ref = ray.put(plan)
-    memo_key = plan_ref.hex()
 
     def salter(batch: pa.Table) -> pa.Table:
-        # single-slot memo (replace on key mismatch) so repeated salted
-        # pipelines don't accumulate per-call plan arrays in the worker
-        plan_sorted = _SALT_MEMO.get(memo_key)
-        if plan_sorted is None:
-            p = ray.get(plan_ref)
-            if p:
-                hot_keys = np.fromiter(p.keys(), dtype=np.int64)
-                hot_r = np.fromiter(p.values(), dtype=np.int64)
-                order = np.argsort(hot_keys)
-                plan_sorted = (hot_keys[order], hot_r[order])
-            else:
-                plan_sorted = (np.array([], dtype=np.int64),
-                               np.array([], dtype=np.int64))
-            _SALT_MEMO.clear()
-            _SALT_MEMO[memo_key] = plan_sorted
-        hot_keys, hot_r = plan_sorted
-        k = batch[key].to_numpy()
         ids = batch[id_col].to_numpy()
-        n_salt = np.ones(len(k), dtype=np.int64)
-        if len(hot_keys):
-            # vectorized lookup over the (bounded) hot-key map
-            pos = np.searchsorted(hot_keys, k)
-            pos = np.clip(pos, 0, len(hot_keys) - 1)
-            hit = hot_keys[pos] == k
-            n_salt[hit] = hot_r[pos[hit]]
+        n_salt = plan_lookup(ray.get(plan_ref))(batch[key].to_numpy())
         salt = ids % n_salt
         return batch.append_column("salt", pa.array(salt))
 

@@ -327,11 +327,11 @@ class ScorePatches:
         self._wins = all_windows(grid.patch)
 
     def score_core(self, ty: int, tx: int, py: np.ndarray,
-                   px: np.ndarray, n: np.ndarray) -> list[tuple]:
+                   px: np.ndarray, n: np.ndarray) -> np.ndarray:
         """Numpy core shared by the map_groups wrapper and the driver-
-        local suffix: one patch's pixel counts -> the 4 windowed
-        stride-quadrant contributions [(oy, ox, src_ty, src_tx,
-        float32 data)]."""
+        local suffix: one patch's pixel counts -> its 4 windowed
+        stride-quadrants, float32 (4, C+2, s, s) in (qy, qx) order; quadrant
+        ``qy * 2 + qx`` belongs to output cell (ty + qy, tx + qx)."""
         grid = self.grid
         s = grid.stride
         p = grid.patch
@@ -344,26 +344,46 @@ class ScorePatches:
         stacked = np.concatenate(
             [probs * win[None, :, :], win[None, :, :], patch[None, :, :]],
             axis=0).astype(np.float32)  # (C+2, P, P)
-        rows = []
-        for qy in (0, 1):
-            for qx in (0, 1):
-                oy, ox = ty + qy, tx + qx
-                quad = stacked[:, qy * s:(qy + 1) * s, qx * s:(qx + 1) * s]
-                rows.append((oy, ox, ty, tx, quad.reshape(-1)))
-        return rows
+        c2 = stacked.shape[0]
+        return stacked.reshape(c2, 2, s, 2, s).transpose(1, 3, 0, 2, 4) \
+            .reshape(4, c2, s, s)
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         ty = int(g["ty"].iloc[0])
         tx = int(g["tx"].iloc[0])
-        rows = self.score_core(ty, tx, g["py"].to_numpy(),
-                               g["px"].to_numpy(), g["n"].to_numpy())
+        quads = self.score_core(ty, tx, g["py"].to_numpy(),
+                                g["px"].to_numpy(), g["n"].to_numpy())
         return pd.DataFrame({
-            "oy": np.array([r[0] for r in rows], dtype=np.int64),
-            "ox": np.array([r[1] for r in rows], dtype=np.int64),
-            "src_ty": np.array([r[2] for r in rows], dtype=np.int64),
-            "src_tx": np.array([r[3] for r in rows], dtype=np.int64),
-            "data": [r[4] for r in rows],
+            "oy": ty + _QY, "ox": tx + _QX,
+            "src_ty": np.full(4, ty, dtype=np.int64),
+            "src_tx": np.full(4, tx, dtype=np.int64),
+            "data": [q.reshape(-1) for q in quads],
         })
+
+
+# quadrant q of a patch at (ty, tx) lands on cell (ty + _QY[q], tx + _QX[q])
+_QY = np.array([0, 0, 1, 1], dtype=np.int64)
+_QX = np.array([0, 1, 0, 1], dtype=np.int64)
+
+
+def decide_cells(acc: np.ndarray, grid: GridConfig):
+    """Summed contributions of N cells, float64 (N, C+2, s, s) -> flat
+    uint8 masks (N, s*s) and n_valid (N,): normalize sum(w*p)/sum(w)
+    (0 where the weight is 0), argmax (multiclass) or threshold
+    (binary), nodata where no input pixel was valid."""
+    c = grid.num_classes
+    scores, weight, raw = acc[:, :c], acc[:, c], acc[:, c + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.divide(scores, weight[:, None], out=np.zeros_like(scores),
+                         where=weight[:, None] != 0)
+    if c == 1:
+        cls = (norm[:, 0] > grid.prediction_threshold).astype(np.uint8)
+    else:
+        cls = np.argmax(norm, axis=1).astype(np.uint8)
+    valid = raw > 0
+    mask = np.where(valid, cls, np.uint8(NODATA)).astype(np.uint8)
+    flat = (len(acc), acc.shape[2] * acc.shape[3])
+    return mask.reshape(flat), valid.reshape(flat).sum(axis=1)
 
 
 class MergeCells:
@@ -375,27 +395,16 @@ class MergeCells:
         self.grid = grid
 
     def merge_core(self, datas_sorted) -> tuple[np.ndarray, int]:
-        """Numpy core shared by the map_groups wrapper and the driver-
-        local suffix: contributions ALREADY in (src_ty, src_tx) order
-        -> (flat uint8 mask, n_valid).  Accumulation order is the
-        determinism contract — callers must pre-sort."""
+        """Contributions ALREADY in (src_ty, src_tx) order -> (flat uint8
+        mask, n_valid).  Accumulation order is the determinism contract
+        — callers must pre-sort."""
         grid = self.grid
         s = grid.stride
-        c = grid.num_classes
-        acc = np.zeros((c + 2, s, s), dtype=np.float64)
+        acc = np.zeros((1, grid.num_classes + 2, s, s), dtype=np.float64)
         for d in datas_sorted:
-            acc += np.asarray(d, dtype=np.float64).reshape(c + 2, s, s)
-        scores, weight, raw = acc[:c], acc[c], acc[c + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            norm = np.divide(scores, weight[None, :, :],
-                             out=np.zeros_like(scores), where=weight != 0)
-        if c == 1:
-            cls = (norm[0] > grid.prediction_threshold).astype(np.uint8)
-        else:
-            cls = np.argmax(norm, axis=0).astype(np.uint8)
-        valid = raw > 0
-        mask = np.where(valid, cls, np.uint8(NODATA)).astype(np.uint8)
-        return mask.reshape(-1), int(valid.sum())
+            acc[0] += np.asarray(d, dtype=np.float64).reshape(acc.shape[1:])
+        mask, n_valid = decide_cells(acc, grid)
+        return mask[0], int(n_valid[0])
 
     def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["src_ty", "src_tx"], kind="stable")
@@ -448,57 +457,73 @@ def mask_tiles(geo_ds, grid: GridConfig = DEFAULT_GRID,
 def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
                              scorer_cls=DensityScorer):
     """Driver-side tile suffix over the (grid-bounded) pixel counts,
-    running the SAME numpy cores as the distributed path
-    (ScorePatches.score_core / MergeCells.merge_core) but grouped by
-    numpy argsort slices instead of pandas groupby — the per-group
-    DataFrame construction was ~2/3 of the local suffix time at the
-    bench grid (~1800 tiny groups)."""
+    with the same scorer and decision as the distributed path.
+
+    One ``ScorePatches.score_core`` call per live patch, in ascending
+    (ty, tx) order; each patch's 4 windowed quadrants are added into a
+    float64 accumulator with one row per output cell, so every cell
+    sums its contributions in (src_ty, src_tx) order — the determinism
+    contract of ``MergeCells.merge_core``.  The accumulator holds only
+    the cells of the two cell rows the current patch row touches; the
+    rows above are complete and ``decide_cells`` turns them into masks
+    in one call per patch row.  Memory grows with the live cells, not
+    with the grid area."""
     import ray.data as rd
 
-    empty = pa.table({
-        "oy": pa.array([], pa.int64()), "ox": pa.array([], pa.int64()),
-        "mask": pa.array([], pa.list_(pa.uint8())),
-        "n_valid": pa.array([], pa.int64())})
     if pix_df.empty or "py" not in pix_df.columns:
-        return rd.from_arrow(empty)
+        return rd.from_arrow(TILE_SCHEMA.empty_table())
     owned = emit_to_patches(grid)(
         pa.Table.from_pandas(pix_df, preserve_index=False))
     if owned.num_rows == 0:
-        return rd.from_arrow(empty)
+        return rd.from_arrow(TILE_SCHEMA.empty_table())
     ty = owned["ty"].to_numpy()
     tx = owned["tx"].to_numpy()
     py = owned["py"].to_numpy()
     px = owned["px"].to_numpy()
     n = owned["n"].to_numpy()
-    # sort once by packed patch key; contiguous runs are the groups.
-    # Ascending (ty, tx) patch order means contributions are appended
-    # to each output cell ALREADY in (src_ty, src_tx) order — the
-    # determinism contract merge_core requires.
+    # sort once by packed patch key; contiguous runs are the patches
     key = ty * grid.nx + tx
     order = np.argsort(key, kind="stable")
     key = key[order]
     ty, tx, py, px, n = ty[order], tx[order], py[order], px[order], n[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], len(key)]
+    # the output cells (ascending (oy, ox)) and each patch's 4 of them
+    pty, ptx = ty[starts], tx[starts]
+    cell_keys = (pty[:, None] + _QY) * grid.nx + (ptx[:, None] + _QX)
+    cells = np.unique(cell_keys)
+    slot = np.searchsorted(cells, cell_keys)
+    s = grid.stride
+    planes = (grid.num_classes + 2, s, s)
+    # first cell of each cell row; cell row oy gets its last
+    # contribution from patch row oy
+    row_start = np.searchsorted(cells, np.arange(grid.ny + 1) * grid.nx)
+    masks = np.empty((len(cells), s * s), dtype=np.uint8)
+    n_valid = np.empty(len(cells), dtype=np.int64)
     score = ScorePatches(grid, scorer_cls)
-    by_cell: dict[tuple, list] = {}
-    for s0, s1 in zip(starts, ends):
-        for oy, ox, _sty, _stx, data in score.score_core(
-                int(ty[s0]), int(tx[s0]), py[s0:s1], px[s0:s1], n[s0:s1]):
-            by_cell.setdefault((oy, ox), []).append(data)
-    merge = MergeCells(grid)
-    oys, oxs, masks, n_valids = [], [], [], []
-    for (oy, ox), datas in sorted(by_cell.items()):
-        mask, n_valid = merge.merge_core(datas)
-        oys.append(oy)
-        oxs.append(ox)
-        masks.append(mask)
-        n_valids.append(n_valid)
+    # acc holds cells [base, base + len(acc)) of patch row `row`
+    base, acc, row = 0, np.zeros((0, *planes)), -1
+    for i, (s0, s1) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if pty[i] != row:
+            # new patch row: the cells above it are complete; the
+            # partial sums of the rest carry over
+            row = int(pty[i])
+            lo, hi = row_start[row], row_start[row + 2]
+            masks[base:lo], n_valid[base:lo] = decide_cells(
+                acc[:lo - base], grid)
+            nxt = np.zeros((hi - lo, *planes))
+            nxt[:base + len(acc) - lo] = acc[lo - base:]
+            base, acc = lo, nxt
+        acc[slot[i] - base] += score.score_core(
+            row, int(ptx[i]), py[s0:s1], px[s0:s1], n[s0:s1])
+    masks[base:], n_valid[base:] = decide_cells(acc, grid)
     return rd.from_arrow(pa.table({
-        "oy": pa.array(oys, pa.int64()),
-        "ox": pa.array(oxs, pa.int64()),
-        "mask": pa.array([m for m in masks], pa.list_(pa.uint8())),
-        "n_valid": pa.array(n_valids, pa.int64())}))
+        "oy": pa.array(cells // grid.nx),
+        "ox": pa.array(cells % grid.nx),
+        "mask": pa.ListArray.from_arrays(
+            np.arange(0, masks.size + 1, s * s, dtype=np.int32),
+            pa.array(masks.reshape(-1))),
+        "n_valid": pa.array(n_valid)}, schema=TILE_SCHEMA))
 
 
 def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,
@@ -697,14 +722,15 @@ FROM zhits GROUP BY poly_id"""
 
 def tiles_to_dense(tiles_df: pd.DataFrame,
                    grid: GridConfig = DEFAULT_GRID) -> np.ndarray:
-    """Assemble mask tiles into a dense (H, W) uint8 raster (driver-side
-    helper for tests and small exports; absent tiles = nodata)."""
+    """Assemble mask tiles into a dense (H, W) uint8 raster (absent
+    tiles = nodata) with one scatter of every tile's pixels."""
     out = np.full((grid.height, grid.width), NODATA, dtype=np.uint8)
     s = grid.stride
-    for _, row in tiles_df.iterrows():
-        m = np.asarray(row["mask"], dtype=np.uint8).reshape(s, s)
-        out[row["oy"] * s:(row["oy"] + 1) * s,
-            row["ox"] * s:(row["ox"] + 1) * s] = m
+    masks = np.array(list(tiles_df["mask"]), dtype=np.uint8)
+    r = np.arange(s)
+    oy = tiles_df["oy"].to_numpy(dtype=np.int64)[:, None, None]
+    ox = tiles_df["ox"].to_numpy(dtype=np.int64)[:, None, None]
+    out[oy * s + r[:, None], ox * s + r] = masks.reshape(-1, s, s)
     return out
 
 

@@ -120,6 +120,25 @@ def test_single_pass_write_and_resume(ray_session, tmp_path):
     assert run.read(["empty"], columns=["v"]).count() == 0
 
 
+def test_single_pass_rejects_undeclared_key(ray_session, tmp_path):
+    """A key_fn that emits a key outside the declared list must fail
+    the run (its rows would otherwise be dropped), naming the key."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    run = _mk(tmp_path)
+    ds = rd.from_pandas(pd.DataFrame({"k": ["a", "b", "zz"], "v": [1, 2, 3]}))
+
+    def key_fn(batch: pa.Table) -> pa.Table:
+        return batch.append_column("part_key", batch["k"])
+
+    # Ray wraps the task's ValueError (UserCodeException), so match on
+    # the message
+    with pytest.raises(Exception, match=r"outside the declared key "
+                                        r"list: \['zz'\]"):
+        run.run_single_pass(["a", "b"], ds, key_fn)
+
+
 def test_fingerprint_invalidation(ray_session, tmp_path):
     run = _mk(tmp_path)
     run.run(["1"], _ds_for, fingerprints={"1": "a"})

@@ -284,39 +284,95 @@ def test_rings_to_px_roundtrip():
     np.testing.assert_allclose(px.iloc[0]["pys"], [0, 0, 2, 2])
 
 
+def _blob_tiles(seed: int, stride: int) -> tuple[GridConfig, pd.DataFrame]:
+    """Seeded class-1/2 discs and rings (many cross tile borders), ~5%
+    NODATA pixels, ~15% of the tiles absent."""
+    rng = np.random.default_rng(seed)
+    h = stride * int(rng.integers(3, 9))
+    w = stride * int(rng.integers(3, 9))
+    mask = np.zeros((h, w), dtype=np.uint8)
+    yy, xx = np.mgrid[:h, :w]
+    for _ in range(int(rng.integers(2, 20))):
+        cy, cx = rng.integers(0, h), rng.integers(0, w)
+        r = int(rng.integers(1, 10))
+        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+        paint = d2 <= r * r
+        if rng.random() < 0.35:
+            paint &= d2 > (r // 2) ** 2
+        mask[paint] = rng.integers(1, 3)
+    mask[rng.random((h, w)) < 0.05] = 255
+    tiles = _tiles_from_dense(mask, stride)
+    tiles = tiles[rng.random(len(tiles)) > 0.15].reset_index(drop=True)
+    grid = GridConfig(min_lon=-10.0, max_lat=5.0, pix=0.25, width=w,
+                      height=h, stride=stride)
+    return grid, tiles
+
+
 def test_distributed_matches_driver_stitch(ray_session, sf_dir):
-    """polygons_distributed == stitch_polygons on the real tile output
-    (same comp decomposition, ring areas, and geo coords)."""
+    """stitch_polygons == polygons_distributed row for row (the
+    distributed rows ordered by (comp_id, ring_idx)): same comp ids,
+    rings, areas and bit-identical geo coords, on the real tile output
+    and on seeded blob tiles with NODATA pixels and absent tiles."""
     import ray.data as rd
 
     from geo_inference_ray import stages
-    from geo_inference_ray.polygonize import (polygons_distributed,
-                                              polygons_from_tiles)
+    from geo_inference_ray.polygonize import polygons_distributed
     from geo_inference_ray.tiling import DEFAULT_GRID, mask_tiles
 
-    geo = stages.geo_pipeline(sf_dir, with_cells=False)
-    tiles = mask_tiles(geo, DEFAULT_GRID)
-    local = polygons_from_tiles(tiles, DEFAULT_GRID)
-    tiles2 = mask_tiles(stages.geo_pipeline(sf_dir, with_cells=False),
-                        DEFAULT_GRID)
-    dist = polygons_distributed(tiles2, DEFAULT_GRID).to_pandas()
+    real = mask_tiles(stages.geo_pipeline(sf_dir, with_cells=False),
+                      DEFAULT_GRID).to_pandas()
+    cases = [(DEFAULT_GRID, real)] + [_blob_tiles(seed, stride)
+                                      for seed, stride in
+                                      [(1, 4), (2, 8), (3, 16), (4, 4)]]
+    for grid, tiles in cases:
+        local = stitch_polygons(tiles, grid)
+        dist = polygons_distributed(rd.from_pandas(tiles), grid) \
+            .to_pandas().sort_values(["comp_id", "ring_idx"]) \
+            .reset_index(drop=True)
+        assert len(local) == len(dist) > 0
+        for c in ("comp_id", "class_id", "ring_idx", "is_hole",
+                  "n_pixels"):
+            assert local[c].tolist() == dist[c].tolist(), c
+        assert local["area_px"].to_numpy().tobytes() \
+            == dist["area_px"].to_numpy(dtype=float).tobytes()
+        for c in ("xs", "ys"):
+            for a, b in zip(local[c], dist[c]):
+                assert np.asarray(a, dtype=float).tobytes() \
+                    == np.asarray(b, dtype=float).tobytes(), c
 
-    def canon(df):
-        df = df.copy()
-        df["key"] = [tuple(sorted(zip(x, y)))
-                     for x, y in zip(df["xs"], df["ys"])]
-        return df.sort_values(["class_id", "n_pixels", "key"]) \
-                 .reset_index(drop=True)
 
-    a, b = canon(local), canon(dist)
-    assert len(a) == len(b)
-    assert (a["class_id"].to_numpy() == b["class_id"].to_numpy()).all()
-    assert (a["n_pixels"].to_numpy() == b["n_pixels"].to_numpy()).all()
-    assert (a["is_hole"].to_numpy() == b["is_hole"].to_numpy()).all()
-    np.testing.assert_allclose(a["area_px"].to_numpy(),
-                               b["area_px"].to_numpy())
-    for ka, kb in zip(a["key"], b["key"]):
-        assert ka == kb
+def test_rings_to_geojson_matches_row_loop():
+    """_rings_to_geojson == the groupby/iterrows reference on ring rows
+    in any order, with a hole-only component (dropped) and a component
+    with two outer rings (the first one wins)."""
+    from geo_inference_ray.pipeline import _rings_to_geojson
+
+    def reference(polys):
+        feats = []
+        for _, g in polys.groupby("comp_id"):
+            outer = g[~g["is_hole"]]
+            if outer.empty:
+                continue
+            o = outer.iloc[0]
+            rings = [[[float(x), float(y)] for x, y in zip(o["xs"], o["ys"])]]
+            for _, h in g[g["is_hole"]].iterrows():
+                rings.append([[float(x), float(y)]
+                              for x, y in zip(h["xs"], h["ys"])])
+            feats.append({
+                "type": "Feature",
+                "properties": {"value": float(o["class_id"])},
+                "geometry": {"type": "Polygon", "coordinates": rings}})
+        return {"type": "FeatureCollection", "features": feats}
+
+    grid, tiles = _blob_tiles(5, 4)
+    polys = stitch_polygons(tiles, grid)
+    assert polys["is_hole"].any()
+    rng = np.random.default_rng(0)
+    mixed = polys.sample(frac=1.0, random_state=1).reset_index(drop=True)
+    mixed.loc[rng.random(len(mixed)) < 0.2, "is_hole"] = True
+    mixed.loc[rng.random(len(mixed)) < 0.1, "is_hole"] = False
+    for p in (polys, mixed, polys.iloc[:0]):
+        assert json.dumps(_rings_to_geojson(p)) == json.dumps(reference(p))
 
 
 def test_reduce_precision():

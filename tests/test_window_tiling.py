@@ -209,6 +209,39 @@ def test_mask_tiles_ray(ray_session, sf_dir):
         np.testing.assert_array_equal(np.asarray(x), np.asarray(y))
 
 
+@pytest.fixture(scope="module")
+def sf_pixels(ray_session, sf_dir):
+    """Pixel counts of the sf0.001 pages, materialized once (they do
+    not depend on the stride or the class count)."""
+    from geo_inference_ray import stages
+    from geo_inference_ray.tiling import DEFAULT_GRID, pixel_counts
+
+    return pixel_counts(stages.geo_pipeline(sf_dir, with_cells=False),
+                        DEFAULT_GRID).materialize()
+
+
+@pytest.mark.parametrize("stride", [4, 8, 16])
+@pytest.mark.parametrize("num_classes", [1, 3])
+def test_distributed_tiles_match_driver_suffix(sf_pixels, stride,
+                                               num_classes):
+    """mask_tiles_distributed (groupby score + merge) == mask_tiles's
+    driver suffix, bit for bit: oy, ox, mask bytes and n_valid."""
+    from geo_inference_ray.tiling import (GridConfig, mask_tiles,
+                                          mask_tiles_distributed)
+
+    grid = GridConfig(stride=stride, num_classes=num_classes)
+
+    def rows(ds):
+        t = ds.to_pandas().sort_values(["oy", "ox"]).reset_index(drop=True)
+        return (t["oy"].tolist(), t["ox"].tolist(), t["n_valid"].tolist(),
+                [np.asarray(m, dtype=np.uint8).tobytes() for m in t["mask"]])
+
+    local = rows(mask_tiles(sf_pixels, grid, rasterized=True))
+    dist = rows(mask_tiles_distributed(sf_pixels, grid, rasterized=True))
+    assert len(local[0]) > 0
+    assert local == dist
+
+
 def test_windows_match_checked_in_golden():
     """FIXTURES.md F3: the 9 window variants vs the checked-in .npy
     golden (generated independently of window.py)."""
