@@ -129,6 +129,13 @@ class PartitionedRun:
         pending key are filtered out before the write, so resume skips
         finished partitions without recomputing them.
 
+        Files per key = write tasks: every write task that holds rows
+        of a key writes one file under it.  Ray runs at most one write
+        task per input block (it may bundle small blocks into one), so
+        ``ds``'s block count bounds the files per partition; the
+        flagship's pages read gives one block per session CPU (see
+        :func:`synth.pages_dataset`).
+
         ``reduce_fn(table) -> pa.Table``, if given, runs in every write
         task over the rows that task wrote (``part_key`` included); the
         per-task results come back as ``"reduced"`` — one table per

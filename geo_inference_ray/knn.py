@@ -49,67 +49,51 @@ def _emit_salted(plan_ref, k_col: str = "hex7", ring: int = 0):
     the full ring-1 neighborhood — the north rule's "cell-local kNN over
     sorted H3 rings".
 
-    Returns a stateless FUNCTION with per-worker memoized state (the
-    fused_page_fn pattern): a task-pool fn fuses into the upstream read
-    and, unlike an actor pool, never pins CPUs — an actor pool here
-    deadlocked 2-CPU sessions once the projection stopped being
-    materialized (read tasks + pool + shuffle aggregators competing)."""
+    Returns a stateless task FUNCTION that reads the broadcast plan with
+    ``ray.get`` per batch (as :func:`shuffle.add_salt` does): it fuses
+    into the upstream read and, unlike an actor pool, never pins CPUs —
+    an actor pool here deadlocked 2-CPU sessions once the projection
+    stopped being materialized (read tasks + pool + shuffle aggregators
+    competing)."""
     import ray
+
+    from .shuffle import plan_lookup
 
     offsets = HEX_RING1_OFFSETS if ring == 1 else (0,)
 
-    class Emit:
-        def __init__(self):
-            from .shuffle import plan_lookup
-
-            self._n_salt = plan_lookup(ray.get(plan_ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cell = batch[k_col].to_numpy()
-            ids = batch["doc_id"].to_numpy()
-            lat = batch["lat"].to_numpy(zero_copy_only=False)
-            lon = batch["lon"].to_numpy(zero_copy_only=False)
-            parts = []
-            for off in offsets:
-                target = cell + off
-                n_salt = self._n_salt(target)
-                own = ids % n_salt
-                reps = n_salt
-                idx = np.repeat(np.arange(len(cell)), reps)
-                salt = np.concatenate(
-                    [np.arange(r) for r in reps]) if len(reps) \
-                    else np.empty(0, dtype=np.int64)
-                is_probe = (salt == own[idx]) if off == 0 \
-                    else np.zeros(len(idx), dtype=bool)
-                parts.append((target[idx], idx, salt, is_probe))
-            tcell = np.concatenate([p[0] for p in parts])
-            idx = np.concatenate([p[1] for p in parts])
-            salt = np.concatenate([p[2] for p in parts])
-            is_probe = np.concatenate([p[3] for p in parts])
-            return pa.table({
-                "doc_id": pa.array(ids[idx]),
-                "lat": pa.array(lat[idx]),
-                "lon": pa.array(lon[idx]),
-                k_col: pa.array(tcell),
-                "salt": pa.array(salt.astype(np.int64)),
-                "is_probe": pa.array(is_probe),
-            })
-
-    memo_key = (plan_ref.hex(), k_col, ring)
-
     def fn(batch: pa.Table) -> pa.Table:
-        st = _EMIT_MEMO.get(memo_key)
-        if st is None:
-            if len(_EMIT_MEMO) > 16:
-                _EMIT_MEMO.clear()
-            st = Emit()
-            _EMIT_MEMO[memo_key] = st
-        return st(batch)
+        n_salt_of = plan_lookup(ray.get(plan_ref))
+        cell = batch[k_col].to_numpy()
+        ids = batch["doc_id"].to_numpy()
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
+        lon = batch["lon"].to_numpy(zero_copy_only=False)
+        parts = []
+        for off in offsets:
+            target = cell + off
+            n_salt = n_salt_of(target)
+            own = ids % n_salt
+            reps = n_salt
+            idx = np.repeat(np.arange(len(cell)), reps)
+            salt = np.concatenate(
+                [np.arange(r) for r in reps]) if len(reps) \
+                else np.empty(0, dtype=np.int64)
+            is_probe = (salt == own[idx]) if off == 0 \
+                else np.zeros(len(idx), dtype=bool)
+            parts.append((target[idx], idx, salt, is_probe))
+        tcell = np.concatenate([p[0] for p in parts])
+        idx = np.concatenate([p[1] for p in parts])
+        salt = np.concatenate([p[2] for p in parts])
+        is_probe = np.concatenate([p[3] for p in parts])
+        return pa.table({
+            "doc_id": pa.array(ids[idx]),
+            "lat": pa.array(lat[idx]),
+            "lon": pa.array(lon[idx]),
+            k_col: pa.array(tcell),
+            "salt": pa.array(salt.astype(np.int64)),
+            "is_probe": pa.array(is_probe),
+        })
 
     return fn
-
-
-_EMIT_MEMO: dict = {}
 
 
 def _topk_exact(d2: np.ndarray, ids_c: np.ndarray, kk: int) -> np.ndarray:

@@ -21,18 +21,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
+import pyarrow.parquet as pq
 
 from . import stages, synth
 from .annotations import filter_min_area, to_coco, to_yolo, yolo_lines
 from .checkpoint import PartitionedRun
 from .polygonize import polygons_from_tiles
-from .tiling import (DensityScorer, GridConfig, mask_tiles, rasterize,
-                     rasterize_partial)
+from .tiling import (PIXEL_SCHEMA, DensityScorer, GridConfig, collect_table,
+                     mask_tiles, rasterize, rasterize_partial)
 
 
 class GeoInferenceRay:
@@ -120,39 +121,25 @@ class GeoInferenceRay:
             keys, geo, decile_key,
             fingerprints={k: fp for k in keys},
             reduce_fn=rasterize_partial(grid))
-        partials = rd.from_arrow(res.pop("reduced"))
+        # the partials, the tiles and the polygons stay driver Arrow
+        # tables: no Dataset, no second execution
+        partials = res.pop("reduced")
         if res["skipped"]:
             # resume: partitions finished by an earlier run were not
             # rewritten, so their pixels come from the checkpoint
-            partials = partials.union(rasterize(
-                run.read(res["skipped"], columns=["lat", "lon"]), grid))
+            partials.append(collect_table(rasterize(
+                run.read(res["skipped"], columns=["lat", "lon"]), grid),
+                PIXEL_SCHEMA))
         out["pages_partitions"] = res
-
-        tiles = mask_tiles(partials, grid, self.scorer_cls, rasterized=True)
-        if self.mask_to_vec:
-            # consumed twice (parquet sink + vectorization): pin the
-            # grid-bounded merge OUTPUT (tiles, never input rows) so
-            # the scoring pipeline doesn't re-execute
-            tiles = tiles.materialize()
         mask_path = os.path.join(self.work_dir, f"{run_name}_mask_tiles.parquet")
-        # streaming distributed sink (a to_pandas() here would funnel
-        # every tile through the driver — the grid grows with raster
-        # size at 100x); overwrite, not Ray's default append — a
-        # re-run with the same work_dir/run_name (the kill-resume
-        # workflow) must not duplicate or stale-mix tiles
-        tiles.write_parquet(mask_path, mode="overwrite")
-        os.makedirs(mask_path, exist_ok=True)
-        if not os.listdir(mask_path):
-            # Ray writes no files for an empty dataset (e.g. a bbox
-            # crop that excludes every page; on a re-run the overwrite
-            # leaves the old directory empty): emit a typed empty file
-            # so the artifact path always reads back
-            import pyarrow.parquet as pq
-
-            from .tiling import TILE_SCHEMA
-
-            pq.write_table(TILE_SCHEMA.empty_table(),
-                           os.path.join(mask_path, "empty.parquet"))
+        tiles = mask_tiles(partials, grid, self.scorer_cls, rasterized=True)
+        # overwrite, not append: a re-run with the same work_dir/run_name
+        # (the kill-resume workflow) must not duplicate or stale-mix
+        # tiles; an empty table still writes a typed file, so the
+        # artifact always reads back
+        shutil.rmtree(mask_path, ignore_errors=True)
+        os.makedirs(mask_path)
+        pq.write_table(tiles, os.path.join(mask_path, "part-0.parquet"))
         out["mask_tiles"] = mask_path
 
         if self.mask_to_vec:

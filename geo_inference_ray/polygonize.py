@@ -36,7 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .tiling import NODATA, GridConfig
+from .tiling import NODATA, TILE_SCHEMA, GridConfig, collect_table
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +380,26 @@ def _tile_components(tiles_df: pd.DataFrame, stride: int):
     return prows, brows
 
 
-def stitch_polygons(tiles_df: pd.DataFrame, grid: GridConfig,
+def _empty_rings() -> pd.DataFrame:
+    """A ring table with no rows and typed columns (an untyped empty
+    ``is_hole`` would make ``polys[~polys["is_hole"]]`` a column
+    selection)."""
+    return pd.DataFrame({
+        "comp_id": pd.Series([], dtype=np.int64),
+        "class_id": pd.Series([], dtype=np.int64),
+        "ring_idx": pd.Series([], dtype=np.int64),
+        "is_hole": pd.Series([], dtype=bool),
+        "n_pixels": pd.Series([], dtype=np.int64),
+        "area_px": pd.Series([], dtype=float),
+        "xs": pd.Series([], dtype=object),
+        "ys": pd.Series([], dtype=object)})
+
+
+def stitch_polygons(tiles, grid: GridConfig,
                     min_area_px: float = 0.0) -> pd.DataFrame:
     """Driver-side polygonize of a mask-tile table (absent tiles =
-    nodata).  The foreground pixels of all tiles are labeled in one
+    nodata), a TILE_SCHEMA ``pa.Table`` or its pandas form.  The
+    foreground pixels of all tiles are labeled in one
     :func:`label_pixels` pass over their raster positions, so
     components that cross tile borders need no stitch, and memory
     grows with the tiles, not with the grid area.
@@ -395,18 +411,20 @@ def stitch_polygons(tiles_df: pd.DataFrame, grid: GridConfig,
     union-find produce, so both paths give the same ``comp_id`` and
     the same ring rows."""
     s = grid.stride
-    oy = tiles_df["oy"].to_numpy(dtype=np.int64)
-    ox = tiles_df["ox"].to_numpy(dtype=np.int64)
-    tiles = np.lexsort((ox, oy))
-    oy, ox = oy[tiles], ox[tiles]
-    masks = np.array(list(tiles_df["mask"].to_numpy()[tiles]),
-                     dtype=np.uint8).reshape(-1, s * s)
+    oy = np.asarray(tiles["oy"], dtype=np.int64)
+    ox = np.asarray(tiles["ox"], dtype=np.int64)
+    if isinstance(tiles, pa.Table):
+        # every mask list holds s*s values: the flat values reshape
+        masks = tiles["mask"].combine_chunks().flatten().to_numpy()
+    else:
+        masks = np.array(list(tiles["mask"].to_numpy()), dtype=np.uint8)
+    order = np.lexsort((ox, oy))
+    oy, ox = oy[order], ox[order]
+    masks = masks.reshape(-1, s * s)[order]
     # foreground pixels in tile-major scan order
     ti, pi = np.nonzero((masks > 0) & (masks != NODATA))
     if not len(ti):
-        return pd.DataFrame(columns=["comp_id", "class_id", "ring_idx",
-                                     "is_hole", "n_pixels", "area_px",
-                                     "xs", "ys"])
+        return _empty_rings()
     pys = oy[ti] * s + pi // s
     pxs = ox[ti] * s + pi % s
     cls = masks[ti, pi].astype(np.int64)
@@ -445,16 +463,21 @@ def stitch_polygons(tiles_df: pd.DataFrame, grid: GridConfig,
                 "n_pixels": en - st, "area_px": area_px,
                 "xs": lon, "ys": lat,
             })
-    return pd.DataFrame(out)
+    return pd.DataFrame(out) if out else _empty_rings()
 
 
-def polygons_from_tiles(tiles_ds, grid: GridConfig,
+def polygons_from_tiles(tiles, grid: GridConfig,
                         min_area_px: float = 0.0) -> pd.DataFrame:
-    """Ray entry: collect the mask-tile Dataset and polygonize it on the
-    driver (:func:`stitch_polygons`).  Mask tiles are bounded by the
-    raster grid (not the input row count), so this is scale-safe for
-    coarse grids; :func:`polygons_distributed` is the fine-grid path."""
-    return stitch_polygons(tiles_ds.to_pandas(), grid, min_area_px)
+    """Ray entry: polygonize mask tiles on the driver
+    (:func:`stitch_polygons`).  ``tiles`` is a mask-tile Dataset, which
+    is collected first, or a TILE_SCHEMA ``pa.Table`` already on the
+    driver (``mask_tiles``' driver route), which is used as it is.
+    Mask tiles are bounded by the raster grid (not the input row
+    count), so this is scale-safe for coarse grids;
+    :func:`polygons_distributed` is the fine-grid path."""
+    if not isinstance(tiles, pa.Table):
+        tiles = collect_table(tiles, TILE_SCHEMA)
+    return stitch_polygons(tiles, grid, min_area_px)
 
 
 def polygons_distributed(tiles_ds, grid: GridConfig,
@@ -582,17 +605,6 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
         })
 
     pixels = labeled.map_batches(relabel, batch_format="pyarrow")
-
-    def _empty_rings() -> pd.DataFrame:
-        return pd.DataFrame({
-            "comp_id": pd.Series([], dtype=np.int64),
-            "class_id": pd.Series([], dtype=np.int64),
-            "ring_idx": pd.Series([], dtype=np.int64),
-            "is_hole": pd.Series([], dtype=bool),
-            "n_pixels": pd.Series([], dtype=np.int64),
-            "area_px": pd.Series([], dtype=float),
-            "xs": pd.Series([], dtype=object),
-            "ys": pd.Series([], dtype=object)})
 
     def trace_part(g: pd.DataFrame) -> pd.DataFrame:
         """Ring tracing for EVERY component in the hash partition (one

@@ -1,13 +1,14 @@
-"""Actor-pool sizing + per-process parquet spill scratch.
+"""Session CPU count, actor-pool sizing + per-process parquet spill
+scratch.
 
-``pool_caps`` sizes the few ``map_batches`` stages that still run as
-actor pools because their per-worker state is costly to build: the
-dedup ``MinHasher`` (md5 memo) and ``SimHasher``, the multimodal
-decoders (``MediaFeatures``, ``AudioFrameSampler``, ``ThumbSampler``,
-``ImageDHash``) and the ANN searchers (``BruteForceTopK``,
-``HyperplaneLSH``, ``IVFSearch``, ``SQTopK``).  Every other stage runs
-as a Ray task; a broadcast lookup reads its ``ray.put`` ref inside the
-task function.  The upper bound scales with the session's CPU count,
+``cluster_cpus`` is the Ray session's CPU count.  ``pool_caps`` sizes
+the few ``map_batches`` stages that still run as actor pools because
+their per-worker state is costly to build: the dedup ``MinHasher`` (md5
+memo) and ``SimHasher``, the multimodal decoders (``MediaFeatures``,
+``AudioFrameSampler``, ``ThumbSampler``, ``ImageDHash``) and the ANN
+searchers (``BruteForceTopK``, ``HyperplaneLSH``, ``IVFSearch``,
+``SQTopK``).  Every other stage runs as a Ray task; a broadcast lookup
+reads its ``ray.put`` ref inside the task function.  The upper bound scales with the session's CPU count,
 while the lower bound stays 1 so narrow sessions (2-CPU canary tests)
 never deadlock on idle pool reservations.
 
@@ -29,26 +30,31 @@ POOL_FLOOR = 2      # never cap a pool below this many actors
 POOL_RESERVE = 1    # CPUs left for the read / downstream tasks
 
 
+def cluster_cpus() -> int:
+    """CPU count of the current Ray session; 0 when no session is
+    running.  The one place that asks Ray for it: actor-pool caps,
+    hash-partition floors and the pages read's block count all scale
+    with it."""
+    import ray
+
+    if not ray.is_initialized():
+        return 0
+    return int(ray.cluster_resources().get("CPU", 0))
+
+
 def pool_caps(max_actors: int | None = None) -> tuple[int, int]:
     """(min, max) actor-pool concurrency for the actor-pool stages named
     in the module docstring.
 
     Explicit ``max_actors`` wins; otherwise the cap is
-    ``max(POOL_FLOOR, session CPUs - POOL_RESERVE)`` so pools scale with
-    the cluster instead of a hard-coded constant.  The minimum is always
-    1: pools pin one CPU while idle, and a larger floor deadlocks
-    narrow sessions (see shuffle.add_salt docstring).
+    ``max(POOL_FLOOR, session CPUs - POOL_RESERVE)`` (4 session CPUs
+    assumed without a session) so pools scale with the cluster instead
+    of a hard-coded constant.  The minimum is always 1: pools pin one
+    CPU while idle, and a larger floor deadlocks narrow sessions (see
+    shuffle.add_salt docstring).
     """
     if max_actors is None:
-        cpus = 4.0
-        try:
-            import ray
-
-            if ray.is_initialized():
-                cpus = float(ray.cluster_resources().get("CPU", 4.0))
-        except Exception:
-            pass
-        max_actors = max(POOL_FLOOR, int(cpus) - POOL_RESERVE)
+        max_actors = max(POOL_FLOOR, (cluster_cpus() or 4) - POOL_RESERVE)
     return (1, max(1, int(max_actors)))
 
 

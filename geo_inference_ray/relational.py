@@ -17,6 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .pools import cluster_cpus
+
 
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
     """dollars (2-decimal double) -> exact integer cents.
@@ -226,15 +228,6 @@ HP_MAX_PARTITIONS = 1 << 20
 HP_PARALLEL_ROWS = 2048    # min rows to justify one extra partition
 
 
-def _cluster_cpus() -> int:
-    try:
-        import ray
-
-        return int(ray.cluster_resources().get("CPU", 0))
-    except Exception:  # noqa: BLE001 — Ray not initialised yet
-        return 0
-
-
 def partitions_for(rows: int, target_rows: int = HP_TARGET_ROWS) -> int:
     """Partition count that (a) bounds each kernel's input to
     ~target_rows — ceil(rows / target), so the single-task pandas
@@ -246,7 +239,7 @@ def partitions_for(rows: int, target_rows: int = HP_TARGET_ROWS) -> int:
     kernel 8 partitions on a 32-CPU box and 24 cores idle (measured 2x
     slowdown on the minhash pair stage, round 3)."""
     rows = int(rows)
-    floor = min(2 * _cluster_cpus(),
+    floor = min(2 * cluster_cpus(),
                 max(HP_MIN_PARTITIONS, -(-rows // HP_PARALLEL_ROWS)))
     floor = max(HP_MIN_PARTITIONS, floor)
     return int(min(HP_MAX_PARTITIONS,

@@ -205,18 +205,79 @@ def rasterize(geo_ds, grid: GridConfig = DEFAULT_GRID):
         zero_copy_batch=True, batch_size=None)
 
 
+def fits_driver(grid: GridConfig) -> bool:
+    """Whether ``grid``'s pixel and tile suffix runs on the driver (up to
+    DRIVER_COMBINE_MAX_PIXELS pixels) rather than as Ray Data
+    shuffles."""
+    return grid.width * grid.height <= DRIVER_COMBINE_MAX_PIXELS
+
+
+def _check_driver_route(grid: GridConfig, scorer_resources=None):
+    """Driver-resident input (a ``pa.Table`` or a list of them) runs the
+    driver route only."""
+    if scorer_resources is not None or not fits_driver(grid):
+        raise ValueError(
+            "driver tables need a grid of at most DRIVER_COMBINE_MAX_PIXELS"
+            " pixels and no scorer_resources; pass a Dataset instead")
+
+
+PIXEL_SCHEMA = pa.schema([("py", pa.int64()), ("px", pa.int64()),
+                          ("n", pa.int64())])
+
+
+def collect_table(ds, schema: pa.Schema) -> pa.Table:
+    """A (grid-bounded) Dataset's rows as one driver Arrow table with
+    ``schema``'s columns; empty or schema-less blocks are dropped."""
+    import ray
+
+    tables = [t for t in ray.get(ds.materialize().to_arrow_refs())
+              if t.num_rows]
+    if not tables:
+        return schema.empty_table()
+    return pa.concat_tables(tables).select(schema.names).cast(schema)
+
+
+def _driver_combine(tables, grid: GridConfig) -> pa.Table | None:
+    """Sum streamed partial counts into one (py, px, n) table in pixel
+    order, or None as soon as the partials exceed
+    DRIVER_COMBINE_MAX_PARTIAL_ROWS."""
+    keys = []
+    cnts = []
+    total = 0
+    for b in tables:
+        if not b.num_rows:
+            continue
+        keys.append(b["py"].to_numpy() * grid.width + b["px"].to_numpy())
+        cnts.append(b["n"].to_numpy())
+        total += len(cnts[-1])
+        if total > DRIVER_COMBINE_MAX_PARTIAL_ROWS:
+            return None
+    if not keys:
+        return PIXEL_SCHEMA.empty_table()
+    uk, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(sums, inv, np.concatenate(cnts))
+    return pa.table({"py": pa.array(uk // grid.width),
+                     "px": pa.array(uk % grid.width),
+                     "n": pa.array(sums)}, schema=PIXEL_SCHEMA)
+
+
 def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
                  rasterized: bool = False):
     """Full rasterization: partial counts per batch -> global sum.
 
     ``rasterized=True`` means ``geo_ds`` already holds partial counts
     (``rasterize_partial`` output, e.g. the per-task reductions of a
-    checkpoint write) and only the combine runs.
+    checkpoint write) and only the combine runs.  ``geo_ds`` may also
+    be already on the driver, a ``pa.Table`` or a list of them, on a
+    grid up to DRIVER_COMBINE_MAX_PIXELS: the sum then comes back as
+    one ``pa.Table``, and the driver combine starts no Ray Data
+    execution.  A Dataset input gives a Dataset.
 
     The partial stream is bounded by (n_batches x occupied pixels) and
     the final key space by the raster grid, NOT the input rows.  For
     grids up to DRIVER_COMBINE_MAX_PIXELS the combine STARTS as a
-    streaming driver-side np.unique over iter_batches — measured 2x
+    streaming driver-side np.unique over the partials — measured 2x
     faster than the groupby at 8 CPUs because a downstream AllToAll
     throttles the (dominant) map stage — but BAILS OUT to the
     distributed groupby the moment the partial stream exceeds
@@ -224,49 +285,38 @@ def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
     abandoned partial pass only at the scale where the driver funnel
     would dominate.  Grids over the pixel bound go distributed
     directly."""
-    global _LAST_COMBINE_PATH
-    # precomputed partials are small and usually driver-resident
-    # (from_arrow): materialize() hands their blocks over without a Ray
-    # execution, where iterating the lazy dataset would start one
-    part = geo_ds.materialize() if rasterized else rasterize(geo_ds, grid)
-    if grid.width * grid.height <= DRIVER_COMBINE_MAX_PIXELS:
-        import ray.data as rd
+    import ray.data as rd
 
-        keys = []
-        cnts = []
-        total = 0
-        overflow = False
-        for b in part.iter_batches(batch_size=65536,
-                                   batch_format="pyarrow"):
-            keys.append(b["py"].to_numpy() * grid.width
-                        + b["px"].to_numpy())
-            cnts.append(b["n"].to_numpy())
-            total += len(cnts[-1])
-            if total > DRIVER_COMBINE_MAX_PARTIAL_ROWS:
-                overflow = True
-                break
-        if not overflow:
+    global _LAST_COMBINE_PATH
+    on_driver = isinstance(geo_ds, (pa.Table, list))
+    if on_driver:
+        _check_driver_route(grid)
+        tables = [geo_ds] if isinstance(geo_ds, pa.Table) else geo_ds
+        if not rasterized:
+            tables = [rasterize_partial(grid)(t) for t in tables]
+    else:
+        # precomputed partials are small and usually driver-resident
+        # (from_arrow): materialize() hands their blocks over without
+        # a Ray execution, where iterating the lazy dataset would
+        # start one
+        part = geo_ds.materialize() if rasterized \
+            else rasterize(geo_ds, grid)
+        tables = part.iter_batches(batch_size=65536,
+                                   batch_format="pyarrow")
+    if fits_driver(grid):
+        out = _driver_combine(tables, grid)
+        if out is not None:
             _LAST_COMBINE_PATH = "driver"
-            if not keys:
-                return rd.from_arrow(pa.table(
-                    {"py": pa.array([], pa.int64()),
-                     "px": pa.array([], pa.int64()),
-                     "n": pa.array([], pa.int64())}))
-            k = np.concatenate(keys)
-            c = np.concatenate(cnts)
-            uk, inv = np.unique(k, return_inverse=True)
-            sums = np.zeros(len(uk), dtype=np.int64)
-            np.add.at(sums, inv, c)
-            return rd.from_arrow(pa.table({
-                "py": pa.array(uk // grid.width),
-                "px": pa.array(uk % grid.width),
-                "n": pa.array(sums),
-            }))
-        del keys, cnts  # release the buffered partials before re-exec
+            return out if on_driver else rd.from_arrow(out)
     from ray.data.aggregate import Sum
 
     _LAST_COMBINE_PATH = "distributed"
-    return part.groupby(["py", "px"]).aggregate(Sum("n", alias_name="n"))
+    if on_driver:
+        # the volume bail-out: too many partial rows for one np.unique
+        part = rd.from_arrow([t for t in tables if t.num_rows]
+                             or [PIXEL_SCHEMA.empty_table()])
+    summed = part.groupby(["py", "px"]).aggregate(Sum("n", alias_name="n"))
+    return collect_table(summed, PIXEL_SCHEMA) if on_driver else summed
 
 
 def emit_to_patches(grid: GridConfig):
@@ -442,22 +492,33 @@ def mask_tiles(geo_ds, grid: GridConfig = DEFAULT_GRID,
     requests: e.g. ``{"num_gpus": 0.25}`` schedules the scoring stage
     on GPU workers; ``None`` keeps the default CPU placement.  A dict
     forces the distributed path (a device request is meaningless
-    driver-side)."""
-    if (scorer_resources is None
-            and grid.width * grid.height <= DRIVER_COMBINE_MAX_PIXELS):
-        # the driver combine returns an in-memory dataset; materialize()
-        # lets to_pandas() read it without starting a Ray execution
-        pix_df = pixel_counts(geo_ds, grid, rasterized=rasterized) \
-            .materialize().to_pandas()
-        return _tiles_from_pixels_local(pix_df, grid, scorer_cls)
+    driver-side).
+
+    ``geo_ds`` may also be already on the driver (a ``pa.Table`` or a
+    list of them, as :func:`pixel_counts` takes); such input runs the
+    driver route only and stays there: the tiles come back as one
+    TILE_SCHEMA ``pa.Table`` and the suffix starts no Ray Data
+    execution.  A Dataset input gives a Dataset."""
+    import ray.data as rd
+
+    on_driver = isinstance(geo_ds, (pa.Table, list))
+    if on_driver:
+        _check_driver_route(grid, scorer_resources)
+    if scorer_resources is None and fits_driver(grid):
+        pix = pixel_counts(geo_ds, grid, rasterized=rasterized)
+        if not on_driver:
+            pix = collect_table(pix, PIXEL_SCHEMA)
+        tiles = _tiles_from_pixels_local(pix, grid, scorer_cls)
+        return tiles if on_driver else rd.from_arrow(tiles)
     return mask_tiles_distributed(geo_ds, grid, scorer_cls,
                                   scorer_resources, rasterized=rasterized)
 
 
-def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
-                             scorer_cls=DensityScorer):
-    """Driver-side tile suffix over the (grid-bounded) pixel counts,
-    with the same scorer and decision as the distributed path.
+def _tiles_from_pixels_local(pix: pa.Table, grid: GridConfig,
+                             scorer_cls=DensityScorer) -> pa.Table:
+    """Driver-side tile suffix over the (grid-bounded) pixel counts
+    (py, px, n), with the same scorer and decision as the distributed
+    path; returns the TILE_SCHEMA table.
 
     One ``ScorePatches.score_core`` call per live patch, in ascending
     (ty, tx) order; each patch's 4 windowed quadrants are added into a
@@ -468,14 +529,11 @@ def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
     rows above are complete and ``decide_cells`` turns them into masks
     in one call per patch row.  Memory grows with the live cells, not
     with the grid area."""
-    import ray.data as rd
-
-    if pix_df.empty or "py" not in pix_df.columns:
-        return rd.from_arrow(TILE_SCHEMA.empty_table())
-    owned = emit_to_patches(grid)(
-        pa.Table.from_pandas(pix_df, preserve_index=False))
+    if not pix.num_rows:
+        return TILE_SCHEMA.empty_table()
+    owned = emit_to_patches(grid)(pix)
     if owned.num_rows == 0:
-        return rd.from_arrow(TILE_SCHEMA.empty_table())
+        return TILE_SCHEMA.empty_table()
     ty = owned["ty"].to_numpy()
     tx = owned["tx"].to_numpy()
     py = owned["py"].to_numpy()
@@ -517,13 +575,13 @@ def _tiles_from_pixels_local(pix_df: pd.DataFrame, grid: GridConfig,
         acc[slot[i] - base] += score.score_core(
             row, int(ptx[i]), py[s0:s1], px[s0:s1], n[s0:s1])
     masks[base:], n_valid[base:] = decide_cells(acc, grid)
-    return rd.from_arrow(pa.table({
+    return pa.table({
         "oy": pa.array(cells // grid.nx),
         "ox": pa.array(cells % grid.nx),
         "mask": pa.ListArray.from_arrays(
             np.arange(0, masks.size + 1, s * s, dtype=np.int32),
             pa.array(masks.reshape(-1))),
-        "n_valid": pa.array(n_valid)}, schema=TILE_SCHEMA))
+        "n_valid": pa.array(n_valid)}, schema=TILE_SCHEMA)
 
 
 def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,

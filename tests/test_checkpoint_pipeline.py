@@ -269,13 +269,20 @@ def _crop(ds, bbox):
 def test_pipeline_mask_tiles_match_direct(ray_session, sf_dir, tmp_path,
                                           bbox, n_tiles_min):
     """The tiles built from the checkpoint write's partial counts equal
-    mask_tiles over the geocoded pages, with and without a crop."""
+    mask_tiles over the geocoded pages, with and without a crop, and
+    the GeoJSON and COCO exports are written from them (a crop with no
+    pages gives empty ones)."""
     from geo_inference_ray import stages
     from geo_inference_ray.pipeline import GeoInferenceRay
     from geo_inference_ray.tiling import DEFAULT_GRID, mask_tiles
 
-    out = GeoInferenceRay(work_dir=str(tmp_path))(sf_dir, bbox=bbox)
+    out = GeoInferenceRay(work_dir=str(tmp_path), mask_to_coco=True)(
+        sf_dir, bbox=bbox)
     got = pd.read_parquet(out["mask_tiles"])
+    with open(out["polygons"]) as f, open(out["coco"]) as g:
+        geojson, coco = json.load(f), json.load(g)
+    assert (len(geojson["features"]) > 0) == (n_tiles_min > 0)
+    assert (len(coco["annotations"]) > 0) == (n_tiles_min > 0)
     geo = stages.geo_pipeline(sf_dir)
     if bbox is not None:
         geo = _crop(geo, bbox)
@@ -288,6 +295,41 @@ def test_pipeline_mask_tiles_match_direct(ray_session, sf_dir, tmp_path,
     assert got[["oy", "ox", "n_valid"]].equals(want[["oy", "ox", "n_valid"]])
     assert [bytes(m) for m in got["mask"]] == \
         [bytes(m) for m in want["mask"]]
+
+
+def test_flagship_plan_one_block_per_cpu(ray_session, sf_dir, tmp_path):
+    """The flagship chain reads its pages as at most one block per
+    session CPU, so each checkpoint partition holds at most one file
+    per CPU (one per write task), and the small-grid mask artifact is
+    a single file.  The input is the sf0.001 documents tiled 120 times
+    with fresh doc ids (60 000 rows): Ray's default read sizing splits
+    it into more blocks than CPUs and writes 7 files per key at 4
+    CPUs."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+
+    from geo_inference_ray.pipeline import GeoInferenceRay
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
+    ids = docs["doc_id"]
+    tiled = pa.concat_tables(
+        docs.set_column(docs.schema.get_field_index("doc_id"), "doc_id",
+                        pc.add(ids, pa.scalar(k * 1_000_000, ids.type)))
+        for k in range(120))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(tiled, corpus / "documents.parquet")
+    out = GeoInferenceRay(work_dir=str(tmp_path / "work"))(str(corpus))
+    files = {os.path.basename(d): len(glob.glob(os.path.join(d, "*.parquet")))
+             for d in glob.glob(str(tmp_path / "work" / "run" / "key=*"))}
+    assert len(files) == 11 and sum(files.values()) >= 10
+    assert max(files.values()) <= cpus, files
+    assert len(glob.glob(os.path.join(out["mask_tiles"], "*.parquet"))) == 1
 
 
 def test_pipeline_empty_crop_reruns(ray_session, sf_dir, tmp_path):

@@ -418,6 +418,29 @@ def test_pixel_counts_volume_bailout(ray_session, monkeypatch):
     assert out.equals(ref)
     assert int(out["n"].sum()) == n
 
+    # the same partials already on the driver, as the checkpoint write
+    # hands them over: both paths, one Arrow table back
+    import ray
+
+    rows = ray.get(ds.to_arrow_refs())
+    parts = [tiling.rasterize_partial(DEFAULT_GRID)(t) for t in rows]
+    for limit, path in ((100, "distributed"), (16_000_000, "driver")):
+        monkeypatch.setattr(tiling, "DRIVER_COMBINE_MAX_PARTIAL_ROWS", limit)
+        got = pixel_counts(parts, DEFAULT_GRID, rasterized=True)
+        assert tiling._LAST_COMBINE_PATH == path
+        assert got.schema.equals(tiling.PIXEL_SCHEMA)
+        assert got.to_pandas().sort_values(["py", "px"]) \
+            .reset_index(drop=True).equals(ref)
+    # driver tables of geocoded rows are rasterized first
+    assert pixel_counts(rows, DEFAULT_GRID).to_pandas().equals(ref)
+    # driver tables take the driver route only
+    big = GridConfig(width=4000, height=2000)
+    with pytest.raises(ValueError):
+        pixel_counts(parts, big, rasterized=True)
+    with pytest.raises(ValueError):
+        tiling.mask_tiles(parts, DEFAULT_GRID, rasterized=True,
+                          scorer_resources={"num_cpus": 1})
+
 
 def test_mutual_knn_is_symmetric_subset(ray_session, sf_dir):
     """Every mutual edge is a kNN edge in BOTH directions and every
