@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 
 from .relational import (_hash_partitioned, _parquet_rows,
                          join_partitions_for, partitions_for)
+from .shuffle import collect
 
 # interval_union: half-open activity window opened by every event
 IU_WINDOW_US = 1_800_000_000          # 30 min in epoch-us
@@ -844,10 +845,8 @@ def _bfs_broadcast(edges, seeds, rounds: int):
     import ray
     import ray.data as rd
 
-    seed_np = np.sort(np.unique(np.concatenate(
-        [b["node"].to_numpy() for b in
-         seeds.iter_batches(batch_size=65536, batch_format="pyarrow")]
-        + [np.array([], dtype=np.int64)])))
+    seed_np = np.unique(collect(seeds, pa.schema(
+        [("node", pa.int64())]))["node"].to_numpy())
     visited = seed_np
     levels = [(seed_np, 0)]
     frontier = seed_np
@@ -868,11 +867,8 @@ def _bfs_broadcast(edges, seeds, rounds: int):
         dsts = edges().map_batches(probe, batch_format="pyarrow",
                                    zero_copy_batch=True) \
             .groupby("dst").count()
-        reached = np.sort(np.concatenate(
-            [b["dst"].to_numpy() for b in
-             dsts.iter_batches(batch_size=65536,
-                               batch_format="pyarrow")]
-            + [np.array([], dtype=np.int64)]))
+        reached = np.sort(collect(dsts, pa.schema(
+            [("dst", pa.int64())]))["dst"].to_numpy())
         new = np.setdiff1d(reached, visited, assume_unique=True)
         if len(new) == 0:
             break
@@ -1545,20 +1541,17 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
             .aggregate([("t", "max")])
         return pa.table({"rkey": g["rkey"], "m": g["t_max"]})
 
-    rk_list, mx_list = [], []
-    for b in kev.map_batches(range_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-            .groupby("rkey").aggregate(Max("m", alias_name="m")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        rk_list.append(b["rkey"].to_numpy())
-        mx_list.append(b["m"].to_numpy())
-    if not rk_list:
+    t = collect(kev.map_batches(range_partial, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
+                .groupby("rkey").aggregate(Max("m", alias_name="m")),
+                pa.schema([("rkey", pa.int64()), ("m", pa.int64())]))
+    if not t.num_rows:
         e = pa.array([], pa.int64())
         return rd.from_arrow(pa.table({
             "event_type": pa.array([], pa.string()), "n_events": e,
             "n_late": e, "max_late_us": e, "sum_late_us": e}))
-    rk = np.concatenate(rk_list)
-    mx = np.concatenate(mx_list)
+    rk = t["rkey"].to_numpy()
+    mx = t["m"].to_numpy()
     order = np.argsort(rk)
     rk, mx = rk[order], mx[order]
     lowest = np.iinfo(np.int64).min

@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import shuffle
+
 # MinHash parameters.  The whole hash family is DERANDOMIZED and kept
 # inside mod-Mersenne-31 arithmetic so every step has an exact DuckDB
 # mirror (operands < 2^31 keep all products < 2^62, i.e. BIGINT-safe on
@@ -72,10 +74,6 @@ def _rng_coeffs(seed: int = 20240817):
 
 MINHASH_A, MINHASH_B = _rng_coeffs()
 
-# Bucket-count pre-pass: max buffered (gid, count) partial rows for the
-# driver-side combine before bailing to the distributed groupby
-# (~256 MB of int64 pairs at the bound; the pixel_counts pattern).
-BUCKET_COUNT_DRIVER_LIMIT = 16_000_000
 # Max hot (>=2-member) band-bucket gids collected to a driver array for
 # the broadcast filter; above this the filter becomes a distributed
 # inner join (the jaccard_pairs cand_driver_limit shape).  A
@@ -349,45 +347,34 @@ def minhash_candidates(ds, max_actors: int | None = None,
 
     # bucket-size pre-pass.  The hot set is consumed DRIVER-side either
     # way (it becomes a broadcast array), so for bounded partial volume
-    # the (gid, count) partials stream straight to a driver np.unique
-    # combine — measured 8-9 s cheaper than routing 1.28 M band rows
-    # through Ray's sort-based groupby at the bench's 16x-dup corpus.
-    # Over the volume bound it bails to the distributed groupby (the
-    # pixel_counts bail-out pattern; one abandoned partial pass).
+    # the (gid, count) partials are collected and folded on the driver
+    # (shuffle.sum_partials) — measured 8-9 s cheaper than routing
+    # 1.28 M band rows through Ray's sort-based groupby at the bench's
+    # 16x-dup corpus.  Over the volume bound it bails to the distributed
+    # groupby (the pixel_counts bail-out pattern; one abandoned partial
+    # pass).
     def count_partial(b: pa.Table) -> pa.Table:
         u, c = np.unique(b["gid"].to_numpy(), return_counts=True)
         return pa.table({"gid": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
-    count_limit = (BUCKET_COUNT_DRIVER_LIMIT if count_driver_limit is None
-                   else count_driver_limit)
+    count_limit = (shuffle.PARTIAL_ROWS_DRIVER_LIMIT
+                   if count_driver_limit is None else count_driver_limit)
     part = bands.map_batches(count_partial, batch_format="pyarrow",
                              zero_copy_batch=True, batch_size=None)
-    ks, cs, total, overflow = [], [], 0, False
-    for b in part.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ks.append(b["gid"].to_numpy())
-        cs.append(b["c"].to_numpy())
-        total += len(ks[-1])
-        if total > count_limit:
-            overflow = True
-            break
+    counts = shuffle.collect(
+        part, pa.schema([("gid", pa.int64()), ("c", pa.int64())]),
+        count_limit)
     hot_ds = None  # set on the distributed (join) path only
-    if not overflow:
-        if ks:
-            k = np.concatenate(ks)
-            uk, inv = np.unique(k, return_inverse=True)
-            sums = np.zeros(len(uk), dtype=np.int64)
-            np.add.at(sums, inv, np.concatenate(cs))
-            hm = sums >= 2
-            hot = uk[hm]  # np.unique output: already sorted
-            nh = sums[hm]
-            hot_rows = int(nh.sum())
-            pair_bound = int((nh * (nh - 1) // 2).sum())
-        else:
-            hot = np.array([], dtype=np.int64)
-            hot_rows = pair_bound = 0
+    if counts is not None:
+        counts = shuffle.sum_partials(counts, "gid", ["c"])
+        sums = counts["c"].to_numpy()
+        hm = sums >= 2
+        hot = counts["gid"].to_numpy()[hm]  # np.unique: already sorted
+        nh = sums[hm]
+        hot_rows = int(nh.sum())
+        pair_bound = int((nh * (nh - 1) // 2).sum())
     else:
-        del ks, cs  # release the buffered partials before re-exec
         from ray.data.aggregate import Sum
 
         # spill the >=2-count bucket set to parquet scratch: it is
@@ -987,9 +974,8 @@ def dedup_apply(docs_ds, pairs_ds, *,
             num_partitions=join_partitions_for(corpus_rows),
             on=("doc_id",))
 
-    ids = np.sort(np.concatenate(
-        [b["doc_id"].to_numpy() for b in
-         drops.iter_batches(batch_size=65536, batch_format="pyarrow")]))
+    ids = np.sort(shuffle.collect(drops, pa.schema(
+        [("doc_id", pa.int64())]))["doc_id"].to_numpy())
     ids_ref = ray.put(ids)
 
     def keep_filter(batch: pa.Table) -> pa.Table:

@@ -47,6 +47,7 @@ import pyarrow.compute as pc
 from . import synth
 from .knn import HEX_RING1_OFFSETS
 from .relational import _hash_partitioned, _parquet_rows
+from .shuffle import collect
 
 EARTH_DIAMETER_KM = 12742.0           # 2 * 6371 — folded identically in SQL
 BBOX_EPS_DEG = 0.25                   # half-width of the per-page query box
@@ -1537,19 +1538,12 @@ def traj_jaccard(sf_dir: str):
     # empty-left-partition ArrowInvalid.
     import ray
 
-    n_cl = 0
-    ks, vs = [], []
-    for b in sizes.iter_batches(batch_format="pyarrow",
-                                batch_size=65536):
-        n_cl += b.num_rows
-        if n_cl > TRAJ_BROADCAST_MAX:
-            break
-        ks.append(b["cluster"].to_numpy())
-        vs.append(b["s"].to_numpy())
+    sz = collect(sizes, pa.schema([("cluster", pa.int64()),
+                                   ("s", pa.int64())]), TRAJ_BROADCAST_MAX)
 
-    if n_cl <= TRAJ_BROADCAST_MAX:
-        k = np.concatenate(ks) if ks else np.zeros(0, np.int64)
-        v = np.concatenate(vs) if vs else np.zeros(0, np.int64)
+    if sz is not None:
+        k = sz["cluster"].to_numpy()
+        v = sz["s"].to_numpy()
         order = np.argsort(k)
         ref = ray.put((k[order], v[order]))
 
@@ -1790,10 +1784,11 @@ def z_splits(sf_dir: str, n_parts: int = Z_SPLITS_N):
     quantile is exact, not a sketch.  All-integer.
 
     Scale shape: map-side partial histograms, ONE groupby-sum over
-    <= 65536 rows, then a single bounded-size kernel computes all
-    split points (the length_quantiles driver-fold shape, but
-    distribution-bounded instead of data-bounded).
+    <= 4096 rows, collected, then one driver fold computes all split
+    points (the length_quantiles shape, but distribution-bounded
+    instead of data-bounded).
     """
+    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
@@ -1812,35 +1807,25 @@ def z_splits(sf_dir: str, n_parts: int = Z_SPLITS_N):
     hist = ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True) \
         .groupby("zprefix").aggregate(Sum("n", alias_name="n"))
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pk", pa.array(np.zeros(batch.num_rows, np.int64)))
-
-    def splits_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "split_idx": pd.Series(dtype="int64"),
-                "zprefix": pd.Series(dtype="int64"),
-                "cum_pages": pd.Series(dtype="int64")})
-        g = g.sort_values("zprefix", kind="stable")
-        zp = g["zprefix"].to_numpy()
-        cum = np.cumsum(g["n"].to_numpy())
-        total = int(cum[-1])
-        idx = np.arange(1, n_parts, dtype=np.int64)
-        # smallest prefix with cum >= ceil(i * total / N), integer math
-        targets = -(-idx * total // n_parts)
-        pos = np.searchsorted(cum, targets)
-        return pd.DataFrame({"split_idx": idx,
-                             "zprefix": zp[pos].astype(np.int64),
-                             "cum_pages": cum[pos].astype(np.int64)})
-
-    # single-group fold: the histogram is <= 4096 rows BY CONSTRUCTION
-    # (bounded by the key space, not the data), so one kernel sees it
-    # all — same justification as length_quantiles' domain-bounded fold
-    return hist.map_batches(add_pkey, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("pk").map_groups(splits_kernel, batch_format="pandas")
+    # the histogram is <= 4096 rows BY CONSTRUCTION (bounded by the key
+    # space, not the data), so the split points come from one driver
+    # fold — the length_quantiles shape
+    h = collect(hist, pa.schema([("zprefix", pa.int64()), ("n", pa.int64())]))
+    if not h.num_rows:
+        return rd.from_arrow(pa.table({
+            "split_idx": pa.array([], pa.int64()),
+            "zprefix": pa.array([], pa.int64()),
+            "cum_pages": pa.array([], pa.int64())}))
+    order = np.argsort(h["zprefix"].to_numpy(), kind="stable")
+    zp = h["zprefix"].to_numpy()[order]
+    cum = np.cumsum(h["n"].to_numpy()[order])
+    total = int(cum[-1])
+    idx = np.arange(1, n_parts, dtype=np.int64)
+    # smallest prefix with cum >= ceil(i * total / N), integer math
+    pos = np.searchsorted(cum, -(-idx * total // n_parts))
+    return rd.from_arrow(pa.table({"split_idx": pa.array(idx),
+                                   "zprefix": pa.array(zp[pos]),
+                                   "cum_pages": pa.array(cum[pos])}))
 
 
 # ---------------------------------------------------------------------------

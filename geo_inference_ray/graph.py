@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import collect
+
 PR_SCALE = 1_000_000       # rank unit: parts-per-million
 PR_ITERS = 3               # fixed iteration count (exact-oracle contract)
 PR_DAMP_NUM = 85           # damping 0.85 as an integer ratio
@@ -145,20 +147,16 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
                                   zero_copy_batch=True)
 
     # ---- broadcast path: node table fits the driver/worker heap ------
-    nodes_list, deg_list = [], []
-    n_nodes = 0
-    for b in deg.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        nodes_list.append(b["node"].to_numpy())
-        deg_list.append(b["outdeg"].to_numpy())
-        n_nodes += len(nodes_list[-1])
-        if n_nodes > broadcast_cap:
-            break
+    nd = collect(deg, pa.schema([("node", pa.int64()),
+                                 ("outdeg", pa.int64())]), broadcast_cap)
+    # over the cap the node count is only known to exceed it
+    n_nodes = broadcast_cap + 1 if nd is None else nd.num_rows
 
-    if n_nodes <= broadcast_cap and n_nodes > 0:
-        node_arr = np.concatenate(nodes_list)
+    if nd is not None and n_nodes > 0:
+        node_arr = nd["node"].to_numpy()
         order = np.argsort(node_arr)
         node_arr = node_arr[order]
-        deg_arr = np.concatenate(deg_list)[order]
+        deg_arr = nd["outdeg"].to_numpy()[order]
         rank = np.full(n_nodes, PR_SCALE, dtype=np.int64)
         for _ in range(iters):
             contrib = rank // deg_arr
@@ -324,21 +322,15 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
 
     hub_nodes = side_nodes("src")
 
-    hubs, n_hub = [], 0
-    for b in hub_nodes.iter_batches(batch_size=65536,
-                                    batch_format="pyarrow"):
-        hubs.append(b["node"].to_numpy())
-        n_hub += len(hubs[-1])
-        if n_hub > broadcast_cap:
-            break
+    hubs = collect(hub_nodes, pa.schema([("node", pa.int64())]),
+                   broadcast_cap)
 
-    # n_hub >= 1 here: n_edges == 0 returned above, and every edge
-    # contributes a src to side_nodes('src')
-    if n_hub <= broadcast_cap:
+    # hubs has >= 1 row here: n_edges == 0 returned above, and every
+    # edge contributes a src to side_nodes('src')
+    if hubs is not None:
         # ---- broadcast path -----------------------------------------
-        hub_arr = np.concatenate(hubs)
-        order = np.argsort(hub_arr)
-        hub_arr = hub_arr[order]
+        hub_arr = np.sort(hubs["node"].to_numpy())
+        n_hub = len(hub_arr)
         hub = np.full(n_hub, HITS_SCALE, dtype=np.int64)
         auth_arr = auth = None
 
@@ -356,13 +348,10 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
 
             agg = edges().map_batches(push, batch_format="pyarrow") \
                 .groupby("node").aggregate(Sum("s", alias_name="s"))
-            nl, sl = [], []
-            for b in agg.iter_batches(batch_size=65536,
-                                      batch_format="pyarrow"):
-                nl.append(b["node"].to_numpy())
-                sl.append(b["s"].to_numpy())
-            nn = np.concatenate(nl)
-            ss = np.concatenate(sl)
+            t = collect(agg, pa.schema([("node", pa.int64()),
+                                        ("s", pa.int64())]))
+            nn = t["node"].to_numpy()
+            ss = t["s"].to_numpy()
             o = np.argsort(nn)
             nn, ss = nn[o], ss[o]
             mx = max(1, int(ss.max()))
@@ -526,27 +515,17 @@ def kcore(sf_dir: str, *, k: int | None = None,
         hist = deg.map_batches(hist_partial, batch_format="pyarrow",
                                zero_copy_batch=True, batch_size=None) \
             .groupby("v").aggregate(Sum("c", alias_name="c"))
-        vs, cs = [], []
-        for b in hist.iter_batches(batch_size=65536,
-                                   batch_format="pyarrow"):
-            vs.append(b["v"].to_numpy())
-            cs.append(b["c"].to_numpy())
-        k = _median_from_hist(np.concatenate(vs), np.concatenate(cs))
+        h = collect(hist, pa.schema([("v", pa.int64()), ("c", pa.int64())]))
+        k = _median_from_hist(h["v"].to_numpy(), h["c"].to_numpy())
 
     empty = pa.table({"node": pa.array([], pa.int64()),
                       "core_deg": pa.array([], pa.int64())})
 
     # ---- broadcast path ----------------------------------------------
-    nodes_list, n_nodes = [], 0
-    for b in deg.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        nodes_list.append(b["node"].to_numpy())
-        n_nodes += len(nodes_list[-1])
-        if n_nodes > broadcast_cap:
-            break
+    nodes = collect(deg, pa.schema([("node", pa.int64())]), broadcast_cap)
 
-    if n_nodes <= broadcast_cap:
-        alive = np.sort(np.concatenate(nodes_list)) if nodes_list \
-            else np.array([], dtype=np.int64)
+    if nodes is not None:
+        alive = np.sort(nodes["node"].to_numpy())
 
         def alive_degrees(alive_arr: np.ndarray):
             aref = ray.put(alive_arr)
@@ -563,16 +542,10 @@ def kcore(sf_dir: str, *, k: int | None = None,
 
             agg = edges().map_batches(deg_alive, batch_format="pyarrow") \
                 .groupby("node").aggregate(Sum("c", alias_name="c"))
-            nl, cl = [], []
-            for b in agg.iter_batches(batch_size=65536,
-                                      batch_format="pyarrow"):
-                nl.append(b["node"].to_numpy())
-                cl.append(b["c"].to_numpy())
-            if not nl:
-                return (np.array([], dtype=np.int64),
-                        np.array([], dtype=np.int64))
-            nn = np.concatenate(nl)
-            cc = np.concatenate(cl)
+            t = collect(agg, pa.schema([("node", pa.int64()),
+                                        ("c", pa.int64())]))
+            nn = t["node"].to_numpy()
+            cc = t["c"].to_numpy()
             o = np.argsort(nn)
             return nn[o], cc[o]
 

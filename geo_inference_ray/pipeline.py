@@ -32,8 +32,9 @@ from . import stages, synth
 from .annotations import filter_min_area, to_coco, to_yolo, yolo_lines
 from .checkpoint import PartitionedRun
 from .polygonize import polygons_from_tiles
-from .tiling import (PIXEL_SCHEMA, DensityScorer, GridConfig, collect_table,
-                     mask_tiles, rasterize, rasterize_partial)
+from .shuffle import collect
+from .tiling import (PIXEL_SCHEMA, DensityScorer, GridConfig, mask_tiles,
+                     rasterize, rasterize_partial)
 
 
 class GeoInferenceRay:
@@ -127,7 +128,7 @@ class GeoInferenceRay:
         if res["skipped"]:
             # resume: partitions finished by an earlier run were not
             # rewritten, so their pixels come from the checkpoint
-            partials.append(collect_table(rasterize(
+            partials.append(collect(rasterize(
                 run.read(res["skipped"], columns=["lat", "lon"]), grid),
                 PIXEL_SCHEMA))
         out["pages_partitions"] = res

@@ -36,7 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .tiling import NODATA, TILE_SCHEMA, GridConfig, collect_table
+from .shuffle import collect
+from .tiling import NODATA, TILE_SCHEMA, GridConfig
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +477,7 @@ def polygons_from_tiles(tiles, grid: GridConfig,
     count), so this is scale-safe for coarse grids;
     :func:`polygons_distributed` is the fine-grid path."""
     if not isinstance(tiles, pa.Table):
-        tiles = collect_table(tiles, TILE_SCHEMA)
+        tiles = collect(tiles, TILE_SCHEMA)
     return stitch_polygons(tiles, grid, min_area_px)
 
 

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .pools import cluster_cpus
+from .shuffle import collect
 
 
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -1006,23 +1007,19 @@ def weekly_growth(sf_dir: str):
                          zero_copy_batch=True, batch_size=None) \
         .groupby("week").aggregate(Sum("c", alias_name="n"))
 
-    weeks, counts, total = [], [], 0
-    for b in agg.iter_batches(batch_size=65536,
-                              batch_format="pyarrow"):
-        total += len(b)
-        if total > WEEKLY_MAX_WEEKS:
-            raise ValueError("weekly_growth: week count exceeds "
-                             f"{WEEKLY_MAX_WEEKS}")
-        weeks.append(b["week"].to_numpy())
-        counts.append(b["n"].to_numpy())
-    if not weeks:
+    t = collect(agg, pa.schema([("week", pa.int64()), ("n", pa.int64())]),
+                WEEKLY_MAX_WEEKS)
+    if t is None:
+        raise ValueError("weekly_growth: week count exceeds "
+                         f"{WEEKLY_MAX_WEEKS}")
+    if not t.num_rows:
         return rd.from_arrow(pa.table(
             {"week": pa.array([], pa.int64()),
              "n": pa.array([], pa.int64()),
              "delta": pa.array([], pa.int64()),
              "pct_milli": pa.array([], pa.int64())}))
-    w = np.concatenate(weeks)
-    c = np.concatenate(counts)
+    w = t["week"].to_numpy()
+    c = t["n"].to_numpy()
     order = np.argsort(w)
     w, c = w[order], c[order]
     # LAG over the ORDERED week axis: gaps in the calendar still use
@@ -1515,22 +1512,19 @@ def train_shuffle(sf_dir: str, num_shards: int = 8):
         return pa.table({"cell": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
-    cells, counts = [], []
-    for b in base.map_batches(cell_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .groupby("cell").aggregate(Sum("c", alias_name="n")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        cells.append(b["cell"].to_numpy())
-        counts.append(b["n"].to_numpy())
-    if not cells:
+    t = collect(base.map_batches(cell_partial, batch_format="pyarrow",
+                                 zero_copy_batch=True, batch_size=None)
+                .groupby("cell").aggregate(Sum("c", alias_name="n")),
+                pa.schema([("cell", pa.int64()), ("n", pa.int64())]))
+    if not t.num_rows:
         import ray.data as rd
 
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "shard": pa.array([], pa.int64()),
             "pos": pa.array([], pa.int64())}))
-    cells = np.concatenate(cells)
-    counts = np.concatenate(counts)
+    cells = t["cell"].to_numpy()
+    counts = t["n"].to_numpy()
     order = np.argsort(cells)
     cells, counts = cells[order], counts[order]
     # exclusive cumsum per shard: reset at each shard's first cell
@@ -1713,21 +1707,18 @@ def length_percentile_rank(sf_dir: str):
         return pa.table({"L": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
-    Ls, cs = [], []
-    for b in base.map_batches(hist_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .groupby("L").aggregate(Sum("c", alias_name="n")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        Ls.append(b["L"].to_numpy())
-        cs.append(b["n"].to_numpy())
-    if not Ls:
+    t = collect(base.map_batches(hist_partial, batch_format="pyarrow",
+                                 zero_copy_batch=True, batch_size=None)
+                .groupby("L").aggregate(Sum("c", alias_name="n")),
+                pa.schema([("L", pa.int64()), ("n", pa.int64())]))
+    if not t.num_rows:
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "n_chars": pa.array([], pa.int64()),
             "rnk": pa.array([], pa.int64()),
             "pct_milli": pa.array([], pa.int64())}))
-    L = np.concatenate(Ls)
-    c = np.concatenate(cs)
+    L = t["L"].to_numpy()
+    c = t["n"].to_numpy()
     order = np.argsort(L)
     L, c = L[order], c[order]
     offs = np.cumsum(c) - c
@@ -1810,14 +1801,9 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
     first = user_days_ds().groupby("user_id").aggregate(
         Min("day", alias_name="cohort_day"))
 
-    users_list, days_list = [], []
-    n_users = 0
-    for b in first.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        users_list.append(b["user_id"].to_numpy())
-        days_list.append(b["cohort_day"].to_numpy())
-        n_users += len(users_list[-1])
-        if n_users > broadcast_cap:
-            break
+    firsts = collect(first, pa.schema([("user_id", pa.int64()),
+                                       ("cohort_day", pa.int64())]),
+                     broadcast_cap)
 
     def cell_partial(batch: pa.Table) -> pa.Table:
         """(cohort_day, day_offset) partial counts; input rows are
@@ -1831,13 +1817,11 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
                          "day_offset": g["day_offset"],
                          "u": pc.cast(g["count_all"], pa.int64())})
 
-    if n_users <= broadcast_cap:
-        u = np.concatenate(users_list) if users_list else \
-            np.array([], dtype=np.int64)
+    if firsts is not None:
+        u = firsts["user_id"].to_numpy()
         order = np.argsort(u)
         u = u[order]
-        cd = (np.concatenate(days_list)[order] if days_list else
-              np.array([], dtype=np.int64))
+        cd = firsts["cohort_day"].to_numpy()[order]
         fref = ray.put((u, cd))
 
         def attach_cohort(batch: pa.Table) -> pa.Table:
@@ -1850,10 +1834,10 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
                                            batch_format="pyarrow")
     else:
         # big-user-space path: native hash join sized by the user-day
-        # side (n_users is a truncated lower bound but already > cap)
+        # side (the user count is only known to exceed the cap)
         joined = user_days_ds().join(
             first, join_type="inner",
-            num_partitions=join_partitions_for(max(n_users * 4, 1)),
+            num_partitions=join_partitions_for((broadcast_cap + 1) * 4),
             on=("user_id",))
         cells = joined.map_batches(cell_partial, batch_format="pyarrow")
 
@@ -2475,10 +2459,8 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
 
     # exact verify: kill Bloom false positives
     if key_rows <= BJ_BROADCAST_KEYS:
-        key_arrs = [b["o_orderkey"].to_numpy() for b in keys.iter_batches(
-            batch_size=262144, batch_format="pyarrow")]
-        kset = np.unique(np.concatenate(key_arrs)) if key_arrs \
-            else np.zeros(0, np.int64)
+        kset = np.unique(collect(keys, pa.schema(
+            [("o_orderkey", pa.int64())]))["o_orderkey"].to_numpy())
         kref = ray.put(kset)
 
         def verify(batch: pa.Table) -> pa.Table:
@@ -3106,10 +3088,8 @@ def q22_idle_rich(sf_dir: str):
 
     o_rows = _parquet_rows(o_path)
     if o_rows <= Q5_BROADCAST_KEYS:
-        uk = np.unique(np.concatenate(
-            [b["o_custkey"].to_numpy() for b in urgent.iter_batches(
-                batch_size=65536, batch_format="pyarrow")]
-            or [np.array([], dtype=np.int64)]))
+        uk = np.unique(collect(urgent, pa.schema(
+            [("o_custkey", pa.int64())]))["o_custkey"].to_numpy())
         uref = ray.put(uk)
 
         def anti(batch: pa.Table) -> pa.Table:

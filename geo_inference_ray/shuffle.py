@@ -10,6 +10,10 @@ the group's shared side to every salt (the kNN candidate pattern in
 knn.py).  The driver-side hot map is bounded by the key-space (spatial
 cells), not the row count, so broadcasting it via ``ray.put`` is safe at
 100 TB.
+
+Driver collects: :func:`collect` is the package's one bounded collect
+of a Dataset (or of driver Arrow tables) into one driver table, and
+:func:`sum_partials` its one driver fold of (key, partial count) rows.
 """
 
 from __future__ import annotations
@@ -24,19 +28,56 @@ MAX_SALTS = 8  # replication-factor bound: candidate-replicating consumers
                # bounded by the in-group pruning instead)
 
 
-# Max buffered (key, count) partial rows for key_counts' driver-side
-# combine before bailing to a distributed groupby (the volume-aware
-# pixel_counts pattern; ~256 MB of int64 pairs at the bound).
-KEY_COUNTS_DRIVER_LIMIT = 16_000_000
+# Max buffered partial rows one driver fold takes before it bails to a
+# distributed groupby: key_counts, the minhash bucket counts,
+# textops.dup_spans and tiling.pixel_counts (~256 MB of int64 pairs at
+# the bound).  Read at call time, so tests can lower it.
+PARTIAL_ROWS_DRIVER_LIMIT = 16_000_000
+
+
+def collect(source, schema: pa.Schema,
+            limit: int | None = None) -> pa.Table | None:
+    """The package's one driver collect: the rows of ``source`` (a
+    Dataset, or an iterable of ``pa.Table``) as one Arrow table with
+    ``schema``'s columns, cast to its types, in stream order.  Empty
+    and schema-less blocks are skipped; no rows give
+    ``schema.empty_table()``.  With a ``limit``, returns ``None`` as
+    soon as more than ``limit`` rows have arrived, without pulling the
+    rest: the caller then takes its distributed path or fails loudly."""
+    if hasattr(source, "iter_batches"):
+        source = source.iter_batches(batch_size=None,
+                                     batch_format="pyarrow")
+    tables, n = [], 0
+    for t in source:
+        if not t.num_rows:
+            continue
+        n += t.num_rows
+        if limit is not None and n > limit:
+            return None
+        tables.append(t.select(schema.names).cast(schema))
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def sum_partials(table: pa.Table, key: str, values: list[str]) -> pa.Table:
+    """The driver partial-count fold: (key, partial counts) rows -> one
+    row per distinct key in ascending key order, each ``values`` column
+    summed as int64."""
+    uk, inv = np.unique(table[key].to_numpy(), return_inverse=True)
+    out = {key: pa.array(uk)}
+    for v in values:
+        sums = np.zeros(len(uk), dtype=np.int64)
+        np.add.at(sums, inv, table[v].to_numpy())
+        out[v] = pa.array(sums)
+    return pa.table(out)
 
 
 def key_counts(ds, key: str) -> dict[int, int]:
     """Exact group sizes for one int key column, computed with map-side
     partial counts (one row per key per batch crosses the wire).  The
-    result is a DRIVER dict either way, so bounded partial volume
-    streams straight to a driver np.unique combine — skipping Ray's
+    result is a DRIVER dict either way, so bounded partial volume is
+    collected and folded with :func:`sum_partials`, skipping Ray's
     sort-based groupby entirely (measured 8-9 s on a 1.28 M-partial
-    input); above KEY_COUNTS_DRIVER_LIMIT it bails to the groupby."""
+    input); above PARTIAL_ROWS_DRIVER_LIMIT it bails to the groupby."""
 
     def partial(batch: pa.Table) -> pa.Table:
         k = batch[key].to_numpy()
@@ -47,31 +88,17 @@ def key_counts(ds, key: str) -> dict[int, int]:
     part = ds.select_columns([key]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None)
-    ks, cs, total, overflow = [], [], 0, False
-    for b in part.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ks.append(b[key].to_numpy())
-        cs.append(b["cnt"].to_numpy())
-        total += len(ks[-1])
-        if total > KEY_COUNTS_DRIVER_LIMIT:
-            overflow = True
-            break
-    if not overflow:
-        if not ks:
-            return {}
-        k = np.concatenate(ks)
-        uk, inv = np.unique(k, return_inverse=True)
-        sums = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sums, inv, np.concatenate(cs))
-        return dict(zip(uk.tolist(), sums.tolist()))
-    del ks, cs  # release buffered partials before re-exec
-    from ray.data.aggregate import Sum
+    schema = pa.schema([(key, pa.int64()), ("cnt", pa.int64())])
+    t = collect(part, schema, PARTIAL_ROWS_DRIVER_LIMIT)
+    if t is not None:
+        t = sum_partials(t, key, ["cnt"])
+    else:
+        from ray.data.aggregate import Sum
 
-    agg = part.groupby(key).aggregate(Sum("cnt", alias_name="cnt"))
-    out = {}
-    for b in agg.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for kk, cc in zip(b[key].to_pylist(), b["cnt"].to_pylist()):
-            out[kk] = cc
-    return out
+        t = collect(part.groupby(key).aggregate(Sum("cnt", alias_name="cnt")),
+                    schema)
+    # numpy tolist: Arrow's to_pylist is ~15x slower per element
+    return dict(zip(t[key].to_numpy().tolist(), t["cnt"].to_numpy().tolist()))
 
 
 def salt_plan(counts: dict[int, int], cap: int = DEFAULT_CAP,

@@ -17,6 +17,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import shuffle
+from .shuffle import collect
+
 # language-ID marker words, checked as substrings " w " over " "||text||" ".
 # Deterministic heuristic, not a real langid model: per-language score =
 # count of marker-word occurrences; argmax with fixed tie order.
@@ -185,15 +188,9 @@ def length_histogram(ds):
     hist = ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True, batch_size=None) \
         .groupby("L").aggregate(Sum("c", alias_name="n"))
-    Ls, ns = [], []
-    for b in hist.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        Ls.append(b["L"].to_numpy())
-        ns.append(b["n"].to_numpy())
-    if not Ls:
-        return (np.array([], dtype=np.int64),
-                np.array([], dtype=np.int64))
-    L = np.concatenate(Ls)
-    n = np.concatenate(ns)
+    t = collect(hist, pa.schema([("L", pa.int64()), ("n", pa.int64())]))
+    L = t["L"].to_numpy()
+    n = t["n"].to_numpy()
     order = np.argsort(L)
     return L[order], n[order]
 
@@ -385,11 +382,10 @@ def cms_heavy(ds, k: int = 20, w: int = CMS_W):
                                       batch_format="pyarrow"):
         cms[b["r"].to_numpy(), b["cell"].to_numpy()] = b["cnt"].to_numpy()
 
-    toks, exact = [], []
-    for b in word_count_topk(ds, k).iter_batches(batch_size=k,
-                                                 batch_format="pyarrow"):
-        toks.extend(b["token"].to_pylist())
-        exact.extend(b["n"].to_pylist())
+    top = collect(word_count_topk(ds, k),
+                  pa.schema([("token", pa.string()), ("n", pa.int64())]))
+    toks = top["token"].to_pylist()
+    exact = top["n"].to_pylist()
     if not toks:
         return rd.from_arrow(pa.table({
             "token": pa.array([], pa.string()),
@@ -692,12 +688,8 @@ def decontaminate(ds, bench_ds=None, n: int = DECON_NGRAM,
     bench_grams = bench_ds.map_batches(
         bench_partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None).groupby("g").count()
-    gset = []
-    for b in bench_grams.iter_batches(batch_size=65536,
-                                      batch_format="pyarrow"):
-        gset.append(b["g"].to_numpy(zero_copy_only=False))
-    gset = (pd.Index(np.concatenate(gset)) if gset
-            else pd.Index([], dtype=object))
+    gset = pd.Index(collect(bench_grams, pa.schema([("g", pa.string())]))
+                    ["g"].to_numpy(zero_copy_only=False), dtype=object)
     gref = ray.put(gset)
 
     def overlap(batch: pa.Table) -> pa.Table:
@@ -868,49 +860,29 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
 
     # Final per-doc combine. Partial volume is bounded by
     # num_parts x docs (every doc contributes <= one row per partition),
-    # so under the driver limit the partials stream to one vectorized
-    # np fold — Ray 2.49's sort-based groupby cost 21 s on a 2.7 M-row
-    # partial table this fold does in ~1 s (the key_counts /
-    # pixel_counts volume-aware pattern).  Above the bound (10^9 docs at
-    # the 100 TB design point) it bails to the distributed groupby.
-    from .shuffle import KEY_COUNTS_DRIVER_LIMIT
-
+    # so under the driver limit the partials are collected and folded
+    # on the driver (shuffle.sum_partials) — Ray 2.49's sort-based
+    # groupby cost 21 s on a 2.7 M-row partial table this fold does in
+    # ~1 s (the key_counts / pixel_counts volume-aware pattern).  Above
+    # the bound (10^9 docs at the 100 TB design point) it bails to the
+    # distributed groupby.
     est_partials = (docs_hint * min(num_parts, DUP_SPANS_GRAMS_PER_DOC)
                     if docs_hint is not None else None)
-    if est_partials is not None and est_partials <= KEY_COUNTS_DRIVER_LIMIT:
+    limit = shuffle.PARTIAL_ROWS_DRIVER_LIMIT
+    if est_partials is not None and est_partials <= limit:
         import ray.data as rd
 
         # the estimate is a heuristic, not an upper bound (docs can
         # average more distinct grams than DUP_SPANS_GRAMS_PER_DOC),
-        # so the stream itself is row-counted and bails mid-flight to
+        # so the collect is row-counted too and bails mid-stream to
         # the distributed groupby — the same overflow contract as
         # key_counts
-        ds_, gs_, dp_, total, overflow = [], [], [], 0, False
-        for b in per_part.iter_batches(batch_size=65536,
-                                       batch_format="pyarrow"):
-            ds_.append(b["doc_id"].to_numpy())
-            gs_.append(b["n_grams"].to_numpy())
-            dp_.append(b["n_dup"].to_numpy())
-            total += len(ds_[-1])
-            if total > KEY_COUNTS_DRIVER_LIMIT:
-                overflow = True
-                break
-        if not overflow:
-            if not ds_:
-                return rd.from_arrow(pa.table({
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_grams": pa.array([], pa.int64()),
-                    "n_dup": pa.array([], pa.int64())}))
-            d = np.concatenate(ds_)
-            u, inv = np.unique(d, return_inverse=True)
-            tg = np.zeros(len(u), dtype=np.int64)
-            td = np.zeros(len(u), dtype=np.int64)
-            np.add.at(tg, inv, np.concatenate(gs_))
-            np.add.at(td, inv, np.concatenate(dp_))
-            return rd.from_arrow(pa.table({
-                "doc_id": pa.array(u), "n_grams": pa.array(tg),
-                "n_dup": pa.array(td)}))
-        del ds_, gs_, dp_  # release buffered partials before re-exec
+        t = collect(per_part, pa.schema([
+            ("doc_id", pa.int64()), ("n_grams", pa.int64()),
+            ("n_dup", pa.int64())]), limit)
+        if t is not None:
+            return rd.from_arrow(
+                shuffle.sum_partials(t, "doc_id", ["n_grams", "n_dup"]))
     return per_part.groupby("doc_id").aggregate(
         Sum("n_grams", alias_name="n_grams"),
         Sum("n_dup", alias_name="n_dup"))
@@ -953,18 +925,19 @@ def mix_sample(ds, k: int = MIX_TARGET_DOCS):
                             zero_copy_batch=True, batch_size=None) \
         .groupby("source").aggregate(Sum("n", alias_name="n"))
 
-    cmap: dict = {}
-    for b in counts.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for s_, n_ in zip(b["source"].to_pylist(), b["n"].to_pylist()):
-            cmap[s_] = int(n_)
-        if len(cmap) > MIX_MAX_SOURCES:
-            # loud failure beats an unbounded driver dict + broadcast:
-            # the mixing weights are defined over provenance labels
-            # (corpora), not free-cardinality keys like hosts
-            raise ValueError(
-                f"mix_sample: >{MIX_MAX_SOURCES} distinct sources — "
-                "the source column looks like a free-cardinality key; "
-                "mix over provenance labels instead")
+    counts = collect(counts, pa.schema([("source", pa.string()),
+                                        ("n", pa.int64())]),
+                     MIX_MAX_SOURCES)
+    if counts is None:
+        # loud failure beats an unbounded driver dict + broadcast:
+        # the mixing weights are defined over provenance labels
+        # (corpora), not free-cardinality keys like hosts
+        raise ValueError(
+            f"mix_sample: >{MIX_MAX_SOURCES} distinct sources — "
+            "the source column looks like a free-cardinality key; "
+            "mix over provenance labels instead")
+    cmap = dict(zip(counts["source"].to_pylist(),
+                    counts["n"].to_pylist()))
     if not cmap:
         import ray.data as rd
 
@@ -1129,22 +1102,19 @@ def pack_sequences(ds, seq_tokens: int = 512,
             .aggregate([("n_tokens", "sum")])
         return pa.table({"rkey": g["rkey"], "t": g["n_tokens_sum"]})
 
-    rk_list, tot_list = [], []
-    for b in cnts.map_batches(range_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .groupby("rkey").aggregate(Sum("t", alias_name="t")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        rk_list.append(b["rkey"].to_numpy())
-        tot_list.append(b["t"].to_numpy())
-    if not rk_list:
+    t = collect(cnts.map_batches(range_partial, batch_format="pyarrow",
+                                 zero_copy_batch=True, batch_size=None)
+                .groupby("rkey").aggregate(Sum("t", alias_name="t")),
+                pa.schema([("rkey", pa.int64()), ("t", pa.int64())]))
+    if not t.num_rows:
         import ray.data as rd
 
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "n_tokens": pa.array([], pa.int64()),
             "pack_id": pa.array([], pa.int64())}))
-    rk = np.concatenate(rk_list)
-    tot = np.concatenate(tot_list)
+    rk = t["rkey"].to_numpy()
+    tot = t["t"].to_numpy()
     order = np.argsort(rk)
     rk, tot = rk[order], tot[order]
     offs = np.concatenate([[0], np.cumsum(tot)[:-1]])
@@ -1837,6 +1807,15 @@ def ccnet_buckets(ds):
                           zero_copy_batch=True)
 
 
+def _lang_hist(hist):
+    """A keyed (lang, L, n) length-histogram Dataset as three driver
+    arrays."""
+    t = collect(hist, pa.schema([("lang", pa.string()), ("L", pa.int64()),
+                                 ("n", pa.int64())]))
+    return (t["lang"].to_numpy(zero_copy_only=False), t["L"].to_numpy(),
+            t["n"].to_numpy())
+
+
 def quantiles_by_lang(ds):
     """Exact per-language discrete length quantiles (p50/p90/p99) via
     the KEYED integer-histogram sketch: per-batch (lang, length, count)
@@ -1861,19 +1840,12 @@ def quantiles_by_lang(ds):
                           zero_copy_batch=True, batch_size=None) \
         .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
 
-    langs, Ls, ns = [], [], []
-    for b in hist.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        langs.append(b["lang"].to_numpy(zero_copy_only=False))
-        Ls.append(b["L"].to_numpy())
-        ns.append(b["n"].to_numpy())
-    if not langs:
+    lang, L, n = _lang_hist(hist)
+    if not len(lang):
         return rd.from_arrow(pa.table(
             {"lang": pa.array([], pa.string()),
              **{f"p{int(q * 100)}": pa.array([], pa.int64())
                 for q in QUANTILES}}))
-    lang = np.concatenate(langs)
-    L = np.concatenate(Ls)
-    n = np.concatenate(ns)
     out = {"lang": [], **{f"p{int(q * 100)}": [] for q in QUANTILES}}
     for lg in sorted(set(lang.tolist())):
         m = lang == lg
@@ -1917,20 +1889,12 @@ def mad_by_lang(ds):
                           zero_copy_batch=True, batch_size=None) \
         .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
 
-    langs, Ls, ns = [], [], []
-    for b in hist.iter_batches(batch_size=65536,
-                               batch_format="pyarrow"):
-        langs.append(b["lang"].to_numpy(zero_copy_only=False))
-        Ls.append(b["L"].to_numpy())
-        ns.append(b["n"].to_numpy())
-    if not langs:
+    lang, L, n = _lang_hist(hist)
+    if not len(lang):
         return rd.from_arrow(pa.table(
             {"lang": pa.array([], pa.string()),
              "med": pa.array([], pa.int64()),
              "mad": pa.array([], pa.int64())}))
-    lang = np.concatenate(langs)
-    L = np.concatenate(Ls)
-    n = np.concatenate(ns)
 
     def _q50(vals: np.ndarray, cnts: np.ndarray) -> int:
         order = np.argsort(vals)
@@ -1962,6 +1926,24 @@ SEARCH_TERMS = ("data", "join", "stream")   # fixed demo query
 SEARCH_TOPK = 20
 
 
+def _doc_freqs(pairs):
+    """(token, df) pairs of a (doc_id, token) Dataset with one row per
+    document and term: per-batch counts -> one groupby Sum, collected
+    to the driver (bounded by the query terms)."""
+    from ray.data.aggregate import Sum
+
+    def df_partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by("token").aggregate([([], "count_all")])
+        return pa.table({"token": g["token"],
+                         "d": pc.cast(g["count_all"], pa.int64())})
+
+    t = collect(pairs.map_batches(df_partial, batch_format="pyarrow",
+                                  zero_copy_batch=True, batch_size=None)
+                .groupby("token").aggregate(Sum("d", alias_name="df")),
+                pa.schema([("token", pa.string()), ("df", pa.int64())]))
+    return zip(t["token"].to_pylist(), t["df"].to_numpy())
+
+
 def search_topk(ds, n_docs: int):
     """Multi-term retrieval: rank documents for a fixed query by
     summed tf-idf (milli-nat integer idf, the tfidf_topk convention) —
@@ -1988,21 +1970,8 @@ def search_topk(ds, n_docs: int):
                            zero_copy_batch=True, batch_size=None) \
         .materialize()   # consumed twice: df fold + scoring
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([([], "count_all")])
-        return pa.table({"token": g["token"],
-                         "d": pc.cast(g["count_all"], pa.int64())})
-
-    idf = {}
-    for b in pairs.map_batches(df_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-            .groupby("token").aggregate(Sum("d", alias_name="df")) \
-            .iter_batches(batch_size=len(terms) + 1,
-                          batch_format="pyarrow"):
-        for tok, dfv in zip(b["token"].to_pylist(),
-                            b["df"].to_numpy()):
-            idf[tok] = int(np.floor(
-                1000.0 * np.log(float(n_docs) / float(dfv))))
+    idf = {tok: int(np.floor(1000.0 * np.log(float(n_docs) / float(dfv))))
+           for tok, dfv in _doc_freqs(pairs)}
 
     def score_partial(batch: pa.Table) -> pa.Table:
         tok = batch["token"].to_pylist()
@@ -2153,23 +2122,11 @@ def bm25_topk(ds, n_docs: int):
     # identical double expression both sides
     avgdl = float(total_tokens) / float(n_docs)
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([([], "count_all")])
-        return pa.table({"token": g["token"],
-                         "d": pc.cast(g["count_all"], pa.int64())})
-
-    idf = {}
-    for b in pairs.map_batches(df_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-            .groupby("token").aggregate(Sum("d", alias_name="df")) \
-            .iter_batches(batch_size=len(terms) + 1,
-                          batch_format="pyarrow"):
-        for tok, dfv in zip(b["token"].to_pylist(),
-                            b["df"].to_numpy()):
-            # ((N - df) + 0.5) / (df + 0.5): int subtraction first,
-            # then the double promotions — mirrored verbatim
-            idf[tok] = int(np.floor(1000.0 * np.log(
-                ((n_docs - int(dfv)) + 0.5) / (int(dfv) + 0.5))))
+    # ((N - df) + 0.5) / (df + 0.5): int subtraction first, then the
+    # double promotions — mirrored verbatim
+    idf = {tok: int(np.floor(1000.0 * np.log(
+        ((n_docs - int(dfv)) + 0.5) / (int(dfv) + 0.5))))
+           for tok, dfv in _doc_freqs(pairs)}
 
     def score_partial(batch: pa.Table) -> pa.Table:
         tok = batch["token"].to_pylist()
@@ -2236,22 +2193,14 @@ def winsorize_stats(ds):
                           zero_copy_batch=True, batch_size=None) \
         .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
 
-    langs, Ls, ns = [], [], []
-    for b in hist.iter_batches(batch_size=65536,
-                               batch_format="pyarrow"):
-        langs.append(b["lang"].to_numpy(zero_copy_only=False))
-        Ls.append(b["L"].to_numpy())
-        ns.append(b["n"].to_numpy())
-    if not langs:
+    lang, L, n = _lang_hist(hist)
+    if not len(lang):
         return rd.from_arrow(pa.table(
             {"lang": pa.array([], pa.string()),
              "p_lo": pa.array([], pa.int64()),
              "p_hi": pa.array([], pa.int64()),
              "n": pa.array([], pa.int64()),
              "sum_clipped": pa.array([], pa.int64())}))
-    lang = np.concatenate(langs)
-    L = np.concatenate(Ls)
-    n = np.concatenate(ns)
     out = {"lang": [], "p_lo": [], "p_hi": [], "n": [],
            "sum_clipped": []}
     for lg in sorted(set(lang.tolist())):
@@ -2422,21 +2371,14 @@ def rollup_counts(ds):
             Sum("n", alias_name="n"),
             Sum("sum_chars", alias_name="sum_chars"))
 
-    parts = []
-    total = 0
-    for b in grain.iter_batches(batch_format="pandas",
-                                batch_size=ROLLUP_MAX_GROUPS):
-        total += len(b)
-        if total > ROLLUP_MAX_GROUPS:
-            raise ValueError(
-                f"rollup_counts grain exceeds {ROLLUP_MAX_GROUPS} "
-                "groups; use a distributed second groupby instead")
-        parts.append(b)
-    g = (pd.concat(parts, ignore_index=True) if parts
-         else pd.DataFrame({"source": pd.Series([], dtype=object),
-                            "lang": pd.Series([], dtype=object),
-                            "n": pd.Series([], dtype=np.int64),
-                            "sum_chars": pd.Series([], dtype=np.int64)}))
+    g = collect(grain, pa.schema([
+        ("source", pa.string()), ("lang", pa.string()),
+        ("n", pa.int64()), ("sum_chars", pa.int64())]), ROLLUP_MAX_GROUPS)
+    if g is None:
+        raise ValueError(
+            f"rollup_counts grain exceeds {ROLLUP_MAX_GROUPS} "
+            "groups; use a distributed second groupby instead")
+    g = g.to_pandas()
     by_src = g.groupby("source", as_index=False).agg(
         n=("n", "sum"), sum_chars=("sum_chars", "sum"))
     by_src["lang"] = ROLLUP_ALL
@@ -2623,19 +2565,16 @@ def vocab_ids(ds):
             .group_by("rkey").aggregate([("c", "sum")])
         return pa.table({"rkey": g["rkey"], "c": g["c_sum"]})
 
-    rks, cs = [], []
-    for b in kv.map_batches(range_partial, batch_format="pyarrow",
-                            batch_size=None) \
-            .groupby("rkey").aggregate(Sum("c", alias_name="c")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        rks.append(b["rkey"].to_numpy())
-        cs.append(b["c"].to_numpy())
-    if not rks:
+    t = collect(kv.map_batches(range_partial, batch_format="pyarrow",
+                               batch_size=None)
+                .groupby("rkey").aggregate(Sum("c", alias_name="c")),
+                pa.schema([("rkey", pa.int64()), ("c", pa.int64())]))
+    if not t.num_rows:
         return rd.from_arrow(pa.table({
             "token": pa.array([], pa.string()),
             "token_id": pa.array([], pa.int64())}))
-    rk = np.concatenate(rks)
-    c = np.concatenate(cs)
+    rk = t["rkey"].to_numpy()
+    c = t["c"].to_numpy()
     order = np.argsort(rk)
     rk, c = rk[order], c[order]
     offs = np.concatenate([[0], np.cumsum(c)[:-1]])
@@ -2816,13 +2755,11 @@ def kl_by_source(ds):
         g = batch.group_by("source").aggregate([("c_st", "sum")])
         return pa.table({"source": g["source"], "c": g["c_st_sum"]})
 
-    ns: dict[str, int] = {}
-    for b in cst.map_batches(ns_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-            .groupby("source").aggregate(Sum("c", alias_name="n_s")) \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for s, v in zip(b["source"].to_pylist(), b["n_s"].to_pylist()):
-            ns[s] = int(v)
+    t = collect(cst.map_batches(ns_partial, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
+                .groupby("source").aggregate(Sum("c", alias_name="n_s")),
+                pa.schema([("source", pa.string()), ("n_s", pa.int64())]))
+    ns = dict(zip(t["source"].to_pylist(), t["n_s"].to_pylist()))
     total = sum(ns.values())
     ns_ref = ray.put(ns)
 
@@ -2979,10 +2916,8 @@ def llm_prep(sf_dir: str, q: float = 0.5, chunk_tokens: int = 32,
 
     n_docs = _parquet_rows(path)
     if n_docs <= KEEP_BROADCAST_IDS:
-        ids = np.sort(np.concatenate(
-            [b["doc_id"].to_numpy() for b in winners.iter_batches(
-                batch_size=65536, batch_format="pyarrow")]
-            or [np.array([], dtype=np.int64)]))
+        ids = np.sort(collect(winners, pa.schema(
+            [("doc_id", pa.int64())]))["doc_id"].to_numpy())
         ref = ray.put(ids)
 
         def keep_winners(batch: pa.Table) -> pa.Table:
@@ -3706,11 +3641,8 @@ def boiler_score(ds, min_df: int = BOILER_MIN_DF,
     n_hot = hot_ds.count()
 
     if n_hot <= broadcast_cap:
-        parts = [b["sh"].to_numpy() for b in
-                 hot_ds.iter_batches(batch_size=65536,
-                                     batch_format="pyarrow")]
-        hot = (np.sort(np.concatenate(parts)) if parts
-               else np.array([], dtype=np.int64))
+        hot = np.sort(collect(hot_ds, pa.schema(
+            [("sh", pa.int64())]))["sh"].to_numpy())
         hot_ref = ray.put(hot)
 
         def score(batch: pa.Table) -> pa.Table:

@@ -37,6 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import shuffle
 from .window import classify_position, tile_window
 
 NODATA = 255
@@ -170,12 +171,6 @@ def rasterize_partial(grid: GridConfig):
 
 
 DRIVER_COMBINE_MAX_PIXELS = 4_000_000
-# Bail-out bound on the PARTIAL stream (blocks x occupied pixels): the
-# grid-size rule alone is not volume-aware — at 100x input the block
-# count grows ~100x and the driver combine becomes a single-threaded
-# funnel even on a small grid.  Combined buffer stays <= ~256 MB
-# (16 M rows x 16 B) before the switch fires.
-DRIVER_COMBINE_MAX_PARTIAL_ROWS = 16_000_000
 
 # diagnostic: which combine path the last pixel_counts call took
 # ("driver" | "distributed") — read by tests, never by library code
@@ -225,43 +220,6 @@ PIXEL_SCHEMA = pa.schema([("py", pa.int64()), ("px", pa.int64()),
                           ("n", pa.int64())])
 
 
-def collect_table(ds, schema: pa.Schema) -> pa.Table:
-    """A (grid-bounded) Dataset's rows as one driver Arrow table with
-    ``schema``'s columns; empty or schema-less blocks are dropped."""
-    import ray
-
-    tables = [t for t in ray.get(ds.materialize().to_arrow_refs())
-              if t.num_rows]
-    if not tables:
-        return schema.empty_table()
-    return pa.concat_tables(tables).select(schema.names).cast(schema)
-
-
-def _driver_combine(tables, grid: GridConfig) -> pa.Table | None:
-    """Sum streamed partial counts into one (py, px, n) table in pixel
-    order, or None as soon as the partials exceed
-    DRIVER_COMBINE_MAX_PARTIAL_ROWS."""
-    keys = []
-    cnts = []
-    total = 0
-    for b in tables:
-        if not b.num_rows:
-            continue
-        keys.append(b["py"].to_numpy() * grid.width + b["px"].to_numpy())
-        cnts.append(b["n"].to_numpy())
-        total += len(cnts[-1])
-        if total > DRIVER_COMBINE_MAX_PARTIAL_ROWS:
-            return None
-    if not keys:
-        return PIXEL_SCHEMA.empty_table()
-    uk, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.zeros(len(uk), dtype=np.int64)
-    np.add.at(sums, inv, np.concatenate(cnts))
-    return pa.table({"py": pa.array(uk // grid.width),
-                     "px": pa.array(uk % grid.width),
-                     "n": pa.array(sums)}, schema=PIXEL_SCHEMA)
-
-
 def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
                  rasterized: bool = False):
     """Full rasterization: partial counts per batch -> global sum.
@@ -277,23 +235,25 @@ def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
     The partial stream is bounded by (n_batches x occupied pixels) and
     the final key space by the raster grid, NOT the input rows.  For
     grids up to DRIVER_COMBINE_MAX_PIXELS the combine STARTS as a
-    streaming driver-side np.unique over the partials — measured 2x
-    faster than the groupby at 8 CPUs because a downstream AllToAll
-    throttles the (dominant) map stage — but BAILS OUT to the
+    driver collect of the partials (``shuffle.collect``) folded with
+    ``shuffle.sum_partials`` over the packed ``py * width + px`` key —
+    measured 2x faster than the groupby at 8 CPUs because a downstream
+    AllToAll throttles the (dominant) map stage — but BAILS OUT to the
     distributed groupby the moment the partial stream exceeds
-    DRIVER_COMBINE_MAX_PARTIAL_ROWS (many-block inputs), costing one
-    abandoned partial pass only at the scale where the driver funnel
-    would dominate.  Grids over the pixel bound go distributed
-    directly."""
+    ``shuffle.PARTIAL_ROWS_DRIVER_LIMIT`` (many-block inputs: at 100x
+    input the block count grows ~100x and the driver fold would become
+    a single-threaded funnel even on a small grid), costing one
+    abandoned partial pass only at that scale.  Grids over the pixel
+    bound go distributed directly."""
     import ray.data as rd
 
     global _LAST_COMBINE_PATH
     on_driver = isinstance(geo_ds, (pa.Table, list))
     if on_driver:
         _check_driver_route(grid)
-        tables = [geo_ds] if isinstance(geo_ds, pa.Table) else geo_ds
+        part = [geo_ds] if isinstance(geo_ds, pa.Table) else geo_ds
         if not rasterized:
-            tables = [rasterize_partial(grid)(t) for t in tables]
+            part = [rasterize_partial(grid)(t) for t in part]
     else:
         # precomputed partials are small and usually driver-resident
         # (from_arrow): materialize() hands their blocks over without
@@ -301,22 +261,28 @@ def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
         # start one
         part = geo_ds.materialize() if rasterized \
             else rasterize(geo_ds, grid)
-        tables = part.iter_batches(batch_size=65536,
-                                   batch_format="pyarrow")
     if fits_driver(grid):
-        out = _driver_combine(tables, grid)
-        if out is not None:
+        pix = shuffle.collect(part, PIXEL_SCHEMA,
+                              shuffle.PARTIAL_ROWS_DRIVER_LIMIT)
+        if pix is not None:
             _LAST_COMBINE_PATH = "driver"
+            w = grid.width
+            key = pix["py"].to_numpy() * w + pix["px"].to_numpy()
+            summed = shuffle.sum_partials(
+                pa.table({"key": key, "n": pix["n"]}), "key", ["n"])
+            key = summed["key"].to_numpy()
+            out = pa.table({"py": key // w, "px": key % w,
+                            "n": summed["n"]}, schema=PIXEL_SCHEMA)
             return out if on_driver else rd.from_arrow(out)
     from ray.data.aggregate import Sum
 
     _LAST_COMBINE_PATH = "distributed"
     if on_driver:
-        # the volume bail-out: too many partial rows for one np.unique
-        part = rd.from_arrow([t for t in tables if t.num_rows]
+        # the volume bail-out: too many partial rows for one driver fold
+        part = rd.from_arrow([t for t in part if t.num_rows]
                              or [PIXEL_SCHEMA.empty_table()])
     summed = part.groupby(["py", "px"]).aggregate(Sum("n", alias_name="n"))
-    return collect_table(summed, PIXEL_SCHEMA) if on_driver else summed
+    return shuffle.collect(summed, PIXEL_SCHEMA) if on_driver else summed
 
 
 def emit_to_patches(grid: GridConfig):
@@ -507,7 +473,7 @@ def mask_tiles(geo_ds, grid: GridConfig = DEFAULT_GRID,
     if scorer_resources is None and fits_driver(grid):
         pix = pixel_counts(geo_ds, grid, rasterized=rasterized)
         if not on_driver:
-            pix = collect_table(pix, PIXEL_SCHEMA)
+            pix = shuffle.collect(pix, PIXEL_SCHEMA)
         tiles = _tiles_from_pixels_local(pix, grid, scorer_cls)
         return tiles if on_driver else rd.from_arrow(tiles)
     return mask_tiles_distributed(geo_ds, grid, scorer_cls,
@@ -611,8 +577,11 @@ def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,
     def score_patch_group(g: pd.DataFrame) -> pd.DataFrame:
         return _score(g)
 
-    def merge_cell_group(g: pd.DataFrame) -> pd.DataFrame:
-        return _merge(g)
+    def merge_cell_group(g: pd.DataFrame) -> pa.Table:
+        # Arrow out, so the blocks hold TILE_SCHEMA's list<uint8> mask:
+        # a pandas mask column would become Ray's tensor extension
+        return pa.Table.from_pandas(_merge(g), schema=TILE_SCHEMA,
+                                    preserve_index=False)
 
     from .shuffle import arrow_bridge
 

@@ -817,6 +817,61 @@ def test_dup_spans_golden(ray_session):
     assert dup_spans(empty).count() == 0
 
 
+def test_dup_spans_bails_mid_stream(ray_session, monkeypatch):
+    """An under-estimated docs_hint takes the driver fold, whose collect
+    then overflows the partial-row bound mid-stream: dup_spans must fall
+    back to the distributed groupby with the driver fold's result."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from geo_inference_ray import shuffle, textops
+    from geo_inference_ray.relational import partitions_for
+
+    words = [f"w{i}" for i in range(60)]
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(40), pa.int64()),
+        "text": pa.array([" ".join(words[i % 7:i % 7 + 30])
+                          for i in range(40)])}))
+    collected = []
+    real_collect = textops.collect
+
+    def spy(*args):
+        collected.append(real_collect(*args))
+        return collected[-1]
+
+    monkeypatch.setattr(textops, "collect", spy)
+    ref = textops.dup_spans(docs, docs_hint=1).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert collected[-1] is not None and len(ref) == 40
+    # the driver branch's estimate for docs_hint=1; the 40 docs emit
+    # far more partial rows than that
+    est = min(partitions_for(textops.DUP_SPANS_GRAMS_PER_DOC),
+              textops.DUP_SPANS_GRAMS_PER_DOC)
+    monkeypatch.setattr(shuffle, "PARTIAL_ROWS_DRIVER_LIMIT", est)
+    out = textops.dup_spans(docs, docs_hint=1).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert collected[-1] is None  # entered the driver fold, then bailed
+    assert out.equals(ref)
+
+
+def test_mix_sample_source_bound_is_loud(ray_session, monkeypatch):
+    """More distinct sources than MIX_MAX_SOURCES raise; exactly the
+    bound still samples."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from geo_inference_ray import textops
+
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(6), pa.int64()),
+        "source": pa.array(["A", "B", "C"] * 2)}))
+    monkeypatch.setattr(textops, "MIX_MAX_SOURCES", 3)
+    assert textops.mix_sample(docs, k=3).count() > 0
+    monkeypatch.setattr(textops, "MIX_MAX_SOURCES", 2)
+    with pytest.raises(ValueError, match="distinct sources"):
+        textops.mix_sample(docs)
+
+
 def test_mix_sample_exact_rule(ray_session):
     import numpy as np
     import pyarrow as pa

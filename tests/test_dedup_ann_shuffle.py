@@ -865,6 +865,19 @@ def test_hash_mix_spreads_structured_keys():
     assert (hash_mix(gid, 64) == hash_mix(gid.copy(), 64)).all()
 
 
+def _count_folds(monkeypatch, sh) -> list:
+    """Record each shuffle.sum_partials call: a driver fold ran."""
+    calls = []
+    fold = sh.sum_partials
+
+    def spy(*args):
+        calls.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(sh, "sum_partials", spy)
+    return calls
+
+
 def test_minhash_bucket_count_bailout(ray_session, monkeypatch):
     """With a tiny driver budget the bucket-count pre-pass must route
     through the distributed groupby and produce the identical pair
@@ -872,6 +885,7 @@ def test_minhash_bucket_count_bailout(ray_session, monkeypatch):
     import ray.data as rd
 
     from geo_inference_ray import dedup as dd
+    from geo_inference_ray import shuffle as sh
 
     base = ("data processing engines shuffle sort join aggregate "
             "stream batch " * 4)
@@ -881,11 +895,14 @@ def test_minhash_bucket_count_bailout(ray_session, monkeypatch):
     rows += [{"doc_id": 100, "text": base},
              {"doc_id": 101, "text": base}]
     docs = rd.from_pandas(pd.DataFrame(rows))
+    folds = _count_folds(monkeypatch, sh)
     ref = dd.minhash_candidates(docs).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    monkeypatch.setattr(dd, "BUCKET_COUNT_DRIVER_LIMIT", 3)
+    assert folds == [1]  # driver fold
+    monkeypatch.setattr(sh, "PARTIAL_ROWS_DRIVER_LIMIT", 3)
     out = dd.minhash_candidates(docs).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    assert folds == [1]  # distributed groupby: no second driver fold
     assert out.equals(ref)
     assert ((out["doc_a"] == 100) & (out["doc_b"] == 101)).any()
 
@@ -963,11 +980,113 @@ def test_key_counts_bailout_equivalence(ray_session, monkeypatch):
     tab = pa.table({"k": pa.array(rng.integers(0, 37, 4000,
                                                dtype=np.int64))})
     ds = rd.from_arrow(tab).repartition(8).materialize()
+    folds = _count_folds(monkeypatch, sh)
     ref = sh.key_counts(ds, "k")
+    assert folds == [1]  # driver fold
     assert sum(ref.values()) == 4000
-    monkeypatch.setattr(sh, "KEY_COUNTS_DRIVER_LIMIT", 5)
+    monkeypatch.setattr(sh, "PARTIAL_ROWS_DRIVER_LIMIT", 5)
     out = sh.key_counts(ds, "k")
+    assert folds == [1]  # distributed groupby
     assert out == ref
+
+
+def test_collect_limit_is_inclusive(ray_session):
+    """collect returns the rows at exactly ``limit`` and None one row
+    past it, for a Dataset and for driver tables alike."""
+    import ray.data as rd
+
+    from geo_inference_ray.shuffle import collect
+
+    schema = pa.schema([("k", pa.int64())])
+    tables = [pa.table({"k": pa.array(np.arange(i, i + 3))})
+              for i in range(0, 12, 3)]
+    for source in (tables, rd.from_arrow(tables)):
+        got = collect(source, schema, limit=12)
+        assert got["k"].to_pylist() == list(range(12))
+        assert collect(source, schema, limit=11) is None
+
+
+def test_collect_stops_pulling_past_limit():
+    """Over the limit, collect returns without reading the rest."""
+    from geo_inference_ray.shuffle import collect
+
+    pulled = []
+
+    def tables():
+        for i in range(10):
+            pulled.append(i)
+            yield pa.table({"k": pa.array([i, i], pa.int64())})
+
+    assert collect(tables(), pa.schema([("k", pa.int64())]), 3) is None
+    assert pulled == [0, 1]
+
+
+def test_collect_empty_and_schemaless_blocks(ray_session):
+    """Empty and schema-less blocks are skipped; no rows give the typed
+    empty table."""
+    import ray.data as rd
+
+    from geo_inference_ray.shuffle import collect
+
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+    empty = [pa.table({}), schema.empty_table(),
+             pa.table({"n": pa.array([], pa.int32())})]
+    schemaless = rd.range(8, override_num_blocks=2).map_batches(
+        lambda b: pa.table({}), batch_format="pyarrow")
+    for source in (empty, schemaless, []):
+        got = collect(source, schema)
+        assert got.num_rows == 0 and got.schema.equals(schema)
+    mixed = empty + [pa.table({"n": pa.array([7], pa.int32()),
+                               "x": pa.array(["drop"]),
+                               "k": pa.array([1], pa.int32())})]
+    got = collect(mixed, schema)
+    assert got.schema.equals(schema)
+    assert got.to_pylist() == [{"k": 1, "n": 7}]
+
+
+def test_collect_dataset_equals_tables(ray_session):
+    """A Dataset and the same rows as a list of tables collect to equal
+    tables (columns selected and cast to the schema, stream order)."""
+    import ray.data as rd
+
+    from geo_inference_ray.shuffle import collect
+
+    rng = np.random.default_rng(3)
+    tables = [pa.table({"x": pa.array(rng.random(n)),
+                        "k": pa.array(rng.integers(0, 9, n), pa.int32())})
+              for n in (5, 0, 17, 2)]
+    schema = pa.schema([("k", pa.int64())])
+    got = collect(rd.from_arrow(tables), schema)
+    want = collect(tables, schema)
+    assert got.equals(want) and want.num_rows == 24
+    assert want["k"].to_pylist() == [
+        v for t in tables for v in t["k"].to_pylist()]
+
+
+def test_sum_partials_matches_counter():
+    """sum_partials == a Counter over the partial rows, keys ascending,
+    for every value column."""
+    from collections import Counter
+
+    from geo_inference_ray.shuffle import sum_partials
+
+    rng = np.random.default_rng(11)
+    k = rng.integers(-50, 50, 3000)
+    a = rng.integers(0, 1000, 3000)
+    b = rng.integers(0, 7, 3000)
+    t = pa.table({"key": pa.array(k), "a": pa.array(a),
+                  "b": pa.array(b)})
+    got = sum_partials(t, "key", ["a", "b"])
+    assert got.column_names == ["key", "a", "b"]
+    keys = got["key"].to_pylist()
+    assert keys == sorted(set(k.tolist()))
+    for col, vals in (("a", a), ("b", b)):
+        want = Counter()
+        for kk, vv in zip(k.tolist(), vals.tolist()):
+            want[kk] += vv
+        assert dict(zip(keys, got[col].to_pylist())) == want
+    empty = sum_partials(t.slice(0, 0), "key", ["a"])
+    assert empty.num_rows == 0 and empty["a"].type == pa.int64()
 
 
 def test_sq_topk_quantizer_and_recall(ray_session, sf_dir):

@@ -781,6 +781,22 @@ def test_traj_jaccard_matches_set_reference(ray_session):
     assert all(0 < v[2] <= 1000 for v in got.values())
 
 
+def test_traj_jaccard_join_path_matches_broadcast(ray_session,
+                                                 monkeypatch):
+    """Over TRAJ_BROADCAST_MAX clusters the set sizes attach through
+    two hash joins instead of the broadcast probe: same pairs."""
+    import geo_inference_ray.geoext as gx
+
+    cols = ["c1", "c2", "n_inter", "n_union", "jac_permille"]
+    a = gx.traj_jaccard(SF).to_pandas()[cols] \
+        .sort_values(["c1", "c2"]).reset_index(drop=True)
+    monkeypatch.setattr(gx, "TRAJ_BROADCAST_MAX", 0)
+    b = gx.traj_jaccard(SF).to_pandas()[cols] \
+        .sort_values(["c1", "c2"]).reset_index(drop=True)
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a.astype("int64"), b.astype("int64"))
+
+
 def test_traj_jaccard_cell_cap_raises(ray_session):
     """The pair kernel refuses a cell hotter than the documented cap
     instead of emitting O(k^2) pairs silently."""

@@ -235,6 +235,18 @@ def test_graph_components_naive_reference(ray_session, sf_dir):
     assert got["comp"].nunique() > 1
 
 
+def test_kcore_broadcast_and_join_paths_agree(ray_session, sf_dir):
+    """kcore's broadcast alive set and its distributed semi-join rounds
+    (broadcast_cap=0) return the identical core."""
+    from geo_inference_ray.graph import kcore
+
+    a = _pdf(kcore(sf_dir)).sort_values("node").reset_index(drop=True)
+    b = _pdf(kcore(sf_dir, broadcast_cap=0)).sort_values("node") \
+        .reset_index(drop=True)[a.columns.tolist()]
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a.astype("int64"), b.astype("int64"))
+
+
 def test_hits_empty_edges(ray_session, tmp_path):
     """Empty lineitem -> HITS returns a typed empty (node, is_hub,
     score) table on BOTH paths instead of raising on the empty Max

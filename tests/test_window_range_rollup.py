@@ -307,6 +307,21 @@ def test_weekly_growth_lag_and_truncation(ray_session, tmp_path):
     assert out.loc[2, "pct_milli"] == 2000
 
 
+def test_weekly_growth_week_bound_is_loud(ray_session, tmp_path,
+                                         monkeypatch):
+    """More weeks than WEEKLY_MAX_WEEKS raise instead of folding a
+    truncated week table; exactly the bound still folds."""
+    from geo_inference_ray import relational
+
+    d = _write_events(tmp_path, [(w, w * relational.WEEK_US, 1, 1.0)
+                                 for w in range(3)])
+    monkeypatch.setattr(relational, "WEEKLY_MAX_WEEKS", 3)
+    assert relational.weekly_growth(d).count() == 3
+    monkeypatch.setattr(relational, "WEEKLY_MAX_WEEKS", 2)
+    with pytest.raises(ValueError, match="week count exceeds 2"):
+        relational.weekly_growth(d)
+
+
 def test_transitions_golden_and_user_isolation(ray_session, tmp_path):
     """user 1: A->B->B ; user 2: B->A.  No cross-user pair even when
     both users share a hash partition."""

@@ -226,7 +226,9 @@ def test_distributed_tiles_match_driver_suffix(sf_pixels, stride,
                                                num_classes):
     """mask_tiles_distributed (groupby score + merge) == mask_tiles's
     driver suffix, bit for bit: oy, ox, mask bytes and n_valid."""
-    from geo_inference_ray.tiling import (GridConfig, mask_tiles,
+    import ray
+
+    from geo_inference_ray.tiling import (TILE_SCHEMA, GridConfig, mask_tiles,
                                           mask_tiles_distributed)
 
     grid = GridConfig(stride=stride, num_classes=num_classes)
@@ -237,7 +239,13 @@ def test_distributed_tiles_match_driver_suffix(sf_pixels, stride,
                 [np.asarray(m, dtype=np.uint8).tobytes() for m in t["mask"]])
 
     local = rows(mask_tiles(sf_pixels, grid, rasterized=True))
-    dist = rows(mask_tiles_distributed(sf_pixels, grid, rasterized=True))
+    dist_ds = mask_tiles_distributed(sf_pixels, grid,
+                                     rasterized=True).materialize()
+    # the raw blocks, uncast, hold TILE_SCHEMA (list<uint8> masks, not
+    # Ray's tensor extension)
+    blocks = [t for t in ray.get(dist_ds.to_arrow_refs()) if t.num_rows]
+    assert blocks and all(t.schema.equals(TILE_SCHEMA) for t in blocks)
+    dist = rows(dist_ds)
     assert len(local[0]) > 0
     assert local == dist
 
@@ -395,7 +403,7 @@ def test_pixel_counts_volume_bailout(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data as rd
 
-    from geo_inference_ray import tiling
+    from geo_inference_ray import shuffle, tiling
     from geo_inference_ray.tiling import DEFAULT_GRID, pixel_counts
 
     rng = np.random.default_rng(7)
@@ -411,7 +419,7 @@ def test_pixel_counts_volume_bailout(ray_session, monkeypatch):
         .sort_values(["py", "px"]).reset_index(drop=True)
     assert tiling._LAST_COMBINE_PATH == "driver"
 
-    monkeypatch.setattr(tiling, "DRIVER_COMBINE_MAX_PARTIAL_ROWS", 100)
+    monkeypatch.setattr(shuffle, "PARTIAL_ROWS_DRIVER_LIMIT", 100)
     out = pixel_counts(ds, DEFAULT_GRID).to_pandas() \
         .sort_values(["py", "px"]).reset_index(drop=True)
     assert tiling._LAST_COMBINE_PATH == "distributed"
@@ -425,7 +433,7 @@ def test_pixel_counts_volume_bailout(ray_session, monkeypatch):
     rows = ray.get(ds.to_arrow_refs())
     parts = [tiling.rasterize_partial(DEFAULT_GRID)(t) for t in rows]
     for limit, path in ((100, "distributed"), (16_000_000, "driver")):
-        monkeypatch.setattr(tiling, "DRIVER_COMBINE_MAX_PARTIAL_ROWS", limit)
+        monkeypatch.setattr(shuffle, "PARTIAL_ROWS_DRIVER_LIMIT", limit)
         got = pixel_counts(parts, DEFAULT_GRID, rasterized=True)
         assert tiling._LAST_COMBINE_PATH == path
         assert got.schema.equals(tiling.PIXEL_SCHEMA)
