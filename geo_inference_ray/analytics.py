@@ -808,11 +808,9 @@ def bfs_hops(sf_dir: str, *, rounds: int = BFS_ROUNDS,
     two node-scale hash joins (inner frontier-expand + left_anti
     novelty filter) sized by ``join_partitions_for``, and the visited
     set is re-unioned, never collected."""
-    import ray
     import ray.data as rd
 
     from .graph import _edge_spill
-    from .shuffle import arrow_bridge
 
     spill, n_edges = _edge_spill(sf_dir, None)
 

@@ -45,6 +45,24 @@ _POS_TO_ORIENTATION = np.array(
     [_SWAP_MASK, 0, 0, _INVERT_MASK + _SWAP_MASK], dtype=np.int64)
 
 
+def _hilbert_steps():
+    """The per-bit Hilbert walk, four levels at a time: index
+    ``orientation << 8 | i4 << 4 | j4`` (four bits each of i and j,
+    MSB first) -> the four positions packed MSB first, and the
+    orientation after them.  1024 entries."""
+    idx = np.arange(1024)
+    orientation, i4, j4 = idx >> 8, (idx >> 4) & 15, idx & 15
+    pos = np.zeros(1024, dtype=np.uint64)
+    for k in range(3, -1, -1):
+        p = _IJ_TO_POS[orientation, ((i4 >> k) & 1) * 2 + ((j4 >> k) & 1)]
+        pos = (pos << np.uint64(2)) | p.astype(np.uint64)
+        orientation = orientation ^ _POS_TO_ORIENTATION[p]
+    return pos, orientation
+
+
+_STEP_POS, _STEP_ORIENTATION = _hilbert_steps()
+
+
 def _latlon_to_xyz(lat_deg: np.ndarray, lon_deg: np.ndarray):
     lat = np.deg2rad(lat_deg)
     lon = np.deg2rad(lon_deg)
@@ -57,22 +75,13 @@ def _xyz_to_face_uv(x, y, z):
     face = np.where(ax >= ay, np.where(ax >= az, 0, 2), np.where(ay >= az, 1, 2))
     face = face + np.where(
         np.choose(face, [x, y, z]) < 0, 3, 0)
-    # (u, v) per face, canonical S2 face frames
-    u = np.empty_like(x)
-    v = np.empty_like(x)
-    for f, (ue, ve, de) in enumerate([
-            (lambda: y / x, lambda: z / x, None),    # face 0: +x
-            (lambda: -x / y, lambda: z / y, None),   # face 1: +y
-            (lambda: -x / z, lambda: -y / z, None),  # face 2: +z
-            (lambda: z / x, lambda: y / x, None),    # face 3: -x
-            (lambda: z / y, lambda: -x / y, None),   # face 4: -y
-            (lambda: -y / z, lambda: -x / z, None),  # face 5: -z
-    ]):
-        m = face == f
-        if m.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u[m] = ue()[m]
-                v[m] = ve()[m]
+    # (u, v) per face, canonical S2 face frames:
+    # +x (y/x, z/x), +y (-x/y, z/y), +z (-x/z, -y/z),
+    # -x (z/x, y/x), -y (z/y, -x/y), -z (-y/z, -x/z)
+    den = np.choose(face, [x, y, z, x, y, z])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.choose(face, [y, -x, -x, z, z, -y]) / den
+        v = np.choose(face, [z, z, -y, y, -x, -x]) / den
     return face.astype(np.int64), u, v
 
 
@@ -93,16 +102,18 @@ def s2_cell(lat_deg: np.ndarray, lon_deg: np.ndarray,
     n = 1 << level
     i = np.clip((_uv_to_st(u) * n).astype(np.int64), 0, n - 1)
     j = np.clip((_uv_to_st(v) * n).astype(np.int64), 0, n - 1)
-    # Hilbert position: walk bits from MSB, tracking orientation
+    # Hilbert position: walk four bits at a time from the MSB, tracking
+    # orientation; i and j get ``pad`` zero bits below so the level is
+    # a multiple of 4, and the pad's positions are shifted off after
+    pad = -level % 4
+    i, j = i << pad, j << pad
     orientation = face & _SWAP_MASK
     pos = np.zeros(len(x), dtype=np.uint64)
-    for k in range(level - 1, -1, -1):
-        ib = (i >> k) & 1
-        jb = (j >> k) & 1
-        ij = ib * 2 + jb
-        p = _IJ_TO_POS[orientation, ij]
-        pos = (pos << np.uint64(2)) | p.astype(np.uint64)
-        orientation = orientation ^ _POS_TO_ORIENTATION[p]
+    for k in range(level + pad - 4, -1, -4):
+        step = (orientation << 8) | (((i >> k) & 15) << 4) | ((j >> k) & 15)
+        pos = (pos << np.uint64(8)) | _STEP_POS[step]
+        orientation = _STEP_ORIENTATION[step]
+    pos = pos >> np.uint64(2 * pad)
     shift = np.uint64(2 * (_MAX_LEVEL - level))
     cell = (face.astype(np.uint64) << np.uint64(61)) \
         | (pos << np.uint64(shift + np.uint64(1))) \

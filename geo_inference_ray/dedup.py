@@ -560,7 +560,6 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
     per pair (31-bit shingle hashes).
     """
     import ray
-    import ray.data as rd
 
     pairs = pairs_ds.materialize()  # candidate pairs only (small side)
     n_pairs = pairs.count()

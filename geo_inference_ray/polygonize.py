@@ -497,7 +497,6 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
     Semantics identical to the driver-side path (pinned by test).
     """
     import ray
-    import ray.data as rd
 
     stride = grid.stride
 

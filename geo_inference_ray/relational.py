@@ -845,9 +845,7 @@ def q5_local_supply(sf_dir: str):
     line side, sized by join_partitions_for on the LINE side; the
     nation-name attach is a 25-row batch-local lookup; the final
     groupby is map-side-partial over <= |nations| keys."""
-    import ray
     import ray.data as rd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -2523,9 +2521,7 @@ def q10_returned(sf_dir: str):
     sized); the nation-name attach is a 25-row broadcast probe; top-k
     is per-batch partial top-k + a k-bounded final reduce, never a
     global sort."""
-    import ray
     import ray.data as rd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -2778,9 +2774,7 @@ def q7_volume(sf_dir: str):
     the filtered orders side, never per row); the final groupby is
     map-side-partial over <= |nations|^2 x |years| keys and the two
     nation-name attaches are one 25-row broadcast probe."""
-    import ray
     import ray.data as rd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3041,7 +3035,6 @@ def q22_idle_rich(sf_dir: str):
     map-side-partial over <= |nations| keys."""
     import ray
     import ray.data as rd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     c_path = f"{sf_dir}/customer.parquet"
@@ -3882,7 +3875,7 @@ def q21_waiting(sf_dir: str):
     row explosion; the winner set (<= |suppliers| rows) then joins the
     supplier table for names."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Max, Sum
+    from ray.data.aggregate import Max, Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"

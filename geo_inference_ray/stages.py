@@ -9,7 +9,8 @@ callable; the classes are the reusable in-process form:
   - PIPJoiner     (STRtree broadcast) ~ reference spatial semi-join ST4/J1
     (/root/reference/geo_inference/utils/geo_transforms.py:197-258)
 At run time they are fused into ONE Ray task function
-(:func:`fused_page_fn`), which also fuses with the upstream read.
+(:func:`fused_page_fn`), which also runs in the read's task when it
+takes whole blocks (the :func:`transform_pages` default).
 
 All hot stages are Arrow-in/Arrow-out (``batch_format="pyarrow"``,
 ``zero_copy_batch=True``) with numpy / pyarrow.compute kernels; no Python
@@ -194,23 +195,28 @@ class PIPJoiner:
 
 
 def transform_pages(ds, mode: str | None = None, with_cells: bool = True,
-                    batch_size: int = 8192):
+                    batch_size: int | None = None):
     """pages Dataset -> extract_text -> geocode -> [cells] -> [pip join],
     as one task-pool map (:func:`fused_page_fn`).
 
     ``html`` is projected away by ExtractText inside the task, so the
-    wide binary column never reaches the object store."""
+    wide binary column never reaches the object store.  The map takes
+    whole blocks by default: Ray does not fuse a map that sets
+    ``batch_size`` with the read or a map before it, so a batch size
+    puts the read in a task of its own and its blocks through the
+    object store."""
     return ds.map_batches(fused_page_fn(mode, with_cells),
                           batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=batch_size)
 
 
 def geo_pipeline(sf_dir: str, mode: str | None = None,
-                 with_cells: bool = True, batch_size: int = 8192,
+                 with_cells: bool = True, batch_size: int | None = None,
                  source: str = "parquet-documents"):
     """read pages at sf_dir (via the named PagesSource — sources.py
     seam) and run :func:`transform_pages` (the canonical SURVEY §7.2
-    slice)."""
+    slice).  With the default whole-block map the page stages run in
+    the read's tasks."""
     from .sources import get_source
 
     ds = get_source(source).dataset(sf_dir)
@@ -251,9 +257,11 @@ def fused_page_fn(mode: str | None = "inner", with_cells: bool = True,
     """Task function running :class:`FusedPageStage` — the page stages'
     only run-time form.
 
-    A task-pool ``map_batches(fn)`` fuses with the upstream ReadParquet
-    operator, so page bytes go disk -> transform inside ONE task and the
-    object store only carries the (small) transform output.  With an
+    A task-pool ``map_batches(fn)`` that takes whole blocks
+    (``batch_size=None``) fuses with the upstream read, so page bytes
+    go disk -> transform inside ONE task and the object store only
+    carries the (small) transform output.  Ray does not fuse a map
+    that sets ``batch_size`` with the read.  With an
     actor-pool stage the read output must cross the object store first —
     measured 2x slower and anti-scaling at 32 CPUs (plasma saturation).
     The stage (polygon layer + STRtree, a few KB pickled) is built once

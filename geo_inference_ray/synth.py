@@ -91,24 +91,34 @@ def pages_dataset(sf_dir: str, include_html: bool = True):
     when a downstream stage actually consumes it (SURVEY §7.7: never carry
     the binary column through a shuffle).
 
+    The read is planned from the parquet footer
+    (:class:`sources.ParquetRowGroups`): building the Dataset starts no
+    Ray task, and the page maps that follow run in the read's own task
+    when they take whole blocks (``batch_size=None``).
+
     Block rule: the read asks for one block per session CPU
     (:func:`pools.cluster_cpus`).  Ray's default count (a floor of 200
     cut by the 1 MB minimum block size, raised to twice the CPUs) is
     sized for big clusters and split one 20 MB table into 18 blocks on
     one CPU.  Downstream map and write tasks take whole blocks, so
-    fewer blocks means fewer tasks and fewer written files.  Ray still
-    splits any block over ``target_max_block_size``.  Without a Ray
-    session Ray's default applies.  The gain was measured on the
+    fewer blocks means fewer tasks and fewer written files.  A file
+    with fewer row groups than CPUs is read one row group per task and
+    Ray splits those blocks after the read, which keeps the read out of
+    the maps' tasks.  Ray still splits any block over
+    ``target_max_block_size``.  Without a Ray session Ray's default
+    applies.  The gain was measured on the
     flagship chain at 1 CPU only; its effect on the other consumers of
     this read and at more than one CPU is not measured.
     """
     import ray.data as rd
 
     from .pools import cluster_cpus
+    from .sources import ParquetRowGroups
 
     cols = ["doc_id", "text", "lang", "source"]
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=cols,
-                         override_num_blocks=cluster_cpus() or None)
+    ds = rd.read_datasource(
+        ParquetRowGroups(f"{sf_dir}/documents.parquet", cols),
+        override_num_blocks=cluster_cpus() or None)
     ds = ds.map_batches(synth_pages_batch, batch_format="pyarrow",
                         zero_copy_batch=True)
     if not include_html:

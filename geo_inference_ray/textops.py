@@ -1956,7 +1956,6 @@ def search_topk(ds, n_docs: int):
     as a closure constant; the per-doc score is one map-side-partial
     groupby; top-k is per-batch partial top-k + a k-bounded final
     reduce — no global sort."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     terms = list(SEARCH_TERMS)
@@ -2088,7 +2087,6 @@ def bm25_topk(ds, n_docs: int):
     two scalars; dfs fold as <= |terms| rows; scoring is one
     map-side-partial groupby; top-k is per-batch partial top-k + a
     k-bounded final reduce — no global sort."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     terms = list(SEARCH_TERMS)
@@ -2453,7 +2451,6 @@ def mode_word(ds):
     (3) broadcast the max table and filter count == max(lang), then a
     tiny min-token groupby over the tied survivors only."""
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2613,7 +2610,6 @@ def source_jaccard(ds):
     union term — jaccard = inter / (va + vb - inter), same expression
     tree as the SQL mirror."""
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .relational import _hash_partitioned
@@ -3560,8 +3556,6 @@ def span_dedup(ds, div: int = CDC_DIV, rows_hint: int | None = None):
                                zero_copy_batch=True)
 
     # docs that kept nothing: one empty row each (left_anti union)
-    import ray.data as rd
-
     lost = docs.select_columns(["doc_id"]).join(
         ckb, join_type="left_anti", num_partitions=jp, on=("doc_id",))
 
@@ -3609,7 +3603,6 @@ def boiler_score(ds, min_df: int = BOILER_MIN_DF,
       per-doc count groupby, same outputs.
     """
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .dedup import _token_hashes

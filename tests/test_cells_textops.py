@@ -47,6 +47,70 @@ def test_s2_parent_hierarchy():
     assert (s2_level_of(c7) == 7).all()
 
 
+def _s2_cell_per_bit(lat_deg, lon_deg, level):
+    """The per-face, per-bit form of ``s2_cell``: one masked division
+    per face, one Hilbert step per level.  Reference for the lookup
+    table walk."""
+    from geo_inference_ray.cells import (_IJ_TO_POS, _MAX_LEVEL,
+                                         _POS_TO_ORIENTATION, _latlon_to_xyz,
+                                         _uv_to_st)
+
+    x, y, z = _latlon_to_xyz(np.asarray(lat_deg, float),
+                             np.asarray(lon_deg, float))
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    face = np.where(ax >= ay, np.where(ax >= az, 0, 2),
+                    np.where(ay >= az, 1, 2))
+    face = face + np.where(np.choose(face, [x, y, z]) < 0, 3, 0)
+    u = np.empty_like(x)
+    v = np.empty_like(x)
+    for f, (ue, ve) in enumerate([
+            (lambda: y / x, lambda: z / x),
+            (lambda: -x / y, lambda: z / y),
+            (lambda: -x / z, lambda: -y / z),
+            (lambda: z / x, lambda: y / x),
+            (lambda: z / y, lambda: -x / y),
+            (lambda: -y / z, lambda: -x / z)]):
+        m = face == f
+        if m.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u[m] = ue()[m]
+                v[m] = ve()[m]
+    n = 1 << level
+    i = np.clip((_uv_to_st(u) * n).astype(np.int64), 0, n - 1)
+    j = np.clip((_uv_to_st(v) * n).astype(np.int64), 0, n - 1)
+    orientation = face & 1
+    pos = np.zeros(len(x), dtype=np.uint64)
+    for k in range(level - 1, -1, -1):
+        p = _IJ_TO_POS[orientation, ((i >> k) & 1) * 2 + ((j >> k) & 1)]
+        pos = (pos << np.uint64(2)) | p.astype(np.uint64)
+        orientation = orientation ^ _POS_TO_ORIENTATION[p]
+    shift = np.uint64(2 * (_MAX_LEVEL - level))
+    return (face.astype(np.uint64) << np.uint64(61)) \
+        | (pos << np.uint64(shift + np.uint64(1))) \
+        | (np.uint64(1) << shift)
+
+
+def test_s2_lookup_walk_matches_per_bit_walk():
+    """The four-levels-per-step walk and the ``np.choose`` face frames
+    give the per-bit walk's ids bit for bit, on random points and on
+    the poles, the face edges and the antimeridian, at levels that are
+    and are not a multiple of 4."""
+    rng = np.random.default_rng(11)
+    lat = np.concatenate([rng.uniform(-90, 90, 200_000),
+                          [90.0, -90.0, 0.0, 0.0, 0.0, 0.0, 45.0, -45.0,
+                           35.264389682754654, -35.264389682754654,
+                           0.0, 0.0, 89.999999, -89.999999, 45.0]])
+    lon = np.concatenate([rng.uniform(-180, 180, 200_000),
+                          [0.0, 0.0, 45.0, 135.0, -45.0, -135.0, 90.0,
+                           -90.0, 45.0, -135.0, 180.0, -180.0, 180.0,
+                           -180.0, 180.0]])
+    for level in (1, 7, 12, 30):
+        got = s2_cell(lat, lon, level)
+        want = _s2_cell_per_bit(lat, lon, level)
+        assert got.dtype == want.dtype == np.uint64
+        assert np.array_equal(got, want), level
+
+
 def test_hex_ring1_offsets():
     """The 6 axial neighbors of (q, r) in packed-id space:
     (q±1, r) -> ±65536, (q, r±1) -> ±1, (q+1, r-1) -> +65535,

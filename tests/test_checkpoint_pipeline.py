@@ -332,6 +332,44 @@ def test_flagship_plan_one_block_per_cpu(ray_session, sf_dir, tmp_path):
     assert len(glob.glob(os.path.join(out["mask_tiles"], "*.parquet"))) == 1
 
 
+def test_flagship_plan_is_one_fused_operator(ray_session, sf_dir, tmp_path,
+                                             monkeypatch):
+    """With at least one row group per session CPU, the flagship's one
+    Ray Data execution is a single operator: the pages read, the page
+    maps, the partition key and the checkpoint write run in the same
+    tasks, so no page block crosses the object store."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from geo_inference_ray.pipeline import GeoInferenceRay
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(pq.read_table(os.path.join(sf_dir, "documents.parquet")),
+                   corpus / "documents.parquet", row_group_size=100)
+    executions = []
+    orig = StreamingExecutor.shutdown
+
+    def shutdown(ex, *a, **kw):
+        first = not ex._shutdown
+        orig(ex, *a, **kw)
+        if first:
+            ops, todo = [], [ex._final_stats.to_summary()]
+            while todo:  # an operator's inputs sit in parent summaries
+                s = todo.pop()
+                todo.extend(s.parents or [])
+                ops += [op.operator_name for op in s.operators_stats]
+            executions.append(ops)
+
+    monkeypatch.setattr(StreamingExecutor, "shutdown", shutdown)
+    GeoInferenceRay(work_dir=str(tmp_path / "work"))(str(corpus))
+    assert len(executions) == 1, executions
+    [ops] = executions
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("Read") and ops[0].endswith("->Write"), ops
+
+
 def test_pipeline_empty_crop_reruns(ray_session, sf_dir, tmp_path):
     """A bbox that excludes every page writes only empty partitions and
     a typed empty mask artifact; a re-run resumes every key (all of

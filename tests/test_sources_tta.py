@@ -281,6 +281,108 @@ def test_fused_plan_matches_staged_pipeline(ray_session, sf_dir):
             assert got[c].tolist() == want[c].tolist(), (mode, c)
 
 
+def _documents(path, n_rows, row_group_size):
+    """A documents.parquet of ``n_rows`` rows under ``path``, written
+    in row groups of ``row_group_size``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ids = np.arange(n_rows, dtype=np.int64) * 7 + 3
+    docs = pa.table({
+        "doc_id": ids,
+        "text": [f"words of doc {i} " * (1 + i % 5) for i in ids.tolist()],
+        "lang": ["en", "de", "fr"] * (n_rows // 3) + ["en"] * (n_rows % 3),
+        "source": ["web"] * n_rows})
+    path.mkdir(exist_ok=True)
+    pq.write_table(docs, path / "documents.parquet",
+                   row_group_size=row_group_size)
+    return docs
+
+
+def test_pages_read_keeps_file_order_at_any_block_count(
+        ray_session, tmp_path, monkeypatch):
+    """The footer-planned pages read gives the rows of the file in file
+    order, as one block per session CPU: one run of row groups per
+    read task when the file has enough row groups, and the read split
+    after it when it has fewer.  No row group is read twice."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from geo_inference_ray import pools, synth
+    from geo_inference_ray.sources import ParquetRowGroups
+
+    cols = ["doc_id", "text", "lang", "source"]
+    many = tmp_path / "many"
+    _documents(many, 1000, 100)
+    path = str(many / "documents.parquet")
+    want = pq.read_table(path, columns=cols)
+
+    for parallelism, n_tasks in ((1, 1), (4, 4), (16, 10)):
+        tasks = ParquetRowGroups(path, cols).get_read_tasks(parallelism)
+        assert len(tasks) == n_tasks
+        got = pa.concat_tables(b for t in tasks for b in t())
+        assert got.equals(want)
+        assert [t.metadata.num_rows for t in tasks] == \
+            [b.num_rows for t in tasks for b in t()]
+        assert all(t.metadata.input_files == [path] for t in tasks)
+
+    monkeypatch.setattr(DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    one = tmp_path / "one"
+    _documents(one, 1000, 1000)
+    for sf_dir, cpus in ((many, 1), (many, 4), (one, 4)):
+        monkeypatch.setattr(pools, "cluster_cpus", lambda c=cpus: c)
+        ds = synth.pages_dataset(str(sf_dir)).materialize()
+        assert ds.num_blocks() == cpus
+        got = pa.concat_tables(
+            ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+        assert got.equals(synth.synth_pages_batch(
+            pq.read_table(str(sf_dir / "documents.parquet"), columns=cols)))
+
+
+def test_pages_read_raises_at_build(ray_session, tmp_path):
+    """A missing file or column raises when the Dataset is built, not
+    when it runs."""
+    import pyarrow.parquet as pq
+
+    from geo_inference_ray import synth
+
+    with pytest.raises(FileNotFoundError):
+        synth.pages_dataset(str(tmp_path / "nowhere"))
+    docs = _documents(tmp_path / "d", 10, 5)
+    pq.write_table(docs.drop_columns(["source"]),
+                   tmp_path / "d" / "documents.parquet")
+    with pytest.raises(KeyError, match="source"):
+        synth.pages_dataset(str(tmp_path / "d"))
+
+
+def test_pages_dataset_build_starts_no_task(ray_session, sf_dir,
+                                            monkeypatch):
+    """Building the pages Dataset (and the page maps on it) submits no
+    Ray task: the read is planned from the parquet footer, with no
+    sampling pass over the file."""
+    from ray.data._internal.datasource import parquet_datasource
+    from ray.remote_function import RemoteFunction
+
+    from geo_inference_ray import stages
+
+    def no_sampling(*a, **kw):
+        raise AssertionError("the pages read sampled its file")
+
+    submitted = []
+    orig = RemoteFunction._remote
+
+    def count(self, *a, **kw):
+        submitted.append(self._function_name)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(parquet_datasource, "sample_fragments", no_sampling)
+    monkeypatch.setattr(RemoteFunction, "_remote", count)
+    stages.geo_pipeline(sf_dir, mode="inner")
+    assert submitted == []
+
+
 def test_raster_seam_contract_full_pipeline(ray_session):
     """The PagesSource seam carries a real (non-default) reader through
     the FULL pipeline: a fake raster source — same window grid + pages
