@@ -25,9 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import (_hash_partitioned, _parquet_rows,
-                         join_partitions_for, partitions_for)
-from .shuffle import collect
+from .relational import _parquet_rows, join_partitions_for
+from .shuffle import collect, partitioned, runs
 
 # interval_union: half-open activity window opened by every event
 IU_WINDOW_US = 1_800_000_000          # 30 min in epoch-us
@@ -54,23 +53,23 @@ def interval_union(sf_dir: str):
     operator, the time-coverage complement of ``sessionize``.
 
     Scale shape: ONE hash-partition exchange on user_id, then a single
-    vectorized kernel per partition (sort + pandas C-level cummax +
-    ``np.add.reduceat`` over island boundaries).  No window shuffle, no
-    per-user Python.
+    vectorized kernel per partition (sort + island starts against the
+    previous end + ``np.add.reduceat`` over island boundaries).  No
+    window shuffle, no per-user Python.
     """
     import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["user_id", "ts"])
 
-    def islands_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="stable")
+    def islands_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending")])
         u = g["user_id"].to_numpy()
-        s = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        e = s + IU_WINDOW_US
-        # running max of interval end within each user run
-        cm = pd.Series(e).groupby(pd.Series(u), sort=False) \
-            .cummax().to_numpy()
+        s = pc.cast(g["ts"], pa.int64()).to_numpy()
+        # running max of interval end within each user run: every
+        # interval has the same width and starts are sorted within the
+        # run, so the ends already ascend
+        cm = s + IU_WINDOW_US
         new_user = np.ones(len(g), dtype=bool)
         new_user[1:] = u[1:] != u[:-1]
         pmax = np.empty_like(cm)
@@ -89,13 +88,15 @@ def interval_union(sf_dir: str):
         ub = np.flatnonzero(ustart)
         covered = np.add.reduceat(lengths, ub)
         counts = np.diff(np.append(ub, len(starts)))
-        return pd.DataFrame({
+        return pa.table({
             "user_id": iu[ub],
             "n_sessions": counts.astype(np.int64),
             "covered_us": covered.astype(np.int64)})
 
-    return _hash_partitioned(ev, "user_id", islands_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(ev, "user_id", islands_part,
+                       {"user_id": pa.int64(), "n_sessions": pa.int64(),
+                        "covered_us": pa.int64()},
+                       rows_hint=_parquet_rows(path))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def trigram_paths(sf_dir: str):
     ``transitions`` operator.
 
     Scale shape: one user_id hash partition; the kernel is a sort +
-    two vectorized shifts + a per-partition pandas groupby PARTIAL, so
+    two vectorized shifts + a per-partition Arrow group_by PARTIAL, so
     the final trigram shuffle carries at most
     (partitions x |types|^3) rows, never the event count.
     """
@@ -119,36 +120,21 @@ def trigram_paths(sf_dir: str):
     ev = rd.read_parquet(path, columns=["user_id", "ts", "event_id",
                                         "event_type"])
 
-    def tri_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
+    def tri_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
         u = g["user_id"].to_numpy()
-        t = g["event_type"].to_numpy()
-        if len(g) >= 3:
-            m = (u[:-2] == u[1:-1]) & (u[1:-1] == u[2:])
-        else:
-            m = np.zeros(0, dtype=bool)
-        part = pd.DataFrame({"t1": t[:-2][m] if len(g) >= 3 else [],
-                             "t2": t[1:-1][m] if len(g) >= 3 else [],
-                             "t3": t[2:][m] if len(g) >= 3 else []})
-        out = part.groupby(["t1", "t2", "t3"], as_index=False).size() \
-            .rename(columns={"size": "cnt"})
-        if len(out) == 0:
-            # typed empty so Ray's pandas->arrow conversion yields
-            # string columns, not null-typed ones, on empty partitions
-            return pd.DataFrame({"t1": pd.Series(dtype="string"),
-                                 "t2": pd.Series(dtype="string"),
-                                 "t3": pd.Series(dtype="string"),
-                                 "cnt": pd.Series(dtype="int64")})
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return out
+        t = g["event_type"]
+        m = (u[:-2] == u[1:-1]) & (u[1:-1] == u[2:])
+        part = pa.table({"t1": t[:-2].filter(m), "t2": t[1:-1].filter(m),
+                         "t3": t[2:].filter(m)})
+        return part.group_by(["t1", "t2", "t3"]).aggregate(
+            [([], "count_all")]).rename_columns(["t1", "t2", "t3", "cnt"])
 
-    from .shuffle import arrow_bridge
-
-    partials = arrow_bridge(
-        _hash_partitioned(ev, "user_id", tri_part,
-                          rows_hint=_parquet_rows(path)),
-        {"t1": pa.string(), "t2": pa.string(), "t3": pa.string(),
-         "cnt": pa.int64()})
+    partials = partitioned(ev, "user_id", tri_part,
+                           {"t1": pa.string(), "t2": pa.string(),
+                            "t3": pa.string(), "cnt": pa.int64()},
+                           rows_hint=_parquet_rows(path))
     return partials.groupby(["t1", "t2", "t3"]).aggregate(
         Sum("cnt", alias_name="cnt"))
 
@@ -885,8 +871,6 @@ def _bfs_join(edges, seeds, rounds: int, n_edges: int):
     expansion is an inner hash join on the edge table, novelty is a
     left_anti join against the visited set; both node-scale tables
     stay distributed."""
-    from .shuffle import arrow_bridge
-
     np_join = join_partitions_for(n_edges)
     visited = seeds.materialize()
     frontier = visited
@@ -896,7 +880,6 @@ def _bfs_join(edges, seeds, rounds: int, n_edges: int):
             num_partitions=np_join, on=("src",), right_on=("node",))
         dsts = expanded.select_columns(["dst"]).groupby("dst").count() \
             .select_columns(["dst"])
-        dsts = arrow_bridge(dsts, {"dst": pa.int64()})
         new = dsts.join(visited.select_columns(["node"]),
                         join_type="left_anti",
                         num_partitions=np_join,
@@ -990,8 +973,6 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
     numpy grid, never per-pair Python."""
     import ray.data as rd
 
-    from .shuffle import arrow_bridge
-
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["text"])
 
@@ -1051,16 +1032,11 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
 
     var = vocab.map_batches(variants, batch_format="pyarrow")
 
-    def bucket_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["key", "w"], kind="stable") \
-            .reset_index(drop=True)
+    def bucket_pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("key", "ascending"), ("w", "ascending")])
         ks = g["key"].to_numpy()
         ws = g["w"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g):
-            new[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(ks)
         oa, ob = [], []
         n_trunc = 0
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -1077,19 +1053,15 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
                   f"bucket(s) over {bucket_cap} members "
                   "(recall guard; see TYPO_BUCKET_CAP)")
         if not oa:
-            return pd.DataFrame({"w1": pd.Series(dtype="string"),
-                                 "w2": pd.Series(dtype="string")})
-        return pd.DataFrame({"w1": np.concatenate(oa),
-                             "w2": np.concatenate(ob)})
+            return g.slice(0, 0)
+        return pa.table({"w1": pa.array(np.concatenate(oa), pa.string()),
+                         "w2": pa.array(np.concatenate(ob), pa.string())})
 
-    cand = arrow_bridge(
-        _hash_partitioned(var, "kh", bucket_pairs_part,
-                          rows_hint=79 * max(n_vocab, 1)),
-        {"w1": pa.string(), "w2": pa.string()})
+    cand = partitioned(var, "kh", bucket_pairs_part,
+                       {"w1": pa.string(), "w2": pa.string()},
+                       rows_hint=79 * max(n_vocab, 1))
     distinct = cand.groupby(["w1", "w2"]).count() \
         .select_columns(["w1", "w2"])
-    distinct = arrow_bridge(distinct, {"w1": pa.string(),
-                                       "w2": pa.string()})
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1245,7 +1217,6 @@ def covisit_pairs(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .shuffle import arrow_bridge
 
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["user_id", "ts"])
@@ -1261,18 +1232,12 @@ def covisit_pairs(sf_dir: str):
                         zero_copy_batch=True, batch_size=None) \
         .groupby(["day", "user_id"]).count() \
         .select_columns(["day", "user_id"])
-    du = arrow_bridge(du, {"day": pa.int64(), "user_id": pa.int64()})
 
-    def day_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["day", "user_id"], kind="stable") \
-            .reset_index(drop=True)
+    def day_pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("day", "ascending"), ("user_id", "ascending")])
         ds_ = g["day"].to_numpy()
         us = g["user_id"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g):
-            new[1:] = ds_[1:] != ds_[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(ds_)
         oa, ob = [], []
         n_trunc = 0
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -1288,21 +1253,16 @@ def covisit_pairs(sf_dir: str):
             print(f"covisit_pairs: truncated {n_trunc} day bucket(s) "
                   f"over {COVISIT_DAY_CAP} users (see COVISIT_DAY_CAP)")
         if not oa:
-            return pd.DataFrame({
-                "u1": pd.Series(dtype="int64"),
-                "u2": pd.Series(dtype="int64"),
-                "days": pd.Series(dtype="int64")})
-        part = pd.DataFrame({"u1": np.concatenate(oa),
-                             "u2": np.concatenate(ob)})
-        out = part.groupby(["u1", "u2"], as_index=False).size() \
-            .rename(columns={"size": "days"})
-        out["days"] = out["days"].astype(np.int64)
-        return out
+            return g.slice(0, 0)
+        return pa.table({"u1": np.concatenate(oa),
+                         "u2": np.concatenate(ob)}).group_by(
+            ["u1", "u2"]).aggregate([([], "count_all")]) \
+            .rename_columns(["u1", "u2", "days"])
 
-    partials = arrow_bridge(
-        _hash_partitioned(du, "day", day_pairs_part,
-                          rows_hint=_parquet_rows(path)),
-        {"u1": pa.int64(), "u2": pa.int64(), "days": pa.int64()})
+    partials = partitioned(du, "day", day_pairs_part,
+                           {"u1": pa.int64(), "u2": pa.int64(),
+                            "days": pa.int64()},
+                           rows_hint=_parquet_rows(path))
     counts = partials.groupby(["u1", "u2"]).aggregate(
         Sum("days", alias_name="days"))
 
@@ -1397,33 +1357,32 @@ def streaks(sf_dir: str):
     du = ev.map_batches(to_days, batch_format="pyarrow",
                         zero_copy_batch=True)
 
-    def streak_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["user_id", "day"]) \
-            .sort_values(["user_id", "day"], kind="stable")
+    def streak_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("day", "ascending")])
         u = g["user_id"].to_numpy()
         d = g["day"].to_numpy()
+        # the map-side dedupe is per batch: drop repeated (user, day)
+        first = np.ones(len(u), dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
+        u, d = u[first], d[first]
         # run starts: new user OR a day gap
-        start = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            start[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1] + 1)
+        start = np.ones(len(u), dtype=bool)
+        start[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1] + 1)
         sidx = np.flatnonzero(start)
-        runlen = np.diff(np.append(sidx, len(g)))
+        runlen = np.diff(np.append(sidx, len(u)))
         ru = u[sidx]
         ustart = np.ones(len(sidx), dtype=bool)
         ustart[1:] = ru[1:] != ru[:-1]
         ub = np.flatnonzero(ustart)
-        n_days = np.add.reduceat(runlen, ub) if len(sidx) else \
-            np.empty(0, dtype=np.int64)
-        max_streak = np.maximum.reduceat(runlen, ub) if len(sidx) else \
-            np.empty(0, dtype=np.int64)
-        return pd.DataFrame({
-            "user_id": ru[ub] if len(sidx) else
-            np.empty(0, dtype=np.int64),
-            "n_active_days": n_days.astype(np.int64),
-            "max_streak": max_streak.astype(np.int64)})
+        return pa.table({
+            "user_id": ru[ub],
+            "n_active_days": np.add.reduceat(runlen, ub).astype(np.int64),
+            "max_streak": np.maximum.reduceat(runlen, ub).astype(np.int64)})
 
-    return _hash_partitioned(du, "user_id", streak_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(du, "user_id", streak_part,
+                       {"user_id": pa.int64(), "n_active_days": pa.int64(),
+                        "max_streak": pa.int64()},
+                       rows_hint=_parquet_rows(path))
 
 
 SESSION_PATH_MAXLEN = 8     # event types kept per session path
@@ -1442,7 +1401,7 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
 
     Scale shape: one user-hash shuffle; session ids and in-session
     positions are the sessionize segmented-cumsum kernel; the path
-    string_agg is a pandas C-level groupby join per partition (one
+    string_agg is a pandas groupby join per partition (one
     string build per SESSION — inherent to the output, never per
     event); partial path counts per partition, one
     path-bounded groupby (≤ |types|^maxlen distinct paths), and a
@@ -1450,17 +1409,15 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .shuffle import arrow_bridge
-
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["user_id", "ts", "event_id",
                                         "event_type"])
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def paths_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
-        ts = g["ts"].astype("int64").to_numpy()
+    def paths_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        ts = pc.cast(g["ts"], pa.int64()).to_numpy()
         uid = g["user_id"].to_numpy()
         newu = np.ones(len(g), dtype=bool)
         newu[1:] = uid[1:] != uid[:-1]
@@ -1471,18 +1428,15 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
         sizes = np.diff(np.concatenate([starts, [len(g)]]))
         pos = np.arange(len(g)) - np.repeat(starts, sizes)
         head = pos < maxlen
-        df = pd.DataFrame({"sess": sess[head],
-                           "et": g["event_type"].to_numpy()[head]})
-        p = df.groupby("sess")["et"].agg(">".join)
-        out = p.value_counts().rename_axis("path").reset_index(
-            name="n")
-        out["n"] = out["n"].astype(np.int64)
-        return out[["path", "n"]]
+        p = pd.Series(g["event_type"].to_numpy()[head]) \
+            .groupby(sess[head]).agg(">".join)
+        return pa.table({"path": pa.array(p.to_numpy(), pa.string())}) \
+            .group_by("path").aggregate([([], "count_all")]) \
+            .rename_columns(["path", "n"])
 
-    parts = _hash_partitioned(ev, "user_id", paths_part,
-                              rows_hint=_parquet_rows(path))
-    counts = arrow_bridge(parts, {"path": pa.string(),
-                                  "n": pa.int64()}) \
+    counts = partitioned(ev, "user_id", paths_part,
+                         {"path": pa.string(), "n": pa.int64()},
+                         rows_hint=_parquet_rows(path)) \
         .groupby("path").aggregate(Sum("n", alias_name="n"))
     return counts.sort(["n", "path"], descending=[True, False]) \
         .limit(k)
@@ -1506,14 +1460,11 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
     defaults to corpus_rows / OOO_MAX_DRIVER_RANGES so the driver
     fold stays ≤ 2 M rows at ANY corpus size), an exclusive max-scan
     over the sorted ranges broadcast once, then a per-partition
-    segmented cummax kernel (pandas C groupby cummax/shift) with the
-    range offset added back.  No global sort; one hash shuffle on the
-    range key."""
+    exclusive cummax kernel over the rows and their range offsets.  No
+    global sort; one hash shuffle on the range key."""
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum, Max
-
-    from .shuffle import arrow_bridge
 
     path = f"{sf_dir}/events.parquet"
     if range_ids is None:
@@ -1557,37 +1508,37 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
                              np.maximum.accumulate(mx)[:-1]])
     state_ref = ray.put((rk, premax))
 
-    def scan_part(g: pd.DataFrame) -> pd.DataFrame:
+    def scan_part(g: pa.Table) -> pa.Table:
         rkeys, offsets = ray.get(state_ref)
-        g = g.sort_values("event_id", kind="stable") \
-            .reset_index(drop=True)
+        g = g.sort_by("event_id")
         t = g["t"].to_numpy()
-        r = g["rkey"].to_numpy()
-        seg = pd.Series(np.cumsum(np.concatenate(
-            [[True], r[1:] != r[:-1]])))
-        ts_s = pd.Series(t)
-        excl = ts_s.groupby(seg).cummax().groupby(seg).shift(1)
-        base = offsets[np.searchsorted(rkeys, r)].astype(np.float64)
-        prev = np.fmax(excl.to_numpy(), base)
+        base = offsets[np.searchsorted(rkeys, g["rkey"].to_numpy())]
+        # watermark = max(range offset, earlier ts of the same range).
+        # An earlier range's rows never exceed a later range's offset
+        # (its global prefix max), so one exclusive running max over
+        # max(t, offset) serves every range of the partition.
+        run = np.maximum.accumulate(np.maximum(t, base))
+        prev = base.copy()
+        prev[1:] = np.maximum(base[1:], run[:-1])
         late = t < prev
-        lateness = np.where(late, prev - t, 0).astype(np.int64)
-        df = pd.DataFrame({
-            "event_type": g["event_type"].to_numpy(),
-            "one": np.ones(len(g), dtype=np.int64),
+        a = pa.table({
+            "event_type": g["event_type"],
             "late": late.astype(np.int64),
-            "lateness": lateness})
-        out = df.groupby("event_type", as_index=False).agg(
-            n_events=("one", "sum"), n_late=("late", "sum"),
-            max_late_us=("lateness", "max"),
-            sum_late_us=("lateness", "sum"))
-        return out
+            "lateness": np.where(late, prev - t, 0).astype(np.int64)}) \
+            .group_by("event_type").aggregate(
+                [([], "count_all"), ("late", "sum"), ("lateness", "max"),
+                 ("lateness", "sum")])
+        return pa.table({"event_type": a["event_type"],
+                         "n_events": a["count_all"],
+                         "n_late": a["late_sum"],
+                         "max_late_us": a["lateness_max"],
+                         "sum_late_us": a["lateness_sum"]})
 
-    parts = _hash_partitioned(kev, "rkey", scan_part,
-                              rows_hint=_parquet_rows(path))
-    return arrow_bridge(parts, {
-        "event_type": pa.string(), "n_events": pa.int64(),
-        "n_late": pa.int64(), "max_late_us": pa.int64(),
-        "sum_late_us": pa.int64()}) \
+    return partitioned(kev, "rkey", scan_part,
+                       {"event_type": pa.string(), "n_events": pa.int64(),
+                        "n_late": pa.int64(), "max_late_us": pa.int64(),
+                        "sum_late_us": pa.int64()},
+                       rows_hint=_parquet_rows(path)) \
         .groupby("event_type").aggregate(
             Sum("n_events", alias_name="n_events"),
             Sum("n_late", alias_name="n_late"),

@@ -281,8 +281,7 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
         pair_bound += s * (per * (per - 1) // 2)
     salted = add_salt(ds, "gkey", plan, "vec_id")
 
-    from .relational import _hash_partitioned
-    from .shuffle import MAX_SALTS, arrow_bridge
+    from .shuffle import MAX_SALTS, partitioned, runs
 
     def add_gsk(batch: pa.Table) -> pa.Table:
         # one packed int64 group key: (gkey, salt) -> gkey*MAX_SALTS+salt
@@ -295,20 +294,16 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
     keyed = salted.map_batches(add_gsk, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    def bucket_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs_part(g: pa.Table) -> pa.Table:
         """ONE kernel for every (bucket, salt) group in the partition
-        (a map_groups per bucket is one pandas call per bucket — the
+        (a map_groups per bucket is one kernel call per bucket — the
         bucket count grows with the corpus via lsh_planes_for, so that
         trap scales with n)."""
-        g = g.sort_values(["gsk", "vec_id"], kind="stable") \
-            .reset_index(drop=True)
+        g = g.sort_by([("gsk", "ascending"), ("vec_id", "ascending")])
         gs = g["gsk"].to_numpy()
         ids = g["vec_id"].to_numpy()
         emb = g["embedding"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = gs[1:] != gs[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(gs)
         oa, ob, om = [], [], []
         for st, sz in zip(starts.tolist(), sizes.tolist()):
             if sz < 2:
@@ -324,33 +319,27 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
             ob.append(d[ib[keep]])
             om.append(sm[keep])
         if not oa:
-            return pd.DataFrame({
-                "vec_a": pd.Series([], dtype=np.int64),
-                "vec_b": pd.Series([], dtype=np.int64),
-                "sim_milli": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"vec_a": np.concatenate(oa),
-                             "vec_b": np.concatenate(ob),
-                             "sim_milli": np.concatenate(om)})
+            return g.slice(0, 0)
+        return pa.table({"vec_a": np.concatenate(oa),
+                         "vec_b": np.concatenate(ob),
+                         "sim_milli": np.concatenate(om)})
 
-    pairs = arrow_bridge(
-        _hash_partitioned(keyed, "gsk", bucket_pairs_part,
-                          rows_hint=n_rows * LSH_BANDS),
-        {"vec_a": pa.int64(), "vec_b": pa.int64(),
-         "sim_milli": pa.int64()})
+    schema = {"vec_a": pa.int64(), "vec_b": pa.int64(),
+              "sim_milli": pa.int64()}
+    pairs = partitioned(keyed, "gsk", bucket_pairs_part, schema,
+                        rows_hint=n_rows * LSH_BANDS)
 
     # a pair can fire in several bands; per-bucket BLAS rounding can
     # differ at the milli boundary, so take the MIN sim_milli per pair
     # (deterministic, matching the previous Min aggregate) with one
-    # vectorized pandas groupby per partition — never per pair
-    def distinct_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["vec_a", "vec_b"], as_index=False).agg(
-            sim_milli=("sim_milli", "min"))
+    # vectorized group_by per partition — never per pair
+    def distinct_part(g: pa.Table) -> pa.Table:
+        return g.group_by(["vec_a", "vec_b"]).aggregate(
+            [("sim_milli", "min")]).rename_columns(
+                ["vec_a", "vec_b", "sim_milli"])
 
-    return arrow_bridge(
-        _hash_partitioned(pairs, "vec_a", distinct_part,
-                          rows_hint=max(1, pair_bound)),
-        {"vec_a": pa.int64(), "vec_b": pa.int64(),
-         "sim_milli": pa.int64()})
+    return partitioned(pairs, "vec_a", distinct_part, schema,
+                       rows_hint=max(1, pair_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import shuffle
+from .shuffle import partitioned, partitions_for, runs
 
 # MinHash parameters.  The whole hash family is DERANDOMIZED and kept
 # inside mod-Mersenne-31 arithmetic so every step has an exact DuckDB
@@ -325,7 +326,6 @@ def minhash_candidates(ds, max_actors: int | None = None,
     tested, a recall trade-off logged at runtime).  The sf oracles run
     uncapped — per-band buckets there are far below the cap.
     """
-    import pandas as pd
     import ray
     import ray.data as rd
 
@@ -443,22 +443,18 @@ def minhash_candidates(ds, max_actors: int | None = None,
         survivors = bands.map_batches(filter_hot, batch_format="pyarrow",
                                       zero_copy_batch=True)
 
-    def bucket_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs_part(g: pa.Table) -> pa.Table:
         """ONE kernel for every bucket in the partition: sort by
         (gid, doc_id), find group runs, emit within-group all-pairs.
         The per-group work is a 2-line numpy slice — the per-group
-        pandas-call trap only bites when each group is a map_groups
+        call trap only bites when each group is a map_groups
         invocation.  Runs over ``bucket_cap`` emit all-pairs on the
         cap prefix plus min-id star edges for the tail, keeping the
         bucket connected (see the function docstring)."""
-        g = g.sort_values(["gid", "doc_id"], kind="stable") \
-            .reset_index(drop=True)
+        g = g.sort_by([("gid", "ascending"), ("doc_id", "ascending")])
         gi = g["gid"].to_numpy()
         ids = g["doc_id"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = gi[1:] != gi[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(gi)
         out_a, out_b = [], []
         n_capped = 0
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -483,45 +479,40 @@ def minhash_candidates(ds, max_actors: int | None = None,
                   "prefix + min-id star edges for the tail (recall "
                   "guard; see MINHASH_BUCKET_CAP)")
         if not out_a:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype=np.int64),
-                "doc_b": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"doc_a": np.concatenate(out_a),
-                             "doc_b": np.concatenate(out_b)})
+            return g.slice(0, 0)
+        return pa.table({"doc_a": np.concatenate(out_a),
+                         "doc_b": np.concatenate(out_b)})
 
-    from .relational import _hash_partitioned
-    from .shuffle import arrow_bridge
-
-    pairs = arrow_bridge(
-        _hash_partitioned(survivors, "gid", bucket_pairs_part,
-                          rows_hint=hot_rows),
-        {"doc_a": pa.int64(), "doc_b": pa.int64()})
+    pairs = partitioned(survivors, "gid", bucket_pairs_part, PAIR_SCHEMA,
+                        rows_hint=hot_rows)
 
     # distinct pairs (the same pair fires in up to NUM_BANDS bands):
     # hash-partition on doc_a (all firings of a pair share it) and
-    # drop_duplicates vectorized per partition — one single-key
-    # exchange instead of a two-key groupby over the pre-distinct pair
-    # volume (the two-key hash shuffle measured ~10x slower here)
-    def distinct_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"])
+    # dedupe vectorized per partition — one single-key exchange
+    # instead of a two-key groupby over the pre-distinct pair volume
+    # (the two-key hash shuffle measured ~10x slower here)
+    return partitioned(pairs, "doc_a", distinct_rows, PAIR_SCHEMA,
+                       rows_hint=pair_bound)
 
-    return arrow_bridge(
-        _hash_partitioned(pairs, "doc_a", distinct_part,
-                          rows_hint=pair_bound),
-        {"doc_a": pa.int64(), "doc_b": pa.int64()})
+
+PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+
+
+def distinct_rows(g: pa.Table) -> pa.Table:
+    """Partition kernel: the distinct rows of ``g``."""
+    return g.group_by(g.column_names).aggregate([])
+
+
+def _verified_schema(containment: bool) -> pa.Schema:
+    cols = (["contain_a_milli", "contain_b_milli"] if containment
+            else ["jaccard_milli"])
+    return pa.schema(list(PAIR_SCHEMA) + [(c, pa.int64()) for c in cols])
 
 
 def _empty_verified(containment: bool = False):
     import ray.data as rd
 
-    cols = {"doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64())}
-    if containment:
-        cols["contain_a_milli"] = pa.array([], pa.int64())
-        cols["contain_b_milli"] = pa.array([], pa.int64())
-    else:
-        cols["jaccard_milli"] = pa.array([], pa.int64())
-    return rd.from_arrow(pa.table(cols))
+    return rd.from_arrow(_verified_schema(containment).empty_table())
 
 
 def containment_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
@@ -575,8 +566,6 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
         # Count aggregate (never collected), inner-join the documents
         # table to the id set, shingle only the matches
         from ray.data.aggregate import Count
-
-        from .relational import partitions_for
 
         def explode_ids(batch: pa.Table) -> pa.Table:
             a = batch["doc_a"].to_numpy()
@@ -648,15 +637,10 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
     j = pairrows.join(shingles, join_type="inner",
                       num_partitions=num_partitions, on=("doc_id",))
 
-    import pandas as pd
-
-    from .relational import _hash_partitioned
-    from .shuffle import arrow_bridge
-
-    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
+    def verify_part(g: pa.Table) -> pa.Table:
         """ONE kernel for every pair in the partition (both sides of a
         pair share doc_a, so partitioning on doc_a keeps them
-        together).  A map_groups per pair costs one pandas call per
+        together).  A map_groups per pair costs one kernel call per
         candidate — 33 s for 34 K pairs; this kernel is a numpy loop
         over consecutive pair duos.
 
@@ -667,16 +651,13 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
         explicit doc_id check below keeps the assignment correct even
         for caller-supplied pairs without the doc_a < doc_b
         invariant."""
-        g = g.sort_values(["doc_a", "doc_b", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+        g = g.sort_by([("doc_a", "ascending"), ("doc_b", "ascending"),
+                       ("doc_id", "ascending")])
         a = g["doc_a"].to_numpy()
         b = g["doc_b"].to_numpy()
         did = g["doc_id"].to_numpy()
         n = len(g)
-        new = np.ones(n, dtype=bool)
-        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [n]]))
+        starts, sizes = runs(a, b)
         sh = g["sh"].to_numpy()
         oa, ob, oj, oca, ocb = [], [], [], [], []
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -702,18 +683,11 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
             out["contain_b_milli"] = np.array(ocb, dtype=np.int64)
         else:
             out["jaccard_milli"] = np.array(oj, dtype=np.int64)
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    schema = {"doc_a": pa.int64(), "doc_b": pa.int64()}
-    if containment:
-        schema["contain_a_milli"] = pa.int64()
-        schema["contain_b_milli"] = pa.int64()
-    else:
-        schema["jaccard_milli"] = pa.int64()
-    return arrow_bridge(
-        _hash_partitioned(j, "doc_a", verify_part,
-                          rows_hint=2 * n_pairs),
-        schema)
+    return partitioned(j, "doc_a", verify_part,
+                       _verified_schema(containment),
+                       rows_hint=2 * n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -743,9 +717,7 @@ def _star_kernel(large: bool):
     small-star: (m, v) for neighbors v < u plus (m, u).
     Edges are emitted canonical (a=parent < b=child) and deduped within
     the partition; cross-partition duplicates collapse next round."""
-    import pandas as pd
-
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
+    def kernel(g: pa.Table) -> pa.Table:
         u = g["u"].to_numpy()
         v = g["v"].to_numpy()
         order = np.lexsort((v, u))
@@ -753,10 +725,7 @@ def _star_kernel(large: bool):
         keep = np.ones(len(u), dtype=bool)
         keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         u, v = u[keep], v[keep]
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(u)]]))
+        starts, sizes = runs(u)
         # v ascending within each run -> v[starts] is the min neighbor;
         # min(N<=(u) | {u}) == min(N(u) | {u}) (see small-star note)
         m = np.minimum(v[starts], u[starts])
@@ -769,18 +738,15 @@ def _star_kernel(large: bool):
             child = np.concatenate([v[sel], u[starts]])
             par = np.concatenate([mrep[sel], m])
         ok = child != par
-        return pd.DataFrame({"a": par[ok], "b": child[ok]})
+        return pa.table({"a": par[ok], "b": child[ok]})
 
     return kernel
 
 
 def _cc_round(edges, large: bool, n_edges: int):
     """One star-contraction round: explode to both directions,
-    hash-partition on u, run the star kernel, re-type, materialize
-    (each round is consumed by the next plus the convergence check)."""
-    from .relational import _hash_partitioned
-    from .shuffle import arrow_bridge
-
+    hash-partition on u, run the star kernel, materialize (each round
+    is consumed by the next plus the convergence check)."""
     def bidir(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy()
         b = batch["b"].to_numpy()
@@ -789,11 +755,9 @@ def _cc_round(edges, large: bool, n_edges: int):
 
     bd = edges.map_batches(bidir, batch_format="pyarrow",
                            zero_copy_batch=True)
-    out = arrow_bridge(
-        _hash_partitioned(bd, "u", _star_kernel(large),
-                          rows_hint=max(1, 2 * n_edges)),
-        {"a": pa.int64(), "b": pa.int64()})
-    return out.materialize()
+    return partitioned(bd, "u", _star_kernel(large),
+                       {"a": pa.int64(), "b": pa.int64()},
+                       rows_hint=max(1, 2 * n_edges)).materialize()
 
 
 def _edges_fingerprint(edges) -> tuple[int, int]:
@@ -1079,13 +1043,8 @@ def simhash_pairs(ds, max_hamming: int = SIM_MAX_HAMMING,
     Scale shape mirrors ``minhash_candidates``: only (segment-key,
     doc_id, simhash) ints cross the shuffle; pair generation +
     dedup + popcount verify are hash-partitioned vectorized kernels
-    (one pandas call per partition).  Returns (doc_a, doc_b, hamming),
-    doc_a < doc_b, hamming <= max_hamming."""
-    import pandas as pd
-
-    from .relational import _hash_partitioned
-    from .shuffle import arrow_bridge
-
+    (one Arrow kernel call per partition).  Returns (doc_a, doc_b,
+    hamming), doc_a < doc_b, hamming <= max_hamming."""
     sims = simhash_table(ds, max_actors=max_actors)
 
     def seg_rows(batch: pa.Table) -> pa.Table:
@@ -1109,16 +1068,12 @@ def simhash_pairs(ds, max_hamming: int = SIM_MAX_HAMMING,
     n_rows = SIM_SEGS * (rows_hint if rows_hint is not None
                          else ds.count())
 
-    def bucket_pairs_part(g):
-        g = g.sort_values(["gid", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+    def bucket_pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("gid", "ascending"), ("doc_id", "ascending")])
         gi = g["gid"].to_numpy()
         ids = g["doc_id"].to_numpy()
         hs = g["h"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = gi[1:] != gi[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(gi)
         oa, ob, ha, hb = [], [], [], []
         n_truncated = 0
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -1139,37 +1094,31 @@ def simhash_pairs(ds, max_hamming: int = SIM_MAX_HAMMING,
                   f"bucket(s) over {bucket_cap} members to the cap "
                   "smallest doc_ids (recall guard; see SIM_BUCKET_CAP)")
         if not oa:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype=np.int64),
-                "doc_b": pd.Series([], dtype=np.int64),
-                "ha": pd.Series([], dtype=np.int64),
-                "hb": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"doc_a": np.concatenate(oa),
-                             "doc_b": np.concatenate(ob),
-                             "ha": np.concatenate(ha),
-                             "hb": np.concatenate(hb)})
+            return g.slice(0, 0)
+        return pa.table({"doc_a": np.concatenate(oa),
+                         "doc_b": np.concatenate(ob),
+                         "ha": np.concatenate(ha),
+                         "hb": np.concatenate(hb)})
 
-    pairs = arrow_bridge(
-        _hash_partitioned(segs, "gid", bucket_pairs_part,
-                          rows_hint=n_rows),
-        {"doc_a": pa.int64(), "doc_b": pa.int64(),
-         "ha": pa.int64(), "hb": pa.int64()})
+    pairs = partitioned(segs, "gid", bucket_pairs_part,
+                        {"doc_a": pa.int64(), "doc_b": pa.int64(),
+                         "ha": pa.int64(), "hb": pa.int64()},
+                        rows_hint=n_rows)
 
-    def verify_part(g):
-        g = g.drop_duplicates(["doc_a", "doc_b"])
+    def verify_part(g: pa.Table) -> pa.Table:
+        # a pair's duplicates carry the same two hashes
+        g = distinct_rows(g)
         x = np.bitwise_xor(g["ha"].to_numpy().view(np.uint64),
                            g["hb"].to_numpy().view(np.uint64))
         ham = np.unpackbits(x.view(np.uint8)).reshape(-1, 64) \
             .sum(axis=1).astype(np.int64)
-        g = g.assign(hamming=ham)
-        return g.loc[g["hamming"] <= max_hamming,
-                     ["doc_a", "doc_b", "hamming"]]
+        return g.append_column("hamming", pa.array(ham)) \
+            .filter(ham <= max_hamming)
 
-    return arrow_bridge(
-        _hash_partitioned(pairs, "doc_a", verify_part,
-                          rows_hint=n_rows),
-        {"doc_a": pa.int64(), "doc_b": pa.int64(),
-         "hamming": pa.int64()})
+    return partitioned(pairs, "doc_a", verify_part,
+                       {"doc_a": pa.int64(), "doc_b": pa.int64(),
+                        "hamming": pa.int64()},
+                       rows_hint=n_rows)
 
 
 BLOOM_M = 1 << 16   # filter bits
@@ -1381,7 +1330,7 @@ def kmv_distinct(ds, k: int = KMV_K):
     parts = ds.select_columns(["source", "text"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
+    def combine(g: pa.Table) -> pa.Table:
         h = np.unique(g["h"].to_numpy())
         if len(h) >= k:
             kth = int(h[k - 1])
@@ -1389,18 +1338,12 @@ def kmv_distinct(ds, k: int = KMV_K):
         else:
             kth = -1
             est = len(h)
-        return pd.DataFrame({"source": [g["source"].iloc[0]],
-                             "kth_hash": np.array([kth], dtype=np.int64),
-                             "est_distinct": np.array([est],
-                                                      dtype=np.int64)})
+        return pa.table({"source": g["source"].slice(0, 1),
+                         "kth_hash": pa.array([kth], pa.int64()),
+                         "est_distinct": pa.array([est], pa.int64())})
 
-    from .shuffle import arrow_bridge
-
-    return arrow_bridge(
-        parts.groupby("source").map_groups(combine,
-                                           batch_format="pandas"),
-        {"source": pa.string(), "kth_hash": pa.int64(),
-         "est_distinct": pa.int64()})
+    return parts.groupby("source").map_groups(combine,
+                                              batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1433,7 +1376,7 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
        1.0 by construction.  Rare-first ordering makes prefix buckets
        small even when the corpus shares a huge head vocabulary;
     4. candidate pairs per prefix token (hash-partitioned vectorized
-       kernel, one pandas call per partition) with the length filter
+       kernel, one call per partition) with the length filter
        ``1000*|x| >= tau_milli*|y|`` (J <= |x|/|y| for |x| <= |y|);
        degenerate buckets (mass-duplicated docs) are truncated to the
        ``bucket_cap`` smallest (sz, doc_id) rows — the SIM_BUCKET_CAP
@@ -1450,11 +1393,9 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
     carry (int, int) rows.  Returns (doc_a, doc_b, jaccard_milli),
     doc_a < doc_b.
     """
-    import pandas as pd
     from ray.data.aggregate import Count
 
-    from .relational import _hash_partitioned, join_partitions_for
-    from .shuffle import arrow_bridge
+    from .relational import join_partitions_for
 
     docs = docs_ds.select_columns(["doc_id", "text"])
 
@@ -1482,9 +1423,9 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
     joined = ex().join(df, join_type="inner", num_partitions=jp,
                        on=("sh",))
 
-    def prefix_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "df", "sh"],
-                          kind="stable").reset_index(drop=True)
+    def prefix_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("doc_id", "ascending"), ("df", "ascending"),
+                       ("sh", "ascending")])
         ids = g["doc_id"].to_numpy()
         sz = g["sz"].to_numpy()
         n = len(g)
@@ -1495,26 +1436,21 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
         rank = np.arange(n) - starts[run_id]
         p = sz - ((tau_milli * sz + 999) // 1000) + 1
         keep = rank < p
-        return pd.DataFrame({"sh": g["sh"].to_numpy()[keep],
-                             "doc_id": ids[keep],
-                             "sz": sz[keep]})
+        return g.filter(keep)
 
-    prefixes = arrow_bridge(
-        _hash_partitioned(joined, "doc_id", prefix_part,
-                          rows_hint=n_sh),
-        {"sh": pa.int64(), "doc_id": pa.int64(), "sz": pa.int64()})
+    prefixes = partitioned(joined, "doc_id", prefix_part,
+                           {"sh": pa.int64(), "doc_id": pa.int64(),
+                            "sz": pa.int64()},
+                           rows_hint=n_sh)
 
-    def pair_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sh", "sz", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+    def pair_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("sh", "ascending"), ("sz", "ascending"),
+                       ("doc_id", "ascending")])
         shv = g["sh"].to_numpy()
         ids = g["doc_id"].to_numpy()
         sz = g["sz"].to_numpy()
         n = len(g)
-        new = np.ones(n, dtype=bool)
-        new[1:] = shv[1:] != shv[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [n]]))
+        starts, sizes = runs(shv)
         oa, ob = [], []
         n_trunc = 0
         for st, szr in zip(starts.tolist(), sizes.tolist()):
@@ -1536,22 +1472,14 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
                   f"bucket(s) over {bucket_cap} members (recall "
                   "guard; run exact dedup first)")
         if not oa:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype=np.int64),
-                "doc_b": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"doc_a": np.concatenate(oa),
-                             "doc_b": np.concatenate(ob)})
+            return g.slice(0, 0)
+        return pa.table({"doc_a": np.concatenate(oa),
+                         "doc_b": np.concatenate(ob)})
 
-    raw = arrow_bridge(
-        _hash_partitioned(prefixes, "sh", pair_part, rows_hint=n_sh),
-        {"doc_a": pa.int64(), "doc_b": pa.int64()})
-
-    def distinct_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"])
-
-    cand = arrow_bridge(
-        _hash_partitioned(raw, "doc_a", distinct_part, rows_hint=n_sh),
-        {"doc_a": pa.int64(), "doc_b": pa.int64()})
+    raw = partitioned(prefixes, "sh", pair_part, PAIR_SCHEMA,
+                      rows_hint=n_sh)
+    cand = partitioned(raw, "doc_a", distinct_rows, PAIR_SCHEMA,
+                       rows_hint=n_sh)
 
     ver = jaccard_pairs(cand, docs_ds)
 
@@ -1658,10 +1586,7 @@ def minhash_estimate(pairs_ds, docs_ds, rows_hint: int | None = None):
     small pair-keyed tables then join on (doc_a, doc_b) via one
     packed-key hash-partitioned kernel.  Returns
     (doc_a, doc_b, est_milli, jaccard_milli)."""
-    import pandas as pd
-
-    from .relational import _hash_partitioned, join_partitions_for
-    from .shuffle import arrow_bridge
+    from .relational import join_partitions_for
 
     pairs = pairs_ds.materialize()
     n_pairs = pairs.count()
@@ -1709,15 +1634,12 @@ def minhash_estimate(pairs_ds, docs_ds, rows_hint: int | None = None):
                       num_partitions=join_partitions_for(max(n, 2 * n_pairs)),
                       on=("doc_id",))
 
-    def est_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    def est_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
         a = g["doc_a"].to_numpy()
         b = g["doc_b"].to_numpy()
         n_ = len(g)
-        new = np.ones(n_, dtype=bool)
-        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [n_]]))
+        starts, sizes = runs(a, b)
         sb = g["sigb"].to_numpy()
         oa, ob, oe = [], [], []
         for st, sz in zip(starts.tolist(), sizes.tolist()):
@@ -1728,15 +1650,15 @@ def minhash_estimate(pairs_ds, docs_ds, rows_hint: int | None = None):
             oa.append(a[st])
             ob.append(b[st])
             oe.append(1000 * int((xa == xb).sum()) // NUM_PERM)
-        return pd.DataFrame({
+        return pa.table({
             "doc_a": np.array(oa, dtype=np.int64),
             "doc_b": np.array(ob, dtype=np.int64),
             "est_milli": np.array(oe, dtype=np.int64)})
 
-    est = arrow_bridge(
-        _hash_partitioned(j, "doc_a", est_part, rows_hint=2 * n_pairs),
-        {"doc_a": pa.int64(), "doc_b": pa.int64(),
-         "est_milli": pa.int64()})
+    est = partitioned(j, "doc_a", est_part,
+                      {"doc_a": pa.int64(), "doc_b": pa.int64(),
+                       "est_milli": pa.int64()},
+                      rows_hint=2 * n_pairs)
 
     # final attach: both sides are pair-keyed and pair-table-sized;
     # one two-column hash join (no packed key: bench-scale shard ids
@@ -1775,10 +1697,7 @@ def novelty_docs(docs_ds, pairs_ds, tau_milli: int = 500,
     screen is a hash-partitioned duo kernel; the final subtraction is
     a ``left_anti`` join of the new-source slice against the (pair-
     bounded) cross-dup id set.  Returns (doc_id, lang)."""
-    import pandas as pd
-
-    from .relational import _hash_partitioned, join_partitions_for
-    from .shuffle import arrow_bridge
+    from .relational import join_partitions_for
 
     # distinct source values are a bounded vocabulary (driver-safe)
     new_source = max(docs_ds.unique("source"))
@@ -1821,17 +1740,15 @@ def novelty_docs(docs_ds, pairs_ds, tau_milli: int = 500,
                       num_partitions=join_partitions_for(n),
                       on=("doc_id",))
 
-    def cross_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_a", "doc_b", "doc_id"]) \
-             .reset_index(drop=True)
+    def cross_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("doc_a", "ascending"), ("doc_b", "ascending"),
+                       ("doc_id", "ascending")])
         a = g["doc_a"].to_numpy()
         b = g["doc_b"].to_numpy()
         d = g["doc_id"].to_numpy()
         s = g["source"].to_numpy()
         n_ = len(g)
-        new = np.ones(n_, dtype=bool)
-        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(new)
+        starts, _ = runs(a, b)
         out = []
         for st in starts.tolist():
             if st + 1 >= n_ or a[st] != a[st + 1] or b[st] != b[st + 1]:
@@ -1845,12 +1762,10 @@ def novelty_docs(docs_ds, pairs_ds, tau_milli: int = 500,
                 out.append(a[st])
             if sb == new_source:
                 out.append(b[st])
-        return pd.DataFrame(
-            {"doc_id": np.array(out, dtype=np.int64)})
+        return pa.table({"doc_id": np.array(out, dtype=np.int64)})
 
-    drops = arrow_bridge(
-        _hash_partitioned(j, "doc_a", cross_part, rows_hint=2 * n_ver),
-        {"doc_id": pa.int64()}).materialize()
+    drops = partitioned(j, "doc_a", cross_part, {"doc_id": pa.int64()},
+                        rows_hint=2 * n_ver).materialize()
     if drops.count() == 0:
         return newdocs()
     return newdocs().join(drops, join_type="left_anti",

@@ -46,8 +46,8 @@ import pyarrow.compute as pc
 
 from . import synth
 from .knn import HEX_RING1_OFFSETS
-from .relational import _hash_partitioned, _parquet_rows
-from .shuffle import collect
+from .relational import _parquet_rows
+from .shuffle import collect, partitioned, run_pairs, runs
 
 EARTH_DIAMETER_KM = 12742.0           # 2 * 6371 — folded identically in SQL
 BBOX_EPS_DEG = 0.25                   # half-width of the per-page query box
@@ -265,8 +265,7 @@ def moran_i(ds):
 KNOX_WINDOW_US = 3_600_000_000      # 1 h close-in-time window
 
 
-def knox_pairs(ds, window_us: int = KNOX_WINDOW_US,
-               rows_hint: int | None = None):
+def knox_pairs(ds, window_us: int = KNOX_WINDOW_US, *, rows_hint: int):
     """Knox space-time interaction per hex7 cell: the number of
     unordered page pairs that are close in space (same cell) AND close
     in time (|warc_ts difference| <= window) — the epidemiology /
@@ -275,13 +274,11 @@ def knox_pairs(ds, window_us: int = KNOX_WINDOW_US,
     multiset), so the self-join oracle matches bitwise.
 
     Scale shape: pages shuffle ONCE, hash-partitioned on hex7
-    (``_hash_partitioned`` — whole cells co-locate); the kernel sorts
+    (``shuffle.partitioned`` — whole cells co-locate); the kernel sorts
     its partition by (cell, ts) and counts windowed successors with
     one vectorized searchsorted per cell run — O(rows log rows), never
     the O(rows^2) pair materialization the naive self-join would do.
     Only (hex7, ts) int64 columns enter the shuffle."""
-    from .relational import _hash_partitioned
-
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({
             "hex7": batch["hex7"],
@@ -290,14 +287,12 @@ def knox_pairs(ds, window_us: int = KNOX_WINDOW_US,
     slim = ds.map_batches(prep, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["hex7", "ts"], kind="stable")
+    def kernel(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("hex7", "ascending"), ("ts", "ascending")])
         cell = g["hex7"].to_numpy()
         ts = g["ts"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = cell[1:] != cell[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(g)]])
+        starts, sizes = runs(cell)
+        ends = starts + sizes
         out_c, out_n, out_p = [], [], []
         for s, e in zip(starts, ends):       # cells in partition
             t = ts[s:e]
@@ -305,12 +300,14 @@ def knox_pairs(ds, window_us: int = KNOX_WINDOW_US,
             out_c.append(cell[s])
             out_n.append(e - s)
             out_p.append(int(hi.sum()) - ((e - s) * (e - s + 1)) // 2)
-        return pd.DataFrame({"hex7": np.array(out_c, dtype=np.int64),
-                             "n_pages": np.array(out_n, dtype=np.int64),
-                             "pairs": np.array(out_p, dtype=np.int64)})
+        return pa.table({"hex7": np.array(out_c, dtype=np.int64),
+                         "n_pages": np.array(out_n, dtype=np.int64),
+                         "pairs": np.array(out_p, dtype=np.int64)})
 
-    return _hash_partitioned(slim, "hex7", kernel,
-                             rows_hint=rows_hint)
+    return partitioned(slim, "hex7", kernel,
+                       {"hex7": pa.int64(), "n_pages": pa.int64(),
+                        "pairs": pa.int64()},
+                       rows_hint=rows_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +335,12 @@ def track_legs(sf_dir: str):
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["cluster", "doc_id", "lat", "lon"])
 
-    def legs_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cluster", "doc_id"], kind="stable")
+    def legs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("cluster", "ascending"), ("doc_id", "ascending")])
         cl = g["cluster"].to_numpy()
         lat = g["lat"].to_numpy()
         lon = g["lon"].to_numpy()
-        same = cl[1:] == cl[:-1] if len(g) else np.zeros(0, dtype=bool)
+        same = cl[1:] == cl[:-1]
         lat1, lat2 = lat[:-1][same], lat[1:][same]
         lon1, lon2 = lon[:-1][same], lon[1:][same]
         # expression order mirrors the SQL oracle term-for-term
@@ -354,22 +351,18 @@ def track_legs(sf_dir: str):
         a = sd1 * sd1 + ((c1 * c2) * sd2) * sd2
         chord_km = EARTH_DIAMETER_KM * np.sqrt(a)
         mm = np.floor(chord_km * 1000000.0).astype(np.int64)
-        t = pd.DataFrame({"cluster": cl[1:][same], "km": chord_km,
-                          "mm": mm})
-        out = t.groupby("cluster", as_index=False).agg(
-            n_legs=("km", "size"), max_leg_km=("km", "max"),
-            sum_leg_mm=("mm", "sum"))
-        out["n_legs"] = out["n_legs"].astype(np.int64)
-        if len(out) == 0:
-            return pd.DataFrame({
-                "cluster": pd.Series(dtype="int64"),
-                "n_legs": pd.Series(dtype="int64"),
-                "max_leg_km": pd.Series(dtype="float64"),
-                "sum_leg_mm": pd.Series(dtype="int64")})
-        return out
+        a = pa.table({"cluster": cl[1:][same], "km": chord_km, "mm": mm}) \
+            .group_by("cluster").aggregate(
+                [([], "count_all"), ("km", "max"), ("mm", "sum")])
+        return pa.table({"cluster": a["cluster"], "n_legs": a["count_all"],
+                         "max_leg_km": a["km_max"],
+                         "sum_leg_mm": a["mm_sum"]})
 
-    return _hash_partitioned(ds, "cluster", legs_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(ds, "cluster", legs_part,
+                       {"cluster": pa.int64(), "n_legs": pa.int64(),
+                        "max_leg_km": pa.float64(),
+                        "sum_leg_mm": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +716,11 @@ def hex_clusters(ds, minpts: int = HEX_MINPTS):
             "tgt": pa.array(cell[idx] + np.tile(offs, len(cell))),
             "src": pa.array(cell[idx])})
 
-    def edges_part(g: pd.DataFrame) -> pd.DataFrame:
+    def edges_part(g: pa.Table) -> pa.Table:
         """One kernel per hash partition of targets: a target is dense
         iff its own id arrived (offset 0 row), and every OTHER arrival
         is a dense neighbor.  Emits src > tgt once per edge."""
-        g = g.sort_values(["tgt", "src"], kind="stable")
+        g = g.sort_by([("tgt", "ascending"), ("src", "ascending")])
         t = g["tgt"].to_numpy()
         s = g["src"].to_numpy()
         new = np.ones(len(g), dtype=bool)
@@ -737,12 +730,13 @@ def hex_clusters(ds, minpts: int = HEX_MINPTS):
         tgt_dense = np.zeros(grp[-1] + 1 if len(g) else 0, dtype=bool)
         tgt_dense[grp[is_self]] = True
         keep = tgt_dense[grp] & (s > t)
-        return pd.DataFrame({"doc_a": t[keep], "doc_b": s[keep]})
+        return pa.table({"doc_a": t[keep], "doc_b": s[keep]})
 
-    pairs = _hash_partitioned(
+    pairs = partitioned(
         dense.map_batches(scatter, batch_format="pyarrow",
                           zero_copy_batch=True),
-        "tgt", edges_part, rows_hint=max(1, n_dense) * len(offs))
+        "tgt", edges_part, {"doc_a": pa.int64(), "doc_b": pa.int64()},
+        rows_hint=max(1, n_dense) * len(offs))
 
     def as_docs(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": batch["hex7"]})
@@ -790,14 +784,8 @@ def stops(sf_dir: str, eps_km: float = STOP_EPS_KM,
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["cluster", "doc_id", "lat", "lon"])
 
-    def stops_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "cluster": pd.Series(dtype="int64"),
-            "n_stops": pd.Series(dtype="int64"),
-            "max_stop_legs": pd.Series(dtype="int64")})
-        if len(g) == 0:
-            return empty
-        g = g.sort_values(["cluster", "doc_id"], kind="stable")
+    def stops_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("cluster", "ascending"), ("doc_id", "ascending")])
         cl = g["cluster"].to_numpy()
         lat = g["lat"].to_numpy()
         lon = g["lon"].to_numpy()
@@ -814,25 +802,23 @@ def stops(sf_dir: str, eps_km: float = STOP_EPS_KM,
         brk = np.ones(len(dwell), dtype=bool)
         brk[1:] = (~dwell[:-1]) | (cl[1:-1] != cl[:-2])
         starts = np.flatnonzero(dwell & brk)
-        if len(starts) == 0:
-            return empty
         # island length = consecutive dwell count starting at each start
         run_id = np.cumsum(brk) - 1
         lens = np.bincount(run_id[dwell])
         lens = lens[lens > 0]
-        island_cl = cl[1:][starts]
-        t = pd.DataFrame({"cluster": island_cl, "len": lens})
-        t = t[t["len"] >= min_legs]
-        if len(t) == 0:
-            return empty
-        out = t.groupby("cluster", as_index=False).agg(
-            n_stops=("len", "size"), max_stop_legs=("len", "max"))
-        out["n_stops"] = out["n_stops"].astype(np.int64)
-        out["max_stop_legs"] = out["max_stop_legs"].astype(np.int64)
-        return out
+        keep = lens >= min_legs
+        a = pa.table({"cluster": cl[1:][starts][keep],
+                      "len": lens[keep].astype(np.int64)}) \
+            .group_by("cluster").aggregate([([], "count_all"),
+                                            ("len", "max")])
+        return pa.table({"cluster": a["cluster"],
+                         "n_stops": a["count_all"],
+                         "max_stop_legs": a["len_max"]})
 
-    return _hash_partitioned(ds, "cluster", stops_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(ds, "cluster", stops_part,
+                       {"cluster": pa.int64(), "n_stops": pa.int64(),
+                        "max_stop_legs": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +845,12 @@ def bearings(sf_dir: str):
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["cluster", "doc_id", "lat", "lon"])
 
-    def bearing_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cluster", "doc_id"], kind="stable")
+    def bearing_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("cluster", "ascending"), ("doc_id", "ascending")])
         cl = g["cluster"].to_numpy()
         lat = g["lat"].to_numpy()
         lon = g["lon"].to_numpy()
-        same = cl[1:] == cl[:-1] if len(g) else np.zeros(0, dtype=bool)
+        same = cl[1:] == cl[:-1]
         dlat = (lat[1:] - lat[:-1])[same]
         dlon = (lon[1:] - lon[:-1])[same]
         ad, ao = np.abs(dlat), np.abs(dlon)
@@ -875,19 +861,15 @@ def bearings(sf_dir: str):
             np.where(east, np.where(north, 0, 7), np.where(north, 3, 4)),
             np.where(north, np.where(east, 1, 2), np.where(east, 6, 5)),
         ).astype(np.int64)
-        t = pd.DataFrame({"cluster": cl[1:][same], "octant": octant})
-        out = t.groupby(["cluster", "octant"], as_index=False).size() \
-            .rename(columns={"size": "n_legs"})
-        out["n_legs"] = out["n_legs"].astype(np.int64)
-        if len(out) == 0:
-            return pd.DataFrame({
-                "cluster": pd.Series(dtype="int64"),
-                "octant": pd.Series(dtype="int64"),
-                "n_legs": pd.Series(dtype="int64")})
-        return out
+        return pa.table({"cluster": cl[1:][same], "octant": octant}) \
+            .group_by(["cluster", "octant"]).aggregate(
+                [([], "count_all")]) \
+            .rename_columns(["cluster", "octant", "n_legs"])
 
-    return _hash_partitioned(ds, "cluster", bearing_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(ds, "cluster", bearing_part,
+                       {"cluster": pa.int64(), "octant": pa.int64(),
+                        "n_legs": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -925,18 +907,20 @@ def zonal_mode(sf_dir: str):
                             zero_copy_batch=True) \
         .groupby(["poly_id", "lang"]).aggregate(Sum("n", alias_name="n"))
 
-    def argmax_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["poly_id", "n", "lang"], kind="stable",
-                          ascending=[True, False, True])
+    def argmax_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("poly_id", "ascending"), ("n", "descending"),
+                       ("lang", "ascending")])
         first = np.ones(len(g), dtype=bool)
         pid = g["poly_id"].to_numpy()
         first[1:] = pid[1:] != pid[:-1]
-        out = g[first].rename(columns={"lang": "top_lang",
-                                       "n": "n_docs"})
-        return out[["poly_id", "top_lang", "n_docs"]]
+        g = g.filter(first)
+        return pa.table({"poly_id": g["poly_id"], "top_lang": g["lang"],
+                         "n_docs": g["n"]})
 
-    return _hash_partitioned(counts, "poly_id", argmax_part,
-                             rows_hint=4096)
+    return partitioned(counts, "poly_id", argmax_part,
+                       {"poly_id": pa.int64(), "top_lang": pa.string(),
+                        "n_docs": pa.int64()},
+                       rows_hint=4096)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,24 +1074,19 @@ def cell_langmix(ds, rows_hint: int | None = None):
                      zero_copy_batch=True) \
         .groupby(["hex7", "lang"]).aggregate(Sum("n", alias_name="n"))
 
-    def mix_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "hex7": pd.Series(dtype="int64"),
-                "n_langs": pd.Series(dtype="int64"),
-                "top_permille": pd.Series(dtype="int64")})
-        out = g.groupby("hex7", as_index=False).agg(
-            n_langs=("lang", "size"), top=("n", "max"),
-            total=("n", "sum"))
-        out["n_langs"] = out["n_langs"].astype(np.int64)
-        out["top_permille"] = (1000 * out["top"].to_numpy()
-                               // out["total"].to_numpy()).astype(np.int64)
-        return out[["hex7", "n_langs", "top_permille"]]
+    def mix_part(g: pa.Table) -> pa.Table:
+        a = g.group_by("hex7").aggregate(
+            [([], "count_all"), ("n", "max"), ("n", "sum")])
+        top = 1000 * a["n_max"].to_numpy() // a["n_sum"].to_numpy()
+        return pa.table({"hex7": a["hex7"], "n_langs": a["count_all"],
+                         "top_permille": top.astype(np.int64)})
 
     # (cell, lang) rows are bounded by pages; callers with a corpus
     # hint should pass it so partitioning scales (wrapper does)
-    return _hash_partitioned(counts, "hex7", mix_part,
-                             rows_hint=rows_hint or 65536)
+    return partitioned(counts, "hex7", mix_part,
+                       {"hex7": pa.int64(), "n_langs": pa.int64(),
+                        "top_permille": pa.int64()},
+                       rows_hint=rows_hint or 65536)
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1108,6 @@ def od_flows(sf_dir: str):
     """
     from ray.data.aggregate import Sum
 
-    from .shuffle import arrow_bridge
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir).select_columns(
@@ -1155,27 +1133,23 @@ def od_flows(sf_dir: str):
     partials = ds.map_batches(endpoints_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "o_hex": pd.Series(dtype="int64"),
-                "d_hex": pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64")})
-        g = g.sort_values(["cluster", "min_doc"], kind="stable")
-        lo = g.groupby("cluster", as_index=False).first()
-        g = g.sort_values(["cluster", "max_doc"], kind="stable")
-        hi = g.groupby("cluster", as_index=False).last()
-        pairs = pd.DataFrame({"o_hex": lo["o_hex"].to_numpy(),
-                              "d_hex": hi["d_hex"].to_numpy()})
-        out = pairs.groupby(["o_hex", "d_hex"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        out["n"] = out["n"].astype(np.int64)
-        return out
+    def fold(g: pa.Table) -> pa.Table:
+        cl = g["cluster"].to_numpy()
+        o = np.lexsort((g["min_doc"].to_numpy(), cl))
+        first = np.ones(len(cl), dtype=bool)
+        first[1:] = cl[o][1:] != cl[o][:-1]
+        d = np.lexsort((g["max_doc"].to_numpy(), cl))
+        last = np.ones(len(cl), dtype=bool)
+        last[:-1] = cl[d][1:] != cl[d][:-1]
+        return pa.table({"o_hex": g["o_hex"].to_numpy()[o][first],
+                         "d_hex": g["d_hex"].to_numpy()[d][last]}) \
+            .group_by(["o_hex", "d_hex"]).aggregate([([], "count_all")]) \
+            .rename_columns(["o_hex", "d_hex", "n"])
 
-    counts = arrow_bridge(
-        _hash_partitioned(partials, "cluster", fold,
-                          rows_hint=_docs_rows(sf_dir)),
-        {"o_hex": pa.int64(), "d_hex": pa.int64(), "n": pa.int64()})
+    counts = partitioned(partials, "cluster", fold,
+                         {"o_hex": pa.int64(), "d_hex": pa.int64(),
+                          "n": pa.int64()},
+                         rows_hint=_docs_rows(sf_dir))
     return counts.groupby(["o_hex", "d_hex"]) \
         .aggregate(Sum("n", alias_name="n_tracks"))
 
@@ -1330,34 +1304,25 @@ def cell_markov(sf_dir: str):
     """
     from ray.data.aggregate import Sum
 
-    from .shuffle import arrow_bridge
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir).select_columns(
         ["cluster", "doc_id", "hex7"])
 
-    def moves_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "from_hex": pd.Series(dtype="int64"),
-                "to_hex": pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64")})
-        g = g.sort_values(["cluster", "doc_id"], kind="stable")
+    def moves_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("cluster", "ascending"), ("doc_id", "ascending")])
         cl = g["cluster"].to_numpy()
         hx = g["hex7"].to_numpy()
         same = cl[1:] == cl[:-1]
-        t = pd.DataFrame({"from_hex": hx[:-1][same],
-                          "to_hex": hx[1:][same]})
-        out = t.groupby(["from_hex", "to_hex"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        out["n"] = out["n"].astype(np.int64)
-        return out
+        return pa.table({"from_hex": hx[:-1][same], "to_hex": hx[1:][same]}) \
+            .group_by(["from_hex", "to_hex"]).aggregate(
+                [([], "count_all")]) \
+            .rename_columns(["from_hex", "to_hex", "n"])
 
-    moves = arrow_bridge(
-        _hash_partitioned(ds, "cluster", moves_part,
-                          rows_hint=_docs_rows(sf_dir)),
-        {"from_hex": pa.int64(), "to_hex": pa.int64(),
-         "n": pa.int64()})
+    moves = partitioned(ds, "cluster", moves_part,
+                        {"from_hex": pa.int64(), "to_hex": pa.int64(),
+                         "n": pa.int64()},
+                        rows_hint=_docs_rows(sf_dir))
     return moves.groupby(["from_hex", "to_hex"]) \
         .aggregate(Sum("n", alias_name="n_moves"))
 
@@ -1379,32 +1344,16 @@ def mobility_entropy(sf_dir: str):
     vectorized kernel per partition (grouped counts -> transform
     totals -> term fold); per-cluster totals never leave the kernel.
     """
+    from .relational import entropy_part
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir).select_columns(["cluster", "hex7"])
 
-    def entropy_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "cluster": pd.Series(dtype="int64"),
-                "n_pages": pd.Series(dtype="int64"),
-                "entropy_numer_milli": pd.Series(dtype="int64")})
-        c = g.groupby(["cluster", "hex7"], as_index=False) \
-            .size().rename(columns={"size": "c"})
-        n = c.groupby("cluster")["c"].transform("sum").to_numpy()
-        cc = c["c"].to_numpy().astype(np.float64)
-        term = np.floor(-1000.0 * np.log(
-            cc / n.astype(np.float64))).astype(np.int64)
-        c["t"] = c["c"].to_numpy() * term
-        out = c.groupby("cluster", as_index=False).agg(
-            n_pages=("c", "sum"), entropy_numer_milli=("t", "sum"))
-        out["n_pages"] = out["n_pages"].astype(np.int64)
-        out["entropy_numer_milli"] = \
-            out["entropy_numer_milli"].astype(np.int64)
-        return out
-
-    return _hash_partitioned(ds, "cluster", entropy_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(ds, "cluster",
+                       entropy_part("cluster", "hex7", "n_pages"),
+                       {"cluster": pa.int64(), "n_pages": pa.int64(),
+                        "entropy_numer_milli": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -1454,7 +1403,6 @@ def traj_jaccard(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
-    from .shuffle import arrow_bridge
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
@@ -1486,50 +1434,27 @@ def traj_jaccard(sf_dir: str):
                                  zero_copy_batch=True) \
         .groupby("cluster").aggregate(Sum("s", alias_name="s"))
 
-    def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"c1": pd.Series(dtype="int64"),
-                              "c2": pd.Series(dtype="int64"),
-                              "n": pd.Series(dtype="int64")})
-        if len(g) == 0:
-            return empty
-        g = g.sort_values(["tcell", "cluster"],
-                          kind="stable").reset_index(drop=True)
+    def pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("tcell", "ascending"), ("cluster", "ascending")])
         hx = g["tcell"].to_numpy()
         cl = g["cluster"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = hx[1:] != hx[:-1]
-        starts = np.flatnonzero(new)
-        seg = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, seg = runs(hx)
         if len(seg) and seg.max() > TRAJ_MAX_CLUSTERS_PER_CELL:
             raise ValueError(
                 "traj_jaccard: a cell is visited by more than "
                 f"{TRAJ_MAX_CLUSTERS_PER_CELL} clusters — salt or "
                 "LSH-bucket hot cells before the pair stage")
-        outs = []
-        for k in np.unique(seg):
-            if k < 2:
-                continue
-            st = starts[seg == k]
-            mat = cl[(st[:, None] + np.arange(k)[None, :])]
-            ia, ib = np.triu_indices(int(k), 1)
-            outs.append(pd.DataFrame({
-                "c1": mat[:, ia].ravel(), "c2": mat[:, ib].ravel()}))
-        if not outs:
-            return empty
-        allp = pd.concat(outs, ignore_index=True)
-        out = allp.groupby(["c1", "c2"], as_index=False) \
-            .agg(n=("c1", "size"))
-        out["n"] = out["n"].astype(np.int64)
-        return out
+        i, j = run_pairs(starts, seg)
+        return pa.table({"c1": cl[i], "c2": cl[j]}).group_by(
+            ["c1", "c2"]).aggregate([([], "count_all")]) \
+            .rename_columns(["c1", "c2", "n"])
 
     n_hint = _docs_rows(sf_dir)
-    inter = arrow_bridge(
-        arrow_bridge(
-            _hash_partitioned(distinct, "tcell", pairs_part,
-                              rows_hint=n_hint),
-            {"c1": pa.int64(), "c2": pa.int64(), "n": pa.int64()})
-        .groupby(["c1", "c2"]).aggregate(Sum("n", alias_name="n_inter")),
-        {"c1": pa.int64(), "c2": pa.int64(), "n_inter": pa.int64()})
+    inter = partitioned(distinct, "tcell", pairs_part,
+                        {"c1": pa.int64(), "c2": pa.int64(),
+                         "n": pa.int64()},
+                        rows_hint=n_hint) \
+        .groupby(["c1", "c2"]).aggregate(Sum("n", alias_name="n_inter"))
 
     # attach set sizes: broadcast sorted-array probe under the bound
     # (dedup_apply's drop-set convention), two hash joins above it.
@@ -1575,8 +1500,6 @@ def traj_jaccard(sf_dir: str):
     j = inter.join(sizes.map_batches(r1, batch_format="pyarrow"),
                    join_type="inner", num_partitions=np_join,
                    on=("c1",))
-    j = arrow_bridge(j, {"c1": pa.int64(), "c2": pa.int64(),
-                         "n_inter": pa.int64(), "s1": pa.int64()})
     j = j.join(sizes.map_batches(r2, batch_format="pyarrow"),
                join_type="inner", num_partitions=np_join,
                on=("c2",))
@@ -1629,24 +1552,22 @@ def peak_hour(sf_dir: str):
                             zero_copy_batch=True) \
         .groupby(["hex7", "hr"]).aggregate(Sum("n", alias_name="n"))
 
-    def argmax_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "hex7": pd.Series(dtype="int64"),
-                "peak_hour": pd.Series(dtype="int64"),
-                "n_peak": pd.Series(dtype="int64")})
-        g = g.sort_values(["hex7", "n", "hr"],
-                          ascending=[True, False, True], kind="stable")
-        out = g.groupby("hex7", as_index=False).first()
-        return pd.DataFrame({
-            "hex7": out["hex7"].to_numpy(),
-            "peak_hour": out["hr"].to_numpy().astype(np.int64),
-            "n_peak": out["n"].to_numpy().astype(np.int64)})
+    def argmax_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("hex7", "ascending"), ("n", "descending"),
+                       ("hr", "ascending")])
+        hx = g["hex7"].to_numpy()
+        first = np.ones(len(hx), dtype=bool)
+        first[1:] = hx[1:] != hx[:-1]
+        return pa.table({"hex7": hx[first],
+                         "peak_hour": g["hr"].to_numpy()[first],
+                         "n_peak": g["n"].to_numpy()[first]})
 
     # counts rows <= occupied cells x 24 <= pages — the page count is
     # the safe upper bound (a constant would under-partition at 100 TB)
-    return _hash_partitioned(counts, "hex7", argmax_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(counts, "hex7", argmax_part,
+                       {"hex7": pa.int64(), "peak_hour": pa.int64(),
+                        "n_peak": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -1744,24 +1665,22 @@ def cell_sample(sf_dir: str, k: int = CELL_SAMPLE_K):
 
     ds = geo_pipeline(sf_dir).select_columns(["hex7", "doc_id"])
 
-    def topk_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "hex7": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64")})
+    def topk_part(g: pa.Table) -> pa.Table:
         did = g["doc_id"].to_numpy()
         h = (did % CELL_SAMPLE_MOD * CELL_SAMPLE_MULT) % CELL_SAMPLE_MOD
-        g = pd.DataFrame({"hex7": g["hex7"].to_numpy(),
-                          "doc_id": did, "h": h})
-        g = g.sort_values(["hex7", "h", "doc_id"], kind="stable")
-        rank = g.groupby("hex7").cumcount() + 1
-        g["rank"] = rank.astype(np.int64)
-        out = g[g["rank"] <= k]
-        return out[["hex7", "doc_id", "rank"]]
+        g = g.append_column("h", pa.array(h)).sort_by(
+            [("hex7", "ascending"), ("h", "ascending"),
+             ("doc_id", "ascending")])
+        hx = g["hex7"].to_numpy()
+        starts, sizes = runs(hx)
+        rank = np.arange(len(hx)) - np.repeat(starts, sizes) + 1
+        return g.append_column("rank", pa.array(rank.astype(np.int64))) \
+            .filter(rank <= k)
 
-    return _hash_partitioned(ds, "hex7", topk_part,
-                             rows_hint=_docs_rows(sf_dir))
+    return partitioned(ds, "hex7", topk_part,
+                       {"hex7": pa.int64(), "doc_id": pa.int64(),
+                        "rank": pa.int64()},
+                       rows_hint=_docs_rows(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -1945,18 +1864,13 @@ def compact_cells(cells12, n_cells: int):
     the synthetic geocode only produces complete 4-child sets at
     sf >= 0.1."""
     from .cells import s2_parent
-    from .relational import partitions_for
-    from .shuffle import arrow_bridge
 
     def add_parent(batch: pa.Table) -> pa.Table:
         c = batch["s2i"].to_numpy().view(np.uint64)
         par = s2_parent(c, S2_COMPACT_PARENT_LEVEL).view(np.int64)
         return batch.append_column("parent", pa.array(par, pa.int64()))
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"cell": pd.Series(dtype="uint64"),
-                                 "level": pd.Series(dtype="int64")})
+    def kernel(g: pa.Table) -> pa.Table:
         c = g["s2i"].to_numpy().view(np.uint64)
         p = g["parent"].to_numpy().view(np.uint64)
         o = np.argsort(c, kind="stable")
@@ -1970,13 +1884,13 @@ def compact_cells(cells12, n_cells: int):
         level = np.concatenate([
             np.full(int(head.sum()), S2_COMPACT_PARENT_LEVEL, np.int64),
             np.full(int((~full).sum()), S2_CHILD_LEVEL, np.int64)])
-        return pd.DataFrame({"cell": cell, "level": level})
+        return pa.table({"cell": cell, "level": level})
 
-    out = _hash_partitioned(
+    return partitioned(
         cells12.map_batches(add_parent, batch_format="pyarrow",
                             zero_copy_batch=True),
-        "parent", kernel, num_partitions=partitions_for(n_cells))
-    return arrow_bridge(out, {"cell": pa.uint64(), "level": pa.int64()})
+        "parent", kernel, {"cell": pa.uint64(), "level": pa.int64()},
+        rows_hint=n_cells)
 
 
 # Ring-2 axial hex offsets packed as q*65536 + r (same packing as
@@ -2081,8 +1995,6 @@ def emerging_hotspots(ds):
     crawl span, never corpus-sized)."""
     from ray.data.aggregate import Sum
 
-    from .shuffle import arrow_bridge
-
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["warc_ts"], pa.int64()),
                         86_400_000_000)
@@ -2096,15 +2008,11 @@ def emerging_hotspots(ds):
                      zero_copy_batch=True, batch_size=None) \
         .groupby(["hex7", "day"]).aggregate(Sum("c", alias_name="c"))
 
-    def mk_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["hex7", "day"],
-                          kind="stable").reset_index(drop=True)
+    def mk_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("hex7", "ascending"), ("day", "ascending")])
         h = g["hex7"].to_numpy()
         c = g["c"].to_numpy().astype(np.int64)
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = h[1:] != h[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(h)
         hs, nd, ss = [], [], []
         for st, sz in zip(starts.tolist(), sizes.tolist()):
             v = c[st:st + sz]
@@ -2116,14 +2024,18 @@ def emerging_hotspots(ds):
             hs.append(h[st])
             nd.append(sz)
             ss.append(s)
-        return pd.DataFrame({
+        return pa.table({
             "hex7": np.asarray(hs, dtype=np.int64),
             "n_days": np.asarray(nd, dtype=np.int64),
             "s": np.asarray(ss, dtype=np.int64)})
 
-    out = _hash_partitioned(daily, "hex7", mk_part)
-    return arrow_bridge(out, {"hex7": pa.int64(), "n_days": pa.int64(),
-                              "s": pa.int64()})
+    # the (cell, day) table is calendar-bounded: materialized once, its
+    # row count sizes the kernel's partitions
+    daily = daily.materialize()
+    return partitioned(daily, "hex7", mk_part,
+                       {"hex7": pa.int64(), "n_days": pa.int64(),
+                        "s": pa.int64()},
+                       rows_hint=daily.count())
 
 
 # ---------------------------------------------------------------------------
@@ -2163,8 +2075,14 @@ def poly_geometry(sf_dir: str):
     counts_ds = geo_pipeline(sf_dir, mode="inner") \
         .select_columns(["poly_id"]).groupby("poly_id") \
         .aggregate(Count(alias_name="n_pages"))
-    counts = {int(r["poly_id"]): int(r["n_pages"])
-              for r in counts_ds.take_all()}  # <= n_polys rows
+    n_polys = len(synth.POLYGONS)
+    t = collect(counts_ds, pa.schema([("poly_id", pa.int64()),
+                                      ("n_pages", pa.int64())]), n_polys)
+    if t is None:
+        raise ValueError("poly_geometry: more poly_id groups than the "
+                         f"{n_polys} layer polygons")
+    counts = dict(zip(t["poly_id"].to_numpy().tolist(),
+                      t["n_pages"].to_numpy().tolist()))
 
     rows = []
     for p in synth.POLYGONS:

@@ -691,7 +691,8 @@ def triangles(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .relational import _hash_partitioned, _parquet_rows
+    from .relational import _parquet_rows
+    from .shuffle import partitioned, run_pairs, runs
 
     li_path = f"{sf_dir}/lineitem.parquet"
     li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey"])
@@ -705,38 +706,21 @@ def triangles(sf_dir: str):
                         zero_copy_batch=True, batch_size=None) \
         .groupby(["p", "s"]).count().select_columns(["p", "s"])
 
-    def pair_kernel(g):
-        import pandas as pd
-
-        g = g.sort_values(["p", "s"], kind="stable").reset_index(
-            drop=True)
+    def pair_kernel(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("p", "ascending"), ("s", "ascending")])
         p = g["p"].to_numpy()
         s = g["s"].to_numpy()
         if len(s) and (s.max() >= 1 << TRI_NODE_BITS or s.min() < 0):
             raise ValueError("triangles: suppkey outside 31-bit range")
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = p[1:] != p[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(p)
         if len(sizes) and sizes.max() > TRI_MAX_PART_DEG:
             raise ValueError("triangles: a part exceeds "
                              f"{TRI_MAX_PART_DEG} suppliers")
-        outs = []
-        for k in np.unique(sizes):
-            if k < 2:
-                continue
-            seg = starts[sizes == k]
-            mat = s[(seg[:, None] + np.arange(k)[None, :])]
-            ia, ib = np.triu_indices(int(k), 1)
-            u = mat[:, ia].ravel()
-            v = mat[:, ib].ravel()
-            outs.append(pd.DataFrame({"e": (u << 32) | v}))
-        if not outs:
-            return pd.DataFrame({"e": pd.Series([], dtype=np.int64)})
-        return pd.concat(outs, ignore_index=True)
+        i, j = run_pairs(starts, sizes)
+        return pa.table({"e": (s[i] << 32) | s[j]})
 
-    raw_pairs = _hash_partitioned(ps, "p", pair_kernel,
-                                  rows_hint=_parquet_rows(li_path))
+    raw_pairs = partitioned(ps, "p", pair_kernel, {"e": pa.int64()},
+                            rows_hint=_parquet_rows(li_path))
 
     def e_partial(batch: pa.Table) -> pa.Table:
         return pa.table({"e": pa.array(
@@ -791,35 +775,17 @@ def triangles(sf_dir: str):
             "C(deg, 2) rows — re-orient edges by degree order or raise "
             "the cap deliberately")
 
-    def wedge_kernel(g):
-        import pandas as pd
-
-        g = g.sort_values(["u", "e"], kind="stable").reset_index(
-            drop=True)
+    def wedge_kernel(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("u", "ascending"), ("e", "ascending")])
         u = g["u"].to_numpy()
         v = (g["e"].to_numpy() & 0x7FFFFFFF)
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
-        outs = []
-        for k in np.unique(sizes):
-            if k < 2:
-                continue
-            seg = starts[sizes == k]
-            mat = v[(seg[:, None] + np.arange(k)[None, :])]
-            ia, ib = np.triu_indices(int(k), 1)
-            uu = np.repeat(u[seg], len(ia))
-            outs.append(pd.DataFrame({
-                "vw": (mat[:, ia].ravel() << 32) | mat[:, ib].ravel(),
-                "u": uu}))
-        if not outs:
-            return pd.DataFrame({"vw": pd.Series([], dtype=np.int64),
-                                 "u": pd.Series([], dtype=np.int64)})
-        return pd.concat(outs, ignore_index=True)
+        starts, sizes = runs(u)
+        i, j = run_pairs(starts, sizes)
+        return pa.table({"vw": (v[i] << 32) | v[j], "u": u[i]})
 
-    wedges = _hash_partitioned(keyed, "u", wedge_kernel,
-                               rows_hint=max(1, n_wedges))
+    wedges = partitioned(keyed, "u", wedge_kernel,
+                         {"vw": pa.int64(), "u": pa.int64()},
+                         rows_hint=max(1, n_wedges))
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         return pa.table({"vw": batch["e"],
@@ -829,9 +795,7 @@ def triangles(sf_dir: str):
     probe_in = wedges.union(edges.map_batches(
         tag_edges, batch_format="pyarrow", zero_copy_batch=True))
 
-    def close_kernel(g):
-        import pandas as pd
-
+    def close_kernel(g: pa.Table) -> pa.Table:
         vw = g["vw"].to_numpy()
         u = g["u"].to_numpy()
         is_edge = u < 0
@@ -846,11 +810,12 @@ def triangles(sf_dir: str):
         nodes = np.concatenate([wu[hit], tvw >> 32,
                                 tvw & 0x7FFFFFFF])
         un, c = np.unique(nodes, return_counts=True)
-        return pd.DataFrame({"node": un.astype(np.int64),
-                             "c": c.astype(np.int64)})
+        return pa.table({"node": un.astype(np.int64),
+                         "c": c.astype(np.int64)})
 
-    partials = _hash_partitioned(probe_in, "vw", close_kernel,
-                                 rows_hint=max(1, n_wedges + n_edges))
+    partials = partitioned(probe_in, "vw", close_kernel,
+                           {"node": pa.int64(), "c": pa.int64()},
+                           rows_hint=max(1, n_wedges + n_edges))
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({"s_suppkey": batch["node"],

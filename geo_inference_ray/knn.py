@@ -27,10 +27,9 @@ computed with the same IEEE-754 expression on both sides.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .shuffle import DEFAULT_CAP, key_counts, salt_plan
+from .shuffle import DEFAULT_CAP, key_counts, partitioned, runs, salt_plan
 
 K_DEFAULT = 5
 
@@ -41,8 +40,9 @@ HEX_RING1_OFFSETS = (0, 1, -1, 65536, -65536, 65535, -65535)
 
 
 def _emit_salted(plan_ref, k_col: str = "hex7", ring: int = 0):
-    """pages batch -> (doc_id, lat, lon, hex7, salt, is_probe) rows with
-    candidate replication across the cell's salt buckets.
+    """pages batch -> (doc_id, lat, lon, gid, is_probe) rows with
+    candidate replication across the cell's salt buckets; ``gid =
+    target_cell << _SALT_BITS | salt`` keys one (cell, salt) group.
 
     ``ring=1``: each row is additionally emitted as a *candidate* to its
     6 hex-neighbor cells (HEX_RING1_OFFSETS), so a probe's group holds
@@ -88,8 +88,8 @@ def _emit_salted(plan_ref, k_col: str = "hex7", ring: int = 0):
             "doc_id": pa.array(ids[idx]),
             "lat": pa.array(lat[idx]),
             "lon": pa.array(lon[idx]),
-            k_col: pa.array(tcell),
-            "salt": pa.array(salt.astype(np.int64)),
+            "gid": pa.array((tcell << _SALT_BITS)
+                            | salt.astype(np.int64)),
             "is_probe": pa.array(is_probe),
         })
 
@@ -127,7 +127,7 @@ def _group_knn_arrays(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray,
     """Exact kNN for one (cell, salt) group, array-in/array-out:
     returns (doc_id, neighbor_id, rank) int64 arrays or None for an
     empty result.  Array form so the hash-partitioned caller pays ZERO
-    pandas construction per group (the per-group dispatch overhead was
+    table construction per group (the per-group dispatch overhead was
     the whole runtime on high-cardinality keys — dedup.py:247).
 
     Dense cells (> _DENSE_GRID_THRESHOLD candidates) use sub-grid ring
@@ -245,16 +245,14 @@ def knn_in_cells(ds, k: int = K_DEFAULT, cap: int = DEFAULT_CAP,
     ``ring=1`` widens the candidate set to the 6 hex-neighbor cells
     (full ring-1 neighborhood; probes stay keyed to their own cell).
 
-    The kernel is HASH-PARTITIONED (relational._hash_partitioned
-    pattern): rows shuffle once on pkey = gid % n_partitions, then ONE
-    vectorized kernel per partition run-detects every (cell, salt)
-    group over sorted gid and calls the array-form group kernel — a
-    per-GROUP map_groups here paid one pandas dispatch per (cell,
-    salt, probe-bin) group, which dominated the runtime (group count
-    is cells x salts; cf. dedup.py bucket_pairs_part)."""
+    The kernel runs through ``shuffle.partitioned`` on the packed
+    (cell, salt) key gid: rows shuffle once, then ONE vectorized
+    kernel per partition run-detects every (cell, salt) group over
+    sorted gid and calls the array-form group kernel — a per-GROUP
+    map_groups here paid one dispatch per (cell, salt, probe-bin)
+    group, which dominated the runtime (group count is cells x salts;
+    cf. dedup.py bucket_pairs_part)."""
     import ray
-
-    from .relational import partitions_for
 
     # NOT materialized: the projection is re-executed by the count
     # pre-pass and the salted pass.  Re-running a column-pruned fused
@@ -282,35 +280,17 @@ def knn_in_cells(ds, k: int = K_DEFAULT, cap: int = DEFAULT_CAP,
     offsets = HEX_RING1_OFFSETS if ring == 1 else (0,)
     emitted = int(sum(int((cv * n_salt(ck + off)).sum())
                       for off in offsets))
-    num_partitions = partitions_for(max(1, emitted))
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        from .relational import hash_mix
-
-        gid = (batch["hex7"].to_numpy() << _SALT_BITS) \
-            | batch["salt"].to_numpy()
-        # hash_mix, NOT gid % P: unsalted rows have gid's low 24 bits
-        # all zero, so a raw modulo with power-of-two P (the common
-        # partitions_for output) would send every row to partition 0
-        return batch.append_column(
-            "pkey", pa.array(hash_mix(gid, num_partitions)))
-
-    keyed = salted.map_batches(add_pkey, batch_format="pyarrow",
-                               zero_copy_batch=True)
-
-    def knn_part(g: pd.DataFrame) -> pd.DataFrame:
-        gid = (g["hex7"].to_numpy() << _SALT_BITS) \
-            | g["salt"].to_numpy()
+    def knn_part(g: pa.Table) -> pa.Table:
+        gid = g["gid"].to_numpy()
         order = np.argsort(gid, kind="stable")
         gid = gid[order]
         ids = g["doc_id"].to_numpy()[order]
         lat = g["lat"].to_numpy()[order]
         lon = g["lon"].to_numpy()[order]
         probe = g["is_probe"].to_numpy()[order]
-        new = np.ones(len(gid), dtype=bool)
-        new[1:] = gid[1:] != gid[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(gid))
+        starts, sizes = runs(gid)
+        ends = starts + sizes
         docs, nbrs, ranks = [], [], []
         for st, en in zip(starts.tolist(), ends.tolist()):
             res = _group_knn_arrays(ids[st:en], lat[st:en],
@@ -320,18 +300,18 @@ def knn_in_cells(ds, k: int = K_DEFAULT, cap: int = DEFAULT_CAP,
                 nbrs.append(res[1])
                 ranks.append(res[2])
         if not docs:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype=np.int64),
-                "neighbor_id": pd.Series([], dtype=np.int64),
-                "rank": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"doc_id": np.concatenate(docs),
-                             "neighbor_id": np.concatenate(nbrs),
-                             "rank": np.concatenate(ranks)})
+            return g.slice(0, 0)
+        return pa.table({"doc_id": np.concatenate(docs),
+                         "neighbor_id": np.concatenate(nbrs),
+                         "rank": np.concatenate(ranks)})
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return knn_part(g.drop(columns=["pkey"]))
-
-    return keyed.groupby("pkey").map_groups(run, batch_format="pandas")
+    # hash_mix inside the primitive, NOT gid % P: unsalted rows have
+    # gid's low 24 bits all zero, so a raw modulo with power-of-two P
+    # would send every row to partition 0
+    return partitioned(salted, "gid", knn_part,
+                       {"doc_id": pa.int64(), "neighbor_id": pa.int64(),
+                        "rank": pa.int64()},
+                       rows_hint=max(1, emitted))
 
 
 def cell_aggregate(ds):

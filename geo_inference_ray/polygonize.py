@@ -36,7 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import collect
+from .shuffle import collect, partitioned, runs
 from .tiling import NODATA, TILE_SCHEMA, GridConfig
 
 
@@ -381,19 +381,18 @@ def _tile_components(tiles_df: pd.DataFrame, stride: int):
     return prows, brows
 
 
+RING_SCHEMA = pa.schema([
+    ("comp_id", pa.int64()), ("class_id", pa.int64()),
+    ("ring_idx", pa.int64()), ("is_hole", pa.bool_()),
+    ("n_pixels", pa.int64()), ("area_px", pa.float64()),
+    ("xs", pa.list_(pa.float64())), ("ys", pa.list_(pa.float64()))])
+
+
 def _empty_rings() -> pd.DataFrame:
     """A ring table with no rows and typed columns (an untyped empty
     ``is_hole`` would make ``polys[~polys["is_hole"]]`` a column
     selection)."""
-    return pd.DataFrame({
-        "comp_id": pd.Series([], dtype=np.int64),
-        "class_id": pd.Series([], dtype=np.int64),
-        "ring_idx": pd.Series([], dtype=np.int64),
-        "is_hole": pd.Series([], dtype=bool),
-        "n_pixels": pd.Series([], dtype=np.int64),
-        "area_px": pd.Series([], dtype=float),
-        "xs": pd.Series([], dtype=object),
-        "ys": pd.Series([], dtype=object)})
+    return RING_SCHEMA.empty_table().to_pandas()
 
 
 def stitch_polygons(tiles, grid: GridConfig,
@@ -606,21 +605,18 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
 
     pixels = labeled.map_batches(relabel, batch_format="pyarrow")
 
-    def trace_part(g: pd.DataFrame) -> pd.DataFrame:
+    def trace_part(g: pa.Table) -> pa.Table:
         """Ring tracing for EVERY component in the hash partition (one
-        pandas call per partition, not per component — a sliver-heavy
+        kernel call per partition, not per component — a sliver-heavy
         fine-grid mask has millions of tiny components, which is the
         per-group-call trap this repo eliminates everywhere else).
         Tracing itself is inherently per-component; the loop body is
         the numpy ring tracer over that component's pixel slice."""
-        g = g.sort_values("comp_id", kind="stable").reset_index(drop=True)
+        g = g.sort_by("comp_id")
         cids = g["comp_id"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = cids[1:] != cids[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
-        py = g["py"].to_numpy(dtype=np.int64)
-        px = g["px"].to_numpy(dtype=np.int64)
+        starts, sizes = runs(cids)
+        py = g["py"].to_numpy().astype(np.int64, copy=False)
+        px = g["px"].to_numpy().astype(np.int64, copy=False)
         cls = g["class_id"].to_numpy()
         # vectorized fast path: a 1-pixel component's only ring is the
         # unit square [(x,y),(x+1,y),(x+1,y+1),(x,y+1)], area 1 — no
@@ -638,14 +634,14 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
             ys4 = grid.max_lat - np.stack(
                 [fy, fy, fy + 1.0, fy + 1.0], axis=1) * grid.pix
             n1 = len(si)
-            parts.append(pd.DataFrame({
+            parts.append(pa.table({
                 "comp_id": cids[si].astype(np.int64),
                 "class_id": cls[si].astype(np.int64),
                 "ring_idx": np.zeros(n1, dtype=np.int64),
                 "is_hole": np.zeros(n1, dtype=bool),
                 "n_pixels": np.ones(n1, dtype=np.int64),
                 "area_px": np.ones(n1, dtype=float),
-                "xs": list(xs4), "ys": list(ys4)}))
+                "xs": list(xs4), "ys": list(ys4)}, schema=RING_SCHEMA))
         starts = starts[~single]
         sizes = sizes[~single]
 
@@ -669,14 +665,10 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
                     "ys": grid.max_lat - ys * grid.pix,
                 })
         if rows:
-            parts.append(pd.DataFrame(rows))
-        if not parts:
-            return _empty_rings()
-        return pd.concat(parts, ignore_index=True)
-
-    from .relational import _hash_partitioned
+            parts.append(pa.Table.from_pylist(rows, schema=RING_SCHEMA))
+        return pa.concat_tables(parts) if parts else g.slice(0, 0)
 
     # pixel volume is bounded by the labeled table (materialized above,
     # so the count is free metadata)
-    return _hash_partitioned(pixels, "comp_id", trace_part,
-                             rows_hint=max(1, labeled.count()))
+    return partitioned(pixels, "comp_id", trace_part, RING_SCHEMA,
+                       rows_hint=max(1, labeled.count()))

@@ -17,8 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .pools import cluster_cpus
-from .shuffle import collect
+from .shuffle import collect, partitioned, partitions_for, run_pairs, runs
 
 
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -153,21 +152,17 @@ def bucketed_join_agg(sf_dir: str, buckets: int = 16):
                               zero_copy_batch=True).union(
         li.map_batches(tag_l, batch_format="pyarrow", zero_copy_batch=True))
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["side"] == 0][["k", "s1"]]
-        l = g[g["side"] == 1][["k", "s2", "q"]]
-        j = l.merge(o, on="k", how="inner")
-        out = j.groupby(["s1", "s2"], as_index=False).agg(
-            nq=("q", "sum"), n=("q", "size"))
-        return out
+    def join_bucket(g: pa.Table) -> pa.Table:
+        side = g["side"].to_numpy()
+        o = g.filter(side == 0).select(["k", "s1"])
+        l = g.filter(side == 1).select(["k", "s2", "q"])
+        j = l.join(o, "k", join_type="inner").group_by(["s1", "s2"]) \
+            .aggregate([("q", "sum"), ("q", "count", pc.CountOptions("all"))])
+        return pa.table({"s1": j["s1"], "s2": j["s2"], "nq": j["q_sum"],
+                         "n": j["q_count"]})
 
-    from .shuffle import arrow_bridge
-
-    per_bucket = arrow_bridge(
-        both.groupby("bucket").map_groups(join_bucket,
-                                          batch_format="pandas"),
-        {"s1": pa.string(), "s2": pa.string(),
-         "nq": pa.int64(), "n": pa.int64()})
+    per_bucket = both.groupby("bucket").map_groups(join_bucket,
+                                                   batch_format="pyarrow")
     agg = per_bucket.groupby(["s1", "s2"]).aggregate(
         Sum("nq", alias_name="sum_qty"), Sum("n", alias_name="n_rows"))
 
@@ -199,52 +194,27 @@ def top_orders_per_customer(sf_dir: str, k: int = 3):
     keyed = orders.map_batches(add_cents, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    def topk_part(g: pd.DataFrame) -> pd.DataFrame:
+    def topk_part(g: pa.Table) -> pa.Table:
         # ONE vectorized kernel for every customer in the partition:
         # lexsort + per-group rank from run starts (a map_groups per
-        # customer costs one pandas call per group — death by overhead
+        # customer costs one kernel call per group — death by overhead
         # at millions of customers)
-        g = g.sort_values(["o_custkey", "cents", "o_orderkey"],
-                          ascending=[True, False, True],
-                          kind="stable").reset_index(drop=True)
+        g = g.sort_by([("o_custkey", "ascending"), ("cents", "descending"),
+                       ("o_orderkey", "ascending")])
         ck = g["o_custkey"].to_numpy()
         newc = np.ones(len(g), dtype=bool)
         newc[1:] = ck[1:] != ck[:-1]
         starts = np.flatnonzero(newc)
         sizes = np.diff(np.concatenate([starts, [len(g)]]))
         rnk = np.arange(len(g)) - np.repeat(starts, sizes) + 1
-        g["rnk"] = rnk.astype(np.int64)
-        return g.loc[rnk <= k, ["o_custkey", "o_orderkey", "cents", "rnk"]]
+        return g.append_column("rnk", pa.array(rnk.astype(np.int64))) \
+            .filter(rnk <= k)
 
-    return _hash_partitioned(
+    return partitioned(
         keyed, "o_custkey", topk_part,
+        {"o_custkey": pa.int64(), "o_orderkey": pa.int64(),
+         "cents": pa.int64(), "rnk": pa.int64()},
         rows_hint=_parquet_rows(f"{sf_dir}/orders.parquet"))
-
-
-HP_TARGET_ROWS = 250_000   # per-partition kernel-input row bound
-HP_MIN_PARTITIONS = 8
-HP_MAX_PARTITIONS = 1 << 20
-
-
-HP_PARALLEL_ROWS = 2048    # min rows to justify one extra partition
-
-
-def partitions_for(rows: int, target_rows: int = HP_TARGET_ROWS) -> int:
-    """Partition count that (a) bounds each kernel's input to
-    ~target_rows — ceil(rows / target), so the single-task pandas
-    kernel stays memory-bounded at ANY input size (a fixed count means
-    partition size = input/64: a multi-terabyte DataFrame per task at
-    100 TB) — and (b) never STARVES the cluster: the floor is 2x the
-    cluster CPU count (clamped so tiny inputs don't pay thousands of
-    near-empty partitions), because a size-only rule hands a 1.28 M-row
-    kernel 8 partitions on a 32-CPU box and 24 cores idle (measured 2x
-    slowdown on the minhash pair stage, round 3)."""
-    rows = int(rows)
-    floor = min(2 * cluster_cpus(),
-                max(HP_MIN_PARTITIONS, -(-rows // HP_PARALLEL_ROWS)))
-    floor = max(HP_MIN_PARTITIONS, floor)
-    return int(min(HP_MAX_PARTITIONS,
-                   max(floor, -(-rows // target_rows))))
 
 
 JOIN_TARGET_ROWS = 50_000   # min rows to justify one extra join partition
@@ -267,53 +237,6 @@ def _parquet_rows(path: str) -> int:
     import pyarrow.parquet as pq
 
     return pq.read_metadata(path).num_rows
-
-
-def hash_mix(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Partition id for an int64 key column: Fibonacci multiplicative
-    mix (golden-ratio constant, wrap-around uint64) before the modulo.
-    A raw ``key % P`` collapses when the key's low bits are structured
-    — e.g. a packed key ``cell << 24 | salt`` with salt mostly 0 maps
-    EVERY row to partition 0 for any P dividing 2^24 (power-of-two P
-    is the common case from partitions_for's 2x-CPU floor).  Pure
-    function of the key, so groups are never split."""
-    h = keys.astype(np.uint64, copy=False) * np.uint64(
-        0x9E3779B97F4A7C15)
-    return ((h >> np.uint64(33))
-            % np.uint64(num_partitions)).astype(np.int64)
-
-
-def _hash_partitioned(ds, key: str, kernel, num_partitions: int | None = None,
-                      *, rows_hint: int | None = None):
-    """Hash-partition rows on an int key column, then run ONE vectorized
-    kernel per partition that handles ALL its groups (the knn._group_knn
-    pattern).  Replaces per-group ``map_groups`` for high-cardinality
-    keys, where one pandas call per tiny group dominates the runtime.
-
-    Partition count (bounds kernel-input size): explicit
-    ``num_partitions`` wins; else it is derived from ``rows_hint``
-    (an upper-bound row estimate — parquet footer metadata, a pre-pass
-    count, or a combinatorial bound) via ``partitions_for``; else a
-    64-partition legacy default.  Every hot-path caller passes one of
-    the first two so partitioning scales with the data."""
-    import pyarrow as _pa
-
-    if num_partitions is None:
-        num_partitions = (partitions_for(rows_hint)
-                          if rows_hint is not None else 64)
-
-    def add_pkey(batch: _pa.Table) -> _pa.Table:
-        kk = batch[key].to_numpy()
-        return batch.append_column(
-            "pkey", _pa.array(hash_mix(kk, num_partitions)))
-
-    keyed = ds.map_batches(add_pkey, batch_format="pyarrow",
-                           zero_copy_batch=True)
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return kernel(g.drop(columns=["pkey"]))
-
-    return keyed.groupby("pkey").map_groups(run, batch_format="pandas")
 
 
 def _restore_us(col: str):
@@ -586,8 +509,8 @@ def _metric_offsets_all(base, metrics):
     return grids
 
 
-def _rank_pass(ds, metric: str, out_col: str, total: int,
-               lo: int, width: int, state, tiebreak: str):
+def _rank_pass(ds, schema: pa.Schema, metric: str, out_col: str,
+               total: int, lo: int, width: int, state, tiebreak: str):
     """Append ``out_col`` = NTILE(RFM_TILES) by (metric, tiebreak)
     order — an exact global row_number WITHOUT a global sort: rows
     hash-partition on their range id (pure key function -> a range
@@ -607,23 +530,19 @@ def _rank_pass(ds, metric: str, out_col: str, total: int,
     keyed = ds.map_batches(add_rid, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    def rank_part(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_part(g: pa.Table) -> pa.Table:
         offs = ray.get(state)
-        g = g.sort_values([metric, tiebreak],
-                          kind="stable").reset_index(drop=True)
+        g = g.sort_by([(metric, "ascending"), (tiebreak, "ascending")])
         rid = g["rid"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = rid[1:] != rid[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(rid)
         local = np.arange(len(g)) - np.repeat(starts, sizes)
         rank = local + offs[rid] + 1
-        g = g.drop(columns=["rid"])
-        g[out_col] = _ntile(rank, total, RFM_TILES)
-        return g
+        return g.drop_columns(["rid"]).append_column(
+            out_col, pa.array(_ntile(rank, total, RFM_TILES)))
 
-    return _hash_partitioned(keyed, "rid", rank_part,
-                             num_partitions=partitions_for(total))
+    return partitioned(keyed, "rid", rank_part,
+                       schema.append(pa.field(out_col, pa.int64())),
+                       rows_hint=total)
 
 
 def rfm_scores(sf_dir: str):
@@ -665,11 +584,14 @@ def rfm_scores(sf_dir: str):
     # pre-pass), so each chained rank pass consumes its input once
     grids = _metric_offsets_all(base, ("r_us", "f", "m_cents"))
     out = base
+    schema = pa.schema([(c, pa.int64())
+                        for c in ("o_custkey", "r_us", "m_cents", "f")])
     for metric, col in (("r_us", "r_score"), ("f", "f_score"),
                         ("m_cents", "m_score")):
         lo, width, state = grids[metric]
-        out = _rank_pass(out, metric, col, total, lo, width, state,
+        out = _rank_pass(out, schema, metric, col, total, lo, width, state,
                          tiebreak="o_custkey")
+        schema = schema.append(pa.field(col, pa.int64()))
     return out.select_columns(["o_custkey", "r_score", "f_score",
                                "m_score"])
 
@@ -1053,23 +975,21 @@ def transitions(sf_dir: str):
     ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
                                         "event_type"])
 
-    def pair_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def pair_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
         uid = g["user_id"].to_numpy()
-        et = g["event_type"].to_numpy()
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = uid[1:] == uid[:-1]
-        prev = np.empty(len(g), dtype=object)
-        prev[1:] = et[:-1]
-        d = pd.DataFrame({"from_type": prev[same],
-                          "to_type": et[same]})
-        return d.groupby(["from_type", "to_type"],
-                         as_index=False).size() \
-            .rename(columns={"size": "n"})
+        et = g["event_type"]
+        same = uid[1:] == uid[:-1]
+        d = pa.table({"from_type": et[:-1].filter(same),
+                      "to_type": et[1:].filter(same)})
+        return d.group_by(["from_type", "to_type"]).aggregate(
+            [([], "count_all")]).rename_columns(["from_type", "to_type", "n"])
 
-    pairs = _hash_partitioned(ev, "user_id", pair_part,
-                              rows_hint=_parquet_rows(path))
+    pairs = partitioned(ev, "user_id", pair_part,
+                        {"from_type": pa.string(), "to_type": pa.string(),
+                         "n": pa.int64()},
+                        rows_hint=_parquet_rows(path))
     return pairs.groupby(["from_type", "to_type"]).aggregate(
         Sum("n", alias_name="n"))
 
@@ -1230,28 +1150,21 @@ def stratified_sample(sf_dir: str, k: int = 5):
         return pa.table({"source": batch["source"], "doc_id": batch["doc_id"],
                          "h": pa.array(h), "skey": pa.array(skey)})
 
-    def rank_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["source", "h", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+    def rank_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("source", "ascending"), ("h", "ascending"),
+                       ("doc_id", "ascending")])
         src = g["source"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(src)
         rnk = np.arange(len(g)) - np.repeat(starts, sizes) + 1
-        g["rnk"] = rnk.astype(np.int64)
-        return g.loc[g["rnk"] <= k, ["source", "doc_id", "rnk"]]
-
-    from .shuffle import arrow_bridge
+        return g.append_column("rnk", pa.array(rnk.astype(np.int64))) \
+            .filter(rnk <= k)
 
     base = ds.map_batches(keyed, batch_format="pyarrow",
                           zero_copy_batch=True)
-    return arrow_bridge(
-        _hash_partitioned(
-            base, "skey", rank_part,
-            rows_hint=_parquet_rows(f"{sf_dir}/documents.parquet")),
-        {"source": pa.string(), "doc_id": pa.int64(),
-         "rnk": pa.int64()})
+    return partitioned(
+        base, "skey", rank_part,
+        {"source": pa.string(), "doc_id": pa.int64(), "rnk": pa.int64()},
+        rows_hint=_parquet_rows(f"{sf_dir}/documents.parquet"))
 
 
 def union_counts(sf_dir: str):
@@ -1325,13 +1238,12 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
 
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def sessions_part(g: pd.DataFrame) -> pd.DataFrame:
+    def sessions_part(g: pa.Table) -> pa.Table:
         # ONE vectorized kernel for every user in the partition:
         # sort by (user, ts), gap/new-user flags, per-user cumsum via
         # global cumsum minus run-start offsets
-        g = g.sort_values(["user_id", "ts"],
-                          kind="stable").reset_index(drop=True)
-        ts = g["ts"].astype("int64").to_numpy()
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending")])
+        ts = pc.cast(g["ts"], pa.int64()).to_numpy()
         uid = g["user_id"].to_numpy()
         newu = np.ones(len(g), dtype=bool)
         newu[1:] = uid[1:] != uid[:-1]
@@ -1341,14 +1253,19 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
         starts = np.flatnonzero(newu)
         sizes = np.diff(np.concatenate([starts, [len(g)]]))
         sess = cs - np.repeat(cs[starts] - 1, sizes)
-        out = pd.DataFrame({"user_id": uid, "session_idx": sess,
-                            "ts": g["ts"]})
-        return out.groupby(["user_id", "session_idx"], as_index=False).agg(
-            n_events=("ts", "size"), start_ts=("ts", "min"),
-            end_ts=("ts", "max"))
+        a = pa.table({"user_id": uid, "session_idx": sess, "ts": g["ts"]}) \
+            .group_by(["user_id", "session_idx"]).aggregate(
+                [([], "count_all"), ("ts", "min"), ("ts", "max")])
+        return pa.table({"user_id": a["user_id"],
+                         "session_idx": a["session_idx"],
+                         "n_events": a["count_all"], "start_ts": a["ts_min"],
+                         "end_ts": a["ts_max"]})
 
-    return _hash_partitioned(
+    return partitioned(
         ev, "user_id", sessions_part,
+        {"user_id": pa.int64(), "session_idx": pa.int64(),
+         "n_events": pa.int64(), "start_ts": pa.timestamp("us"),
+         "end_ts": pa.timestamp("us")},
         rows_hint=_parquet_rows(f"{sf_dir}/events.parquet"))
 
 
@@ -1378,9 +1295,9 @@ def asof_prior_anchor(sf_dir: str, anchor_type: str = "purchase"):
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
 
-    def asof_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def asof_part(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().sort_values(["ts", "event_id"],
+                                      kind="stable").reset_index(drop=True)
         anchors = g.loc[g["event_type"] == anchor_type,
                         ["user_id", "ts", "event_id"]].copy()
         anchors["anchor_ts"] = anchors["ts"]
@@ -1391,11 +1308,13 @@ def asof_prior_anchor(sf_dir: str, anchor_type: str = "purchase"):
         m["anchor_event_id"] = (
             m["event_id_anchor"].fillna(-1).astype("int64"))
         m["anchor_ts"] = m["anchor_ts"].fillna(pd.Timestamp(0))
-        return m[["event_id", "user_id", "ts", "event_type",
-                  "anchor_event_id", "anchor_ts"]]
+        return pa.Table.from_pandas(m, preserve_index=False)
 
-    return _hash_partitioned(
+    return partitioned(
         ev, "user_id", asof_part,
+        {"event_id": pa.int64(), "user_id": pa.int64(),
+         "ts": pa.timestamp("us"), "event_type": pa.string(),
+         "anchor_event_id": pa.int64(), "anchor_ts": pa.timestamp("us")},
         rows_hint=_parquet_rows(f"{sf_dir}/events.parquet"))
 
 
@@ -1423,9 +1342,9 @@ def anchor_window_follow(sf_dir: str, anchor_type: str = "signup",
     # merge_asof rejects against the [us] cumulative frame
     w = np.timedelta64(within_minutes * 60 * 10 ** 6, "us")
 
-    def window_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def window_part(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().sort_values(["ts", "event_id"],
+                                      kind="stable").reset_index(drop=True)
         vm = np.round(g["value"].to_numpy() * 1000.0).astype(np.int64)
         cum = pd.DataFrame({
             "user_id": g["user_id"],
@@ -1448,13 +1367,16 @@ def anchor_window_follow(sf_dir: str, anchor_type: str = "signup",
             .to_numpy().astype(np.int64)
         v = (hi["cum_v"].fillna(0) - lo["cum_v"].fillna(0)) \
             .to_numpy().astype(np.int64)
-        return pd.DataFrame({
+        return pa.table({
             "event_id": anchors["event_id"], "user_id":
             anchors["user_id"], "ts": anchors["ts"],
             "n_follow": n, "vm_follow": v})
 
-    return _hash_partitioned(
+    return partitioned(
         ev, "user_id", window_part,
+        {"event_id": pa.int64(), "user_id": pa.int64(),
+         "ts": pa.timestamp("us"), "n_follow": pa.int64(),
+         "vm_follow": pa.int64()},
         rows_hint=_parquet_rows(f"{sf_dir}/events.parquet"))
 
 
@@ -1536,24 +1458,22 @@ def train_shuffle(sf_dir: str, num_shards: int = 8):
                                 [np.flatnonzero(first), [len(cells)]])))
     state = ray.put((cells, offs))
 
-    def rank_part(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_part(g: pa.Table) -> pa.Table:
         cell_keys, cell_offs = ray.get(state)
-        g = g.sort_values(["cell", "h", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+        g = g.sort_by([("cell", "ascending"), ("h", "ascending"),
+                       ("doc_id", "ascending")])
         cellv = g["cell"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = cellv[1:] != cellv[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(cellv)
         local = np.arange(len(g)) - np.repeat(starts, sizes)
         pos = local + cell_offs[np.searchsorted(cell_keys,
                                                 cellv)] + 1
-        return pd.DataFrame({
+        return pa.table({
             "doc_id": g["doc_id"], "shard": g["shard"],
-            "pos": pos.astype(np.int64)})
+            "pos": pa.array(pos.astype(np.int64))})
 
-    return _hash_partitioned(
+    return partitioned(
         base, "cell", rank_part,
+        {"doc_id": pa.int64(), "shard": pa.int64(), "pos": pa.int64()},
         rows_hint=_parquet_rows(f"{sf_dir}/documents.parquet"))
 
 
@@ -1576,26 +1496,27 @@ def funnel_stages(sf_dir: str, steps: tuple = FUNNEL_STEPS):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        users = pd.DataFrame({"user_id": g["user_id"].unique()})
-        stage = pd.Series(np.zeros(len(users), dtype=np.int64),
-                          index=users["user_id"].to_numpy())
-        prev_t = None  # Series: user -> stage-(k-1) completion time
+    def kernel(g: pa.Table) -> pa.Table:
+        users, inv = np.unique(g["user_id"].to_numpy(), return_inverse=True)
+        ts = pc.cast(g["ts"], pa.int64()).to_numpy()
+        et = g["event_type"].to_numpy()
+        stage = np.zeros(len(users), dtype=np.int64)
+        never = np.iinfo(np.int64).max
+        # per user: completion time of the last stage reached (every
+        # user has completed stage 0; users that missed a stage never
+        # complete the next one)
+        done = np.full(len(users), np.iinfo(np.int64).min)
         for k, ev in enumerate(steps, start=1):
-            sub = g[g["event_type"] == ev]
-            if prev_t is not None:
-                lim = sub["user_id"].map(prev_t)
-                sub = sub[lim.notna() & (sub["ts"] > lim)]
-            if sub.empty:
+            sel = (et == ev) & (ts > done[inv])
+            if not sel.any():
                 break
-            cur = sub.groupby("user_id")["ts"].min()
-            stage.loc[cur.index] = k
-            prev_t = cur
-        return pd.DataFrame({"user_id": stage.index.to_numpy(),
-                             "stage": stage.to_numpy()})
+            done = np.full(len(users), never)
+            np.minimum.at(done, inv[sel], ts[sel])
+            stage[done < never] = k
+        return pa.table({"user_id": users, "stage": stage})
 
-    return _hash_partitioned(
-        ds, "user_id", kernel,
+    return partitioned(
+        ds, "user_id", kernel, {"user_id": pa.int64(), "stage": pa.int64()},
         rows_hint=_parquet_rows(f"{sf_dir}/events.parquet"))
 
 
@@ -1723,26 +1644,24 @@ def length_percentile_rank(sf_dir: str):
     total = int(c.sum())
     state = ray.put((L, offs))
 
-    def rank_part(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_part(g: pa.Table) -> pa.Table:
         lens, offsets = ray.get(state)
-        g = g.sort_values(["n_chars", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+        g = g.sort_by([("n_chars", "ascending"), ("doc_id", "ascending")])
         nc = g["n_chars"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = nc[1:] != nc[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(nc)
         local = np.arange(len(g)) - np.repeat(starts, sizes)
         rnk = local + offsets[np.searchsorted(lens, nc)] + 1
         pct = ((rnk - 1) * 1000 // max(1, total - 1)) \
             if total > 1 else np.zeros(len(g), dtype=np.int64)
-        return pd.DataFrame({
+        return pa.table({
             "doc_id": g["doc_id"], "n_chars": nc,
             "rnk": rnk.astype(np.int64),
             "pct_milli": np.asarray(pct, dtype=np.int64)})
 
-    return _hash_partitioned(
+    return partitioned(
         base, "n_chars", rank_part,
+        {"doc_id": pa.int64(), "n_chars": pa.int64(), "rnk": pa.int64(),
+         "pct_milli": pa.int64()},
         rows_hint=_parquet_rows(f"{sf_dir}/documents.parquet"))
 
 
@@ -2047,9 +1966,9 @@ def running_total(sf_dir: str, sample_mod: int = 41):
     ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
                                         "value"])
 
-    def run_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def run_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
         vm = np.round(g["value"].to_numpy() * 1000.0).astype(np.int64)
         uid = g["user_id"].to_numpy()
         newu = np.ones(len(g), dtype=bool)
@@ -2061,14 +1980,14 @@ def running_total(sf_dir: str, sample_mod: int = 41):
         run_v = cs - np.repeat(base, sizes)
         idx = np.arange(len(g), dtype=np.int64)
         run_n = idx - np.repeat(idx[starts], sizes) + 1
-        out = pd.DataFrame({"event_id": g["event_id"],
-                            "user_id": uid,
-                            "run_value_milli": run_v,
-                            "run_n": run_n})
-        return out[out["event_id"] % sample_mod == 0]
+        out = pa.table({"event_id": g["event_id"], "user_id": uid,
+                        "run_value_milli": run_v, "run_n": run_n})
+        return out.filter(g["event_id"].to_numpy() % sample_mod == 0)
 
-    return _hash_partitioned(ev, "user_id", run_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(ev, "user_id", run_part,
+                       {"event_id": pa.int64(), "user_id": pa.int64(),
+                        "run_value_milli": pa.int64(), "run_n": pa.int64()},
+                       rows_hint=_parquet_rows(path))
 
 
 MW_FRAME_PRECEDING = 3      # ROWS BETWEEN 3 PRECEDING AND CURRENT ROW
@@ -2097,9 +2016,9 @@ def moving_window(sf_dir: str):
                                         "value"])
     k = MW_FRAME_PRECEDING
 
-    def win_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def win_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
         vm = np.round(g["value"].to_numpy() * 1000.0).astype(np.int64)
         uid = g["user_id"].to_numpy()
         newu = np.ones(len(g), dtype=bool)
@@ -2112,14 +2031,15 @@ def moving_window(sf_dir: str):
         j = np.maximum(run_start, idx - k)      # first row of the frame
         prev = j - 1
         before = np.where(prev >= 0, cs[np.maximum(prev, 0)], 0)
-        out = pd.DataFrame({"event_id": g["event_id"],
-                            "user_id": uid,
-                            "win_value_milli": cs - before,
-                            "win_n": idx - j + 1})
-        return out[out["event_id"] % MW_SAMPLE_MOD == 0]
+        out = pa.table({"event_id": g["event_id"], "user_id": uid,
+                        "win_value_milli": cs - before,
+                        "win_n": idx - j + 1})
+        return out.filter(g["event_id"].to_numpy() % MW_SAMPLE_MOD == 0)
 
-    return _hash_partitioned(ev, "user_id", win_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(ev, "user_id", win_part,
+                       {"event_id": pa.int64(), "user_id": pa.int64(),
+                        "win_value_milli": pa.int64(), "win_n": pa.int64()},
+                       rows_hint=_parquet_rows(path))
 
 
 RJ_BAND_CENTS = 25_000      # quadratic band-edge scale (cents)
@@ -2187,36 +2107,38 @@ def order_gap(sf_dir: str):
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts"])
 
-    def gaps_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
-        ts = g["ts"].astype("int64").to_numpy()
+    def gaps_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        ts = pc.cast(g["ts"], pa.int64()).to_numpy()
         uid = g["user_id"].to_numpy()
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = uid[1:] == uid[:-1]
-        gap = np.empty(len(g), dtype=np.int64)
+        starts, n_events = runs(uid)
+        n_gaps = n_events - 1
+        # the gaps of a user telescope: their sum is last ts - first ts
+        sum_gap = ts[starts + n_events - 1] - ts[starts]
+        gap = np.empty(len(ts), dtype=np.int64)
         gap[1:] = ts[1:] - ts[:-1]
-        df = pd.DataFrame({"user_id": uid, "gap": gap, "has": same})
-        total = df.groupby("user_id", as_index=False).agg(
-            n_events=("gap", "size"))
-        gp = df[df["has"]].groupby("user_id", as_index=False).agg(
-            n_gaps=("gap", "size"), sum_gap_us=("gap", "sum"),
-            max_gap_us=("gap", "max"), min_gap_us=("gap", "min"))
-        out = total.merge(gp, on="user_id", how="left")
-        out["n_gaps"] = out["n_gaps"].fillna(0).astype(np.int64)
-        out["sum_gap_us"] = out["sum_gap_us"].fillna(0).astype(np.int64)
         # sentinel -1 for single-event users (empty LAG window): plain
         # int64 on both sides — nullable Int64 hash-diverges vs duckdb
-        out["max_gap_us"] = out["max_gap_us"].fillna(-1).astype(np.int64)
-        out["min_gap_us"] = out["min_gap_us"].fillna(-1).astype(np.int64)
-        n = out["n_gaps"].to_numpy().astype(np.float64)
-        s = out["sum_gap_us"].to_numpy().astype(np.float64)
-        out["avg_gap_us"] = np.where(n > 0, s / np.where(n > 0, n, 1.0),
-                                     0.0)
-        return out
+        gap[starts] = -1
+        max_gap = np.maximum.reduceat(gap, starts) if len(ts) else gap
+        gap[starts] = np.iinfo(np.int64).max
+        min_gap = np.minimum.reduceat(gap, starts) if len(ts) else gap
+        min_gap[n_gaps == 0] = -1
+        n = n_gaps.astype(np.float64)
+        s = sum_gap.astype(np.float64)
+        return pa.table({
+            "user_id": uid[starts], "n_events": n_events,
+            "n_gaps": n_gaps, "sum_gap_us": sum_gap,
+            "max_gap_us": max_gap, "min_gap_us": min_gap,
+            "avg_gap_us": np.where(n > 0, s / np.where(n > 0, n, 1.0), 0.0)})
 
-    return _hash_partitioned(ev, "user_id", gaps_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(ev, "user_id", gaps_part,
+                       {"user_id": pa.int64(), "n_events": pa.int64(),
+                        "n_gaps": pa.int64(), "sum_gap_us": pa.int64(),
+                        "max_gap_us": pa.int64(), "min_gap_us": pa.int64(),
+                        "avg_gap_us": pa.float64()},
+                       rows_hint=_parquet_rows(path))
 
 
 COOCCUR_DAY_BITS = 20       # epoch-day field width in the packed key
@@ -2254,45 +2176,29 @@ def cooccur_types(sf_dir: str):
                              zero_copy_batch=True, batch_size=None) \
         .groupby(["uk", "event_type"]).count()
 
-    def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["uk", "event_type"],
-                          kind="stable").reset_index(drop=True)
-        uk = g["uk"].to_numpy()
-        et = g["event_type"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = uk[1:] != uk[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+    def pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("uk", "ascending"), ("event_type", "ascending")])
+        et = g["event_type"]
+        starts, sizes = runs(g["uk"].to_numpy())
         if len(sizes) and sizes.max() > COOCCUR_MAX_TYPES:
             raise ValueError("cooccur_types basket exceeds "
                              f"{COOCCUR_MAX_TYPES} distinct types")
-        outs = []
-        for k in np.unique(sizes):
-            if k < 2:
-                continue
-            seg = starts[sizes == k]
-            # (m, k) matrix of the types of every size-k basket
-            mat = et[(seg[:, None] + np.arange(k)[None, :])]
-            ia, ib = np.triu_indices(int(k), 1)
-            outs.append(pd.DataFrame({
-                "ta": mat[:, ia].ravel(), "tb": mat[:, ib].ravel()}))
-        if not outs:
-            return pd.DataFrame({"ta": pd.Series([], dtype=object),
-                                 "tb": pd.Series([], dtype=object),
-                                 "c": pd.Series([], dtype=np.int64)})
-        allp = pd.concat(outs, ignore_index=True)
-        return allp.groupby(["ta", "tb"], as_index=False).agg(
-            c=("ta", "size"))
+        i, j = run_pairs(starts, sizes)
+        return pa.table({"ta": et.take(i), "tb": et.take(j)}) \
+            .group_by(["ta", "tb"]).aggregate([([], "count_all")]) \
+            .rename_columns(["ta", "tb", "c"])
 
     ev_rows = _parquet_rows(f"{sf_dir}/events.parquet")
 
     def drop_cnt(batch: pa.Table) -> pa.Table:
         return batch.select(["uk", "event_type"])
 
-    pairs = _hash_partitioned(
+    pairs = partitioned(
         baskets.map_batches(drop_cnt, batch_format="pyarrow",
                             zero_copy_batch=True),
-        "uk", pairs_part, rows_hint=ev_rows)
+        "uk", pairs_part,
+        {"ta": pa.string(), "tb": pa.string(), "c": pa.int64()},
+        rows_hint=ev_rows)
     return pairs.groupby(["ta", "tb"]).aggregate(
         Sum("c", alias_name="n"))
 
@@ -2307,8 +2213,9 @@ def user_growth(sf_dir: str):
     over ONE distinct-pair shuffle: (user, day) partials -> global
     distinct; actives = per-day count of the pairs; news = per-day
     count of per-user MIN(day); event counts ride a separate partial
-    Sum.  The per-day tables (bounded by the day dimension, guarded at
-    GROWTH_MAX_DAYS) are merged driver-side."""
+    Sum.  The per-day tables (bounded by the day dimension) arrive
+    through a collect that stops past GROWTH_MAX_DAYS rows and raises,
+    and are merged driver-side."""
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
@@ -2351,20 +2258,25 @@ def user_growth(sf_dir: str):
                              zero_copy_batch=True, batch_size=None) \
         .groupby("d").aggregate(Sum("nn", alias_name="n_new"))
 
-    act = per_day.take_all()
-    nw = news.take_all()
-    if len(act) > GROWTH_MAX_DAYS:
-        raise ValueError(f"user_growth: {len(act)} days exceeds the "
-                         f"{GROWTH_MAX_DAYS} driver-fold bound")
-    nn = {r["d"]: r["n_new"] for r in nw}
-    act.sort(key=lambda r: r["d"])
+    act = collect(per_day, pa.schema([("d", pa.int64()),
+                                      ("n_events", pa.int64()),
+                                      ("n_active", pa.int64())]),
+                  GROWTH_MAX_DAYS)
+    # every user's first day is an active day, so news never has more
+    # days than act
+    nw = act is not None and collect(
+        news, pa.schema([("d", pa.int64()), ("n_new", pa.int64())]),
+        GROWTH_MAX_DAYS)
+    if act is None or nw is None:
+        raise ValueError("user_growth: day count exceeds "
+                         f"{GROWTH_MAX_DAYS}")
+    act = act.sort_by("d")
+    n_new = np.zeros(act.num_rows, np.int64)
+    n_new[np.searchsorted(act["d"].to_numpy(), nw["d"].to_numpy())] = \
+        nw["n_new"].to_numpy()
     return rd.from_arrow(pa.table({
-        "d": pa.array([r["d"] for r in act], pa.int64()),
-        "n_events": pa.array([r["n_events"] for r in act], pa.int64()),
-        "n_active_users": pa.array([r["n_active"] for r in act],
-                                   pa.int64()),
-        "n_new_users": pa.array([nn.get(r["d"], 0) for r in act],
-                                pa.int64())}))
+        "d": act["d"], "n_events": act["n_events"],
+        "n_active_users": act["n_active"], "n_new_users": n_new}))
 
 
 BJ_M = 1 << 20          # bloom bits (128 KB broadcast mask)
@@ -3164,16 +3076,17 @@ def debounce(sf_dir: str, window_us: int = DEBOUNCE_US):
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts"])
 
-    def debounce_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
-        idx = debounce_scan(g["user_id"].to_numpy(),
-                            g["ts"].astype("int64").to_numpy(),
-                            window_us)
-        return g.iloc[idx][["event_id", "user_id", "ts"]]
+    def debounce_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        return g.take(debounce_scan(g["user_id"].to_numpy(),
+                                    pc.cast(g["ts"], pa.int64()).to_numpy(),
+                                    window_us))
 
-    return _hash_partitioned(ev, "user_id", debounce_part,
-                             rows_hint=_parquet_rows(path))
+    return partitioned(ev, "user_id", debounce_part,
+                       {"event_id": pa.int64(), "user_id": pa.int64(),
+                        "ts": pa.timestamp("us")},
+                       rows_hint=_parquet_rows(path))
 
 
 Q15_LO_US = 820_454_400_000_000   # 1996-01-01
@@ -3317,9 +3230,9 @@ def user_entropy(sf_dir: str):
     convention).
 
     Scale shape: ONE hash-partition exchange on user_id, then a
-    single vectorized kernel per partition: pandas groupby
-    ((user, type) counts) -> per-user totals via a second grouped
-    sum -> integer term fold.  No per-user Python, no corpus-scale
+    single vectorized kernel per partition: Arrow group_by
+    ((user, type) counts) -> per-user totals by an indexed sum ->
+    integer term fold.  No per-user Python, no corpus-scale
     join (the per-user total never leaves the kernel that computed
     it)."""
     import ray.data as rd
@@ -3327,20 +3240,31 @@ def user_entropy(sf_dir: str):
     path = f"{sf_dir}/events.parquet"
     ev = rd.read_parquet(path, columns=["user_id", "event_type"])
 
-    def entropy_part(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "event_type"], as_index=False) \
-            .size().rename(columns={"size": "c"})
-        n = c.groupby("user_id")["c"].transform("sum").to_numpy()
-        cc = c["c"].to_numpy().astype(np.float64)
-        term = np.floor(-1000.0 * np.log(
-            cc / n.astype(np.float64))).astype(np.int64)
-        c["t"] = c["c"].to_numpy() * term
-        out = c.groupby("user_id", as_index=False).agg(
-            n_events=("c", "sum"), entropy_numer_milli=("t", "sum"))
-        return out
+    return partitioned(ev, "user_id",
+                       entropy_part("user_id", "event_type", "n_events"),
+                       {"user_id": pa.int64(), "n_events": pa.int64(),
+                        "entropy_numer_milli": pa.int64()},
+                       rows_hint=_parquet_rows(path))
 
-    return _hash_partitioned(ev, "user_id", entropy_part,
-                             rows_hint=_parquet_rows(path))
+
+def entropy_part(key: str, cat: str, n_col: str):
+    """Partition kernel of the integer entropy numerator: per ``key``,
+    ``n_col`` = its row count and ``entropy_numer_milli`` =
+    sum_cat c * floor(-1000 * ln(c / n)) over its ``cat`` counts."""
+    def part(g: pa.Table) -> pa.Table:
+        c = g.group_by([key, cat]).aggregate([([], "count_all")])
+        cnt = c["count_all"].to_numpy()
+        u, inv = np.unique(c[key].to_numpy(), return_inverse=True)
+        n = np.zeros(len(u), np.int64)
+        np.add.at(n, inv, cnt)
+        term = np.floor(-1000.0 * np.log(
+            cnt.astype(np.float64) / n[inv].astype(np.float64))) \
+            .astype(np.int64)
+        e = np.zeros(len(u), np.int64)
+        np.add.at(e, inv, cnt * term)
+        return pa.table({key: u, n_col: n, "entropy_numer_milli": e})
+
+    return part
 
 
 def q2_min_cost_supplier(sf_dir: str):
@@ -3378,9 +3302,9 @@ def q2_min_cost_supplier(sf_dir: str):
                              ["s_suppkey", "s_acctbal"], derive_cents,
                              rows_hint=_parquet_rows(li_path))
 
-    def winners_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["l_partkey", "cost", "l_suppkey"],
-                          kind="stable").reset_index(drop=True)
+    def winners_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("l_partkey", "ascending"), ("cost", "ascending"),
+                       ("l_suppkey", "ascending")])
         pk = g["l_partkey"].to_numpy()
         sk = g["l_suppkey"].to_numpy()
         cost = g["cost"].to_numpy()
@@ -3396,11 +3320,13 @@ def q2_min_cost_supplier(sf_dir: str):
         first = np.ones(len(g), dtype=bool)
         first[1:] = (pk[1:] != pk[:-1]) | (sk[1:] != sk[:-1])
         keep &= first
-        out = g.loc[keep, ["l_partkey", "l_suppkey", "cost"]]
-        return out.rename(columns={"cost": "acctbal_cents"})
+        return pa.table({"l_partkey": pk[keep], "l_suppkey": sk[keep],
+                         "acctbal_cents": cost[keep]})
 
-    return _hash_partitioned(costed, "l_partkey", winners_part,
-                             rows_hint=_parquet_rows(li_path))
+    return partitioned(costed, "l_partkey", winners_part,
+                       {"l_partkey": pa.int64(), "l_suppkey": pa.int64(),
+                        "acctbal_cents": pa.int64()},
+                       rows_hint=_parquet_rows(li_path))
 
 
 Q4_LATE_US = 5_184_000_000_000   # 60 days in epoch-us
@@ -4240,11 +4166,11 @@ def attribution(sf_dir: str):
     ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
                                         "event_type", "value"])
 
-    def attr_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="stable").reset_index(drop=True)
+    def attr_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
         uid = g["user_id"].to_numpy()
-        t = g["ts"].astype("int64").to_numpy()
+        t = pc.cast(g["ts"], pa.int64()).to_numpy()
         et = g["event_type"].to_numpy()
         vm = np.round(g["value"].to_numpy() * 1000.0).astype(np.int64)
         is_p = et == "purchase"
@@ -4257,31 +4183,24 @@ def attribution(sf_dir: str):
         # purchase row last_np is < idx by construction.
         pi = np.flatnonzero(is_p)
         if len(pi) == 0:
-            return pd.DataFrame({
-                "src_type": pd.Series([], dtype=object),
-                "n_conv": pd.Series([], dtype=np.int64),
-                "value_milli": pd.Series([], dtype=np.int64)})
+            return g.slice(0, 0)
         j = last_np[pi]
         ok = (j >= 0)
         ok &= np.where(ok, uid[np.maximum(j, 0)] == uid[pi], False)
         ok &= np.where(ok, t[pi] - t[np.maximum(j, 0)]
                        <= ATTR_WINDOW_US, False)
         src = np.where(ok, et[np.maximum(j, 0)], "(none)")
-        df = pd.DataFrame({"src_type": src, "vm": vm[pi]})
-        out = df.groupby("src_type", as_index=False).agg(
-            n_conv=("vm", "size"), value_milli=("vm", "sum"))
-        out["n_conv"] = out["n_conv"].astype(np.int64)
-        out["value_milli"] = out["value_milli"].astype(np.int64)
-        return out
+        a = pa.table({"src_type": pa.array(src, pa.string()),
+                      "vm": vm[pi]}).group_by("src_type").aggregate(
+            [([], "count_all"), ("vm", "sum")])
+        return pa.table({"src_type": a["src_type"],
+                         "n_conv": a["count_all"], "value_milli": a["vm_sum"]})
 
-    parts = _hash_partitioned(ev, "user_id", attr_part,
-                              rows_hint=_parquet_rows(path))
-    from .shuffle import arrow_bridge
-
-    bridged = arrow_bridge(parts, {"src_type": pa.string(),
-                                   "n_conv": pa.int64(),
-                                   "value_milli": pa.int64()})
-    return bridged.groupby("src_type").aggregate(
+    parts = partitioned(ev, "user_id", attr_part,
+                        {"src_type": pa.string(), "n_conv": pa.int64(),
+                         "value_milli": pa.int64()},
+                        rows_hint=_parquet_rows(path))
+    return parts.groupby("src_type").aggregate(
         Sum("n_conv", alias_name="n_conv"),
         Sum("value_milli", alias_name="value_milli"))
 
@@ -4326,9 +4245,8 @@ def rolling_median(sf_dir: str):
 
     k = ROLLMED_FRAME
 
-    def med_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "day"],
-                          kind="stable").reset_index(drop=True)
+    def med_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("event_type", "ascending"), ("day", "ascending")])
         et = g["event_type"].to_numpy()
         c = g["c"].to_numpy().astype(np.int64)
         n = len(g)
@@ -4351,15 +4269,11 @@ def rolling_median(sf_dir: str):
         lo_i = (w - 1) // 2
         r = np.arange(n)
         med2 = fr[r, lo_i] + fr[r, hi_i]
-        return pd.DataFrame({"event_type": et, "day": g["day"],
-                             "c": c, "med2": med2})
+        return pa.table({"event_type": g["event_type"],
+                         "day": pc.cast(g["day"], pa.int64()),
+                         "c": c, "med2": med2})
 
-    # per-GROUP pandas dispatch is safe here: groups == event types
-    # (a handful), each a calendar-bounded daily series
-    out = daily.groupby("event_type").map_groups(
-        med_part, batch_format="pandas")
-    from .shuffle import arrow_bridge
-
-    return arrow_bridge(out, {"event_type": pa.string(),
-                              "day": pa.int64(), "c": pa.int64(),
-                              "med2": pa.int64()})
+    # per-GROUP dispatch is safe here: groups == event types (a
+    # handful), each a calendar-bounded daily series
+    return daily.groupby("event_type").map_groups(
+        med_part, batch_format="pyarrow")

@@ -14,12 +14,20 @@ cells), not the row count, so broadcasting it via ``ray.put`` is safe at
 Driver collects: :func:`collect` is the package's one bounded collect
 of a Dataset (or of driver Arrow tables) into one driver table, and
 :func:`sum_partials` its one driver fold of (key, partial count) rows.
+
+Group kernels: :func:`partitioned` is the package's one hash-partitioned
+group primitive.  It shuffles rows on ``hash_mix(key)`` into
+``partitions_for(rows_hint)`` partitions and runs one Arrow kernel per
+partition over all of its groups; its output blocks always carry the
+declared schema, so only typed Arrow reaches the next all-to-all.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .pools import cluster_cpus
 
 DEFAULT_CAP = 1024
 MAX_SALTS = 8  # replication-factor bound: candidate-replicating consumers
@@ -160,30 +168,111 @@ def add_salt(ds, key: str, plan: dict[int, int], id_col: str):
                           zero_copy_batch=True)
 
 
-def arrow_bridge(ds, schema: "dict[str, pa.DataType]"):
-    """Typed Arrow re-emission between a pandas ``map_groups`` output and
-    a following all-to-all.
+HP_TARGET_ROWS = 250_000   # per-partition kernel-input row bound
+HP_MIN_PARTITIONS = 8
+HP_MAX_PARTITIONS = 1 << 20
+HP_PARALLEL_ROWS = 2048    # min rows to justify one extra partition
 
-    Ray 2.49 pathological path (measured): pandas group-kernel blocks
-    (including schema-less empties) feeding the next shuffle stall the
-    exchange at ~zero CPU — 58 s for a 540 K-row two-key groupby that
-    takes 6 s with one cheap Arrow normalization map in between.  Also
-    shields downstream operators from schema-less empty blocks (the
-    "RefBundle with a different schema" warnings)."""
-    names = list(schema)
 
-    def fix(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # the Ray 2.49 shield: schema-less/odd empty blocks
-            return pa.table({n: pa.array([], t) for n, t in schema.items()})
-        # a POPULATED batch missing a column is a real schema bug in the
-        # upstream kernel — raise, never silently drop rows
-        missing = [n for n in names if n not in batch.column_names]
+def partitions_for(rows: int, target_rows: int = HP_TARGET_ROWS) -> int:
+    """Partition count that (a) bounds each kernel's input to
+    ~target_rows — ceil(rows / target), so the single-task kernel stays
+    memory-bounded at ANY input size (a fixed count means partition
+    size = input/64: a multi-terabyte table per task at 100 TB) — and
+    (b) never STARVES the cluster: the floor is 2x the cluster CPU
+    count (clamped so tiny inputs don't pay thousands of near-empty
+    partitions), because a size-only rule hands a 1.28 M-row kernel 8
+    partitions on a 32-CPU box and 24 cores idle (measured 2x slowdown
+    on the minhash pair stage, round 3)."""
+    rows = int(rows)
+    floor = min(2 * cluster_cpus(),
+                max(HP_MIN_PARTITIONS, -(-rows // HP_PARALLEL_ROWS)))
+    floor = max(HP_MIN_PARTITIONS, floor)
+    return int(min(HP_MAX_PARTITIONS,
+                   max(floor, -(-rows // target_rows))))
+
+
+def hash_mix(keys: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Partition id for an int64 key column: Fibonacci multiplicative
+    mix (golden-ratio constant, wrap-around uint64) before the modulo.
+    A raw ``key % P`` collapses when the key's low bits are structured
+    — e.g. a packed key ``cell << 24 | salt`` with salt mostly 0 maps
+    EVERY row to partition 0 for any P dividing 2^24 (power-of-two P
+    is the common case from partitions_for's 2x-CPU floor).  Pure
+    function of the key, so groups are never split."""
+    h = keys.astype(np.uint64, copy=False) * np.uint64(
+        0x9E3779B97F4A7C15)
+    return ((h >> np.uint64(33))
+            % np.uint64(num_partitions)).astype(np.int64)
+
+
+def runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, sizes) of the runs of equal rows over sorted key
+    arrays: the group boundaries a partition kernel walks after its
+    sort."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, len(new)))
+
+
+def run_pairs(starts: np.ndarray,
+              sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (i, j), i < j, of every pair of rows inside each run
+    of :func:`runs`, built one triangle per distinct run size."""
+    ia, ib = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for k in np.unique(sizes[sizes > 1]):
+        rows = starts[sizes == k][:, None] + np.arange(k)
+        a, b = np.triu_indices(int(k), 1)
+        ia.append(rows[:, a].ravel())
+        ib.append(rows[:, b].ravel())
+    return np.concatenate(ia), np.concatenate(ib)
+
+
+def partitioned(ds, key: str, kernel, schema, *, rows_hint: int):
+    """Hash-partition ``ds`` on the int column ``key`` and run ONE
+    vectorized ``kernel(pa.Table) -> pa.Table`` per partition over all
+    of its groups (every row of a key reaches exactly one call).  This
+    replaces a per-group ``map_groups`` for high-cardinality keys,
+    where one call per tiny group dominates the runtime.
+
+    ``rows_hint`` is an upper-bound row estimate (parquet footer
+    metadata, a pre-pass count or a combinatorial bound) and sets the
+    partition count through :func:`partitions_for`.  ``schema`` (a
+    ``pa.Schema`` or a name -> type mapping) is the output contract:
+    every kernel output is cast to it, an empty one becomes a typed
+    empty table, and a populated one missing a column raises.  (A sort
+    partition that got no rows reaches no kernel: Ray passes its
+    schema-less empty block through, and no later map sees it.)
+
+    Ray 2.49 stalls the exchange at ~zero CPU when untyped or
+    schema-less blocks feed the next shuffle (measured: 58 s for a
+    540 K-row two-key groupby that took 6 s on typed Arrow), which is
+    why the cast lives here.  The key map also drops the input's
+    schema metadata, which Ray otherwise fails to hash when it
+    deduplicates block schemas.  The groupby is Ray's sort shuffle:
+    ``repartition(keys=)`` under ``HASH_SHUFFLE`` deadlocks a 1-CPU
+    session, and with its aggregator-CPU override it ran ~9x slower
+    (120 K rows, 8 partitions, 1 vCPU)."""
+    schema = pa.schema(schema)
+    n_parts = partitions_for(rows_hint)
+
+    def add_pkey(batch: pa.Table) -> pa.Table:
+        return batch.replace_schema_metadata(None).append_column(
+            "pkey", pa.array(hash_mix(batch[key].to_numpy(), n_parts)))
+
+    def run(t: pa.Table) -> pa.Table:
+        out = kernel(t.drop_columns(["pkey"]))
+        if not out.num_rows:
+            return schema.empty_table()
+        missing = [n for n in schema.names if n not in out.column_names]
         if missing:
-            raise KeyError(
-                f"arrow_bridge: populated batch missing {missing} "
-                f"(has {batch.column_names})")
-        return pa.table({n: batch[n] for n in names}).cast(
-            pa.schema(schema))
+            raise KeyError(f"partitioned: kernel output missing {missing} "
+                           f"(has {out.column_names})")
+        return out.select(schema.names).cast(schema)
 
-    return ds.map_batches(fix, batch_format="pyarrow")
+    return ds.map_batches(add_pkey, batch_format="pyarrow",
+                          zero_copy_batch=True).groupby("pkey").map_groups(
+        run, batch_format="pyarrow")

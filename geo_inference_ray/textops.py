@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import shuffle
-from .shuffle import collect
+from .shuffle import collect, partitioned, run_pairs, runs
 
 # language-ID marker words, checked as substrings " w " over " "||text||" ".
 # Deterministic heuristic, not a real langid model: per-language score =
@@ -512,13 +512,11 @@ def tfidf_topk(ds, n_docs: int, k: int = 3,
     occurrence stream in-batch) -> vocab-bounded document-frequency
     aggregate (materialized once — small side) -> hash join pairs⋈df on
     token (open-vocab scale path) -> integer score tf *
-    floor(1000*ln(N/df)) -> per-doc top-k through ``_hash_partitioned``
-    (one vectorized rank kernel per partition, never one pandas call
-    per document).  ``n_docs`` comes from parquet footer metadata —
-    no extra pass over the corpus."""
+    floor(1000*ln(N/df)) -> per-doc top-k through
+    ``shuffle.partitioned`` (one vectorized rank kernel per partition,
+    never one call per document).  ``n_docs`` comes from parquet
+    footer metadata — no extra pass over the corpus."""
     from ray.data.aggregate import Sum
-
-    from .relational import _hash_partitioned
 
     pairs = ds.map_batches(doc_token_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
@@ -555,25 +553,22 @@ def tfidf_topk(ds, n_docs: int, k: int = 3,
     scored = j.map_batches(score, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    def topk_part(g):
+    def topk_part(g: pa.Table) -> pa.Table:
         # one lexsort + run-start rank for EVERY doc in the partition
         # (the top_orders_per_customer kernel shape); string tie-break
-        # is bytewise in both pandas and DuckDB for the ASCII corpus
-        g = g.sort_values(["doc_id", "score_milli", "token"],
-                          ascending=[True, False, True],
-                          kind="stable").reset_index(drop=True)
+        # is bytewise in both Arrow and DuckDB
+        g = g.sort_by([("doc_id", "ascending"), ("score_milli", "descending"),
+                       ("token", "ascending")])
         d = g["doc_id"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = d[1:] != d[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(d)
         rnk = np.arange(len(g)) - np.repeat(starts, sizes) + 1
-        g["rk"] = rnk.astype(np.int64)
-        return g.loc[g["rk"] <= k,
-                     ["doc_id", "token", "score_milli", "rk"]]
+        return g.append_column("rk", pa.array(rnk.astype(np.int64))) \
+            .filter(rnk <= k)
 
-    return _hash_partitioned(scored, "doc_id", topk_part,
-                             rows_hint=hint)
+    return partitioned(scored, "doc_id", topk_part,
+                       {"doc_id": pa.int64(), "token": pa.string(),
+                        "score_milli": pa.int64(), "rk": pa.int64()},
+                       rows_hint=hint)
 
 
 def chunk_docs(ds, chunk_tokens: int = 32, overlap: int = 8):
@@ -811,35 +806,34 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from .relational import hash_mix, partitions_for
-    from .shuffle import arrow_bridge
-
-    num_parts = (partitions_for(docs_hint * DUP_SPANS_GRAMS_PER_DOC)
-                 if docs_hint is not None else 64)
+    rows_hint = DUP_SPANS_GRAMS_PER_DOC * (
+        docs_hint if docs_hint is not None else ds.count())
+    num_parts = shuffle.partitions_for(rows_hint)
 
     def pairs(batch: pa.Table) -> pa.Table:
         idx, g = doc_ngram_pairs(batch, n)
         d = (batch["doc_id"].to_numpy()[idx]
              if len(idx) else np.array([], dtype=np.int64))
         # deterministic vectorized siphash of the gram string (pandas
-        # fixed-key hash), then the shared Fibonacci mix -> partition id
+        # fixed-key hash): the partition key
         h = pd.util.hash_array(g.to_numpy(dtype=object)).astype(
             np.int64) if len(g) else np.array([], dtype=np.int64)
         return pa.table({
             "g": pa.array(g, pa.string()),
             "doc_id": pa.array(d, pa.int64()),
-            "pkey": pa.array(hash_mix(h, num_parts)),
+            "gh": pa.array(h, pa.int64()),
         })
 
     keyed = ds.map_batches(pairs, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    def span_part(g: pd.DataFrame) -> pd.DataFrame:
-        # O(n) hash-table factorize of the exact gram string (collisions
+    def span_part(g: pa.Table) -> pa.Table:
+        # O(n) hash-table encode of the exact gram string (collisions
         # resolved by string equality inside the hash table) — an
-        # O(n log n) object-dtype sort here was 5x the whole stage's
+        # O(n log n) string sort here was 5x the whole stage's
         # runtime on the 16x-dup stress corpus
-        codes, _ = pd.factorize(g["g"], sort=False)
+        codes = pc.dictionary_encode(g["g"].combine_chunks()).indices \
+            .to_numpy()
         cnt = np.bincount(codes)
         dup = cnt[codes] > 1
         d = g["doc_id"].to_numpy()
@@ -847,16 +841,14 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
         n_grams = np.bincount(inv, minlength=len(u))
         n_dup = np.bincount(inv, weights=dup.astype(np.float64),
                             minlength=len(u))
-        return pd.DataFrame({"doc_id": u,
-                             "n_grams": n_grams.astype(np.int64),
-                             "n_dup": n_dup.astype(np.int64)})
+        return pa.table({"doc_id": u,
+                         "n_grams": n_grams.astype(np.int64),
+                         "n_dup": n_dup.astype(np.int64)})
 
-    per_part = arrow_bridge(
-        keyed.groupby("pkey").map_groups(
-            lambda g: span_part(g.drop(columns=["pkey"])),
-            batch_format="pandas"),
-        {"doc_id": pa.int64(), "n_grams": pa.int64(),
-         "n_dup": pa.int64()})
+    per_part = partitioned(keyed, "gh", span_part,
+                           {"doc_id": pa.int64(), "n_grams": pa.int64(),
+                            "n_dup": pa.int64()},
+                           rows_hint=rows_hint)
 
     # Final per-doc combine. Partial volume is bounded by
     # num_parts x docs (every doc contributes <= one row per partition),
@@ -1011,10 +1003,6 @@ def inverted_index(ds, rows_hint: int | None = None):
     column (DuckDB string_agg ORDER BY doc_id)."""
     import hashlib
 
-    import pandas as pd
-
-    from .relational import _hash_partitioned
-
     pairs = ds.map_batches(doc_token_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None) \
         .select_columns(["doc_id", "token"])
@@ -1033,25 +1021,23 @@ def inverted_index(ds, rows_hint: int | None = None):
     keyed = pairs.map_batches(add_tkey, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def postings_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["token", "doc_id"],
-                          kind="stable").reset_index(drop=True)
+    def postings_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("token", "ascending"), ("doc_id", "ascending")])
         tok = g["token"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = tok[1:] != tok[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
-        ids = g["doc_id"].astype(str).to_numpy()
+        starts, sizes = runs(tok)
+        ids = pc.cast(g["doc_id"], pa.string()).to_numpy()
         posts = [",".join(ids[a:a + sz])
                  for a, sz in zip(starts, sizes)]
-        return pd.DataFrame({
-            "token": tok[starts],
+        return pa.table({
+            "token": pa.array(tok[starts], pa.string()),
             "df": sizes.astype(np.int64),
-            "postings": posts,
+            "postings": pa.array(posts, pa.string()),
         })
 
-    return _hash_partitioned(keyed, "tkey", postings_part,
-                             rows_hint=rows_hint or 1)
+    return partitioned(keyed, "tkey", postings_part,
+                       {"token": pa.string(), "df": pa.int64(),
+                        "postings": pa.string()},
+                       rows_hint=rows_hint or 1)
 
 
 PACK_RANGE_DOCS = 65536
@@ -1076,8 +1062,6 @@ def pack_sequences(ds, seq_tokens: int = 512,
     ROWS UNBOUNDED PRECEDING AND 1 PRECEDING)."""
     import ray
     from ray.data.aggregate import Sum
-
-    from .relational import _hash_partitioned
 
     def counts(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -1120,24 +1104,23 @@ def pack_sequences(ds, seq_tokens: int = 512,
     offs = np.concatenate([[0], np.cumsum(tot)[:-1]])
     state_ref = ray.put((rk, offs))
 
-    def scan_part(g):
+    def scan_part(g: pa.Table) -> pa.Table:
         rkeys, offsets = ray.get(state_ref)
-        g = g.sort_values("doc_id", kind="stable").reset_index(drop=True)
+        g = g.sort_by("doc_id")
         n = g["n_tokens"].to_numpy()
         r = g["rkey"].to_numpy()
         c = np.cumsum(n) - n
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = r[1:] != r[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(r)
         seg = c - np.repeat(c[starts], sizes)
         pre = seg + offsets[np.searchsorted(rkeys, r)]
-        g["pack_id"] = (pre // seq_tokens).astype(np.int64)
-        return g[["doc_id", "n_tokens", "pack_id"]]
+        return g.append_column("pack_id",
+                               pa.array((pre // seq_tokens).astype(np.int64)))
 
     n_ranges = len(rk)
-    return _hash_partitioned(cnts, "rkey", scan_part,
-                             rows_hint=max(1, n_ranges) * range_docs)
+    return partitioned(cnts, "rkey", scan_part,
+                       {"doc_id": pa.int64(), "n_tokens": pa.int64(),
+                        "pack_id": pa.int64()},
+                       rows_hint=max(1, n_ranges) * range_docs)
 
 
 def doc_bigram_tf(batch: pa.Table) -> pa.Table:
@@ -2539,8 +2522,6 @@ def vocab_ids(ds):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .relational import _hash_partitioned
-
     def distinct_part(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch["text"], " "))
         return pa.table({"token": toks.unique()})
@@ -2577,23 +2558,20 @@ def vocab_ids(ds):
     offs = np.concatenate([[0], np.cumsum(c)[:-1]])
     state = ray.put((rk, offs))
 
-    def rank_part(g):
+    def rank_part(g: pa.Table) -> pa.Table:
         rkeys, offsets = ray.get(state)
-        tb = g["token"].str.encode("utf-8")
-        g = g.assign(_tb=tb).sort_values(
-            ["rkey", "_tb"], kind="stable").reset_index(drop=True)
+        # Arrow orders strings by their UTF-8 bytes
+        g = g.sort_by([("rkey", "ascending"), ("token", "ascending")])
         r = g["rkey"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = r[1:] != r[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
+        starts, sizes = runs(r)
         local = np.arange(len(g)) - np.repeat(starts, sizes)
         base = offsets[np.searchsorted(rkeys, r[starts])]
         ids = np.repeat(base, sizes) + local
-        return g.assign(token_id=ids)[["token", "token_id"]]
+        return g.append_column("token_id", pa.array(ids))
 
-    return _hash_partitioned(kv, "rkey", rank_part,
-                             rows_hint=int(c.sum()))
+    return partitioned(kv, "rkey", rank_part,
+                       {"token": pa.string(), "token_id": pa.int64()},
+                       rows_hint=int(c.sum()))
 
 
 JACCARD_MAX_SOURCES = 64    # per-token source-set bound (pair kernel)
@@ -2611,8 +2589,6 @@ def source_jaccard(ds):
     tree as the SQL mirror."""
     import ray
     from ray.data.aggregate import Sum
-
-    from .relational import _hash_partitioned
 
     def distinct_part(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
@@ -2640,39 +2616,21 @@ def source_jaccard(ds):
     vsize = {r["source"]: r["count()"] for r in sizes_tbl}
     vref = ray.put(vsize)
 
-    def pairs_part(g):
-        import pandas as pd
-
-        g = g.sort_values(["token", "source"],
-                          kind="stable").reset_index(drop=True)
-        tok = g["token"].to_numpy()
-        src = g["source"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = tok[1:] != tok[:-1]
-        starts = np.flatnonzero(new)
-        seg = np.diff(np.concatenate([starts, [len(g)]]))
+    def pairs_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("token", "ascending"), ("source", "ascending")])
+        starts, seg = runs(g["token"].to_numpy())
         if len(seg) and seg.max() > JACCARD_MAX_SOURCES:
             raise ValueError("source_jaccard: a token appears in more "
                              f"than {JACCARD_MAX_SOURCES} sources")
-        outs = []
-        for k in np.unique(seg):
-            if k < 2:
-                continue
-            st = starts[seg == k]
-            mat = src[(st[:, None] + np.arange(k)[None, :])]
-            ia, ib = np.triu_indices(int(k), 1)
-            outs.append(pd.DataFrame({
-                "sa": mat[:, ia].ravel(), "sb": mat[:, ib].ravel()}))
-        if not outs:
-            return pd.DataFrame({"sa": pd.Series([], dtype=object),
-                                 "sb": pd.Series([], dtype=object),
-                                 "c": pd.Series([], dtype=np.int64)})
-        allp = pd.concat(outs, ignore_index=True)
-        return allp.groupby(["sa", "sb"], as_index=False).agg(
-            c=("sa", "size"))
+        i, j = run_pairs(starts, seg)
+        src = g["source"]
+        return pa.table({"sa": src.take(i), "sb": src.take(j)}) \
+            .group_by(["sa", "sb"]).aggregate([([], "count_all")]) \
+            .rename_columns(["sa", "sb", "c"])
 
-    inter = _hash_partitioned(
+    inter = partitioned(
         kv, "rkey", pairs_part,
+        {"sa": pa.string(), "sb": pa.string(), "c": pa.int64()},
         rows_hint=sum(vsize.values()) or 1) \
         .groupby(["sa", "sb"]).aggregate(Sum("c", alias_name="n_inter"))
 
@@ -3457,12 +3415,10 @@ def span_dedup(ds, div: int = CDC_DIV, rows_hint: int | None = None):
        exactly one row per input doc.
 
     Returns (doc_id, text_clean)."""
-    import pandas as pd
     from ray.data.aggregate import Min
 
     from .dedup import MERSENNE, _hash_tokens
-    from .relational import _hash_partitioned, join_partitions_for
-    from .shuffle import arrow_bridge
+    from .relational import join_partitions_for
 
     M = MERSENNE
     docs = ds.select_columns(["doc_id", "text"])
@@ -3517,22 +3473,23 @@ def span_dedup(ds, div: int = CDC_DIV, rows_hint: int | None = None):
     kept = j.map_batches(keep_rows, batch_format="pyarrow",
                          zero_copy_batch=True)
 
-    def pack_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "ck"]).reset_index(drop=True)
+    def pack_part(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("doc_id", "ascending"), ("ck", "ascending")])
         d = g["doc_id"].to_numpy()
         c = g["ck"].to_numpy()
         new = np.ones(len(g), dtype=bool)
         new[1:] = d[1:] != d[:-1]
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], len(g))
-        return pd.DataFrame({
+        return pa.table({
             "doc_id": d[starts],
-            "ckb": [c[s:e].tobytes() for s, e in
-                    zip(starts.tolist(), ends.tolist())]})
+            "ckb": pa.array([c[s:e].tobytes() for s, e in
+                             zip(starts.tolist(), ends.tolist())],
+                            pa.binary())})
 
-    ckb = arrow_bridge(
-        _hash_partitioned(kept, "doc_id", pack_part, rows_hint=n),
-        {"doc_id": pa.int64(), "ckb": pa.binary()}).materialize()
+    ckb = partitioned(kept, "doc_id", pack_part,
+                      {"doc_id": pa.int64(), "ckb": pa.binary()},
+                      rows_hint=n).materialize()
 
     jd = docs.join(ckb, join_type="inner", num_partitions=jp,
                    on=("doc_id",))

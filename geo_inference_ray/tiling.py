@@ -364,16 +364,18 @@ class ScorePatches:
         return stacked.reshape(c2, 2, s, 2, s).transpose(1, 3, 0, 2, 4) \
             .reshape(4, c2, s, s)
 
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        ty = int(g["ty"].iloc[0])
-        tx = int(g["tx"].iloc[0])
+    def __call__(self, g: pa.Table) -> pa.Table:
+        ty = g["ty"][0].as_py()
+        tx = g["tx"][0].as_py()
         quads = self.score_core(ty, tx, g["py"].to_numpy(),
                                 g["px"].to_numpy(), g["n"].to_numpy())
-        return pd.DataFrame({
+        return pa.table({
             "oy": ty + _QY, "ox": tx + _QX,
             "src_ty": np.full(4, ty, dtype=np.int64),
             "src_tx": np.full(4, tx, dtype=np.int64),
-            "data": [q.reshape(-1) for q in quads],
+            "data": pa.ListArray.from_arrays(
+                np.arange(0, quads.size + 1, quads[0].size, dtype=np.int32),
+                pa.array(quads.reshape(-1))),
         })
 
 
@@ -574,27 +576,20 @@ def mask_tiles_distributed(geo_ds, grid: GridConfig = DEFAULT_GRID,
     _score = ScorePatches(grid, scorer_cls)
     _merge = MergeCells(grid)
 
-    def score_patch_group(g: pd.DataFrame) -> pd.DataFrame:
-        return _score(g)
-
     def merge_cell_group(g: pd.DataFrame) -> pa.Table:
         # Arrow out, so the blocks hold TILE_SCHEMA's list<uint8> mask:
         # a pandas mask column would become Ray's tensor extension
         return pa.Table.from_pandas(_merge(g), schema=TILE_SCHEMA,
                                     preserve_index=False)
 
-    from .shuffle import arrow_bridge
+    def score_patch_group(g: pa.Table) -> pa.Table:
+        return _score(g)
 
+    # Arrow out of the scoring groups: pandas group blocks feeding the
+    # next shuffle hit a Ray 2.49 stall (see shuffle.partitioned)
     scored = owned.groupby(["ty", "tx"]).map_groups(
-        score_patch_group, batch_format="pandas",
+        score_patch_group, batch_format="pyarrow",
         **(scorer_resources or {}))
-    # typed Arrow re-emission between the two all-to-alls (see
-    # shuffle.arrow_bridge: pandas group blocks feeding a shuffle hit a
-    # Ray 2.49 stall)
-    scored = arrow_bridge(scored, {
-        "oy": pa.int64(), "ox": pa.int64(),
-        "src_ty": pa.int64(), "src_tx": pa.int64(),
-        "data": pa.list_(pa.float32())})
     merged = scored.groupby(["oy", "ox"]).map_groups(
         merge_cell_group, batch_format="pandas")
     return merged

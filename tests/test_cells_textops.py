@@ -889,7 +889,7 @@ def test_dup_spans_bails_mid_stream(ray_session, monkeypatch):
     import ray.data as rd
 
     from geo_inference_ray import shuffle, textops
-    from geo_inference_ray.relational import partitions_for
+    from geo_inference_ray.shuffle import partitions_for
 
     words = [f"w{i}" for i in range(60)]
     docs = rd.from_arrow(pa.table({

@@ -3,6 +3,7 @@ window ordering (the driver records CORRECTNESS rows for the FIRST 50
 ``queries()`` entries), full oracle coverage, and the machine-readable
 window file staying in sync with the code."""
 
+import ast
 import json
 import os
 
@@ -44,3 +45,51 @@ def test_window_file_in_sync():
     expect = sorted(n for n in names
                     if n not in prev and n not in set(e._R5_WINDOW))
     assert w["never_checked_after_expected"] == expect
+
+
+RETIRED = {"_hash_partitioned", "arrow_bridge"}
+
+
+def _groups_on_pkey(node) -> bool:
+    """``<x>.groupby("pkey")`` or ``<x>.groupby(["pkey"])``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "groupby" and node.args):
+        return False
+    key = node.args[0]
+    keys = key.elts if isinstance(key, (ast.List, ast.Tuple)) else [key]
+    return any(isinstance(k, ast.Constant) and k.value == "pkey"
+               for k in keys)
+
+
+def _identifiers(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            yield n.name
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name
+
+
+def test_one_partition_primitive():
+    """Hash-partitioned group kernels go through shuffle.partitioned:
+    the package groups on "pkey" in that one place, and the retired
+    per-module copies and the pandas-to-Arrow shim stay gone."""
+    pkg = os.path.join(REPO, "geo_inference_ray")
+    found, pkey_in_shuffle = [], 0
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if _groups_on_pkey(node):
+                if name == "shuffle.py":
+                    pkey_in_shuffle += 1
+                else:
+                    found.append(f"{name}:{node.lineno} groupby('pkey')")
+        found += [f"{name}: {i}" for i in set(_identifiers(tree)) & RETIRED]
+    assert not found, found
+    assert pkey_in_shuffle == 1

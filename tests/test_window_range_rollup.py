@@ -322,6 +322,35 @@ def test_weekly_growth_week_bound_is_loud(ray_session, tmp_path,
         relational.weekly_growth(d)
 
 
+def test_user_growth_day_bound_is_loud(ray_session, tmp_path, monkeypatch):
+    """More days than GROWTH_MAX_DAYS raise instead of folding a
+    truncated day table, and the per-day collect stops at the bound
+    without pulling the new-user table; exactly the bound still folds."""
+    from geo_inference_ray import relational
+
+    day = 86_400_000_000
+    d = _write_events(tmp_path, [(i, i * day, i % 2, 1.0)
+                                 for i in range(3)])
+    monkeypatch.setattr(relational, "GROWTH_MAX_DAYS", 3)
+    out = relational.user_growth(d).to_pandas()
+    assert out["d"].tolist() == [0, 1, 2]
+    assert out["n_active_users"].tolist() == [1, 1, 1]
+    assert out["n_new_users"].tolist() == [1, 1, 0]
+
+    collected = []
+    real_collect = relational.collect
+
+    def spy(*args):
+        collected.append(real_collect(*args))
+        return collected[-1]
+
+    monkeypatch.setattr(relational, "collect", spy)
+    monkeypatch.setattr(relational, "GROWTH_MAX_DAYS", 2)
+    with pytest.raises(ValueError, match="day count exceeds 2"):
+        relational.user_growth(d)
+    assert collected == [None]
+
+
 def test_transitions_golden_and_user_isolation(ray_session, tmp_path):
     """user 1: A->B->B ; user 2: B->A.  No cross-user pair even when
     both users share a hash partition."""

@@ -139,7 +139,8 @@ def test_score_patches_emit_and_merge_end_to_end():
     sp = ScorePatches(grid)
     contribs = []
     for (ty, tx), g in owned.groupby(["ty", "tx"]):
-        contribs.append(sp(g.reset_index(drop=True)))
+        contribs.append(sp(pa.Table.from_pandas(
+            g, preserve_index=False)).to_pandas())
     contribs = pd.concat(contribs, ignore_index=True)
     mc = MergeCells(grid)
     tiles = []
