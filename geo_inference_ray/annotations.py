@@ -23,7 +23,8 @@ import json
 import numpy as np
 import pandas as pd
 
-from .geom import affine_apply, affine_invert, clip_to_rect, shoelace_area
+from .geom import (affine_apply, affine_invert, clip_to_rect, ring_areas,
+                   shoelace_area, split_rings)
 from .tiling import GridConfig
 
 
@@ -33,17 +34,41 @@ def grid_affine(grid: GridConfig):
     return (grid.pix, 0.0, grid.min_lon, 0.0, -grid.pix, grid.max_lat)
 
 
+def _px_rings(polys: pd.DataFrame, grid: GridConfig):
+    """The rings of ``polys`` in pixel coordinates as flat arrays: one
+    concatenation, one inverse grid affine (M11).  Returns (xs, ys,
+    off), ring ``r`` being ``xs[off[r]:off[r+1]]``."""
+    n_v = np.fromiter(map(len, polys["xs"]), dtype=np.int64,
+                      count=len(polys))
+    off = np.r_[0, np.cumsum(n_v)]
+    if not off[-1]:
+        return np.zeros(0), np.zeros(0), off
+    x, y = affine_apply(*affine_invert(*grid_affine(grid)),
+                        np.concatenate(polys["xs"].tolist()),
+                        np.concatenate(polys["ys"].tolist()))
+    return x, y, off
+
+
+def _ring_bounds(xs: np.ndarray, ys: np.ndarray, off: np.ndarray):
+    """Per-ring (minx, maxx, miny, maxy); NaN for a ring with no
+    vertices."""
+    full = np.diff(off) > 0
+    out = np.full((4, len(full)), np.nan)
+    at = off[:-1][full]
+    if len(at):
+        out[:, full] = [np.minimum.reduceat(xs, at),
+                        np.maximum.reduceat(xs, at),
+                        np.minimum.reduceat(ys, at),
+                        np.maximum.reduceat(ys, at)]
+    return out
+
+
 def rings_to_px(polys: pd.DataFrame, grid: GridConfig) -> pd.DataFrame:
     """geo rings -> pixel rings via the inverse grid affine (M11)."""
-    inv = affine_invert(*grid_affine(grid))
+    x, y, off = _px_rings(polys, grid)
     out = polys.copy()
-    pxs, pys = [], []
-    for r in polys.itertuples():
-        x, y = affine_apply(*inv, np.asarray(r.xs), np.asarray(r.ys))
-        pxs.append(x)
-        pys.append(y)
-    out["pxs"] = pxs
-    out["pys"] = pys
+    out["pxs"] = split_rings(x, off)
+    out["pys"] = split_rings(y, off)
     return out
 
 
@@ -84,34 +109,36 @@ def to_yolo(polys: pd.DataFrame, grid: GridConfig,
             min_overlap: float = 0.66) -> pd.DataFrame:
     """Outer rings -> YOLO rows (class_id, x, y, w, h) normalized to the
     raster dims; polygons whose clipped-area fraction inside the image
-    rect is below ``min_overlap`` are dropped (M14/M15)."""
-    px = rings_to_px(polys[~polys["is_hole"]], grid)
+    rect is below ``min_overlap`` are dropped (M14/M15).  Zero-area
+    rings are dropped.  Only rings whose bbox leaves the rect are
+    clipped: a ring inside it is its own clip, fraction exactly 1."""
+    outer = polys[~polys["is_hole"]]
+    x, y, off = _px_rings(outer, grid)
     W, H = grid.width, grid.height
-    rows = []
-    for r in px.itertuples():
-        xs, ys = np.asarray(r.pxs), np.asarray(r.pys)
-        area = shoelace_area(xs, ys)
-        if area == 0:
-            continue
-        cx, cy = clip_to_rect(xs, ys, 0, 0, W, H)
-        if len(cx) == 0 or shoelace_area(cx, cy) / area < min_overlap:
-            continue
-        minx, maxx = xs.min(), xs.max()
-        miny, maxy = ys.min(), ys.max()
-        rows.append({
-            "class_id": r.class_id,
-            "x": (minx + maxx) / 2.0 / W,
-            "y": (miny + maxy) / 2.0 / H,
-            "w": (maxx - minx) / W,
-            "h": (maxy - miny) / H,
-        })
-    return pd.DataFrame(rows, columns=["class_id", "x", "y", "w", "h"])
+    minx, maxx, miny, maxy = _ring_bounds(x, y, off)
+    area = ring_areas(x, y, off)
+    inside = (minx >= 0) & (maxx <= W) & (miny >= 0) & (maxy <= H)
+    keep = area != 0
+    if min_overlap > 1.0:
+        keep &= ~inside
+    for i in np.flatnonzero(keep & ~inside).tolist():
+        cx, cy = clip_to_rect(x[off[i]:off[i + 1]], y[off[i]:off[i + 1]],
+                              0, 0, W, H)
+        keep[i] = len(cx) > 0 \
+            and not shoelace_area(cx, cy) / area[i] < min_overlap
+    return pd.DataFrame({
+        "class_id": outer["class_id"].to_numpy()[keep],
+        "x": ((minx + maxx) / 2.0 / W)[keep],
+        "y": ((miny + maxy) / 2.0 / H)[keep],
+        "w": ((maxx - minx) / W)[keep],
+        "h": ((maxy - miny) / H)[keep],
+    })
 
 
 def yolo_lines(yolo_df: pd.DataFrame) -> list[str]:
     """Space-delimited, no header (W3 sink format)."""
-    return [f"{int(r.class_id)} {r.x} {r.y} {r.w} {r.h}"
-            for r in yolo_df.itertuples()]
+    cols = [yolo_df[c].tolist() for c in ("class_id", "x", "y", "w", "h")]
+    return [f"{int(c)} {x} {y} {w} {h}" for c, x, y, w, h in zip(*cols)]
 
 
 def to_coco(polys: pd.DataFrame, grid: GridConfig,
@@ -135,8 +162,7 @@ def to_coco(polys: pd.DataFrame, grid: GridConfig,
     ``license_id`` stamps the image record, and ``info``/``licenses``
     add the optional top-level COCO blocks (make_coco_image_dict,
     geo_transforms.py:352-375)."""
-    px = rings_to_px(polys[~polys["is_hole"]], grid) \
-        .sort_values("comp_id", kind="stable")
+    px = polys[~polys["is_hole"]].sort_values("comp_id", kind="stable")
     cats = sorted(px["class_id"].unique().tolist())
     names = {int(c): (category_names or {}).get(int(c), f"class_{int(c)}")
              for c in cats}
@@ -156,24 +182,27 @@ def to_coco(polys: pd.DataFrame, grid: GridConfig,
                      for c in cats}
     cat_records = [{"id": int(c), "name": names[int(c)],
                     "supercategory": "mask"} for c in cats]
-    annos = []
-    for i, r in enumerate(px.itertuples()):
-        xs, ys = np.asarray(r.pxs), np.asarray(r.pys)
-        seg = np.column_stack([xs, ys]).reshape(-1).tolist()
-        minx, miny = float(xs.min()), float(ys.min())
-        w, h = float(xs.max() - minx), float(ys.max() - miny)
-        rec = {
-            "id": starting_id + i,
-            "image_id": 1,
-            "category_id": int(r.class_id),
-            "segmentation": [seg],
-            "area": float(shoelace_area(xs, ys)),
-            "bbox": [minx, miny, w, h],
-            "iscrowd": 0,
-        }
-        if score_col is not None:
-            rec["score"] = float(getattr(r, score_col))
-        annos.append(rec)
+    x, y, off = _px_rings(px, grid)
+    minx, maxx, miny, maxy = _ring_bounds(x, y, off)
+    seg = np.empty(2 * len(x))
+    seg[0::2], seg[1::2] = x, y
+    seg = seg.tolist()
+    bounds = (2 * off).tolist()
+    cols = [px["class_id"].tolist(), ring_areas(x, y, off).tolist(),
+            minx.tolist(), miny.tolist(), (maxx - minx).tolist(),
+            (maxy - miny).tolist(), bounds[:-1], bounds[1:]]
+    annos = [{
+        "id": starting_id + i,
+        "image_id": 1,
+        "category_id": int(c),
+        "segmentation": [seg[a:b]],
+        "area": area,
+        "bbox": [x0, y0, w, h],
+        "iscrowd": 0,
+    } for i, (c, area, x0, y0, w, h, a, b) in enumerate(zip(*cols))]
+    if score_col is not None:
+        for rec, sc in zip(annos, px[score_col].tolist()):
+            rec["score"] = float(sc)
     image_rec = {"id": 1, "file_name": image_fname,
                  "width": grid.width, "height": grid.height}
     if license_id is not None:

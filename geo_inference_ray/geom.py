@@ -12,7 +12,7 @@ from shapely/rtree:
                     (synth.SQL_PIP_PAIRS) so both sides make bit-identical
                     decisions near edges.
 * shoelace_area   — polygon area (reference uses shapely ``.area``,
-                    polygon.py:61).
+                    polygon.py:61); ``ring_areas`` over flat ring arrays.
 * clip_to_rect    — Sutherland–Hodgman clip vs an axis-aligned rect
                     (reference uses shapely ``intersection`` for the YOLO
                     min_overlap filter, polygon.py:130-135).
@@ -202,6 +202,38 @@ def shoelace_area(xs: np.ndarray, ys: np.ndarray) -> float:
     x2 = np.roll(xs, -1)
     y2 = np.roll(ys, -1)
     return float(abs(np.sum(xs * y2 - x2 * ys)) * 0.5)
+
+
+def split_rings(flat: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
+    """Per-ring views of a flat vertex array with ring offsets ``off``
+    (ring ``r`` is ``flat[off[r]:off[r+1]]``)."""
+    bounds = np.asarray(off).tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def ring_areas(xs: np.ndarray, ys: np.ndarray,
+               off: np.ndarray) -> np.ndarray:
+    """:func:`shoelace_area` of every ring of flat vertex arrays with
+    ring offsets ``off``, bit-identical to calling it per ring.  The
+    shoelace terms are the same products; when they are integers whose
+    absolute sum stays below 2**52 every partial sum is exact, so one
+    segment sum gives ``np.sum``'s result in any order.  Other terms
+    fall back to ``np.sum`` per ring."""
+    off = np.asarray(off)
+    n_v = np.diff(off)
+    full = n_v > 0
+    if not full.any():
+        return np.zeros(len(n_v))
+    nxt = np.arange(len(xs)) + 1
+    nxt[off[1:][full] - 1] = off[:-1][full]
+    terms = xs * ys[nxt] - xs[nxt] * ys
+    if np.abs(terms).sum() < 2.0 ** 52 \
+            and np.array_equal(terms, np.trunc(terms)):
+        out = np.zeros(len(n_v))
+        out[full] = np.abs(np.add.reduceat(terms, off[:-1][full])) * 0.5
+        return out
+    return np.array([shoelace_area(x, y) for x, y in
+                     zip(split_rings(xs, off), split_rings(ys, off))])
 
 
 def clip_to_rect(xs: np.ndarray, ys: np.ndarray,

@@ -32,11 +32,14 @@ n_pixels, area_px, xs, ys) with xs/ys in lon/lat degrees.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import collect, partitioned, runs
+from .geom import split_rings
+from .shuffle import collect, partitioned
 from .tiling import NODATA, TILE_SCHEMA, GridConfig
 
 
@@ -158,96 +161,136 @@ def label_components_ref(mask: np.ndarray) -> np.ndarray:
 # boundary tracing (pixel-edge following; interior on the left)
 # ---------------------------------------------------------------------------
 
-_VBIG = np.int64(1) << np.int64(32)
+class RingArrays(NamedTuple):
+    """Boundary rings as flat arrays: ring ``r`` belongs to component
+    ``comp[r]``, has the integer corner vertices ``xs[off[r]:off[r+1]]``
+    / ``ys[...]`` and the signed area ``area[r]``.  Rings are ordered by
+    component, then by first boundary edge in row-major pixel order."""
+    comp: np.ndarray
+    off: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    area: np.ndarray
 
 
 def trace_rings(pixels: set[tuple[int, int]]):
-    """Boundary rings of a 4-connected pixel set (vectorized).
-
-    Pixels are (y, x) cells of unit size; vertices are integer corners.
-    Returns list of rings, each a list of (x, y) vertices; ring 0.. may
-    include holes (``is_hole`` decided downstream from signed area).
-
-    Array-based: boundary edges from sorted-key membership tests, a
-    successor permutation over EDGES (junction vertices resolved by the
-    sharpest-right-turn rule per incoming direction), then cycle
-    decomposition with vectorized collinear collapse.  Rings are
-    enumerated in row-major first-edge order (deterministic by
-    construction, unlike the reference kernel's set-iteration order).
-    """
+    """Boundary rings of one 4-connected pixel set of (y, x) cells, as a
+    list of rings, each a list of (x, y) integer corners — the list form
+    of :func:`trace_rings_arrays`."""
     if not pixels:
         return []
     arr = np.array(list(pixels), dtype=np.int64)
-    return trace_rings_arrays(arr[:, 0], arr[:, 1])
+    r = trace_rings_arrays(arr[:, 0], arr[:, 1])
+    pts = list(zip(r.xs.tolist(), r.ys.tolist()))
+    bounds = r.off.tolist()
+    return [pts[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def trace_rings_arrays(pys: np.ndarray, pxs: np.ndarray):
-    """Array-native trace_rings (no set/sort round-trip) — the form the
-    pipeline kernels call with the np.nonzero output directly."""
-    key = pys * _VBIG + pxs
-    order0 = np.argsort(key, kind="stable")  # row-major pixel order
-    ys, xs = pys[order0], pxs[order0]
-    key = key[order0]
+def trace_rings_arrays(pys: np.ndarray, pxs: np.ndarray,
+                       comp: np.ndarray | None = None) -> RingArrays:
+    """Boundary rings (outer ring and holes, interior on the left) of
+    every component in one array pass.  ``comp`` gives each pixel's
+    component id (default: all pixels form one component); pixels may
+    come in any order.
 
-    def member(yy, xx):
-        k = yy * _VBIG + xx
-        pos = np.clip(np.searchsorted(key, k), 0, len(key) - 1)
+    Pixels, boundary edges and junction out-edges are keyed by
+    (component, y, x) in a per-component bounding-box key space, so one
+    sorted key array serves every component.  The successor permutation
+    over edges pairs each junction in-edge with its sharpest right
+    turn; its cycles are the rings, found by pointer doubling (each
+    cycle's minimum edge is its start, each edge's distance to the
+    cycle's last edge its position).  Collinear vertices are dropped and
+    signed areas summed over the flat vertex arrays: the areas are sums
+    of products of integer corners, exact in float64 in any order."""
+    pys = np.asarray(pys, dtype=np.int64)
+    pxs = np.asarray(pxs, dtype=np.int64)
+    comp = np.zeros(len(pys), dtype=np.int64) if comp is None \
+        else np.asarray(comp, dtype=np.int64)
+    if not len(pys):
+        z = np.zeros(0, dtype=np.int64)
+        return RingArrays(z, np.zeros(1, dtype=np.int64), z, z,
+                          np.zeros(0))
+    o = np.lexsort((pxs, pys, comp))  # component, then row-major
+    ys, xs, cs = pys[o], pxs[o], comp[o]
+    first = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
+    ci = np.cumsum(np.r_[False, cs[1:] != cs[:-1]])
+    # key space of a component: its bounding box grown by one cell on
+    # every side, so neighbours and corners of its pixels fit
+    y0 = ys[first] - 1
+    x0 = np.minimum.reduceat(xs, first) - 1
+    wid = np.maximum.reduceat(xs, first) - x0 + 2
+    size = (ys[np.r_[first[1:], len(ys)] - 1] - y0 + 2) * wid
+    base = np.cumsum(size) - size
+    w = wid[ci]
+    b = base[ci] - y0[ci] * w - x0[ci]  # key(y, x) = b + y * w + x
+    key = b + ys * w + xs
+
+    def member(k):
+        pos = np.minimum(np.searchsorted(key, k), len(key) - 1)
         return key[pos] == k
 
     # directed boundary edges, interior on the LEFT of direction;
     # per-pixel side order (top, bottom, left, right)
-    top = ~member(ys - 1, xs)
-    bot = ~member(ys + 1, xs)
-    lef = ~member(ys, xs - 1)
-    rig = ~member(ys, xs + 1)
-    msk = np.stack([top, bot, lef, rig], axis=1).reshape(-1)
+    msk = np.stack([~member(key - w), ~member(key + w),
+                    ~member(key - 1), ~member(key + 1)], 1).reshape(-1)
     SX = np.stack([xs, xs + 1, xs, xs + 1], 1).reshape(-1)[msk]
     SY = np.stack([ys, ys + 1, ys + 1, ys], 1).reshape(-1)[msk]
     EX = np.stack([xs + 1, xs, xs, xs + 1], 1).reshape(-1)[msk]
     EY = np.stack([ys, ys + 1, ys, ys + 1], 1).reshape(-1)[msk]
+    epix = np.repeat(np.arange(len(ys)), 4)[msk]
     m = len(SX)
-    skey = SY * _VBIG + SX
-    ekey = EY * _VBIG + EX
+    skey = b[epix] + SY * w[epix] + SX
+    ekey = b[epix] + EY * w[epix] + EX
     order = np.argsort(skey, kind="stable")
     s_sorted = skey[order]
     lo = np.searchsorted(s_sorted, ekey)
-    hi = np.searchsorted(s_sorted, ekey, side="right")
-    cnt = hi - lo
-    dx = EX - SX
-    dy = EY - SY
-    succ = np.full(m, -1, dtype=np.int64)
-    simple = cnt == 1
-    succ[simple] = order[lo[simple]]
-    for i in np.nonzero(cnt > 1)[0].tolist():
-        cand = order[lo[i]:hi[i]]
-        turns = dx[i] * dy[cand] - dy[i] * dx[cand]
-        succ[i] = cand[int(np.argmin(turns))]
+    hi = np.minimum(lo + 1, m - 1)
+    # a corner has one out-edge, or two at a diagonal pinch; there the
+    # sharpest right turn (smallest cross product) wins, the first
+    # out-edge on a tie
+    c0, c1 = order[lo], order[hi]
+    dx, dy = EX - SX, EY - SY
+    t0 = dx * dy[c0] - dy * dx[c0]
+    t1 = dx * dy[c1] - dy * dx[c1]
+    succ = np.where((s_sorted[hi] == ekey) & (hi > lo) & (t1 < t0), c1, c0)
     # the right-turn rule pairs each junction's in-edges with distinct
     # out-edges; a collision would break the permutation
-    assert len(np.unique(succ)) == m, "junction pairing collision"
-    visited = np.zeros(m, dtype=bool)
-    succ_l = succ.tolist()
-    sx_l = SX.tolist()
-    sy_l = SY.tolist()
-    rings = []
-    for start_e in range(m):
-        if visited[start_e]:
-            continue
-        vx: list[int] = []
-        vy: list[int] = []
-        e = start_e
-        while not visited[e]:
-            visited[e] = True
-            vx.append(sx_l[e])
-            vy.append(sy_l[e])
-            e = succ_l[e]
-        X = np.array(vx, dtype=np.int64)
-        Y = np.array(vy, dtype=np.int64)
-        xp, yp = np.roll(X, 1), np.roll(Y, 1)
-        xn, yn = np.roll(X, -1), np.roll(Y, -1)
-        keep = (X - xp) * (yn - Y) != (Y - yp) * (xn - X)
-        rings.append(list(zip(X[keep].tolist(), Y[keep].tolist())))
-    return rings
+    assert np.bincount(succ, minlength=m).max() == 1, \
+        "junction pairing collision"
+    # ring start: the cycle's minimum edge index
+    idx = np.arange(m)
+    lead, p = idx, succ
+    while True:
+        nxt = np.minimum(lead, lead[p])
+        if np.array_equal(nxt, lead):
+            break
+        lead, p = nxt, p[p]
+    # position: distance to the ring's last edge (the one whose
+    # successor is the start), by pointer jumping
+    last = lead[succ] == succ
+    p = np.where(last, idx, succ)
+    dist = (~last).astype(np.int64)
+    while True:
+        pp = p[p]
+        if np.array_equal(pp, p):
+            break
+        dist = dist + dist[p]
+        p = pp
+    starts = np.flatnonzero(lead == idx)
+    n_e = dist[starts] + 1
+    e_off = np.r_[0, np.cumsum(n_e)]
+    ring = np.searchsorted(starts, lead)
+    seq = np.empty(m, dtype=np.int64)
+    seq[e_off[ring] + dist[starts][ring] - dist] = idx
+    X, Y = SX[seq], SY[seq]
+    nx_, pv = idx + 1, idx - 1
+    nx_[e_off[1:] - 1] = e_off[:-1]
+    pv[e_off[:-1]] = e_off[1:] - 1
+    keep = (X - X[pv]) * (Y[nx_] - Y) != (Y - Y[pv]) * (X[nx_] - X)
+    area = np.add.reduceat(X * Y[nx_] - X[nx_] * Y, e_off[:-1]) * 0.5
+    n_v = np.add.reduceat(keep.astype(np.int64), e_off[:-1])
+    return RingArrays(cs[epix[starts]], np.r_[0, np.cumsum(n_v)],
+                      X[keep], Y[keep], area)
 
 
 def trace_rings_ref(pixels: set[tuple[int, int]]):
@@ -388,11 +431,53 @@ RING_SCHEMA = pa.schema([
     ("xs", pa.list_(pa.float64())), ("ys", pa.list_(pa.float64()))])
 
 
+# polygons_distributed's per-tile rows: kind 0 pixel (a, b = py, px),
+# 1 border (a = edge_key * 4 + side, b = offset), 2 component registry
+_LABELED_SCHEMA = pa.schema([
+    ("kind", pa.int8()), ("tkey", pa.int64()), ("llab", pa.int64()),
+    ("class_id", pa.int64()), ("a", pa.int64()), ("b", pa.int64())])
+
+
 def _empty_rings() -> pd.DataFrame:
     """A ring table with no rows and typed columns (an untyped empty
     ``is_hole`` would make ``polys[~polys["is_hole"]]`` a column
     selection)."""
     return RING_SCHEMA.empty_table().to_pandas()
+
+
+def _ring_columns(pys, pxs, comp, cls, grid: GridConfig,
+                  min_area_px: float):
+    """Ring rows of the components of the given pixels, traced in one
+    :func:`trace_rings_arrays` call: the per-ring columns of
+    RING_SCHEMA up to ``area_px``, the ring offsets and the flat lon /
+    lat vertex arrays.  A component's outer ring is its ring of largest
+    |signed area| (the first one on a tie), and ``area_px`` is that
+    ring's |area|; components below ``min_area_px`` are dropped."""
+    r = trace_rings_arrays(pys, pxs, comp)
+    ucomp, first, npix = np.unique(comp, return_index=True,
+                                   return_counts=True)
+    rc = np.searchsorted(ucomp, r.comp)  # component index of each ring
+    cstart = np.flatnonzero(np.r_[True, rc[1:] != rc[:-1]])
+    aa = np.abs(r.area)
+    top = np.flatnonzero(aa == np.maximum.reduceat(aa, cstart)[rc])
+    outer = top[np.r_[True, rc[top][1:] != rc[top][:-1]]]
+    area_px = aa[outer][rc]
+    keep = area_px >= min_area_px
+    is_hole = np.ones(len(rc), dtype=bool)
+    is_hole[outer] = False
+    n_v = np.diff(r.off)
+    vkeep = np.repeat(keep, n_v)
+    cols = {
+        "comp_id": r.comp[keep],
+        "class_id": np.asarray(cls, dtype=np.int64)[first][rc][keep],
+        "ring_idx": (np.arange(len(rc)) - cstart[rc])[keep],
+        "is_hole": is_hole[keep],
+        "n_pixels": npix[rc][keep],
+        "area_px": area_px[keep],
+    }
+    lon = grid.min_lon + r.xs[vkeep].astype(float) * grid.pix
+    lat = grid.max_lat - r.ys[vkeep].astype(float) * grid.pix
+    return cols, np.r_[0, np.cumsum(n_v[keep])], lon, lat
 
 
 def stitch_polygons(tiles, grid: GridConfig,
@@ -401,8 +486,10 @@ def stitch_polygons(tiles, grid: GridConfig,
     nodata), a TILE_SCHEMA ``pa.Table`` or its pandas form.  The
     foreground pixels of all tiles are labeled in one
     :func:`label_pixels` pass over their raster positions, so
-    components that cross tile borders need no stitch, and memory
-    grows with the tiles, not with the grid area.
+    components that cross tile borders need no stitch, and the rings of
+    every component are traced in one :func:`trace_rings_arrays` call
+    (no per-component Python).  Memory grows with the tiles, not with
+    the grid area.
 
     Components are numbered by their first pixel in tile-major scan
     order (tile row-major, then row-major within the tile).  That is
@@ -437,33 +524,12 @@ def stitch_polygons(tiles, grid: GridConfig,
     comp_of = np.empty(len(first), dtype=np.int64)
     comp_of[np.argsort(first)] = np.arange(len(first))
     comp = comp_of[labs - 1]
-    order = np.argsort(comp, kind="stable")
-    comp, pys, pxs, cls = comp[order], pys[order], pxs[order], cls[order]
-    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-    ends = np.r_[starts[1:], len(comp)]
-    out = []
-    for st, en in zip(starts.tolist(), ends.tolist()):
-        cid = int(comp[st])
-        rings = trace_rings_arrays(pys[st:en], pxs[st:en])
-        # outer ring = largest |signed area|
-        areas = [ring_signed_area(rg) for rg in rings]
-        outer = int(np.argmax(np.abs(areas)))
-        area_px = abs(areas[outer])
-        if area_px < min_area_px:
-            continue
-        for ri, rg in enumerate(rings):
-            xs = np.array([p[0] for p in rg], dtype=float)
-            ys = np.array([p[1] for p in rg], dtype=float)
-            lon = grid.min_lon + xs * grid.pix
-            lat = grid.max_lat - ys * grid.pix
-            out.append({
-                "comp_id": cid,
-                "class_id": int(cls[st]),
-                "ring_idx": ri, "is_hole": ri != outer,
-                "n_pixels": en - st, "area_px": area_px,
-                "xs": lon, "ys": lat,
-            })
-    return pd.DataFrame(out) if out else _empty_rings()
+    cols, off, lon, lat = _ring_columns(pys, pxs, comp, cls, grid,
+                                        min_area_px)
+    if not len(cols["comp_id"]):
+        return _empty_rings()
+    return pd.DataFrame({**cols, "xs": split_rings(lon, off),
+                         "ys": split_rings(lat, off)})
 
 
 def polygons_from_tiles(tiles, grid: GridConfig,
@@ -544,12 +610,20 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
 
     # driver combine, all vectorized (the grid-bounded small side:
     # border + registry rows only — pixel payload is dropped remotely
-    # and never crosses to the driver)
+    # and never crosses to the driver).  A tile has at most 4 * stride
+    # border rows and stride^2 registry rows, so more rows than that
+    # over the grid's tiles means the tiles do not fit the grid
     def drop_pixels(bt: pa.Table) -> pa.Table:
         return bt.filter(pa.array(np.asarray(bt["kind"]) != 0))
 
-    sm = labeled.map_batches(drop_pixels,
-                             batch_format="pyarrow").to_pandas()
+    bound = grid.nx * grid.ny * (4 * stride + stride * stride)
+    sm = collect(labeled.map_batches(drop_pixels, batch_format="pyarrow"),
+                 _LABELED_SCHEMA, bound)
+    if sm is None:
+        raise ValueError(
+            f"polygons_distributed: border and registry rows exceed "
+            f"{bound} ({grid.nx}x{grid.ny} tiles of stride {stride})")
+    sm = sm.to_pandas()
     reg = sm[sm["kind"] == 2]
     nodes = np.unique(reg["tkey"].to_numpy() * mult
                       + reg["llab"].to_numpy())
@@ -606,67 +680,17 @@ def polygons_distributed(tiles_ds, grid: GridConfig,
     pixels = labeled.map_batches(relabel, batch_format="pyarrow")
 
     def trace_part(g: pa.Table) -> pa.Table:
-        """Ring tracing for EVERY component in the hash partition (one
-        kernel call per partition, not per component — a sliver-heavy
-        fine-grid mask has millions of tiny components, which is the
-        per-group-call trap this repo eliminates everywhere else).
-        Tracing itself is inherently per-component; the loop body is
-        the numpy ring tracer over that component's pixel slice."""
-        g = g.sort_by("comp_id")
-        cids = g["comp_id"].to_numpy()
-        starts, sizes = runs(cids)
-        py = g["py"].to_numpy().astype(np.int64, copy=False)
-        px = g["px"].to_numpy().astype(np.int64, copy=False)
-        cls = g["class_id"].to_numpy()
-        # vectorized fast path: a 1-pixel component's only ring is the
-        # unit square [(x,y),(x+1,y),(x+1,y+1),(x,y+1)], area 1 — no
-        # tracer call.  Sliver-heavy masks are mostly this case (the
-        # 262k-component bench spends ~240 us per tracer call, ~62 s
-        # single-threaded, vs ~0.1 s here).
-        single = sizes == 1
-        parts = []
-        if bool(single.any()) and min_area_px <= 1.0:
-            si = starts[single]
-            fx = px[si].astype(float)
-            fy = py[si].astype(float)
-            xs4 = grid.min_lon + np.stack(
-                [fx, fx + 1.0, fx + 1.0, fx], axis=1) * grid.pix
-            ys4 = grid.max_lat - np.stack(
-                [fy, fy, fy + 1.0, fy + 1.0], axis=1) * grid.pix
-            n1 = len(si)
-            parts.append(pa.table({
-                "comp_id": cids[si].astype(np.int64),
-                "class_id": cls[si].astype(np.int64),
-                "ring_idx": np.zeros(n1, dtype=np.int64),
-                "is_hole": np.zeros(n1, dtype=bool),
-                "n_pixels": np.ones(n1, dtype=np.int64),
-                "area_px": np.ones(n1, dtype=float),
-                "xs": list(xs4), "ys": list(ys4)}, schema=RING_SCHEMA))
-        starts = starts[~single]
-        sizes = sizes[~single]
-
-        rows = []
-        for st, sz in zip(starts.tolist(), sizes.tolist()):
-            rings = trace_rings_arrays(py[st:st + sz], px[st:st + sz])
-            areas = [ring_signed_area(r) for r in rings]
-            outer = int(np.argmax(np.abs(areas)))
-            area_px = abs(areas[outer])
-            if area_px < min_area_px:
-                continue
-            for ri, rg in enumerate(rings):
-                xs = np.array([p[0] for p in rg], dtype=float)
-                ys = np.array([p[1] for p in rg], dtype=float)
-                rows.append({
-                    "comp_id": int(cids[st]),
-                    "class_id": int(cls[st]),
-                    "ring_idx": ri, "is_hole": ri != outer,
-                    "n_pixels": int(sz), "area_px": area_px,
-                    "xs": grid.min_lon + xs * grid.pix,
-                    "ys": grid.max_lat - ys * grid.pix,
-                })
-        if rows:
-            parts.append(pa.Table.from_pylist(rows, schema=RING_SCHEMA))
-        return pa.concat_tables(parts) if parts else g.slice(0, 0)
+        """Rings of every component in the hash partition, traced in one
+        kernel call (a sliver-heavy fine-grid mask has millions of tiny
+        components, so no per-component call)."""
+        cols, off, lon, lat = _ring_columns(
+            g["py"].to_numpy(), g["px"].to_numpy(), g["comp_id"].to_numpy(),
+            g["class_id"].to_numpy(), grid, min_area_px)
+        off = pa.array(off, pa.int32())
+        return pa.table({**cols,
+                         "xs": pa.ListArray.from_arrays(off, lon),
+                         "ys": pa.ListArray.from_arrays(off, lat)},
+                        schema=RING_SCHEMA)
 
     # pixel volume is bounded by the labeled table (materialized above,
     # so the count is free metadata)

@@ -243,7 +243,9 @@ class FusedPageStage:
         self.join = PIPJoiner(polygons_ref, mode) if mode else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = self.extract(batch)
+        # a block concatenated from several reads holds one chunk per
+        # read; the stages run once on one chunk (zero-copy if it is one)
+        batch = self.extract(batch.combine_chunks())
         batch = self.geocode(batch)
         if self.with_cells:
             batch = encode_cells(batch)

@@ -120,6 +120,43 @@ def test_single_pass_write_and_resume(ray_session, tmp_path):
     assert run.read(["empty"], columns=["v"]).count() == 0
 
 
+def test_single_pass_pages_have_no_dictionary(ray_session, tmp_path):
+    """run_single_pass files carry no dictionary page in their float and
+    int64 column chunks, and read back to the rows written."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    rng = np.random.default_rng(0)
+    n = 4000
+    df = pd.DataFrame({"row": np.arange(n),
+                       "k": np.where(np.arange(n) % 3, "a", "b"),
+                       "i": rng.integers(0, 50, n),
+                       "f": rng.random(n).round(2),
+                       "s": [f"doc {j % 40}" for j in range(n)]})
+    run = _mk(tmp_path)
+    run.run_single_pass(["a", "b"], rd.from_pandas(df),
+                        lambda b: b.append_column("part_key", b["k"]))
+    files = glob.glob(os.path.join(str(tmp_path), "stage1", "key=*",
+                                   "*.parquet"))
+    kinds = set()
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        for g in range(md.num_row_groups):
+            for j in range(md.num_columns):
+                c = md.row_group(g).column(j)
+                kinds.add(c.physical_type)
+                if c.physical_type in ("DOUBLE", "INT64"):
+                    assert not c.has_dictionary_page, (f, c.path_in_schema)
+                    assert not {"PLAIN_DICTIONARY", "RLE_DICTIONARY"} \
+                        & set(c.encodings)
+    assert {"DOUBLE", "INT64"} <= kinds
+    got = run.read().to_pandas().sort_values("row")
+    for c in df.columns:
+        assert got[c].tolist() == df[c].tolist(), c
+
+
 def test_single_pass_rejects_undeclared_key(ray_session, tmp_path):
     """A key_fn that emits a key outside the declared list must fail
     the run (its rows would otherwise be dropped), naming the key."""

@@ -729,3 +729,24 @@ def test_torchscript_scorer_import_guard():
     # must fire, not a TypeError from a wrong signature
     with pytest.raises(NotImplementedError, match="torch"):
         TorchScriptScorer(3)
+
+
+def test_fused_page_stage_chunking_invariant(sf_dir):
+    """FusedPageStage gives the same rows on a block of 8 chunks (one
+    per source read, as Ray concatenates them) as on the same block in
+    one chunk, in every join mode."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from geo_inference_ray import stages, synth
+
+    docs = pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text", "lang", "source"])
+    pages = synth.synth_pages_batch(docs).combine_chunks()
+    cut = np.linspace(0, pages.num_rows, 9).astype(int)
+    chunked = pa.concat_tables([pages.slice(a, b - a)
+                                for a, b in zip(cut[:-1], cut[1:])])
+    assert chunked.column("html").num_chunks == 8
+    for mode in (None, "inner", "semi", "anti", "left"):
+        stage = stages.FusedPageStage(None, mode)
+        assert stage(chunked).equals(stage(pages)), mode
