@@ -1,7 +1,7 @@
 """Similarity search over the embeddings table.
 
 * brute-force cosine top-k: numpy matmul per batch against a broadcast
-  query matrix (``ray.put`` once, read in actor ``__init__``) — the
+  query matrix (``ray.put`` once, ``ray.get`` per batch) — the
   baseline required by the build brief.  Per-batch partial top-k is
   reduced by a final small sort, so nothing materializes the full
   score matrix.
@@ -89,24 +89,27 @@ def load_queries(sf_dir: str, n_queries: int = N_QUERIES_DEFAULT):
 
 
 class BruteForceTopK:
-    """Actor-pool stage: per batch, cosine of all rows vs the broadcast
-    query matrix; emit per-(query, batch) partial top-k candidate rows."""
+    """Task stage: per batch, cosine of all rows vs the broadcast query
+    matrix (``ray.get`` of ``queries_ref`` per batch, or the in-process
+    ``queries``); emit per-(query, batch) partial top-k candidate
+    rows."""
 
     def __init__(self, queries_ref=None, queries=None, k: int = TOPK_DEFAULT):
-        if queries_ref is not None:
-            import ray
-            self.qids, self.Q = ray.get(queries_ref)
-        else:
-            self.qids, self.Q = queries
-        self.Qn = self.Q / np.linalg.norm(self.Q, axis=1, keepdims=True)
+        self.queries_ref = queries_ref
+        self.queries = queries
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
+
+        qids, Q = (ray.get(self.queries_ref) if self.queries_ref is not None
+                   else self.queries)
+        Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
         ids = batch["vec_id"].to_numpy()
         M = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)) \
             .astype(np.float64)
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-        sims = self.Qn @ Mn.T  # (nq, nb)
+        sims = Qn @ Mn.T  # (nq, nb)
         nq, nb = sims.shape
         # k+1 so a self-match (sim=1.0, filtered downstream) can't evict a
         # true neighbor from the partial top-k
@@ -124,7 +127,7 @@ class BruteForceTopK:
             sel = np.flatnonzero(sims[qi] >= boundary[qi])
             order = np.lexsort((ids[sel], -sims[qi][sel]))[:kk]
             pick = sel[order]
-            qs.append(np.full(len(pick), self.qids[qi], dtype=np.int64))
+            qs.append(np.full(len(pick), qids[qi], dtype=np.int64))
             ns.append(ids[pick])
             ss.append(sims[qi][pick])
         return pa.table({
@@ -135,8 +138,7 @@ class BruteForceTopK:
 
 
 def ann_topk(sf_dir: str, k: int = TOPK_DEFAULT,
-             n_queries: int = N_QUERIES_DEFAULT,
-             max_actors: int | None = None):
+             n_queries: int = N_QUERIES_DEFAULT):
     """embeddings -> (query_id, neighbor_id, rank) exact top-k by cosine.
 
     Self-matches (query_id == neighbor_id) are excluded.  The final
@@ -145,16 +147,12 @@ def ann_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     import ray
     import ray.data as rd
 
-    from .pools import pool_caps
-
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
     qref = ray.put(load_queries(sf_dir, n_queries))
-    cand = ds.map_batches(BruteForceTopK, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=4096,
-                          concurrency=pool_caps(max_actors),
-                          fn_constructor_kwargs={"queries_ref": qref,
-                                                 "k": k})
+    cand = ds.map_batches(BruteForceTopK(queries_ref=qref, k=k),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=4096)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["neighbor_id"] != g["query_id"]]
@@ -231,9 +229,17 @@ class HyperplaneLSH:
         })
 
 
+def _embedding_dim(path: str) -> int:
+    """Embedding dimension from the first row group only (a full-column
+    read would be an input-sized driver materialization)."""
+    import pyarrow.parquet as pq
+
+    first = pq.ParquetFile(path).read_row_group(0, columns=["embedding"])
+    return len(first["embedding"][0])
+
+
 def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
-                       bucket_cap: int = LSH_BUCKET_CAP,
-                       max_actors: int | None = None):
+                       bucket_cap: int = LSH_BUCKET_CAP):
     """Embedding-cosine near-dup pairs via banded hyperplane LSH:
     candidates from any matching (band, bucket), verified cosine >=
     threshold, deduplicated.  Returns (vec_a, vec_b, sim_milli).
@@ -252,20 +258,13 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
 
     meta = pq.read_metadata(f"{sf_dir}/embeddings.parquet")
     n_rows = meta.num_rows
-    # dim probe: first row group only (the full-column read was an
-    # input-sized driver materialization)
-    dim = len(pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
-              .read_row_group(0, columns=["embedding"])["embedding"][0])
+    dim = _embedding_dim(f"{sf_dir}/embeddings.parquet")
     planes = lsh_planes_for(n_rows)
-    from .pools import pool_caps
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    ds = ds.map_batches(HyperplaneLSH, batch_format="pyarrow",
-                        zero_copy_batch=True,
-                        concurrency=pool_caps(max_actors),
-                        fn_constructor_kwargs={"dim": dim,
-                                               "planes": planes})
+    ds = ds.map_batches(HyperplaneLSH(dim, planes), batch_format="pyarrow",
+                        zero_copy_batch=True)
     # NOT materialized: the count pre-pass re-executes the (cheap)
     # signature stage instead of pinning the bands-exploded table (ids +
     # embeddings x LSH_BANDS) in the object store; the pre-pass only
@@ -365,41 +364,43 @@ def _ivf_centroids(sf_dir: str, nlist: int):
 
 
 class IVFSearch:
-    """Actor-pool stage: per batch, assign rows to their nearest
-    centroid (cosine), keep only rows in cells probed by at least one
-    query, and emit per-(query, batch) partial top-k candidates for the
-    queries probing that cell."""
+    """Task stage: per batch, assign rows to their nearest centroid
+    (cosine), keep only rows in cells probed by at least one query, and
+    emit per-(query, batch) partial top-k candidates for the queries
+    probing that cell.  The broadcast state is a ``ray.get`` of
+    ``state_ref`` per batch, or the in-process ``state``."""
 
     def __init__(self, state_ref=None, state=None, k: int = TOPK_DEFAULT):
-        if state_ref is not None:
-            import ray
-            self.qids, self.Qn, self.Cn, self.probe = ray.get(state_ref)
-        else:
-            self.qids, self.Qn, self.Cn, self.probe = state
+        self.state_ref = state_ref
+        self.state = state
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
+
+        qids, Qn, Cn, probe = (ray.get(self.state_ref)
+                               if self.state_ref is not None else self.state)
         ids = batch["vec_id"].to_numpy()
         M = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)) \
             .astype(np.float64)
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
-        cid = np.argmax(self.Cn @ Mn.T, axis=0)  # (nb,)
+        cid = np.argmax(Cn @ Mn.T, axis=0)  # (nb,)
         qs, ns, ss = [], [], []
         kk = self.k + 1
-        for qi in range(len(self.qids)):
-            sel = np.flatnonzero(np.isin(cid, self.probe[qi]))
+        for qi in range(len(qids)):
+            sel = np.flatnonzero(np.isin(cid, probe[qi]))
             if not len(sel):
                 continue
-            sims = self.Qn[qi] @ Mn[sel].T
+            sims = Qn[qi] @ Mn[sel].T
             cut = min(kk, len(sel))
             part = np.argpartition(-sims, cut - 1)[:cut]
             boundary = sims[part].min()
             wide = np.flatnonzero(sims >= boundary)
             order = np.lexsort((ids[sel][wide], -sims[wide]))[:cut]
             pick = sel[wide[order]]
-            qs.append(np.full(len(pick), self.qids[qi], dtype=np.int64))
+            qs.append(np.full(len(pick), qids[qi], dtype=np.int64))
             ns.append(ids[pick])
-            ss.append(self.Qn[qi] @ Mn[pick].T)
+            ss.append(Qn[qi] @ Mn[pick].T)
         if not qs:
             return pa.table({"query_id": pa.array([], pa.int64()),
                              "neighbor_id": pa.array([], pa.int64()),
@@ -414,8 +415,7 @@ class IVFSearch:
 def ivf_topk(sf_dir: str, k: int = TOPK_DEFAULT,
              n_queries: int = N_QUERIES_DEFAULT,
              nlist: int = IVF_NLIST_DEFAULT,
-             nprobe: int = IVF_NPROBE_DEFAULT,
-             max_actors: int | None = None):
+             nprobe: int = IVF_NPROBE_DEFAULT):
     """Approximate top-k by cosine: IVF coarse quantizer (nlist cells),
     each query searches only its nprobe nearest cells.  Work per batch
     drops from O(nq x nb) to O(nq x nb x nprobe/nlist) — at scale the
@@ -436,13 +436,9 @@ def ivf_topk(sf_dir: str, k: int = TOPK_DEFAULT,
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    from .pools import pool_caps
-
-    cand = ds.map_batches(IVFSearch, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=4096,
-                          concurrency=pool_caps(max_actors),
-                          fn_constructor_kwargs={"state_ref": state_ref,
-                                                 "k": k})
+    cand = ds.map_batches(IVFSearch(state_ref=state_ref, k=k),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=4096)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["neighbor_id"] != g["query_id"]]
@@ -853,31 +849,33 @@ def sq_quantize(M: np.ndarray, absmax: float) -> np.ndarray:
 
 
 class SQTopK:
-    """Actor-pool stage: integer dot products of the batch's QUANTIZED
-    vectors against the broadcast quantized query matrix; per-batch
-    partial top-k.  All scoring is int64 (exact oracle; no float
-    tie ambiguity)."""
+    """Task stage: integer dot products of the batch's QUANTIZED vectors
+    against the broadcast quantized query matrix (``ray.get`` of
+    ``state_ref`` per batch, or the in-process ``state``); per-batch
+    partial top-k.  All scoring is int64 (exact oracle; no float tie
+    ambiguity)."""
 
     def __init__(self, state_ref=None, state=None, k: int = TOPK_DEFAULT):
-        if state_ref is not None:
-            import ray
-            self.qids, self.Q, self.absmax = ray.get(state_ref)
-        else:
-            self.qids, self.Q, self.absmax = state
+        self.state_ref = state_ref
+        self.state = state
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
+
+        qids, Q, absmax = (ray.get(self.state_ref)
+                           if self.state_ref is not None else self.state)
         ids = batch["vec_id"].to_numpy()
         M = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)) \
             .astype(np.float64)
-        qv = sq_quantize(M, self.absmax)
-        scores = self.Q @ qv.T  # (nq, nb) int64
+        qv = sq_quantize(M, absmax)
+        scores = Q @ qv.T  # (nq, nb) int64
         nq, nb = scores.shape
         kk = min(self.k + 1, nb)  # +1: self-match filtered downstream
         qs, ns, ss = [], [], []
         for qi in range(nq):
             order = np.lexsort((ids, -scores[qi]))[:kk]
-            qs.append(np.full(len(order), self.qids[qi], dtype=np.int64))
+            qs.append(np.full(len(order), qids[qi], dtype=np.int64))
             ns.append(ids[order])
             ss.append(scores[qi][order])
         return pa.table({
@@ -888,8 +886,7 @@ class SQTopK:
 
 
 def sq_topk(sf_dir: str, k: int = TOPK_DEFAULT,
-            n_queries: int = N_QUERIES_DEFAULT,
-            max_actors: int | None = None):
+            n_queries: int = N_QUERIES_DEFAULT):
     """Scalar-quantized similarity search: embeddings are compressed to
     per-dimension uint8 codes (4x over f32, 8x over f64 — the memory/
     bandwidth scale path of the similarity-search family) and ranked by
@@ -904,8 +901,6 @@ def sq_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     import ray
     import ray.data as rd
 
-    from .pools import pool_caps
-
     path = f"{sf_dir}/embeddings.parquet"
     ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
     absmax = embedding_absmax(ds)
@@ -919,11 +914,9 @@ def sq_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     Q = sq_quantize(Qf, absmax)
     state_ref = ray.put((qids, Q, absmax))
     cand = rd.read_parquet(path, columns=["vec_id", "embedding"]) \
-        .map_batches(SQTopK, batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=4096,
-                     concurrency=pool_caps(max_actors),
-                     fn_constructor_kwargs={"state_ref": state_ref,
-                                            "k": k})
+        .map_batches(SQTopK(state_ref=state_ref, k=k),
+                     batch_format="pyarrow", zero_copy_batch=True,
+                     batch_size=4096)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["neighbor_id"] != g["query_id"]]
@@ -1008,8 +1001,10 @@ def emb_quantize(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Max, Min
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    from .shuffle import collect
+
+    path = f"{sf_dir}/embeddings.parquet"
+    ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
 
     def minmax_partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1027,9 +1022,15 @@ def emb_quantize(sf_dir: str):
     stats = ds.map_batches(minmax_partial, batch_format="pyarrow",
                            zero_copy_batch=True) \
         .groupby("dim_idx").aggregate(Min("mn", alias_name="mn"),
-                                      Max("mx", alias_name="mx")) \
-        .to_pandas()          # D rows — bounded by dimensionality
-    stats = stats.sort_values("dim_idx")
+                                      Max("mx", alias_name="mx"))
+    dim = _embedding_dim(path)
+    stats = collect(stats, pa.schema([("dim_idx", pa.int64()),
+                                      ("mn", pa.int64()),
+                                      ("mx", pa.int64())]), dim)
+    if stats is None:
+        raise ValueError(f"emb_quantize: more than {dim} dimensions "
+                         "(embeddings of unequal length)")
+    stats = stats.sort_by("dim_idx")
     mn = stats["mn"].to_numpy()
     rng = np.maximum(stats["mx"].to_numpy() - mn, 1)
     ref = ray.put((mn, rng))
@@ -1071,30 +1072,36 @@ def hybrid_rrf(sf_dir: str, c: int = RRF_C, k: int = RRF_TOPK):
 
     Scale shape: both input rankings are already k-bounded engine
     pipelines (partial top-k reductions — nothing here rescans the
-    corpus); the fusion itself is a 30-row driver-bounded join, the
-    same bounded-collect contract as the kmeans centroid fold."""
-    from .textops import search_topk
+    corpus); both come to the driver through ``shuffle.collect``
+    bounded by their top-k sizes, and the fusion is a 30-row driver
+    join."""
     import ray.data as rd
 
     from .relational import _parquet_rows
+    from .shuffle import collect
+    from .textops import SEARCH_TOPK, search_topk
 
     path = f"{sf_dir}/documents.parquet"
     docs = rd.read_parquet(path, columns=["doc_id", "text"])
-    lex = search_topk(docs, _parquet_rows(path)).take_all()
-    sem_all = ann_topk(sf_dir).take_all()
-    qmin = min((r["query_id"] for r in sem_all), default=0)
-    sem = [r for r in sem_all if r["query_id"] == qmin]
+    i64 = pa.int64()
+    lex = collect(search_topk(docs, _parquet_rows(path)),
+                  pa.schema([("doc_id", i64), ("rk", i64)]), SEARCH_TOPK)
+    sem = collect(ann_topk(sf_dir),
+                  pa.schema([("query_id", i64), ("neighbor_id", i64),
+                             ("rank", i64)]),
+                  N_QUERIES_DEFAULT * TOPK_DEFAULT)
+    if lex is None or sem is None:
+        raise ValueError("hybrid_rrf: a ranking exceeds its top-k bound")
+    qid = sem["query_id"].to_numpy()
+    sem = sem.filter(pa.array(qid == (qid.min() if len(qid) else 0)))
 
     fused: dict[int, list[int]] = {}
-    for r in lex:
-        fused.setdefault(int(r["doc_id"]), [0, 0, 0])
-        fused[int(r["doc_id"])][0] += 1000 // (c + int(r["rk"]))
-        fused[int(r["doc_id"])][1] = 1
-    for r in sem:
-        d = int(r["neighbor_id"])
-        fused.setdefault(d, [0, 0, 0])
-        fused[d][0] += 1000 // (c + int(r["rank"]))
-        fused[d][2] = 1
+    for t, ids, ranks, flag in ((lex, "doc_id", "rk", 1),
+                                (sem, "neighbor_id", "rank", 2)):
+        for d, r in zip(t[ids].to_pylist(), t[ranks].to_pylist()):
+            f = fused.setdefault(d, [0, 0, 0])
+            f[0] += 1000 // (c + r)
+            f[flag] = 1
     rows = sorted(fused.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k]
     return rd.from_arrow(pa.table({
         "doc_id": pa.array([d for d, _ in rows], pa.int64()),

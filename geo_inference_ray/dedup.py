@@ -157,115 +157,88 @@ def exact_dedup(ds):
         Min("doc_id", alias_name="doc_id"))
 
 
-# Per-actor signature memo: clear-on-full like _TOKEN_CACHE.  A near-dup
-# corpus is EXACTLY the workload where the same text recurs across
-# batches, so the pure-function signature is worth caching per worker.
-SIG_MEMO_MAX = 200_000
-
 # doc-aligned shingle chunk bound for the batched universal-hash matrix:
 # (NUM_PERM x chunk) int64 intermediates stay ~32 MB per step.
 _SIG_CHUNK_SHINGLES = 65_536
 
 
 class MinHasher:
-    """Per-batch MinHash signatures (actor pool; permutation coefficients
-    are one-time state).  BATCH-vectorized: token hashes for the whole
-    batch in one factorized pass, shingles for all docs in one modular
-    combine over the concatenated hash array (doc-boundary positions
-    masked out), then (a*sh+b) % M for doc-aligned shingle chunks with a
-    per-doc ``np.minimum.reduceat`` — the per-doc-Python version spent
-    its time in 80 K tiny (64 x n) matmuls.  min over the shingle
-    MULTISET equals min over the set, so the per-doc np.unique the
-    verify path needs is skipped here."""
+    """Per-batch MinHash signatures (a task stage; the permutation
+    coefficients are module constants).  BATCH-vectorized: token hashes
+    for the whole batch in one factorized pass, shingles for all docs in
+    one modular combine over the concatenated hash array (doc-boundary
+    positions masked out), then (a*sh+b) % M for doc-aligned shingle
+    chunks with a per-doc ``np.minimum.reduceat`` — the per-doc-Python
+    version spent its time in 80 K tiny (64 x n) matmuls.  min over the
+    shingle MULTISET equals min over the set, so the per-doc np.unique
+    the verify path needs is skipped here."""
 
     def __init__(self):
         self.a = MINHASH_A[:, None]
         self.b = MINHASH_B[:, None]
-        self._memo: dict[str, np.ndarray] = {}
 
     def signature(self, text: str) -> np.ndarray:
         th = _token_hashes(text)[None, :]
         v = (self.a * th + self.b) % MERSENNE
         return v.min(axis=1)
 
-    def _signatures(self, texts: list[str]) -> list[np.ndarray]:
+    def _signatures(self, texts: list[str]) -> np.ndarray:
         M = MERSENNE
-        out: list = [None] * len(texts)
-        memo = self._memo
-        # memo keys are 16-byte md5 digests, not the texts themselves —
-        # a full-text key pins up to SIG_MEMO_MAX multi-KB documents
-        # per actor (gigabytes); the digest keeps the memo ~fixed-size
-        keys = [hashlib.md5(t.encode()).digest() for t in texts]
-        miss_i: list[int] = []
-        for i, kdig in enumerate(keys):
-            s = memo.get(kdig)
-            if s is None:
-                miss_i.append(i)
-            else:
-                out[i] = s
-        if miss_i:
-            tok_lists = [texts[i].split(" ") for i in miss_i]
-            lens = np.array([len(tl) for tl in tok_lists], dtype=np.int64)
-            th = _hash_tokens([t for tl in tok_lists for t in tl])
-            ends = np.cumsum(lens)
-            starts = ends - lens
-            # global 3-gram combine; positions whose window crosses a
-            # doc boundary are dropped (doc_of is sorted, so the valid
-            # shingles stay grouped by doc)
-            if len(th) >= SHINGLE_K:
-                sh_all = (th[:-2] * SH_C1 % M + th[1:-1] * SH_C2 % M
-                          + th[2:] * SH_C3 % M) % M
-                doc_of = np.repeat(np.arange(len(lens)), lens)
-                valid = doc_of[:-2] == doc_of[2:]
-                sh_all = sh_all[valid]
-                sh_doc = doc_of[:-2][valid]
-            else:
-                sh_all = np.array([], dtype=np.int64)
-                sh_doc = np.array([], dtype=np.int64)
-            # docs with < SHINGLE_K tokens: sequential fold fallback
-            # (same formula as _token_hashes)
-            n_sh = np.zeros(len(lens), dtype=np.int64)
-            if len(sh_doc):
-                np.add.at(n_sh, sh_doc, 1)
-            sigs = np.empty((len(lens), NUM_PERM), dtype=np.int64)
-            for d in np.flatnonzero(lens < SHINGLE_K):
-                combo = 0
-                for h in th[starts[d]:ends[d]].tolist():
-                    combo = (combo * SH_C2 % M + h) % M
-                sigs[d] = ((self.a[:, 0] * combo + self.b[:, 0]) % M)
-            # doc-aligned chunks over the shingled docs
-            sh_docs = np.flatnonzero(n_sh > 0)
-            sh_starts = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(n_sh, out=sh_starts[1:])
-            i0 = 0
-            while i0 < len(sh_docs):
-                i1 = i0
-                base = sh_starts[sh_docs[i0]]
-                while (i1 < len(sh_docs)
-                       and sh_starts[sh_docs[i1]] + n_sh[sh_docs[i1]]
-                       - base <= _SIG_CHUNK_SHINGLES):
-                    i1 += 1
-                i1 = max(i1, i0 + 1)  # one oversize doc still advances
-                docs = sh_docs[i0:i1]
-                lo = sh_starts[docs[0]]
-                hi = sh_starts[docs[-1]] + n_sh[docs[-1]]
-                v = (self.a * sh_all[None, lo:hi] + self.b) % M
-                offs = (sh_starts[docs] - lo).astype(np.int64)
-                mins = np.minimum.reduceat(v, offs, axis=1)
-                sigs[docs] = mins.T
-                i0 = i1
-            for j, i in enumerate(miss_i):
-                s = sigs[j]
-                if len(memo) >= SIG_MEMO_MAX:
-                    memo.clear()
-                memo[keys[i]] = s
-                out[i] = s
-        return out
+        tok_lists = [t.split(" ") for t in texts]
+        lens = np.array([len(tl) for tl in tok_lists], dtype=np.int64)
+        th = _hash_tokens([t for tl in tok_lists for t in tl])
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        # global 3-gram combine; positions whose window crosses a doc
+        # boundary are dropped (doc_of is sorted, so the valid shingles
+        # stay grouped by doc)
+        if len(th) >= SHINGLE_K:
+            sh_all = (th[:-2] * SH_C1 % M + th[1:-1] * SH_C2 % M
+                      + th[2:] * SH_C3 % M) % M
+            doc_of = np.repeat(np.arange(len(lens)), lens)
+            valid = doc_of[:-2] == doc_of[2:]
+            sh_all = sh_all[valid]
+            sh_doc = doc_of[:-2][valid]
+        else:
+            sh_all = np.array([], dtype=np.int64)
+            sh_doc = np.array([], dtype=np.int64)
+        # docs with < SHINGLE_K tokens: sequential fold fallback (same
+        # formula as _token_hashes)
+        n_sh = np.zeros(len(lens), dtype=np.int64)
+        if len(sh_doc):
+            np.add.at(n_sh, sh_doc, 1)
+        sigs = np.empty((len(lens), NUM_PERM), dtype=np.int64)
+        for d in np.flatnonzero(lens < SHINGLE_K):
+            combo = 0
+            for h in th[starts[d]:ends[d]].tolist():
+                combo = (combo * SH_C2 % M + h) % M
+            sigs[d] = ((self.a[:, 0] * combo + self.b[:, 0]) % M)
+        # doc-aligned chunks over the shingled docs
+        sh_docs = np.flatnonzero(n_sh > 0)
+        sh_starts = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(n_sh, out=sh_starts[1:])
+        i0 = 0
+        while i0 < len(sh_docs):
+            i1 = i0
+            base = sh_starts[sh_docs[i0]]
+            while (i1 < len(sh_docs)
+                   and sh_starts[sh_docs[i1]] + n_sh[sh_docs[i1]]
+                   - base <= _SIG_CHUNK_SHINGLES):
+                i1 += 1
+            i1 = max(i1, i0 + 1)  # one oversize doc still advances
+            docs = sh_docs[i0:i1]
+            lo = sh_starts[docs[0]]
+            hi = sh_starts[docs[-1]] + n_sh[docs[-1]]
+            v = (self.a * sh_all[None, lo:hi] + self.b) % M
+            offs = (sh_starts[docs] - lo).astype(np.int64)
+            mins = np.minimum.reduceat(v, offs, axis=1)
+            sigs[docs] = mins.T
+            i0 = i1
+        return sigs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy()
-        texts = batch["text"].to_pylist()
-        sigs = np.stack(self._signatures(texts))
+        sigs = self._signatures(batch["text"].to_pylist())
         return pa.table({
             "doc_id": pa.array(ids),
             "sig": pa.array(list(sigs), pa.list_(pa.int64(), NUM_PERM)),
@@ -295,17 +268,16 @@ def band_rows(batch: pa.Table) -> pa.Table:
     })
 
 
-def minhash_candidates(ds, max_actors: int | None = None,
-                       work_dir: str | None = None,
+def minhash_candidates(ds, work_dir: str | None = None,
                        bucket_cap: int = MINHASH_BUCKET_CAP,
                        hot_driver_limit: int = HOT_GID_DRIVER_LIMIT,
                        count_driver_limit: int | None = None):
     """documents -> candidate near-dup pairs (doc_a < doc_b) via LSH.
 
-    Pipeline: MinHash sigs (actor pool, cap scales with session CPUs via
-    pools.pool_caps) -> band explode -> bucket-size pre-pass (vectorized
-    Count aggregate; almost every bucket is a singleton, and per-group
-    Python over 80K singleton buckets was the whole runtime) ->
+    Pipeline: MinHash sigs (a task stage) -> band explode -> bucket-size
+    pre-pass (vectorized Count aggregate; almost every bucket is a
+    singleton, and per-group Python over 80K singleton buckets was the
+    whole runtime) ->
     hot-bucket filter (broadcast set below ``hot_driver_limit`` ids,
     distributed inner join above — a boilerplate-heavy crawl puts
     O(corpus) gids in the hot set, which must never concatenate on the
@@ -329,11 +301,10 @@ def minhash_candidates(ds, max_actors: int | None = None,
     import ray
     import ray.data as rd
 
-    from .pools import pool_caps, spill_dir
+    from .pools import spill_dir
 
-    sigs = ds.map_batches(MinHasher, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          concurrency=pool_caps(max_actors))
+    sigs = ds.map_batches(MinHasher(), batch_format="pyarrow",
+                          zero_copy_batch=True)
     # the band table is consumed twice (count pre-pass + pair pass) and
     # MinHash signatures are expensive to recompute — spill the compact
     # (gid, doc_id) table to parquet scratch and re-read it,
@@ -1006,12 +977,9 @@ class SimHasher:
         return pa.table(tbl)
 
 
-def simhash_table(ds, max_actors: int | None = None):
-    from .pools import pool_caps
-
-    return ds.map_batches(SimHasher, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          concurrency=pool_caps(max_actors))
+def simhash_table(ds):
+    return ds.map_batches(SimHasher(), batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 SIM_MAX_HAMMING = 3   # with 4 segments, pigeonhole guarantees recall 1.0
@@ -1031,7 +999,6 @@ SIM_BUCKET_CAP = 4096
 
 
 def simhash_pairs(ds, max_hamming: int = SIM_MAX_HAMMING,
-                  max_actors: int | None = None,
                   rows_hint: int | None = None,
                   bucket_cap: int = SIM_BUCKET_CAP):
     """SimHash near-duplicate pairs: segment-LSH candidates + exact
@@ -1045,7 +1012,7 @@ def simhash_pairs(ds, max_hamming: int = SIM_MAX_HAMMING,
     dedup + popcount verify are hash-partitioned vectorized kernels
     (one Arrow kernel call per partition).  Returns (doc_a, doc_b,
     hamming), doc_a < doc_b, hamming <= max_hamming."""
-    sims = simhash_table(ds, max_actors=max_actors)
+    sims = simhash_table(ds)
 
     def seg_rows(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy()
@@ -1581,8 +1548,8 @@ def minhash_estimate(pairs_ds, docs_ds, rows_hint: int | None = None):
 
     Composition (no new shuffle machinery): the exact side is
     :func:`jaccard_pairs` verbatim; the estimate side joins the pair
-    rows to the corpus signature table (the same MinHasher actor-pool
-    stage LSH uses) and counts equal components per pair; the two
+    rows to the corpus signature table (the same MinHasher task stage
+    LSH uses) and counts equal components per pair; the two
     small pair-keyed tables then join on (doc_a, doc_b) via one
     packed-key hash-partitioned kernel.  Returns
     (doc_a, doc_b, est_milli, jaccard_milli)."""
@@ -1601,11 +1568,8 @@ def minhash_estimate(pairs_ds, docs_ds, rows_hint: int | None = None):
 
     exact = jaccard_pairs(pairs, docs_ds)
 
-    from .pools import pool_caps
-
     sigs = docs_ds.select_columns(["doc_id", "text"]).map_batches(
-        MinHasher, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=pool_caps(None))
+        MinHasher(), batch_format="pyarrow", zero_copy_batch=True)
 
     def sig_bytes(batch: pa.Table) -> pa.Table:
         s = batch["sig"]

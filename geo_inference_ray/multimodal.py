@@ -1,5 +1,5 @@
 """Multimodal columns: opaque binary payloads (image/audio/video) with
-typed metadata, processed by actor-pool map_batches stages.
+typed metadata, processed by map_batches task stages.
 
 Decode honesty: this container has no PIL/libjpeg/ffmpeg, so the REAL
 decode paths are pure-numpy parsers for formats that need no external
@@ -14,7 +14,7 @@ Schema convention for a multimodal table:
     payload:binary, meta:string(JSON: {codec,width,height,...})
 
 Scale notes: payloads are large -> small ``batch_size`` (default 64)
-and actor-pool decode stages; blocks carrying payloads come straight
+for the decode stages; blocks carrying payloads come straight
 from the read and never pass through a shuffle — every derived feature
 is emitted WITHOUT the payload column.
 """
@@ -170,7 +170,7 @@ def media_dataset(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# decode / feature stages (actor pools)
+# decode / feature stages (tasks)
 # ---------------------------------------------------------------------------
 
 def _block_mean(vec: np.ndarray, n_out: int) -> np.ndarray:
@@ -198,7 +198,7 @@ def _block_mean_2d(img: np.ndarray, side: int) -> np.ndarray:
 
 
 class MediaFeatures:
-    """Actor-pool decode + feature stage, dispatching per row kind:
+    """Decode + feature task stage, dispatching per row kind:
 
     * image/ppm -> grayscale mean over channels, block-averaged to an
       out_size x out_size grid in [0, 1] (real decode + real resize);
@@ -249,10 +249,6 @@ class MediaFeatures:
         })
 
 
-class ImageDecoder(MediaFeatures):
-    """Back-compat alias: the image path of MediaFeatures."""
-
-
 class AudioFrameSampler:
     """Frame-sampling stage: decodes the WAV payload and emits every
     k-th fixed-size SAMPLE frame as its own row (flat_map shape) — the
@@ -287,35 +283,26 @@ class AudioFrameSampler:
         })
 
 
-def media_features(sf_dir: str, out_size: int = 8,
-                   max_actors: int | None = None):
+def media_features(sf_dir: str, out_size: int = 8):
     """media -> per-item decoded feature vectors (real ppm/wav decode),
-    payload column dropped before any further stage.  Pool cap scales
-    with session CPUs (pools.pool_caps) — decode is the compute-heavy
-    stage of this pipeline."""
-    from .pools import pool_caps
-
-    ds = media_dataset(sf_dir)
-    return ds.map_batches(MediaFeatures, batch_format="pyarrow",
-                          batch_size=64, concurrency=pool_caps(max_actors),
-                          fn_constructor_kwargs={"out_size": out_size})
+    payload column dropped before any further stage.  Decode runs in
+    the same task that synthesized the payloads."""
+    return media_dataset(sf_dir).map_batches(
+        MediaFeatures(out_size), batch_format="pyarrow", batch_size=64)
 
 
-def media_frames(sf_dir: str, max_actors: int | None = None):
+def media_frames(sf_dir: str):
     """media -> sampled frames (one row per frame)."""
-    from .pools import pool_caps
-
-    ds = media_dataset(sf_dir)
-    return ds.map_batches(AudioFrameSampler, batch_format="pyarrow",
-                          batch_size=64, concurrency=pool_caps(max_actors))
+    return media_dataset(sf_dir).map_batches(
+        AudioFrameSampler(), batch_format="pyarrow", batch_size=64)
 
 
 THUMB_SIZE = 4
 
 
 class ThumbSampler:
-    """Image -> nearest-neighbor thumbnail of the red channel (actor
-    pool; decode is the stateful/compute stage).  Sample rule:
+    """Image -> nearest-neighbor thumbnail of the red channel (a
+    stateless decode task stage).  Sample rule:
     src_y = out_y * h // T, src_x = out_x * w // T (integer floor) —
     the standard NN downsample, exactly mirrorable in SQL.  Emits one
     row per (id, py, px) with the sampled uint8 value as int64, so the
@@ -357,17 +344,12 @@ class ThumbSampler:
             "r": pa.array(np.concatenate(val_out))})
 
 
-def image_thumbs(sf_dir: str, size: int = THUMB_SIZE,
-                 max_actors: int | None = None):
+def image_thumbs(sf_dir: str, size: int = THUMB_SIZE):
     """media -> NN thumbnails of every image payload (one row per
     output pixel); payloads never cross a shuffle — decode + sample
-    happen in the same actor task that synthesized them."""
-    from .pools import pool_caps
-
-    ds = media_dataset(sf_dir)
-    return ds.map_batches(ThumbSampler, batch_format="pyarrow",
-                          batch_size=64, concurrency=pool_caps(max_actors),
-                          fn_constructor_kwargs={"size": size})
+    happen in the same task that synthesized them."""
+    return media_dataset(sf_dir).map_batches(
+        ThumbSampler(size), batch_format="pyarrow", batch_size=64)
 
 
 DHASH_COLS = 9   # sample grid: 9 columns x 8 rows -> 64 gradient bits
@@ -414,12 +396,8 @@ class ImageDHash:
             "dhash_hi": pa.array(hi_out, pa.int64())})
 
 
-def image_dhash(sf_dir: str, max_actors: int | None = None):
+def image_dhash(sf_dir: str):
     """media -> per-image 64-bit dHash (perceptual near-dup
     fingerprint); payloads never cross a shuffle."""
-    from .pools import pool_caps
-
-    ds = media_dataset(sf_dir)
-    return ds.map_batches(ImageDHash, batch_format="pyarrow",
-                          batch_size=64,
-                          concurrency=pool_caps(max_actors))
+    return media_dataset(sf_dir).map_batches(
+        ImageDHash(), batch_format="pyarrow", batch_size=64)

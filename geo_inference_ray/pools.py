@@ -1,16 +1,12 @@
-"""Session CPU count, actor-pool sizing + per-process parquet spill
-scratch.
+"""Session CPU count + per-process parquet spill scratch.
 
-``cluster_cpus`` is the Ray session's CPU count.  ``pool_caps`` sizes
-the few ``map_batches`` stages that still run as actor pools because
-their per-worker state is costly to build: the dedup ``MinHasher`` (md5
-memo) and ``SimHasher``, the multimodal decoders (``MediaFeatures``,
-``AudioFrameSampler``, ``ThumbSampler``, ``ImageDHash``) and the ANN
-searchers (``BruteForceTopK``, ``HyperplaneLSH``, ``IVFSearch``,
-``SQTopK``).  Every other stage runs as a Ray task; a broadcast lookup
-reads its ``ray.put`` ref inside the task function.  The upper bound scales with the session's CPU count,
-while the lower bound stays 1 so narrow sessions (2-CPU canary tests)
-never deadlock on idle pool reservations.
+``cluster_cpus`` is the Ray session's CPU count.  Every ``map_batches``
+stage in the package runs as a Ray task: a stage that needs a broadcast
+reads its ``ray.put`` ref inside the task, and a stage built from
+constants is constructed once on the driver and travels inside the
+task function.  The one actor pool left is the rasterio window reader
+(``ReadWindows`` in ``sources.RasterSource``): each actor holds an open
+dataset handle, which a task would reopen per batch.
 
 ``spill_dir`` replaces ad-hoc ``tempfile.mkdtemp(dir="/tmp")`` scratch:
 spills live under ``<tmp>/geo_inference_ray_spill/pid<NNN>/``, the whole
@@ -26,36 +22,16 @@ import os
 import shutil
 import tempfile
 
-POOL_FLOOR = 2      # never cap a pool below this many actors
-POOL_RESERVE = 1    # CPUs left for the read / downstream tasks
-
 
 def cluster_cpus() -> int:
     """CPU count of the current Ray session; 0 when no session is
-    running.  The one place that asks Ray for it: actor-pool caps,
-    hash-partition floors and the pages read's block count all scale
-    with it."""
+    running.  The one place that asks Ray for it: hash-partition
+    floors and the pages read's block count scale with it."""
     import ray
 
     if not ray.is_initialized():
         return 0
     return int(ray.cluster_resources().get("CPU", 0))
-
-
-def pool_caps(max_actors: int | None = None) -> tuple[int, int]:
-    """(min, max) actor-pool concurrency for the actor-pool stages named
-    in the module docstring.
-
-    Explicit ``max_actors`` wins; otherwise the cap is
-    ``max(POOL_FLOOR, session CPUs - POOL_RESERVE)`` (4 session CPUs
-    assumed without a session) so pools scale with the cluster instead
-    of a hard-coded constant.  The minimum is always 1: pools pin one
-    CPU while idle, and a larger floor deadlocks narrow sessions (see
-    shuffle.add_salt docstring).
-    """
-    if max_actors is None:
-        max_actors = max(POOL_FLOOR, (cluster_cpus() or 4) - POOL_RESERVE)
-    return (1, max(1, int(max_actors)))
 
 
 _SPILL_ROOTS: dict[str, str] = {}

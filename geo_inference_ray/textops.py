@@ -2609,11 +2609,14 @@ def source_jaccard(ds):
 
     kv = ts.map_batches(drop_cnt, batch_format="pyarrow")
 
-    sizes_tbl = kv.groupby("source").count().take_all()
-    if len(sizes_tbl) > MODE_MAX_LANGS:
+    sizes = collect(kv.groupby("source").count(),
+                    pa.schema([("source", pa.string()),
+                               ("count()", pa.int64())]), MODE_MAX_LANGS)
+    if sizes is None:
         raise ValueError("source_jaccard: source count exceeds the "
-                         "driver-fold bound")
-    vsize = {r["source"]: r["count()"] for r in sizes_tbl}
+                         f"{MODE_MAX_LANGS} driver-fold bound")
+    vsize = dict(zip(sizes["source"].to_pylist(),
+                     sizes["count()"].to_pylist()))
     vref = ray.put(vsize)
 
     def pairs_part(g: pa.Table) -> pa.Table:

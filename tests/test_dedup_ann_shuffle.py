@@ -252,9 +252,8 @@ def test_embedding_near_dup_salts_degenerate_bucket(ray_session, tmp_path):
     assert len(pairs) >= 1
     # verify the salted group sizes are bounded by ceil(n_bucket/n_salts)
     ds = rd.read_parquet(str(d / "embeddings.parquet"))
-    lsh = ds.map_batches(HyperplaneLSH, batch_format="pyarrow",
-                         concurrency=(1, 2),
-                         fn_constructor_kwargs={"dim": 16}).materialize()
+    lsh = ds.map_batches(HyperplaneLSH(16), batch_format="pyarrow") \
+        .materialize()
     counts = key_counts(lsh, "gkey")
     plan = salt_plan(counts, cap=cap)
     assert plan  # the degenerate bucket is hot
@@ -484,18 +483,6 @@ def test_jaccard_guard_join_path_matches_broadcast(ray_session):
     jn = norm(jaccard_pairs(pairs, docs, cand_driver_limit=0))
     pd.testing.assert_frame_equal(bc, jn)
     assert bc.loc[0, "jaccard_milli"] == 1000  # identical docs
-
-
-def test_pool_caps_scale_and_floor(ray_session):
-    import ray
-
-    from geo_inference_ray.pools import POOL_RESERVE, pool_caps
-
-    assert pool_caps(3) == (1, 3)
-    lo, hi = pool_caps()
-    assert lo == 1
-    cpus = int(ray.cluster_resources()["CPU"])
-    assert hi == max(2, cpus - POOL_RESERVE)
 
 
 def test_spill_dir_cleanup(tmp_path):

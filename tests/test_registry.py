@@ -93,3 +93,49 @@ def test_one_partition_primitive():
         found += [f"{name}: {i}" for i in set(_identifiers(tree)) & RETIRED]
     assert not found, found
     assert pkey_in_shuffle == 1
+
+
+# the rasterio window reader keeps one pool: each actor holds an open
+# dataset handle (see the pools module docstring)
+POOL_SITES = {("sources.py", "ReadWindows")}
+
+
+def _pool_sites(tree):
+    """``map_batches`` calls that ask for an actor pool, and any use of
+    ``ActorPoolStrategy``, ``pool_caps`` or ``max_actors``, as
+    (line, what, first argument name)."""
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "map_batches"):
+            fn = n.args[0] if n.args else None
+            name = fn.id if isinstance(fn, ast.Name) else None
+            for kw in n.keywords:
+                if kw.arg in ("concurrency", "fn_constructor_kwargs",
+                              "fn_constructor_args", "compute"):
+                    yield n.lineno, f"map_batches({kw.arg}=)", name
+        if isinstance(n, ast.arg) and n.arg == "max_actors":
+            yield n.lineno, "max_actors", None
+    for i in set(_identifiers(tree)) & {"ActorPoolStrategy", "pool_caps",
+                                        "max_actors"}:
+        yield 0, i, None
+
+
+def test_no_actor_pools():
+    """Every map stage runs as a Ray task: no map_batches asks for an
+    actor pool (concurrency=, constructor arguments, a compute
+    strategy), and the pool sizing helper and its per-call cap stay
+    gone.  The rasterio window reader is the one allowed pool."""
+    pkg = os.path.join(REPO, "geo_inference_ray")
+    found, allowed = [], 0
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read())
+        for line, what, fn in _pool_sites(tree):
+            if (name, fn) in POOL_SITES and what == "map_batches(concurrency=)":
+                allowed += 1
+            else:
+                found.append(f"{name}:{line} {what}")
+    assert not found, found
+    assert allowed == len(POOL_SITES)

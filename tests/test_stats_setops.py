@@ -233,6 +233,34 @@ def test_source_jaccard_small(ray_session):
     assert got == {("s1", "s2"): (2, 4, 0.5)}
 
 
+def test_source_jaccard_source_bound_is_loud(ray_session, monkeypatch):
+    """More sources than MODE_MAX_LANGS raise, and the per-source size
+    collect stops at the bound instead of pulling every source first;
+    exactly the bound still folds."""
+    from geo_inference_ray import textops
+
+    ds = _docs_ds([
+        {"source": "s1", "text": "a b c"},
+        {"source": "s2", "text": "b c d"},
+        {"source": "s3", "text": "x y"},
+    ])
+    monkeypatch.setattr(textops, "MODE_MAX_LANGS", 3)
+    assert textops.source_jaccard(ds).count() == 1
+
+    collected = []
+    real_collect = textops.collect
+
+    def spy(*args):
+        collected.append(real_collect(*args))
+        return collected[-1]
+
+    monkeypatch.setattr(textops, "collect", spy)
+    monkeypatch.setattr(textops, "MODE_MAX_LANGS", 2)
+    with pytest.raises(ValueError, match="source count exceeds the 2"):
+        textops.source_jaccard(ds)
+    assert collected == [None]
+
+
 def test_user_growth_first_touch(ray_session, tmp_path):
     from geo_inference_ray.relational import user_growth
 
