@@ -30,6 +30,7 @@ from geo_inference_ray import stages as _stages
 from geo_inference_ray import synth as _synth
 from geo_inference_ray import textops as _textops
 from geo_inference_ray.shuffle import MAX_SALTS as _MAX_SALTS
+from geo_inference_ray.sources import read_table
 
 # ---------------------------------------------------------------------------
 # SQL building blocks
@@ -120,10 +121,7 @@ def _tiling_sql_polygons() -> str:
 
 
 def _docs_text(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    return read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +208,9 @@ def q_kmv_distinct(sf_dir: str):
     """Per-source bottom-k (KMV) distinct-shingle sketch with the
     (k-1)*M // h_k estimator — the mergeable set-sketch complement to
     the HLL register family."""
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "source", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "source", "text"])
     return _dedup.kmv_distinct(docs)
 
 
@@ -252,10 +249,9 @@ def q_novelty_docs(sf_dir: str):
     """Incremental-crawl novelty: newest-source docs with no verified
     cross-source near-dup."""
     import pyarrow.parquet as _pq
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang", "source"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "text", "lang", "source"])
     pairs = _dedup.minhash_candidates(_docs_text(sf_dir))
     n = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     return _dedup.novelty_docs(docs, pairs, rows_hint=n)
@@ -466,10 +462,7 @@ def q_dup_spans(sf_dir: str):
 
 
 def q_mix_sample(sf_dir: str):
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "source"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "source"])
     return _textops.mix_sample(ds)
 
 
@@ -489,12 +482,10 @@ def q_dedup_clusters(sf_dir: str):
 
 
 def q_dedup_apply(sf_dir: str):
-    import ray.data as rd
-
     import pyarrow.parquet as _pq
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang", "source"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "text", "lang", "source"])
     pairs = _dedup.minhash_candidates(_docs_text(sf_dir))
     n = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     return _dedup.dedup_apply(docs, pairs, rows_hint=n)
@@ -888,23 +879,21 @@ def q_props_extract(sf_dir: str):
 
 def q_hll_by_source(sf_dir: str):
     """Per-source HyperLogLog register tables (grouped sketch merge)."""
-    import ray.data as rd
 
     from geo_inference_ray import dedup as _d
 
-    return _d.hll_by_source(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]))
+    return _d.hll_by_source(read_table(f"{sf_dir}/documents.parquet",
+                                       ["source", "text"]))
 
 
 def q_quantiles_by_lang(sf_dir: str):
     """Per-language exact discrete length quantiles via the keyed
     integer-histogram sketch."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.quantiles_by_lang(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]))
+    return _t.quantiles_by_lang(read_table(f"{sf_dir}/documents.parquet",
+                                           ["lang", "text"]))
 
 
 def q_corr_stats(sf_dir: str):
@@ -934,35 +923,31 @@ def q_running_total(sf_dir: str):
 def q_pivot_counts(sf_dir: str):
     """Wide lang-by-source cross-tab via map-side conditional
     aggregation (pivot pattern)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.pivot_counts(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "lang"]))
+    return _t.pivot_counts(read_table(f"{sf_dir}/documents.parquet",
+                                      ["source", "lang"]))
 
 
 def q_argmax_doc(sf_dir: str):
     """Per-(lang, source) arg-max row retrieval through an
     order-preserving packed-int64 mergeable aggregate."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.argmax_doc(rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["lang", "source", "doc_id", "n_chars"]))
+    return _t.argmax_doc(read_table(f"{sf_dir}/documents.parquet",
+                                    ["lang", "source", "doc_id", "n_chars"]))
 
 
 def q_mode_word(sf_dir: str):
     """Per-language token MODE (most frequent, ties -> smallest token):
     grouped argmax with a string payload in three key-bounded rounds."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.mode_word(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]))
+    return _t.mode_word(read_table(f"{sf_dir}/documents.parquet",
+                                   ["lang", "text"]))
 
 
 def q_moving_window(sf_dir: str):
@@ -985,35 +970,31 @@ def q_range_join(sf_dir: str):
 def q_redact_pii(sf_dir: str):
     """PII-style regex redaction + hit counts over the corpus (RE2
     kernels, byte-identical to the oracle's regexp_replace)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.redact_pii(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+    return _t.redact_pii(read_table(f"{sf_dir}/documents.parquet",
+                                    ["doc_id", "text"]))
 
 
 def q_rollup_counts(sf_dir: str):
     """GROUP BY ROLLUP(source, lang): three aggregation levels in one
     pass — only the finest grain shuffles."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.rollup_counts(rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["source", "lang", "n_chars"]))
+    return _t.rollup_counts(read_table(f"{sf_dir}/documents.parquet",
+                                       ["source", "lang", "n_chars"]))
 
 
 def q_lang_confusion(sf_dir: str):
     """Label-vs-prediction confusion matrix for the marker-word
     language classifier (actor-pool partials, |langs|^2 keys)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.lang_confusion(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]))
+    return _t.lang_confusion(read_table(f"{sf_dir}/documents.parquet",
+                                        ["lang", "text"]))
 
 
 def q_transitions(sf_dir: str):
@@ -1027,12 +1008,11 @@ def q_transitions(sf_dir: str):
 def q_winsorize_stats(sf_dir: str):
     """Per-language winsorized length stats (p05/p95 clip) from one
     keyed-histogram pass."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.winsorize_stats(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]))
+    return _t.winsorize_stats(read_table(f"{sf_dir}/documents.parquet",
+                                         ["lang", "n_chars"]))
 
 
 def q_weekly_growth(sf_dir: str):
@@ -1054,13 +1034,12 @@ def q_q5_local_supply(sf_dir: str):
 def q_search_topk(sf_dir: str):
     """Multi-term tf-idf retrieval: top-20 documents for the fixed
     demo query, integer milli-nat scoring."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
     path = f"{sf_dir}/documents.parquet"
     return _t.search_topk(
-        rd.read_parquet(path, columns=["doc_id", "text"]),
+        read_table(path, ["doc_id", "text"]),
         n_docs=_rel_mod._parquet_rows(path))
 
 
@@ -1075,12 +1054,11 @@ def q_sliding_distinct(sf_dir: str):
 def q_mad_by_lang(sf_dir: str):
     """Per-language exact median + MAD from ONE keyed-histogram pass
     (the deviation histogram is a driver-side re-key)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.mad_by_lang(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]))
+    return _t.mad_by_lang(read_table(f"{sf_dir}/documents.parquet",
+                                     ["lang", "n_chars"]))
 
 
 def q_triangles(sf_dir: str):
@@ -1136,23 +1114,20 @@ def q_vocab_ids(sf_dir: str):
     """Vocabulary with dense global ids (rank in byte order) via the
     range-key prefix-sum scan — dictionary building without a global
     sort."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.vocab_ids(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]))
+    return _t.vocab_ids(read_table(f"{sf_dir}/documents.parquet", ["text"]))
 
 
 def q_source_jaccard(sf_dir: str):
     """Pairwise vocabulary Jaccard between sources (group-similarity
     matrix; per-token bounded pair kernel)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.source_jaccard(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]))
+    return _t.source_jaccard(read_table(f"{sf_dir}/documents.parquet",
+                                        ["source", "text"]))
 
 
 def q_user_growth(sf_dir: str):
@@ -1263,12 +1238,11 @@ def q_jsonl_docs(sf_dir: str):
 def q_kl_by_source(sf_dir: str):
     """Per-source KL divergence vs the corpus token distribution
     (integer milli-nat numerator) — corpus-mix drift detection."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    return _t.kl_by_source(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]))
+    return _t.kl_by_source(read_table(f"{sf_dir}/documents.parquet",
+                                      ["source", "text"]))
 
 
 def q_q19_disjunctive(sf_dir: str):
@@ -1379,12 +1353,10 @@ def q_ttr_stats(sf_dir: str):
 def q_gopher_rules(sf_dir: str):
     """Composite Gopher-style quality screen: per-document 5-bit rule
     mask + keep verdict (integer-exact predicates, zero shuffle)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return _t.gopher_rules(ds)
 
 
@@ -1397,37 +1369,32 @@ def q_rendezvous(sf_dir: str):
 def q_winnow(sf_dir: str):
     """Winnowing fingerprints (SIGMOD '03 local selection): per-doc
     selected-set stats over k-byte-gram rolling hashes."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
     return _t.winnow_fingerprints(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"]))
 
 
 def q_bm25_topk(sf_dir: str):
     """Okapi BM25 retrieval: top-20 documents for the fixed demo
     query, plus-half idf, per-term floor-quantized contributions."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
     path = f"{sf_dir}/documents.parquet"
     return _t.bm25_topk(
-        rd.read_parquet(path, columns=["doc_id", "text"]),
+        read_table(path, ["doc_id", "text"]),
         n_docs=_rel_mod._parquet_rows(path))
 
 
 def q_dsir_weights(sf_dir: str):
     """DSIR importance weights: add-1-smoothed unigram log-likelihood
     ratio (target lang='en' vs raw corpus), integer milli-nat sums."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text", "lang"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text", "lang"])
     return _t.dsir_weights(ds)
 
 
@@ -1454,12 +1421,10 @@ def q_ngram_repetition(sf_dir: str):
     """Gopher repetition signals: per-doc permille of characters in
     the top word 2-gram and in duplicated word 3-grams (integer floor
     arithmetic, zero shuffle — textops.ngram_repetition)."""
-    import ray.data as rd
 
     from geo_inference_ray import textops as _t
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return _t.ngram_repetition(ds)
 
 
@@ -1838,10 +1803,9 @@ def q_keyness_topk(sf_dir: str):
     """Per-source Dunning-G2 keyness keywords (top 20, milli-nat
     floor, support floor 5): corpus-linguistics 'what characterizes
     this source vs the rest'."""
-    import ray.data as rd
 
-    return _textops.keyness_topk(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]))
+    return _textops.keyness_topk(read_table(f"{sf_dir}/documents.parquet",
+                                            ["source", "text"]))
 
 
 def q_theilsen_slope(sf_dir: str):
@@ -1908,10 +1872,9 @@ def q_knox_pairs(sf_dir: str):
 def q_ks_drift(sf_dir: str):
     """Per-source KS drift of the length distribution vs the rest,
     division-free: max |nb*A(v) - na*B(v)| over the value grid."""
-    import ray.data as rd
 
-    return _textops.ks_drift(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "n_chars"]))
+    return _textops.ks_drift(read_table(f"{sf_dir}/documents.parquet",
+                                        ["source", "n_chars"]))
 
 
 def q_pq_codes(sf_dir: str):
@@ -1939,40 +1902,36 @@ def q_peak_concurrency(sf_dir: str):
 def q_mannwhitney_u(sf_dir: str):
     """Per-source Mann-Whitney 2U rank-sum of the length distribution
     vs the rest — division-free integer (ties count 1 in 2U)."""
-    import ray.data as rd
 
-    return _textops.mannwhitney_u(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "n_chars"]))
+    return _textops.mannwhitney_u(read_table(f"{sf_dir}/documents.parquet",
+                                             ["source", "n_chars"]))
 
 
 def q_benford(sf_dir: str):
     """Benford first-digit profile of n_chars per source with the
     integer-quantized log10 expectation."""
-    import ray.data as rd
 
-    return _textops.benford(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "n_chars"]))
+    return _textops.benford(read_table(f"{sf_dir}/documents.parquet",
+                                       ["source", "n_chars"]))
 
 
 def q_chi2_contingency(sf_dir: str):
     """lang × source contingency cells with exact arbitrary-precision
     chi-square components (micro-units)."""
-    import ray.data as rd
 
-    return _textops.chi2_contingency(rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source"]))
+    return _textops.chi2_contingency(read_table(f"{sf_dir}/documents.parquet",
+                                                ["lang", "source"]))
 
 
 def q_heaps_law(sf_dir: str):
     """Heaps'-law vocabulary-growth curve on the power-of-two doc
     grid."""
-    import ray.data as rd
 
     path = f"{sf_dir}/documents.parquet"
     from geo_inference_ray.relational import _parquet_rows
 
     return _textops.heaps_law(
-        rd.read_parquet(path, columns=["doc_id", "text"]),
+        read_table(path, ["doc_id", "text"]),
         n_docs=_parquet_rows(path))
 
 

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 
 from .relational import _parquet_rows, join_partitions_for
 from .shuffle import collect, partitioned, runs
+from .sources import read_table
 
 # interval_union: half-open activity window opened by every event
 IU_WINDOW_US = 1_800_000_000          # 30 min in epoch-us
@@ -57,10 +58,9 @@ def interval_union(sf_dir: str):
     previous end + ``np.add.reduceat`` over island boundaries).  No
     window shuffle, no per-user Python.
     """
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "ts"])
+    ev = read_table(path, ["user_id", "ts"])
 
     def islands_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending")])
@@ -113,12 +113,10 @@ def trigram_paths(sf_dir: str):
     the final trigram shuffle carries at most
     (partitions x |types|^3) rows, never the event count.
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "ts", "event_id",
-                                        "event_type"])
+    ev = read_table(path, ["user_id", "ts", "event_id", "event_type"])
 
     def tri_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -158,10 +156,9 @@ def ntile_buckets(sf_dir: str):
     (``length_quantiles``), kept as a separate operator because the
     two contracts differ.
     """
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "n_chars", "doc_id"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["lang", "n_chars", "doc_id"])
 
     def tiles(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["n_chars", "doc_id"], kind="stable")
@@ -199,11 +196,10 @@ def cube_counts(sf_dir: str):
     grouping sets re-aggregate the BASE (|langs| x |sources| rows),
     never the corpus, as three more tiny distributed aggregations.
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["lang", "source", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.group_by(["lang", "source"]).aggregate(
@@ -265,11 +261,9 @@ def dim_variance(sf_dir: str):
     size; variance = (s2 - s1^2/n)/n stays with the caller so the
     result is integer-exact.
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["embedding"])
+    emb = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch["embedding"].combine_chunks()
@@ -339,10 +333,9 @@ def skyline_docs(sf_dir: str):
     pathological all-frontier inputs degrade the final pass, which is
     the documented assumption.
     """
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "n_chars"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "text", "n_chars"])
 
     def metrics(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
@@ -373,11 +366,9 @@ def ewma_daily(sf_dir: str):
     map-side; the fold itself runs per type over the ~days-long
     aggregate (group-count-bounded Python, never corpus rows).
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         # epoch-day int64 (the except_days/retention convention — no
@@ -428,11 +419,9 @@ def cusum_shift(sf_dir: str):
     aggregate.  Partitioning assumption: event-type cardinality is
     bounded (same contract as ewma_daily/ntile_buckets).
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -484,11 +473,9 @@ def theilsen_slope(sf_dir: str):
     ~days-long aggregate (days are calendar-bounded — 365/year — so
     pairs are ~66K/type/year, a vectorized triu kernel, never corpus
     rows).  Same bounded-type-cardinality contract as ewma_daily."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -542,11 +529,9 @@ def fano_factor(sf_dir: str):
     one groupby to exact daily counts, then a SECOND map-side partial
     (c, c^2, 1) fold and a |types|-row final aggregate — no per-group
     Python, no sort."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -614,10 +599,8 @@ def peak_concurrency(sf_dir: str, window_us: int = CONC_WINDOW_US):
     candidate starts only (no double counting), and a |types x
     buckets|-bounded final groupby folds (max, earliest t).  No global
     sort, no driver scan."""
-    import ray.data as rd
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def scatter(batch: pa.Table) -> pa.Table:
         t = pc.cast(batch["ts"], pa.int64()).to_numpy()
@@ -634,32 +617,30 @@ def peak_concurrency(sf_dir: str, window_us: int = CONC_WINDOW_US):
     slim = ev.map_batches(scatter, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        all_t = np.sort(g["t"].to_numpy())
-        own_t = np.unique(g.loc[g["own"], "t"].to_numpy())
+    def kernel(g: pa.Table) -> pa.Table:
+        t = g["t"].to_numpy()
+        all_t = np.sort(t)
+        own_t = np.unique(t[g["own"].to_numpy(zero_copy_only=False)])
         if not len(own_t):
-            return pd.DataFrame({"event_type": pd.Series([], dtype=object),
-                                 "conc": pd.Series([], dtype=np.int64),
-                                 "at_us": pd.Series([], dtype=np.int64)})
+            return pa.table({"event_type": pa.array([], pa.string()),
+                             "conc": pa.array([], pa.int64()),
+                             "at_us": pa.array([], pa.int64())})
         hi = np.searchsorted(all_t, own_t, side="right")
         lo = np.searchsorted(all_t, own_t - window_us, side="right")
         conc = hi - lo
         i = int(np.argmax(conc))          # first max == earliest start
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                             "conc": [np.int64(conc[i])],
-                             "at_us": [np.int64(own_t[i])]})
+        return pa.table({"event_type": g["event_type"].slice(0, 1),
+                         "conc": pa.array([conc[i]], pa.int64()),
+                         "at_us": pa.array([own_t[i]], pa.int64())})
 
     per_bucket = slim.groupby(["event_type", "bucket"]).map_groups(
-        kernel, batch_format="pandas")
+        kernel, batch_format="pyarrow")
 
     def fold_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["event_type", "conc", "at_us"],
-                            ascending=[True, False, True],
-                            kind="stable")
-        return pa.Table.from_pandas(
-            df.groupby("event_type", sort=False).head(1),
-            preserve_index=False)
+        b = batch.sort_by([("event_type", "ascending"),
+                           ("conc", "descending"), ("at_us", "ascending")])
+        starts, _ = runs(b["event_type"].to_numpy(zero_copy_only=False))
+        return b.take(starts)
 
     return per_bucket.map_batches(fold_partial, batch_format="pyarrow") \
         .repartition(1) \
@@ -679,11 +660,9 @@ def acf_lag1(sf_dir: str):
     Scale shape: ewma_daily's — corpus pass to (type, day) map-side
     partials, one groupby, then a vectorized per-type kernel over the
     ~days-long aggregate (bounded type cardinality)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -736,11 +715,9 @@ def gini_by_source(sf_dir: str):
     docs).  For a run of count c ending at cumulative rank C (start
     s = C - c), sum of (2i - n - 1) over the run collapses to
     C(C+1) - s(s+1) - c(n+1)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["source", "n_chars"])
+    docs = read_table(f"{sf_dir}/documents.parquet", ["source", "n_chars"])
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["source", "n_chars"]) \
@@ -794,17 +771,15 @@ def bfs_hops(sf_dir: str, *, rounds: int = BFS_ROUNDS,
     two node-scale hash joins (inner frontier-expand + left_anti
     novelty filter) sized by ``join_partitions_for``, and the visited
     set is re-unioned, never collected."""
-    import ray.data as rd
 
     from .graph import _edge_spill
 
     spill, n_edges = _edge_spill(sf_dir, None)
 
     def edges():
-        return rd.read_parquet(spill)
+        return read_table(spill)
 
-    sup = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                          columns=["s_suppkey"])
+    sup = read_table(f"{sf_dir}/supplier.parquet", ["s_suppkey"])
 
     def seed_rows(batch: pa.Table) -> pa.Table:
         k = batch["s_suppkey"].to_numpy().astype(np.int64)
@@ -971,10 +946,8 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
     the hash-partitioned bucket kernel (simhash_pairs pattern) with
     the same deterministic bucket cap; the DP verify is a whole-batch
     numpy grid, never per-pair Python."""
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text"])
+    docs = read_table(f"{sf_dir}/documents.parquet", ["text"])
 
     def vocab_partial(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch["text"], " "))
@@ -1111,10 +1084,8 @@ def lang_concat(sf_dir: str):
     the corpus before ONE tiny two-key groupby; the roster kernel then
     runs per source over the |sources| x |langs| distinct table
     (group-count-bounded, never corpus rows)."""
-    import ray.data as rd
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["source", "lang"])
+    docs = read_table(f"{sf_dir}/documents.parquet", ["source", "lang"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         return batch.group_by(["source", "lang"]).aggregate(
@@ -1156,14 +1127,12 @@ def hierarchy_rollup(sf_dir: str):
     the per-batch partial collapses them to distinct-ancestor counts
     before the shuffle; no iterative joins, no recursion depth tied to
     data size."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .relational import _rev_cents
 
     path = f"{sf_dir}/lineitem.parquet"
-    li = rd.read_parquet(path, columns=["l_partkey", "l_extendedprice",
-                                        "l_discount"])
+    li = read_table(path, ["l_partkey", "l_extendedprice", "l_discount"])
 
     def explode_partial(batch: pa.Table) -> pa.Table:
         k = batch["l_partkey"].to_numpy().astype(np.int64)
@@ -1214,12 +1183,10 @@ def covisit_pairs(sf_dir: str):
     kernel with the deterministic per-day cap (quadratic blowup
     guard); pair counts pre-aggregate inside the kernel so the final
     shuffle carries per-partition partials, not raw pair firings."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "ts"])
+    ev = read_table(path, ["user_id", "ts"])
 
     def day_user_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -1289,24 +1256,21 @@ def weighted_median(sf_dir: str):
     row count), then a per-flag sorted cumulative scan over that
     bounded table via map_groups (|flags| = 3 tiny groups).
     """
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .relational import _cents
 
     path = f"{sf_dir}/lineitem.parquet"
-    ds = rd.read_parquet(path, columns=["l_returnflag", "l_quantity",
-                                        "l_extendedprice"])
+    ds = read_table(path, ["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        g = pa.table({
             "l_returnflag": batch["l_returnflag"],
             "price_c": _cents(batch["l_extendedprice"]),
             "q": pc.cast(batch["l_quantity"], pa.int64()),
-        }).to_pandas()
-        g = t.groupby(["l_returnflag", "price_c"], as_index=False) \
-            .agg(qs=("q", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        }).group_by(["l_returnflag", "price_c"]).aggregate([("q", "sum")])
+        return pa.table({"l_returnflag": g["l_returnflag"],
+                         "price_c": g["price_c"], "qs": g["q_sum"]})
 
     by_price = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True) \
@@ -1341,10 +1305,9 @@ def streaks(sf_dir: str):
     per partition handling all its users — no window shuffle, no
     per-user Python.
     """
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "ts"])
+    ev = read_table(path, ["user_id", "ts"])
 
     def to_days(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -1406,12 +1369,10 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
     event); partial path counts per partition, one
     path-bounded groupby (≤ |types|^maxlen distinct paths), and a
     driver-free sort-limit."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "ts", "event_id",
-                                        "event_type"])
+    ev = read_table(path, ["user_id", "ts", "event_id", "event_type"])
     gap_us = gap_minutes * 60 * 1_000_000
 
     def paths_part(g: pa.Table) -> pa.Table:
@@ -1470,8 +1431,7 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
     if range_ids is None:
         range_ids = max(OOO_RANGE_IDS,
                         _parquet_rows(path) // OOO_MAX_DRIVER_RANGES)
-    ev = rd.read_parquet(path, columns=["event_id", "ts",
-                                        "event_type"])
+    ev = read_table(path, ["event_id", "ts", "event_type"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         t = pc.cast(batch["ts"], pa.int64())

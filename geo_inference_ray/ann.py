@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .sources import read_table
+
 TOPK_DEFAULT = 10
 N_QUERIES_DEFAULT = 8
 N_HYPERPLANES = 12
@@ -145,10 +147,8 @@ def ann_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     reduce handles only n_queries * k * n_batches candidate rows.
     """
     import ray
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     qref = ray.put(load_queries(sf_dir, n_queries))
     cand = ds.map_batches(BruteForceTopK(queries_ref=qref, k=k),
                           batch_format="pyarrow", zero_copy_batch=True,
@@ -252,7 +252,6 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
     vectorized kernels (one call per partition, never per bucket or per
     pair)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from .shuffle import add_salt, key_counts, salt_plan
 
@@ -261,8 +260,7 @@ def embedding_near_dup(sf_dir: str, sim_milli_threshold: int = 400,
     dim = _embedding_dim(f"{sf_dir}/embeddings.parquet")
     planes = lsh_planes_for(n_rows)
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     ds = ds.map_batches(HyperplaneLSH(dim, planes), batch_format="pyarrow",
                         zero_copy_batch=True)
     # NOT materialized: the count pre-pass re-executes the (cheap)
@@ -424,7 +422,6 @@ def ivf_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     vs the exact baseline is pinned by test."""
     import pandas as pd
     import ray
-    import ray.data as rd
 
     qids, Q = load_queries(sf_dir, n_queries)
     Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
@@ -434,8 +431,7 @@ def ivf_topk(sf_dir: str, k: int = TOPK_DEFAULT,
              for qi in range(len(qids))}
     state_ref = ray.put((qids, Qn, Cn, probe))
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     cand = ds.map_batches(IVFSearch(state_ref=state_ref, k=k),
                           batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=4096)
@@ -510,15 +506,13 @@ def _lloyd_cents(sf_dir: str, k: int, iters: int):
     exact centroids.  Returns (embedding Dataset, final int64
     centroids)."""
     import ray
-    import ray.data as rd
 
     head = _head_by_id(f"{sf_dir}/embeddings.parquet", k,
                        ["vec_id", "embedding"])
     order = np.argsort(head["vec_id"].to_numpy())[:k]
     cents = _quantize(head["embedding"].combine_chunks())[order]
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
 
     for _ in range(iters - 1):
         cref = ray.put(cents)
@@ -718,7 +712,6 @@ def pq_codes(sf_dir: str, k: int = KMEANS_K, iters: int = KMEANS_ITERS,
     k*n_sub-bounded state); centroid lists broadcast via ``ray.put``;
     no shuffle of the vectors ever."""
     import ray
-    import ray.data as rd
 
     head = _head_by_id(f"{sf_dir}/embeddings.parquet", k,
                        ["vec_id", "embedding"])
@@ -731,8 +724,7 @@ def pq_codes(sf_dir: str, k: int = KMEANS_K, iters: int = KMEANS_ITERS,
     cents = [np.ascontiguousarray(full[:, s * w:(s + 1) * w])
              for s in range(n_sub)]
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
 
     for _ in range(iters - 1):
         cref = ray.put(cents)
@@ -902,7 +894,7 @@ def sq_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     import ray.data as rd
 
     path = f"{sf_dir}/embeddings.parquet"
-    ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
+    ds = read_table(path, ["vec_id", "embedding"])
     absmax = embedding_absmax(ds)
     if absmax is None:  # empty corpus: typed empty result
         return rd.from_arrow(pa.table({
@@ -913,7 +905,7 @@ def sq_topk(sf_dir: str, k: int = TOPK_DEFAULT,
     qids, Qf = load_queries(sf_dir, n_queries)
     Q = sq_quantize(Qf, absmax)
     state_ref = ray.put((qids, Q, absmax))
-    cand = rd.read_parquet(path, columns=["vec_id", "embedding"]) \
+    cand = read_table(path, ["vec_id", "embedding"]) \
         .map_batches(SQTopK(state_ref=state_ref, k=k),
                      batch_format="pyarrow", zero_copy_batch=True,
                      batch_size=4096)
@@ -942,11 +934,9 @@ def centroid_by_label(sf_dir: str):
     <= |labels| x D rows (component-wise int64 sums via np.add.at on
     the label index), then ONE groupby over the (label, dim) keyspace
     — input vectors never cross the shuffle."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["label", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet", ["label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:   # np.stack needs >= 1 array
@@ -998,13 +988,12 @@ def emb_quantize(sf_dir: str):
     embedding column, zero data shuffles.
     """
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Max, Min
 
     from .shuffle import collect
 
     path = f"{sf_dir}/embeddings.parquet"
-    ds = rd.read_parquet(path, columns=["vec_id", "embedding"])
+    ds = read_table(path, ["vec_id", "embedding"])
 
     def minmax_partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1082,7 +1071,7 @@ def hybrid_rrf(sf_dir: str, c: int = RRF_C, k: int = RRF_TOPK):
     from .textops import SEARCH_TOPK, search_topk
 
     path = f"{sf_dir}/documents.parquet"
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
+    docs = read_table(path, ["doc_id", "text"])
     i64 = pa.int64()
     lex = collect(search_topk(docs, _parquet_rows(path)),
                   pa.schema([("doc_id", i64), ("rk", i64)]), SEARCH_TOPK)

@@ -35,6 +35,8 @@ import time
 
 from ray.data import Datasink
 
+from .sources import read_table
+
 
 class PartitionedRun:
     def __init__(self, out_root: str, stage: str):
@@ -222,8 +224,6 @@ class PartitionedRun:
         optionally pruned to ``columns``.  Partitions that hold no file
         (empty keys) contribute nothing; if none holds a file the
         dataset is empty."""
-        import ray.data as rd
-
         done = sorted(self.completed()) if keys is None else keys
         paths = []
         for k in done:
@@ -231,9 +231,7 @@ class PartitionedRun:
             paths.extend(os.path.join(kdir, f)
                          for f in sorted(os.listdir(kdir))
                          if f.endswith(".parquet"))
-        if not paths:
-            return rd.from_items([])
-        return rd.read_parquet(paths, columns=columns)
+        return read_table(paths, columns)
 
 
 class _HivePartitionSink(Datasink):
@@ -350,7 +348,8 @@ def read_pruned(root: str, column: str, lo, hi,
     opened; the exact row filter still runs on the survivors (zones
     are a superset screen).  Returns (dataset, n_files_total,
     n_files_read)."""
-    import pyarrow.dataset as pads
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
 
     zpath = os.path.join(root, ZONEMAP_NAME)
@@ -361,7 +360,6 @@ def read_pruned(root: str, column: str, lo, hi,
     if not keep:
         # empty selection: an explicit empty table carrying the footer
         # schema (a fully-filtered read loses its columns downstream)
-        import pyarrow as pa
         import pyarrow.parquet as pq
 
         sch = pq.read_schema(
@@ -369,8 +367,17 @@ def read_pruned(root: str, column: str, lo, hi,
         if columns is not None:
             sch = pa.schema([sch.field(c) for c in columns])
         return rd.from_arrow(sch.empty_table()), len(zmap), 0
-    expr = (pads.field(column) >= lo) & (pads.field(column) <= hi)
-    ds = rd.read_parquet(keep, columns=columns, filter=expr)
+    expr = (pc.field(column) >= lo) & (pc.field(column) <= hi)
+
+    def in_range(batch: pa.Table) -> pa.Table:
+        rows = batch.filter(expr)
+        return rows if columns is None else rows.select(columns)
+
+    # the filter column is read even when the caller does not keep it
+    read = None if columns is None else list(dict.fromkeys([*columns,
+                                                            column]))
+    ds = read_table(keep, read).map_batches(
+        in_range, batch_format="pyarrow", zero_copy_batch=True)
     return ds, len(zmap), len(keep)
 
 

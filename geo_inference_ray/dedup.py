@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 
 from . import shuffle
 from .shuffle import partitioned, partitions_for, runs
+from .sources import read_table
 
 # MinHash parameters.  The whole hash family is DERANDOMIZED and kept
 # inside mod-Mersenne-31 arithmetic so every step has an exact DuckDB
@@ -314,7 +315,7 @@ def minhash_candidates(ds, work_dir: str | None = None,
     spill = spill_dir("minhash_bands", work_dir)
     sigs.map_batches(band_rows, batch_format="pyarrow") \
         .write_parquet(spill)
-    bands = rd.read_parquet(spill)
+    bands = read_table(spill)
 
     # bucket-size pre-pass.  The hot set is consumed DRIVER-side either
     # way (it becomes a broadcast array), so for bounded partial volume
@@ -361,7 +362,7 @@ def minhash_candidates(ds, work_dir: str | None = None,
         hot_spill = spill_dir("minhash_hot", work_dir)
         counts.map_batches(keep_hot, batch_format="pyarrow",
                            zero_copy_batch=True).write_parquet(hot_spill)
-        hot_tbl = rd.read_parquet(hot_spill)
+        hot_tbl = read_table(hot_spill)
         hot_parts: list | None = []
         n_hot = 0
         hot_rows = 0

@@ -10,7 +10,8 @@ from shapely/rtree:
 * point_in_polygon — ray-casting crossing test.  The comparison expression is
                     written in the *exact* order used by the DuckDB oracle SQL
                     (synth.SQL_PIP_PAIRS) so both sides make bit-identical
-                    decisions near edges.
+                    decisions near edges.  ``polygon_hits`` runs it over
+                    a layer's STRtree candidates.
 * shoelace_area   — polygon area (reference uses shapely ``.area``,
                     polygon.py:61); ``ring_areas`` over flat ring arrays.
 * clip_to_rect    — Sutherland–Hodgman clip vs an axis-aligned rect
@@ -191,6 +192,26 @@ def point_in_polygon(px: np.ndarray, py: np.ndarray,
             + x1[None, :]
         cross = straddle & (px < xint)
     return (cross.sum(axis=1) % 2).astype(bool)
+
+
+def polygon_hits(tree: STRtree, polys: list[dict], x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point-in-polygon probe of points (x, y) against a polygon layer
+    (``polys[i]`` carries edge arrays x1, y1, x2, y2; ``tree`` holds
+    their bboxes): bbox candidates from ``tree``, then the exact
+    ray-cast.  Returns (point index, polygon index) pairs, grouped by
+    polygon in ascending index, points ascending within a polygon."""
+    pts_out, items = [], []
+    for item, pts in tree.query_points_bulk(x, y):
+        p = polys[item]
+        hit = pts[point_in_polygon(x[pts], y[pts],
+                                   p["x1"], p["y1"], p["x2"], p["y2"])]
+        if len(hit):
+            pts_out.append(hit)
+            items.append(np.full(len(hit), item, dtype=np.int64))
+    if not pts_out:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(pts_out), np.concatenate(items)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .shuffle import collect
+from .sources import read_table
 
 PR_SCALE = 1_000_000       # rank unit: parts-per-million
 PR_ITERS = 3               # fixed iteration count (exact-oracle contract)
@@ -59,12 +60,10 @@ def _edge_spill(sf_dir: str, work_dir: str | None,
     import os
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from .pools import spill_dir
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey"])
+    li = read_table(f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey"])
 
     def edge_partial(batch: pa.Table) -> pa.Table:
         p = batch["l_partkey"].to_numpy().astype(np.int64) * 2
@@ -123,7 +122,7 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
     spill, n_edges = _edge_spill(sf_dir, work_dir)
 
     def edges():
-        return rd.read_parquet(spill, columns=["src", "dst"])
+        return read_table(spill, ["src", "dst"])
 
     deg = _degrees(edges())
 
@@ -295,7 +294,7 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
             "score": pa.array([], pa.int64())}))
 
     def edges():
-        return rd.read_parquet(spill, columns=["src", "dst"])
+        return read_table(spill, ["src", "dst"])
 
     def sum_partial(key: str):
         def part(batch: pa.Table) -> pa.Table:
@@ -500,7 +499,7 @@ def kcore(sf_dir: str, *, k: int | None = None,
     spill, n_edges = _edge_spill(sf_dir, work_dir)
 
     def edges():
-        return rd.read_parquet(spill, columns=["src", "dst"])
+        return read_table(spill, ["src", "dst"])
 
     deg = _degrees(edges()).materialize()
 
@@ -688,14 +687,13 @@ def triangles(sf_dir: str):
     web-scale sparse graphs the node ordering bounds it by arboricity
     (document: TPC-H's co-supplier graph is pathologically dense, a
     worst case real link graphs don't hit)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .relational import _parquet_rows
     from .shuffle import partitioned, run_pairs, runs
 
     li_path = f"{sf_dir}/lineitem.parquet"
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey"])
+    li = read_table(li_path, ["l_partkey", "l_suppkey"])
 
     def ps_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"p": batch["l_partkey"], "s": batch["l_suppkey"]})
@@ -856,9 +854,8 @@ def graph_components(sf_dir: str, *, qty_max: float = CC_QTY_MAX,
 
     from .dedup import distributed_components
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey",
-                                  "l_quantity"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_partkey", "l_suppkey", "l_quantity"])
 
     def edge_partial(batch: pa.Table) -> pa.Table:
         p = batch["l_partkey"].to_numpy().astype(np.int64)

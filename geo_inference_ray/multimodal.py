@@ -28,6 +28,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .sources import read_table
+
 
 class DecodeUnavailable(NotImplementedError):
     """Raised by decode paths needing codecs absent from this container
@@ -162,9 +164,7 @@ def synth_media_batch(batch: pa.Table) -> pa.Table:
 
 
 def media_dataset(sf_dir: str):
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id"])
     return ds.map_batches(synth_media_batch, batch_format="pyarrow",
                           batch_size=256)
 

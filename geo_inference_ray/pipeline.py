@@ -151,8 +151,10 @@ class GeoInferenceRay:
 
                 polys = simplify_rings(polys, self.simplify_tolerance)
             vec_path = os.path.join(self.work_dir, f"{run_name}_polygons.json")
+            # json.dumps runs the C encoder; json.dump streams through
+            # the pure-Python one (same bytes, slower)
             with open(vec_path, "w") as f:
-                json.dump(_rings_to_geojson(polys), f)
+                f.write(json.dumps(_rings_to_geojson(polys)))
             out["polygons"] = vec_path
             if self.mask_to_yolo:
                 y = to_yolo(polys, grid)
@@ -164,7 +166,7 @@ class GeoInferenceRay:
                 coco = to_coco(polys, grid)
                 cpath = os.path.join(self.work_dir, f"{run_name}_coco.json")
                 with open(cpath, "w") as f:
-                    json.dump(coco, f)
+                    f.write(json.dumps(coco))
                 out["coco"] = cpath
         return out
 

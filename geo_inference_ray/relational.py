@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .shuffle import collect, partitioned, partitions_for, run_pairs, runs
+from .sources import read_table
 
 
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -31,28 +32,28 @@ def pricing_summary(sf_dir: str):
     """TPC-H Q1 analog: lineitem grouped by (returnflag, linestatus) with
     map-side partial aggregation — one row per key per batch crosses the
     shuffle."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount"])
+    ds = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_returnflag", "l_linestatus", "l_quantity",
+                     "l_extendedprice", "l_discount"])
 
     def partial(batch: pa.Table) -> pa.Table:
         qty = pc.cast(batch["l_quantity"], pa.int64())
         base = _cents(batch["l_extendedprice"])
         disc_c = pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)),
                          pa.int64())
-        t = pa.table({
+        g = pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
             "qty": qty, "base_cents": base, "disc_pct": disc_c,
-        }).to_pandas()
-        g = t.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sq=("qty", "sum"), sb=("base_cents", "sum"),
-            sd=("disc_pct", "sum"), n=("qty", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
+            [("qty", "sum"), ("base_cents", "sum"), ("disc_pct", "sum"),
+             ([], "count_all")])
+        return pa.table({"l_returnflag": g["l_returnflag"],
+                         "l_linestatus": g["l_linestatus"],
+                         "sq": g["qty_sum"], "sb": g["base_cents_sum"],
+                         "sd": g["disc_pct_sum"], "n": g["count_all"]})
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
@@ -68,7 +69,6 @@ def top_customers(sf_dir: str, k: int = 10):
     exact top-k: the small dimension table is ray.put once and looked up
     per batch; ranking ties broken by c_custkey."""
     import ray
-    import ray.data as rd
 
     import pyarrow.parquet as pq
 
@@ -78,8 +78,8 @@ def top_customers(sf_dir: str, k: int = 10):
         .replace_schema_metadata(None)
     cust_ref = ray.put(cust)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -122,14 +122,12 @@ def bucketed_join_agg(sf_dir: str, buckets: int = 16):
     both sides shuffle ONCE on the same key; skew in orderkey is
     structurally absent (uniform keys), hot-bucket salting would follow
     shuffle.salt_plan otherwise."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderstatus"])
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_returnflag",
-                                  "l_quantity"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_orderstatus"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_returnflag", "l_quantity"])
 
     def tag_o(batch: pa.Table) -> pa.Table:
         key = batch["o_orderkey"].to_numpy() % buckets
@@ -178,11 +176,9 @@ def bucketed_join_agg(sf_dir: str, buckets: int = 16):
 def top_orders_per_customer(sf_dir: str, k: int = 3):
     """Per-group top-k (window-function analog): rank orders within each
     customer by (totalprice desc, orderkey asc), keep k."""
-    import ray.data as rd
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderkey",
-                                      "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def add_cents(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -254,11 +250,10 @@ def events_hourly(sf_dir: str):
     """Time-bucket aggregation over the events stream table: per
     (user_id, event_type, hour) counts and milli-value sums — the
     tumbling-window analog (ray_guide 'Streaming-shaped workloads')."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type", "ts", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    ["user_id", "event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
@@ -289,11 +284,10 @@ def native_join_agg(sf_dir: str, num_partitions: int = 8):
     this Ray version) — the third join strategy next to broadcast
     (top_customers) and explicit bucketing (bucketed_join_agg).  orders
     x customer on custkey -> per-mktsegment order counts + cents."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_custkey", "o_totalprice"])
 
     def cents_col(batch: pa.Table) -> pa.Table:
         return pa.table({"o_custkey": batch["o_custkey"],
@@ -301,8 +295,8 @@ def native_join_agg(sf_dir: str, num_partitions: int = 8):
 
     orders = orders.map_batches(cents_col, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = read_table(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_mktsegment"])
     joined = orders.join(cust, join_type="inner",
                          num_partitions=num_partitions,
                          on=("o_custkey",), right_on=("c_custkey",))
@@ -356,12 +350,11 @@ def q3_shipping(sf_dir: str):
 
     Revenue cents = round(extprice * (1-disc) * 100) per LINE, same
     IEEE-754 expression order as the SQL mirror, summed as int64."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_extendedprice", "l_discount",
+                     "l_shipdate"])
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         keep = pc.greater(pc.cast(batch["l_shipdate"], pa.int64()),
@@ -379,9 +372,9 @@ def q3_shipping(sf_dir: str):
         .groupby("l_orderkey").aggregate(
             Sum("revenue_cents", alias_name="revenue_cents"))
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate", "o_orderpriority"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_custkey", "o_orderdate",
+                         "o_orderpriority"])
 
     def ord_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.less(
@@ -395,8 +388,8 @@ def q3_shipping(sf_dir: str):
                       num_partitions=np_join,
                       on=("l_orderkey",), right_on=("o_orderkey",))
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = read_table(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_mktsegment"])
 
     def seg_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch["c_mktsegment"],
@@ -552,12 +545,10 @@ def rfm_scores(sf_dir: str):
     it feeds three rank passes and their pre-passes), then three
     chained range-partitioned exact-rank passes append the scores.
     Nothing ever global-sorts; each pass is one slim-row shuffle."""
-    import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderdate",
-                                      "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"o_custkey": batch["o_custkey"],
@@ -658,7 +649,6 @@ def _attach_derived(ds, key_col: str, out_col: str, dim_path: str,
     is_promo flag, q19's arm bitmask, q2's acctbal cents)."""
     import pyarrow.parquet as pq
     import ray
-    import ray.data as rd
 
     dim_key = dim_cols[0]
     if pq.read_metadata(dim_path).num_rows <= Q5_BROADCAST_KEYS:
@@ -681,7 +671,7 @@ def _attach_derived(ds, key_col: str, out_col: str, dim_path: str,
         return ds.map_batches(probe, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    dim = rd.read_parquet(dim_path, columns=dim_cols)
+    dim = read_table(dim_path, dim_cols)
 
     def derive_batch(batch: pa.Table) -> pa.Table:
         # int64 key for the same reason as _attach_nat's fallback: a
@@ -725,9 +715,8 @@ def _attach_nat(ds, key_col: str, out_col: str, ref, dim_path: str,
 
         return ds.map_batches(probe, batch_format="pyarrow",
                               zero_copy_batch=True)
-    import ray.data as rd
 
-    dim = rd.read_parquet(dim_path, columns=[dim_key, dim_val])
+    dim = read_table(dim_path, [dim_key, dim_val])
 
     def rename(batch: pa.Table) -> pa.Table:
         # cast the join key too: a narrower parquet dim key (e.g. an
@@ -767,7 +756,6 @@ def q5_local_supply(sf_dir: str):
     line side, sized by join_partitions_for on the LINE side; the
     nation-name attach is a 25-row batch-local lookup; the final
     groupby is map-side-partial over <= |nations| keys."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -779,9 +767,7 @@ def q5_local_supply(sf_dir: str):
     sup_ref = _keymap_broadcast(f"{sf_dir}/supplier.parquet",
                                 "s_suppkey", "s_nationkey")
 
-    orders = rd.read_parquet(o_path, columns=["o_orderkey",
-                                              "o_custkey",
-                                              "o_orderdate"])
+    orders = read_table(o_path, ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def o_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["o_orderdate"], pa.int64())
@@ -797,9 +783,8 @@ def q5_local_supply(sf_dir: str):
                          rows_hint=_parquet_rows(o_path)) \
         .select_columns(["o_orderkey", "cnat"])
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_suppkey",
-                                           "l_extendedprice",
-                                           "l_discount"])
+    li = read_table(li_path, ["l_orderkey", "l_suppkey", "l_extendedprice",
+                              "l_discount"])
 
     def rev_col(batch: pa.Table) -> pa.Table:
         return pa.table({"l_orderkey": batch["l_orderkey"],
@@ -855,11 +840,9 @@ def sliding_distinct(sf_dir: str):
     pairs before the ONE distinct shuffle, and the per-window count is
     a second map-side-partial groupby over the (windows x active
     users)-bounded pair table."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
     def emit(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64()).to_numpy()
@@ -915,7 +898,7 @@ def weekly_growth(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         w = pc.cast(batch["ts"], pa.int64()).to_numpy() // WEEK_US
@@ -968,12 +951,10 @@ def transitions(sf_dir: str):
     per partition (the order_gap shape), then a |types|^2-bounded
     count aggregate.  First event per user has no predecessor and
     emits nothing (SQL LAG NULL)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
-                                        "event_type"])
+    ev = read_table(path, ["event_id", "user_id", "ts", "event_type"])
 
     def pair_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -999,10 +980,8 @@ def hash_sample(sf_dir: str, pct: int = 10):
     sizes, unlike random_sample): keep rows where
     (doc_id % 100 * 2654435761) % 100 < pct (mod-before-multiply keeps
     the product overflow-free at any int64 id)."""
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "lang"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "lang"])
 
     def pick(batch: pa.Table) -> pa.Table:
         d = batch["doc_id"].to_numpy()
@@ -1042,7 +1021,6 @@ def rendezvous_shards(sf_dir: str, n_shards: int = HRW_SHARDS):
     Output: per-shard (shard, n_docs, id_sum) — counts plus an id
     checksum, one tiny groupby after a batch-local argmax; the
     (docs x shards) score matrix never leaves the task."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     a, b = (HRW_A, HRW_B) if n_shards == HRW_SHARDS \
@@ -1061,8 +1039,7 @@ def rendezvous_shards(sf_dir: str, n_shards: int = HRW_SHARDS):
                          "n": pc.cast(g["count_all"], pa.int64()),
                          "s": pc.cast(g["doc_id_sum"], pa.int64())})
 
-    return rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]) \
+    return read_table(f"{sf_dir}/documents.parquet", ["doc_id"]) \
         .map_batches(assign, batch_format="pyarrow",
                      zero_copy_batch=True, batch_size=None) \
         .groupby("shard").aggregate(Sum("n", alias_name="n_docs"),
@@ -1088,10 +1065,8 @@ def weighted_sample(sf_dir: str, k: int = 50):
     (u = (h+1)/MOD, pri = w/u) is a single correctly-rounded IEEE
     double in the same order as the SQL mirror, so the kept set and
     the priority VALUES are bit-exact."""
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "n_chars"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
         d = batch["doc_id"].to_numpy()
@@ -1126,13 +1101,10 @@ def stratified_sample(sf_dir: str, k: int = 5):
     lexsort+run-rank kernel per partition handles all its strata."""
     import hashlib
 
-    import ray.data as rd
-
     M = (1 << 31) - 1
     K = 2654435761
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "source"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "source"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         d = batch["doc_id"].to_numpy()
@@ -1170,11 +1142,10 @@ def stratified_sample(sf_dir: str, k: int = 5):
 def union_counts(sf_dir: str):
     """Set-op demo: union of region + nation name columns with source
     tags, counted per source (Dataset.union)."""
-    import ray.data as rd
     from ray.data.aggregate import Count
 
-    r = rd.read_parquet(f"{sf_dir}/region.parquet", columns=["r_name"])
-    n = rd.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_name"])
+    r = read_table(f"{sf_dir}/region.parquet", ["r_name"])
+    n = read_table(f"{sf_dir}/nation.parquet", ["n_name"])
 
     def tag(src):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1192,11 +1163,9 @@ def events_sliding(sf_dir: str):
     """Sliding windows: 1-hour windows hopping every 30 minutes — each
     event lands in exactly two windows (flat emit to both owners, then
     the same grouped aggregate as the tumbling case)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def emit(batch: pa.Table) -> pa.Table:
         ts = batch["ts"]
@@ -1231,10 +1200,8 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
     ``gap_minutes``.  Emits (user_id, session_idx, n_events,
     start_ts, end_ts).  Oracle: SQL window functions (lag + cumulative
     sum over the gap indicator)."""
-    import ray.data as rd
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
     gap_us = gap_minutes * 60 * 1_000_000
 
@@ -1289,11 +1256,9 @@ def asof_prior_anchor(sf_dir: str, anchor_type: str = "purchase"):
     int64/timestamp columns: nullable Int64/NaT hash differently
     across pandas/duckdb representations even when values agree.
     """
-    import ray.data as rd
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    ["event_id", "user_id", "ts", "event_type"])
 
     def asof_part(t: pa.Table) -> pa.Table:
         g = t.to_pandas().sort_values(["ts", "event_id"],
@@ -1332,11 +1297,9 @@ def anchor_window_follow(sf_dir: str, anchor_type: str = "signup",
     plus two C merges, independent of window width — the shape that
     survives hot users at 100 TB.
     """
-    import ray.data as rd
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    ["event_id", "user_id", "ts", "event_type", "value"])
     # microsecond-unit timedelta: parquet timestamps are [us] and a
     # default pd.Timedelta upcasts the probe column to [ns], which
     # merge_asof rejects against the [us] cumulative frame
@@ -1408,8 +1371,7 @@ def train_shuffle(sf_dir: str, num_shards: int = 8):
     M, K = TS_HASH_M, TS_HASH_K
     n_ranges = (M >> TS_RANGE_BITS) + 1
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         d = batch["doc_id"].to_numpy()
@@ -1491,10 +1453,9 @@ def funnel_stages(sf_dir: str, steps: tuple = FUNNEL_STEPS):
     co-located), ONE vectorized kernel per partition running
     len(steps) groupby-min passes — no per-user Python, no driver
     state.  Returns (user_id, stage) with stage 0..len(steps)."""
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    ["user_id", "ts", "event_type"])
 
     def kernel(g: pa.Table) -> pa.Table:
         users, inv = np.unique(g["user_id"].to_numpy(), return_inverse=True)
@@ -1531,11 +1492,9 @@ def events_rollup(sf_dir: str):
     levels (key space = 3x types x hours, never rows), then a single
     groupby Sum.  Rolled-up keys use sentinels ('ALL', -1) instead of
     NULLs so the group keys stay non-nullable through Ray's shuffle."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
@@ -1577,11 +1536,9 @@ def distinct_users(sf_dir: str):
     distinct groupby -> a type-bounded count aggregate.  The shuffle
     carries one row per DISTINCT (type, user) pair, never the event
     stream."""
-    import ray.data as rd
     from ray.data.aggregate import Count
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "user_id"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["event_type", "user_id"]).aggregate([])
@@ -1611,8 +1568,7 @@ def length_percentile_rank(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
 
     def keyed(batch: pa.Table) -> pa.Table:
         n = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
@@ -1685,13 +1641,11 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
     - day keys are integer floor epoch-days (``epoch_us // 86400e6``,
       same arithmetic in the DuckDB oracle), so the result is exact."""
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
     from .pools import spill_dir
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy().astype("datetime64[us]") \
@@ -1712,7 +1666,7 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
         .write_parquet(spill)
 
     def user_days_ds():
-        return rd.read_parquet(spill, columns=["user_id", "day"])
+        return read_table(spill, ["user_id", "day"])
 
     # first-day map: one row per user
     first = user_days_ds().groupby("user_id").aggregate(
@@ -1769,11 +1723,9 @@ def props_extract(sf_dir: str):
     parser), then aggregate per event_type: row count, extracted count,
     sum/min/max of k.  Both sides use RE2 ('"k":\\s*(-?\\d+)'), so the
     DuckDB ``regexp_extract`` oracle is exact."""
-    import ray.data as rd
     from ray.data.aggregate import Max, Min, Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "props"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch["props"],
@@ -1836,12 +1788,10 @@ def corr_stats(sf_dir: str):
     double and evaluates the SAME expression tree as the SQL mirror
     (IEEE ops are correctly rounded, so identical op order ⇒ bitwise
     equality — the engine-wide float-exactness convention)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_returnflag", "l_quantity",
-                                  "l_discount"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_returnflag", "l_quantity", "l_discount"])
 
     def partial(batch: pa.Table) -> pa.Table:
         q = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
@@ -1912,11 +1862,10 @@ def except_days(sf_dir: str):
     flags (had-purchase, had-signup), a single groupby Max merges them,
     and a vectorized filter keeps p=1 ∧ s=0.  No row-level anti-join,
     no driver collect."""
-    import ray.data as rd
     from ray.data.aggregate import Max
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    ["user_id", "ts", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"],
@@ -1960,11 +1909,9 @@ def running_total(sf_dir: str, sample_mod: int = 41):
 
     Partitioning assumption (shared with sessionize/asof): one user's
     events fit in a partition."""
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
-                                        "value"])
+    ev = read_table(path, ["event_id", "user_id", "ts", "value"])
 
     def run_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -2009,11 +1956,9 @@ def moving_window(sf_dir: str):
 
     Partitioning assumption (shared with running_total/sessionize):
     one user's events fit in a partition."""
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
-                                        "value"])
+    ev = read_table(path, ["event_id", "user_id", "ts", "value"])
     k = MW_FRAME_PRECEDING
 
     def win_part(g: pa.Table) -> pa.Table:
@@ -2057,14 +2002,12 @@ def range_join(sf_dir: str):
     with one vectorized ``np.searchsorted`` — no shuffle touches the
     big side, and the only exchange is the map-side-combined per-band
     partial table (<= RJ_NUM_BANDS rows per batch)."""
-    import ray.data as rd
     from ray.data.aggregate import Max, Min, Sum
 
     edges = (np.arange(RJ_NUM_BANDS, dtype=np.int64) ** 2
              * RJ_BAND_CENTS)
 
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_totalprice"])
+    ds = read_table(f"{sf_dir}/orders.parquet", ["o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["o_totalprice"]).to_numpy()
@@ -2102,10 +2045,9 @@ def order_gap(sf_dir: str):
     aggregates are deterministic under any stable tie order.  Users
     with a single event get n_gaps=0 and sentinel -1 max/min (SQL
     MAX/MIN over an empty window, COALESCEd in the mirror)."""
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts"])
+    ev = read_table(path, ["event_id", "user_id", "ts"])
 
     def gaps_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -2152,11 +2094,10 @@ def cooccur_types(sf_dir: str):
     join never runs on rows, only on the distinct (user, day, type)
     set, and pairs are generated inside a per-partition kernel bounded
     by COOCCUR_MAX_TYPES choose 2 per basket."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
+    ev = read_table(f"{sf_dir}/events.parquet",
+                    ["user_id", "ts", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -2219,8 +2160,7 @@ def user_growth(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
@@ -2301,7 +2241,6 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
     SQL semi-join — the Bloom stage is pure pruning, invisible in the
     result."""
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     FIB = np.uint64(0x9E3779B97F4A7C15)
@@ -2314,8 +2253,8 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
             np.uint64(1)
         return h1.astype(np.int64), h2.astype(np.int64)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderpriority"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_orderpriority"])
 
     def key_partial(batch: pa.Table) -> pa.Table:
         sel = pc.equal(batch["o_orderpriority"], priority)
@@ -2351,9 +2290,8 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
         key_rows += int(b["c"].to_numpy().sum())
     mref = ray.put(mask)
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_returnflag",
-                                  "l_quantity"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_orderkey", "l_returnflag", "l_quantity"])
 
     def probe(batch: pa.Table) -> pa.Table:
         bm = ray.get(mref)
@@ -2433,14 +2371,12 @@ def q10_returned(sf_dir: str):
     sized); the nation-name attach is a 25-row broadcast probe; top-k
     is per-batch partial top-k + a k-bounded final reduce, never a
     global sort."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
-    li = rd.read_parquet(li_path,
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount", "l_returnflag"])
+    li = read_table(li_path, ["l_orderkey", "l_extendedprice", "l_discount",
+                              "l_returnflag"])
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["l_returnflag"], "R"))
@@ -2455,9 +2391,8 @@ def q10_returned(sf_dir: str):
                          zero_copy_batch=True, batch_size=None) \
         .groupby("l_orderkey").aggregate(Sum("rev", alias_name="rev"))
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def o_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["o_orderdate"], pa.int64())
@@ -2482,9 +2417,8 @@ def q10_returned(sf_dir: str):
             Sum("revenue_cents", alias_name="revenue_cents"))
 
     cust_path = f"{sf_dir}/customer.parquet"
-    cust = rd.read_parquet(cust_path,
-                           columns=["c_custkey", "c_name", "c_acctbal",
-                                    "c_nationkey"])
+    cust = read_table(cust_path,
+                      ["c_custkey", "c_name", "c_acctbal", "c_nationkey"])
 
     def cust_cols(batch: pa.Table) -> pa.Table:
         return pa.table({"c_custkey": batch["c_custkey"],
@@ -2537,16 +2471,14 @@ def q14_promo(sf_dir: str):
     with a loud null check above it; the conditional sums are
     map-side partials so only two int64 scalars per batch reach the
     final fold."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     part_path = f"{sf_dir}/part.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
 
-    li = rd.read_parquet(li_path,
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = read_table(li_path, ["l_partkey", "l_extendedprice", "l_discount",
+                              "l_shipdate"])
 
     def rev_col(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
@@ -2602,12 +2534,11 @@ def q18_big_orders(sf_dir: str):
     filter keeps a tiny survivor set; both attribute joins are hash
     joins sized on their corpus-scale fact side; top-k never sorts
     globally."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     o_path = f"{sf_dir}/orders.parquet"
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_quantity"])
+    li = read_table(li_path, ["l_orderkey", "l_quantity"])
 
     def qty_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"l_orderkey": batch["l_orderkey"],
@@ -2625,9 +2556,8 @@ def q18_big_orders(sf_dir: str):
         lambda b: b.filter(pc.greater(b["sum_qty"], Q18_QTY_MIN)),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    orders = rd.read_parquet(o_path,
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate", "o_totalprice"])
+    orders = read_table(o_path, ["o_orderkey", "o_custkey", "o_orderdate",
+                                 "o_totalprice"])
 
     def o_cols(batch: pa.Table) -> pa.Table:
         return pa.table({"o_orderkey": batch["o_orderkey"],
@@ -2643,7 +2573,7 @@ def q18_big_orders(sf_dir: str):
                    on=("l_orderkey",), right_on=("o_orderkey",))
 
     cust_path = f"{sf_dir}/customer.parquet"
-    cust = rd.read_parquet(cust_path, columns=["c_custkey", "c_name"])
+    cust = read_table(cust_path, ["c_custkey", "c_name"])
     big = big.join(cust, join_type="inner",
                    num_partitions=join_partitions_for(
                        _parquet_rows(cust_path)),
@@ -2686,7 +2616,6 @@ def q7_volume(sf_dir: str):
     the filtered orders side, never per row); the final groupby is
     map-side-partial over <= |nations|^2 x |years| keys and the two
     nation-name attaches are one 25-row broadcast probe."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -2698,8 +2627,7 @@ def q7_volume(sf_dir: str):
     sup_ref = _keymap_broadcast(f"{sf_dir}/supplier.parquet",
                                 "s_suppkey", "s_nationkey")
 
-    orders = rd.read_parquet(o_path, columns=["o_orderkey", "o_custkey",
-                                              "o_orderdate"])
+    orders = read_table(o_path, ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def o_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["o_orderdate"], pa.int64())
@@ -2720,9 +2648,8 @@ def q7_volume(sf_dir: str):
                          rows_hint=_parquet_rows(o_path)) \
         .select_columns(["o_orderkey", "cnat", "yr"])
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_suppkey",
-                                           "l_extendedprice",
-                                           "l_discount"])
+    li = read_table(li_path, ["l_orderkey", "l_suppkey", "l_extendedprice",
+                              "l_discount"])
 
     def rev_col(batch: pa.Table) -> pa.Table:
         return pa.table({"l_orderkey": batch["l_orderkey"],
@@ -2789,12 +2716,11 @@ def q13_count_dist(sf_dir: str):
     join_partitions_for sized); nulls become 0 batch-locally; the
     final histogram groupby is map-side-partial over <= |distinct
     counts| keys."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     c_path = f"{sf_dir}/customer.parquet"
-    orders = rd.read_parquet(o_path, columns=["o_custkey"])
+    orders = read_table(o_path, ["o_custkey"])
 
     def cnt_partial(batch: pa.Table) -> pa.Table:
         u, c = np.unique(batch["o_custkey"].to_numpy(),
@@ -2806,7 +2732,7 @@ def q13_count_dist(sf_dir: str):
                              zero_copy_batch=True, batch_size=None) \
         .groupby("o_custkey").aggregate(Sum("c", alias_name="c"))
 
-    cust = rd.read_parquet(c_path, columns=["c_custkey"])
+    cust = read_table(c_path, ["c_custkey"])
     joined = cust.join(cnt, join_type="left_outer",
                        num_partitions=join_partitions_for(
                            _parquet_rows(c_path)),
@@ -2840,7 +2766,6 @@ def q17_small_qty(sf_dir: str):
     unchanged); the threshold join is a hash join sized by the
     filtered line count; the final fold is two int64 scalars."""
     import ray
-    import ray.data as rd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
@@ -2856,9 +2781,8 @@ def q17_small_qty(sf_dir: str):
                     .astype(np.int64))
         ref = ray.put(k)
 
-    li = rd.read_parquet(li_path,
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(li_path, ["l_partkey", "l_quantity", "l_extendedprice",
+                              "l_discount"])
 
     def line_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2883,7 +2807,7 @@ def q17_small_qty(sf_dir: str):
         lines = li.map_batches(probe, batch_format="pyarrow",
                                zero_copy_batch=True)
     else:
-        dim = rd.read_parquet(part_path, columns=["p_partkey", "p_brand"])
+        dim = read_table(part_path, ["p_partkey", "p_brand"])
         dim = dim.map_batches(
             lambda b: b.filter(pc.equal(b["p_brand"], Q17_BRAND))
                        .select(["p_partkey"]),
@@ -2946,13 +2870,11 @@ def q22_idle_rich(sf_dir: str):
     join above it (dedup_apply's pattern); the final groupby is
     map-side-partial over <= |nations| keys."""
     import ray
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     c_path = f"{sf_dir}/customer.parquet"
     o_path = f"{sf_dir}/orders.parquet"
-    cust = rd.read_parquet(c_path, columns=["c_custkey", "c_nationkey",
-                                            "c_acctbal"])
+    cust = read_table(c_path, ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def pos_cols(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.greater(batch["c_acctbal"], 0.0))
@@ -2977,8 +2899,7 @@ def q22_idle_rich(sf_dir: str):
         .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n"))
     s, n = int(g["s"]), int(g["n"])
 
-    urgent = rd.read_parquet(o_path, columns=["o_custkey",
-                                              "o_orderpriority"])
+    urgent = read_table(o_path, ["o_custkey", "o_orderpriority"])
     urgent = urgent.map_batches(
         lambda b: b.filter(pc.equal(b["o_orderpriority"], Q22_PRIORITY))
                    .select(["o_custkey"]),
@@ -3071,10 +2992,9 @@ def debounce(sf_dir: str, window_us: int = DEBOUNCE_US):
     SQL mirror): events are ordered by (ts, event_id); equal-ts
     followers of a kept event are suppressed (gap must be strictly
     positive)."""
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts"])
+    ev = read_table(path, ["event_id", "user_id", "ts"])
 
     def debounce_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -3108,9 +3028,8 @@ def q15_top_supplier(sf_dir: str):
 
     li_path = f"{sf_dir}/lineitem.parquet"
     s_path = f"{sf_dir}/supplier.parquet"
-    li = rd.read_parquet(li_path,
-                         columns=["l_suppkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = read_table(li_path, ["l_suppkey", "l_extendedprice", "l_discount",
+                              "l_shipdate"])
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
@@ -3139,7 +3058,7 @@ def q15_top_supplier(sf_dir: str):
     winners = rev.map_batches(
         lambda b: b.filter(pc.equal(b["rc"], mx)),
         batch_format="pyarrow", zero_copy_batch=True)
-    sup = rd.read_parquet(s_path, columns=["s_suppkey", "s_name"])
+    sup = read_table(s_path, ["s_suppkey", "s_name"])
     out = winners.join(sup, join_type="inner",
                        num_partitions=join_partitions_for(
                            _parquet_rows(s_path)),
@@ -3167,7 +3086,6 @@ def q19_disjunctive(sf_dir: str):
     Q5_BROADCAST_KEYS, loud left_outer join above it); the disjunction
     is then a batch-local vectorized any-arm test — no per-arm scan of
     the fact table, no join amplification."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     part_path = f"{sf_dir}/part.parquet"
@@ -3186,9 +3104,8 @@ def q19_disjunctive(sf_dir: str):
             bits |= m.astype(np.int64) << i
         return bits
 
-    li = rd.read_parquet(li_path,
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
+    li = read_table(li_path, ["l_partkey", "l_quantity", "l_extendedprice",
+                              "l_discount"])
 
     def line_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3235,10 +3152,9 @@ def user_entropy(sf_dir: str):
     integer term fold.  No per-user Python, no corpus-scale
     join (the per-user total never leaves the kernel that computed
     it)."""
-    import ray.data as rd
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["user_id", "event_type"])
+    ev = read_table(path, ["user_id", "event_type"])
 
     return partitioned(ev, "user_id",
                        entropy_part("user_id", "event_type", "n_events"),
@@ -3280,10 +3196,9 @@ def q2_min_cost_supplier(sf_dir: str):
     tie-complete winner filter run in ONE vectorized kernel per hash
     partition (all of a part's pairs co-located), so there is no
     second join against a min table."""
-    import ray.data as rd
 
     li_path = f"{sf_dir}/lineitem.parquet"
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey"])
+    li = read_table(li_path, ["l_partkey", "l_suppkey"])
 
     def dedup_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"l_partkey": batch["l_partkey"],
@@ -3344,16 +3259,14 @@ def q4_late_orders(sf_dir: str):
     on orderkey followed by ONE groupby(orderkey) first-priority
     reduce (keyspace = qualifying orders, not lines); the final
     priority count is map-side-partial over <= 5 keys."""
-    import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
 
-    orders = rd.read_parquet(o_path,
-                             columns=["o_orderkey", "o_orderdate",
-                                      "o_orderpriority"])
+    orders = read_table(o_path,
+                        ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     def o_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3364,7 +3277,7 @@ def q4_late_orders(sf_dir: str):
     orders = orders.map_batches(o_cols, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_shipdate"])
+    li = read_table(li_path, ["l_orderkey", "l_shipdate"])
 
     def l_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3424,12 +3337,11 @@ def q6_forecast(sf_dir: str):
     Revenue uses the shared floor(x*100 + 0.5) fixed-point convention
     (_rev_cents rationale) so the distributed sum is order-independent
     and bitwise-equal to the SQL mirror."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_shipdate", "l_discount",
-                                  "l_quantity", "l_extendedprice"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    ["l_shipdate", "l_discount", "l_quantity",
+                     "l_extendedprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
@@ -3474,15 +3386,13 @@ def q12_late_priority(sf_dir: str):
     late test and the priority split are batch-local vectorized
     kernels; the final groupby is map-side-partial over exactly two
     keys ('F'/'O')."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_linestatus",
-                                           "l_shipdate"])
+    li = read_table(li_path, ["l_orderkey", "l_linestatus", "l_shipdate"])
 
     def l_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
@@ -3497,9 +3407,8 @@ def q12_late_priority(sf_dir: str):
     li = li.map_batches(l_filter, batch_format="pyarrow",
                         zero_copy_batch=True)
 
-    orders = rd.read_parquet(o_path, columns=["o_orderkey",
-                                              "o_orderdate",
-                                              "o_orderpriority"])
+    orders = read_table(o_path,
+                        ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     def o_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3575,7 +3484,6 @@ def q8_share(sf_dir: str):
     conditional; the final groupby is map-side-partial over <= |years|
     keys, and the one float division happens ONCE per output row after
     integer-exact cent sums (bitwise-stable vs the SQL mirror)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3596,8 +3504,7 @@ def q8_share(sf_dir: str):
     nat_region_ref = _keymap_broadcast(nation_path, "n_nationkey",
                                        "n_regionkey")
 
-    orders = rd.read_parquet(o_path, columns=["o_orderkey", "o_custkey",
-                                              "o_orderdate"])
+    orders = read_table(o_path, ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def o_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["o_orderdate"], pa.int64())
@@ -3624,10 +3531,8 @@ def q8_share(sf_dir: str):
                    .select(["o_orderkey", "yr"]),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_partkey",
-                                           "l_suppkey",
-                                           "l_extendedprice",
-                                           "l_discount"])
+    li = read_table(li_path, ["l_orderkey", "l_partkey", "l_suppkey",
+                              "l_extendedprice", "l_discount"])
 
     def rev_col(batch: pa.Table) -> pa.Table:
         return pa.table({"l_orderkey": batch["l_orderkey"],
@@ -3700,7 +3605,6 @@ def q9_profit(sf_dir: str):
     the cost basis ride a single int64 column (join fallback over the
     cap); supplier nation is a second probe; the final groupby is
     map-side-partial over <= |nations| x |years| keys."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3712,10 +3616,8 @@ def q9_profit(sf_dir: str):
     nat_ref = _name_map_broadcast(f"{sf_dir}/nation.parquet",
                                   "n_nationkey", "n_name")
 
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey",
-                                           "l_quantity",
-                                           "l_extendedprice",
-                                           "l_discount", "l_shipdate"])
+    li = read_table(li_path, ["l_partkey", "l_suppkey", "l_quantity",
+                              "l_extendedprice", "l_discount", "l_shipdate"])
 
     def line_cols(batch: pa.Table) -> pa.Table:
         yr = batch["l_shipdate"].to_numpy().astype("datetime64[Y]") \
@@ -3800,7 +3702,6 @@ def q21_waiting(sf_dir: str):
     unique late supplier via SUM(suppkey * late) — no self-join, no
     row explosion; the winner set (<= |suppliers| rows) then joins the
     supplier table for names."""
-    import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
     o_path = f"{sf_dir}/orders.parquet"
@@ -3808,9 +3709,7 @@ def q21_waiting(sf_dir: str):
     s_path = f"{sf_dir}/supplier.parquet"
     li_rows = _parquet_rows(li_path)
 
-    orders = rd.read_parquet(o_path, columns=["o_orderkey",
-                                              "o_orderdate",
-                                              "o_orderstatus"])
+    orders = read_table(o_path, ["o_orderkey", "o_orderdate", "o_orderstatus"])
 
     def o_finished(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["o_orderstatus"], "F"))
@@ -3821,8 +3720,7 @@ def q21_waiting(sf_dir: str):
     orders = orders.map_batches(o_finished, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    li = rd.read_parquet(li_path, columns=["l_orderkey", "l_suppkey",
-                                           "l_shipdate"])
+    li = read_table(li_path, ["l_orderkey", "l_suppkey", "l_shipdate"])
 
     def l_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3882,7 +3780,7 @@ def q21_waiting(sf_dir: str):
                                   batch_format="pyarrow") \
         .groupby("s").aggregate(Sum("n", alias_name="numwait"))
 
-    sup = rd.read_parquet(s_path, columns=["s_suppkey", "s_name"])
+    sup = read_table(s_path, ["s_suppkey", "s_name"])
     out = waits.join(sup, join_type="inner",
                      num_partitions=join_partitions_for(
                          _parquet_rows(s_path)),
@@ -3908,7 +3806,6 @@ def q16_supplier_cnt(sf_dir: str):
     partial distinct + ONE groupby over the (combo, supplier) supply
     relation; the final count is map-side-partial over |combos|
     keys."""
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3916,7 +3813,7 @@ def q16_supplier_cnt(sf_dir: str):
     s_path = f"{sf_dir}/supplier.parquet"
     li_rows = _parquet_rows(li_path)
 
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey"])
+    li = read_table(li_path, ["l_partkey", "l_suppkey"])
     li = _attach_derived(
         li, "l_suppkey", "excl", s_path, ["s_suppkey", "s_acctbal"],
         lambda t: pc.less(t["s_acctbal"], 0.0).to_numpy(
@@ -3927,8 +3824,7 @@ def q16_supplier_cnt(sf_dir: str):
                    .select(["l_partkey", "l_suppkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    part = rd.read_parquet(part_path, columns=["p_partkey", "p_brand",
-                                               "p_type", "p_size"])
+    part = read_table(part_path, ["p_partkey", "p_brand", "p_type", "p_size"])
 
     def p_filter(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.not_equal(batch["p_brand"],
@@ -4001,9 +3897,8 @@ def q11_important_parts(sf_dir: str):
     sup_ref = _keymap_broadcast(f"{sf_dir}/supplier.parquet",
                                 "s_suppkey", "s_nationkey")
 
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey",
-                                           "l_extendedprice",
-                                           "l_discount"])
+    li = read_table(li_path, ["l_partkey", "l_suppkey", "l_extendedprice",
+                              "l_discount"])
     li = _attach_nat(li, "l_suppkey", "snat", sup_ref,
                      f"{sf_dir}/supplier.parquet", "s_suppkey",
                      "s_nationkey", rows_hint=li_rows)
@@ -4058,7 +3953,6 @@ def q20_excess_share(sf_dir: str):
     partkey SIZED BY THE PAIR SIDE; the share test is batch-local
     integer math and the winner set (<= |suppliers|) joins the
     supplier table for names."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -4066,8 +3960,8 @@ def q20_excess_share(sf_dir: str):
     s_path = f"{sf_dir}/supplier.parquet"
     li_rows = _parquet_rows(li_path)
 
-    li = rd.read_parquet(li_path, columns=["l_partkey", "l_suppkey",
-                                           "l_quantity", "l_shipdate"])
+    li = read_table(li_path,
+                    ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"])
 
     def l_filter(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
@@ -4129,7 +4023,7 @@ def q20_excess_share(sf_dir: str):
     winners = shared.map_batches(win_partial, batch_format="pyarrow") \
         .groupby("s").aggregate(Sum("n", alias_name="n_parts"))
 
-    sup = rd.read_parquet(s_path, columns=["s_suppkey", "s_name"])
+    sup = read_table(s_path, ["s_suppkey", "s_name"])
     out = winners.join(sup, join_type="inner",
                        num_partitions=join_partitions_for(
                            _parquet_rows(s_path)),
@@ -4159,12 +4053,10 @@ def attribution(sf_dir: str):
     cheap same-user post-check (no per-user loop, no pandas group
     dispatch), partial (type, count, value) rows per partition, one
     type-bounded groupby Sum."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
-    ev = rd.read_parquet(path, columns=["event_id", "user_id", "ts",
-                                        "event_type", "value"])
+    ev = read_table(path, ["event_id", "user_id", "ts", "event_type", "value"])
 
     def attr_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -4222,11 +4114,9 @@ def rolling_median(sf_dir: str):
     corpus-bounded — a year is 365 rows per type no matter how many
     events the corpus holds), dispatched through the hash-partitioned
     kernel runner."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),

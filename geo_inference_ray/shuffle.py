@@ -252,10 +252,13 @@ def partitioned(ds, key: str, kernel, schema, *, rows_hint: int):
     540 K-row two-key groupby that took 6 s on typed Arrow), which is
     why the cast lives here.  The key map also drops the input's
     schema metadata, which Ray otherwise fails to hash when it
-    deduplicates block schemas.  The groupby is Ray's sort shuffle:
-    ``repartition(keys=)`` under ``HASH_SHUFFLE`` deadlocks a 1-CPU
-    session, and with its aggregator-CPU override it ran ~9x slower
-    (120 K rows, 8 partitions, 1 vCPU)."""
+    deduplicates block schemas: ``sources.read_table`` blocks carry
+    none, but Ray adds a ``pandas`` entry when it turns a pandas block
+    (a ``batch_format="pandas"`` map's output) into Arrow.  The
+    groupby is Ray's sort shuffle: ``repartition(keys=)`` under
+    ``HASH_SHUFFLE`` deadlocks a 1-CPU session, and with its
+    aggregator-CPU override it ran ~9x slower (120 K rows, 8
+    partitions, 1 vCPU)."""
     schema = pa.schema(schema)
     n_parts = partitions_for(rows_hint)
 

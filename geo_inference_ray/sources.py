@@ -48,9 +48,7 @@ def synth_manifest_batch(batch: pa.Table) -> pa.Table:
 
 def manifest(sf_dir: str):
     """Deterministic manifest Dataset, sorted by split (S4 semantics)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey"])
+    ds = read_table(f"{sf_dir}/part.parquet", ["p_partkey"])
     ds = ds.map_batches(synth_manifest_batch, batch_format="pyarrow",
                         zero_copy_batch=True)
     return ds.sort("split")
@@ -59,67 +57,93 @@ def manifest(sf_dir: str):
 def union_sources(sf_dirs: list[str], table: str = "documents",
                   columns: list[str] | None = None):
     """Union of per-source datasets (S3/STAC analog: assemble one logical
-    dataset from per-band/per-source files selected by name)."""
-    import ray.data as rd
-
-    parts = [rd.read_parquet(f"{d}/{table}.parquet", columns=columns)
-             for d in sf_dirs]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+    dataset from per-band/per-source files selected by name): one read
+    over the per-source files, in ``sf_dirs`` order."""
+    return read_table([f"{d}/{table}.parquet" for d in sf_dirs], columns)
 
 
 class ParquetRowGroups(Datasource):
-    """One parquet file, read as runs of whole row groups planned from
-    its footer (``rd.read_datasource(ParquetRowGroups(path, cols))``).
+    """Parquet files, read as runs of whole row groups planned from their
+    footers (``rd.read_datasource(ParquetRowGroups(path, cols))``).
 
-    The footer gives each row group's rows and bytes (the uncompressed
-    size of the read columns; Ray's ``read_parquet`` runs a sampling
-    task for its size estimate instead), so building the Dataset starts
-    no task, and a missing file or column raises right there.  The row
-    groups are cut into at most ``parallelism`` contiguous runs, one
-    read task each: no row group is read twice.  With fewer row groups
-    than ``parallelism`` Ray splits the read's output blocks instead."""
+    ``path`` is a file, a directory of ``*.parquet`` files (a spill) or
+    a list of files; ``columns=None`` reads every column of the first
+    file.  The footers give each row group's rows and bytes (the
+    uncompressed size of the read columns; Ray's ``read_parquet`` runs a
+    sampling task for its size estimate instead), so building the
+    Dataset starts no task, and a missing file or column raises right
+    there.  The row groups, in file order, are cut into at most
+    ``parallelism`` contiguous runs, one read task each: no row group is
+    read twice.  With fewer row groups than ``parallelism`` Ray splits
+    the read's output blocks instead.
 
-    def __init__(self, path: str, columns: list[str]):
-        meta = pq.read_metadata(path)
-        schema = meta.schema.to_arrow_schema()
-        # KeyError for a column the file does not have
-        self._schema = pa.schema([schema.field(c) for c in columns],
-                                 metadata=schema.metadata)
-        leaves = [j for j in range(meta.num_columns)
-                  if meta.schema.column(j).path.split(".")[0] in columns]
-        groups = [meta.row_group(i) for i in range(meta.num_row_groups)]
-        self._path = path
-        self._columns = list(columns)
-        self._rows = [g.num_rows for g in groups]
-        self._bytes = [sum(g.column(j).total_uncompressed_size
-                           for j in leaves) for g in groups]
+    Neither the declared schema nor the blocks carry schema metadata:
+    pandas writers store a ``pandas`` entry there, and pyarrow cannot
+    hash a schema that has it, which Ray logs as "Failed to hash the
+    schemas" when it deduplicates block schemas.  Without it,
+    ``to_pandas`` gives a timestamp column its Arrow unit."""
+
+    def __init__(self, path, columns: list[str] | None = None):
+        if isinstance(path, str):
+            path = ([os.path.join(path, f) for f in sorted(os.listdir(path))
+                     if f.endswith(".parquet")]
+                    if os.path.isdir(path) else [path])
+        self._schema = None
+        self._columns = columns
+        self._groups = []  # (file, row group, rows, bytes)
+        for p in path:
+            meta = pq.read_metadata(p)
+            if self._schema is None:
+                schema = meta.schema.to_arrow_schema()
+                # KeyError for a column the file does not have
+                self._schema = pa.schema([schema.field(c) for c in (
+                    schema.names if columns is None else columns)])
+            leaves = [j for j in range(meta.num_columns)
+                      if columns is None or meta.schema.column(j)
+                      .path.split(".")[0] in columns]
+            for i in range(meta.num_row_groups):
+                g = meta.row_group(i)
+                self._groups.append((p, i, g.num_rows, sum(
+                    g.column(j).total_uncompressed_size for j in leaves)))
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(self._bytes)
+        return sum(g[3] for g in self._groups)
 
     def get_name(self) -> str:
         return "ParquetRowGroups"
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        n = len(self._rows)
-        k = max(1, min(parallelism, n))
+        n = len(self._groups)
+        k = min(parallelism, n)
         tasks = []
         for t in range(k):
-            run = list(range(n * t // k, n * (t + 1) // k))
+            run = self._groups[n * t // k:n * (t + 1) // k]
+            files = list(dict.fromkeys(g[0] for g in run))
 
-            def read(path=self._path, run=run, cols=self._columns):
-                with pq.ParquetFile(path) as f:
-                    return [f.read_row_groups(run, columns=cols)]
+            def read(run=run, files=files, cols=self._columns):
+                for p in files:
+                    with pq.ParquetFile(p) as f:
+                        yield f.read_row_groups(
+                            [g[1] for g in run if g[0] == p],
+                            columns=cols).replace_schema_metadata(None)
 
             meta = BlockMetadata(
-                num_rows=sum(self._rows[i] for i in run),
-                size_bytes=sum(self._bytes[i] for i in run),
-                input_files=[self._path], exec_stats=None)
+                num_rows=sum(g[2] for g in run),
+                size_bytes=sum(g[3] for g in run),
+                input_files=files, exec_stats=None)
             tasks.append(ReadTask(read, meta, schema=self._schema))
         return tasks
+
+
+def read_table(path, columns: list[str] | None = None):
+    """The package's one Ray read of a parquet table: a Dataset over
+    ``path`` (a file, a spill directory or a list of files), pruned to
+    ``columns``, with no schema metadata (see :class:`ParquetRowGroups`).
+    Ray's default block count applies; ``synth.pages_dataset`` sets its
+    own."""
+    import ray.data as rd
+
+    return rd.read_datasource(ParquetRowGroups(path, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +654,6 @@ class StacCatalogSource(PagesSource):
         return out
 
     def dataset(self, path: str, include_html: bool = True):
-        import ray.data as rd
-
         from .synth import synth_pages_batch
 
         assets = self._walk_assets(path)
@@ -640,8 +662,7 @@ class StacCatalogSource(PagesSource):
         parts = []
         for href, mtype in assets:
             if href.endswith(".parquet") or "parquet" in mtype:
-                ds = rd.read_parquet(
-                    href, columns=["doc_id", "text", "lang", "source"])
+                ds = read_table(href, ["doc_id", "text", "lang", "source"])
                 ds = ds.map_batches(synth_pages_batch,
                                     batch_format="pyarrow",
                                     zero_copy_batch=True)

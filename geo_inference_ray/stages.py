@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 
 from . import synth
 from .cells import HEX7_SIZE, HEX9_SIZE, hex_cell, s2_cell
-from .geom import STRtree, point_in_polygon
+from .geom import STRtree, polygon_hits
 
 _URL_ID_RE = r"/(\d+)$"
 
@@ -147,29 +147,16 @@ class PIPJoiner:
         self.polys = polys
         self.mode = mode
         self.tree = STRtree(np.array([p["bbox"] for p in polys]))
+        self.poly_ids = np.array([p["poly_id"] for p in polys],
+                                 dtype=np.int64)
+        self.class_ids = np.array([p["class_id"] for p in polys],
+                                  dtype=np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         lon = batch["lon"].to_numpy(zero_copy_only=False)
-        row_idx: list[np.ndarray] = []
-        poly_ids: list[np.ndarray] = []
-        class_ids: list[np.ndarray] = []
-        for item, pts in self.tree.query_points_bulk(lon, lat):
-            p = self.polys[item]
-            inside = point_in_polygon(lon[pts], lat[pts],
-                                      p["x1"], p["y1"], p["x2"], p["y2"])
-            hit = pts[inside]
-            if len(hit):
-                row_idx.append(hit)
-                poly_ids.append(np.full(len(hit), p["poly_id"], dtype=np.int64))
-                class_ids.append(np.full(len(hit), p["class_id"], dtype=np.int64))
-        if row_idx:
-            rows = np.concatenate(row_idx)
-            pids = np.concatenate(poly_ids)
-            cids = np.concatenate(class_ids)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            pids = cids = np.empty(0, dtype=np.int64)
+        rows, item = polygon_hits(self.tree, self.polys, lon, lat)
+        pids, cids = self.poly_ids[item], self.class_ids[item]
         if self.mode == "semi":
             keep = np.unique(rows)
             return batch.take(pa.array(keep))

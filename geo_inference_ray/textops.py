@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 
 from . import shuffle
 from .shuffle import collect, partitioned, run_pairs, runs
+from .sources import read_table
 
 # language-ID marker words, checked as substrings " w " over " "||text||" ".
 # Deterministic heuristic, not a real langid model: per-language score =
@@ -1238,6 +1239,37 @@ KEYNESS_TOPK = 20       # keywords reported per source
 
 
 ZIPF_SEG = 1 << 20    # max ranks per computed segment (bounds task heap)
+HIST_MAX_VALUES = 1_000_000  # driver-fold bound for distinct lengths/freqs
+
+
+def _fold_rows(source, schema: pa.Schema, limit: int, site: str,
+               what: str) -> pa.Table:
+    """``collect`` for a driver fold that has no distributed path: more
+    than ``limit`` rows raise, and the rest are not pulled."""
+    t = collect(source, schema, limit)
+    if t is None:
+        raise ValueError(f"{site}: {what} exceeds the {limit} "
+                         "driver-fold bound")
+    return t
+
+
+def _length_grid(hist, site: str) -> pa.Table:
+    """Per-(source, x) counts ``hist`` -> the global (x, c) histogram
+    in ascending x, one row per distinct length (under
+    HIST_MAX_VALUES)."""
+    from ray.data.aggregate import Sum
+
+    def g_partial(batch: pa.Table) -> pa.Table:
+        g = batch.select(["x", "c"]).group_by("x") \
+            .aggregate([("c", "sum")])
+        return pa.table({"x": g["x"], "c": g["c_sum"]})
+
+    return _fold_rows(
+        hist.map_batches(g_partial, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None)
+        .groupby("x").aggregate(Sum("c", alias_name="c")),
+        pa.schema([("x", pa.int64()), ("c", pa.int64())]),
+        HIST_MAX_VALUES, site, "distinct length count").sort_by("x")
 
 
 def ks_drift(ds):
@@ -1271,23 +1303,15 @@ def ks_drift(ds):
         .groupby(["source", "x"]).aggregate(Sum("c", alias_name="c")) \
         .materialize()
 
-    def g_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["x", "c"]).group_by("x") \
-            .aggregate([("c", "sum")])
-        return pa.table({"x": g["x"], "c": g["c_sum"]})
-
-    gl = hist.map_batches(g_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("x").aggregate(Sum("c", alias_name="c")) \
-        .sort("x").take_all()              # distinct-length-bounded
-    if not gl:
+    gl = _length_grid(hist, "ks_drift")
+    if not gl.num_rows:
         import ray.data as rd
         return rd.from_arrow(pa.table({
             "source": pa.array([], pa.string()),
             "n_src": pa.array([], pa.int64()),
             "d_scaled": pa.array([], pa.int64())}))
-    gx = np.array([r["x"] for r in gl], dtype=np.int64)
-    gcum = np.cumsum(np.array([r["c"] for r in gl], dtype=np.int64))
+    gx = gl["x"].to_numpy()
+    gcum = np.cumsum(gl["c"].to_numpy())
     n_tot = int(gcum[-1])
     grid = ray.put((gx, gcum))
 
@@ -1349,22 +1373,22 @@ def zipf_fit(ds):
         return pa.table({"f": pa.array(u),
                          "cnt": pa.array(c.astype(np.int64))})
 
-    fhist = vocab.map_batches(f_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-        .groupby("f").aggregate(Sum("cnt", alias_name="cnt")) \
-        .take_all()                       # distinct-frequency-bounded
-
-    if not fhist:
+    fhist = _fold_rows(
+        vocab.map_batches(f_partial, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None)
+        .groupby("f").aggregate(Sum("cnt", alias_name="cnt")),
+        pa.schema([("f", pa.int64()), ("cnt", pa.int64())]),
+        HIST_MAX_VALUES, "zipf_fit", "distinct frequency count")
+    if not fhist.num_rows:
         return pa.table({"n_vocab": pa.array([0], pa.int64()),
                          "sx": pa.array([0], pa.int64()),
                          "sy": pa.array([0], pa.int64()),
                          "sxy": pa.array([0], pa.int64()),
                          "sxx": pa.array([0], pa.int64())})
 
-    fhist.sort(key=lambda r: -int(r["f"]))
+    fhist = fhist.sort_by([("f", "descending")])
     segs, off = [], 0
-    for r in fhist:
-        f, cnt = int(r["f"]), int(r["cnt"])
+    for f, cnt in zip(fhist["f"].to_pylist(), fhist["cnt"].to_pylist()):
         ly = int(np.floor(1000.0 * np.log(float(f))))
         start = off
         while start < off + cnt:
@@ -1434,23 +1458,15 @@ def mannwhitney_u(ds):
         .groupby(["source", "x"]).aggregate(Sum("c", alias_name="c")) \
         .materialize()
 
-    def g_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["x", "c"]).group_by("x") \
-            .aggregate([("c", "sum")])
-        return pa.table({"x": g["x"], "c": g["c_sum"]})
-
-    gl = hist.map_batches(g_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("x").aggregate(Sum("c", alias_name="c")) \
-        .sort("x").take_all()              # distinct-length-bounded
-    if not gl:
+    gl = _length_grid(hist, "mannwhitney_u")
+    if not gl.num_rows:
         import ray.data as rd
         return rd.from_arrow(pa.table({
             "source": pa.array([], pa.string()),
             "n_src": pa.array([], pa.int64()),
             "u2": pa.array([], pa.int64())}))
-    gx = np.array([r["x"] for r in gl], dtype=np.int64)
-    gc = np.array([r["c"] for r in gl], dtype=np.int64)
+    gx = gl["x"].to_numpy()
+    gc = gl["c"].to_numpy()
     gbelow = np.concatenate([[0], np.cumsum(gc)[:-1]])
     n_tot = int(gc.sum())
     grid = ray.put((gx, gc, gbelow))
@@ -1563,9 +1579,10 @@ def keyness_topk(ds):
         .groupby("token").aggregate(Sum("t", alias_name="t"))
 
     # source totals: |sources| rows — a driver dict, not a join side
-    na = {r["source"]: int(r["a"])
-          for r in st.groupby("source")
-          .aggregate(Sum("a", alias_name="a")).take_all()}
+    tot = _fold_rows(st.groupby("source").aggregate(Sum("a", alias_name="a")),
+                     pa.schema([("source", pa.string()), ("a", pa.int64())]),
+                     MODE_MAX_LANGS, "keyness_topk", "source count")
+    na = dict(zip(tot["source"].to_pylist(), tot["a"].to_pylist()))
     n_tot = sum(na.values())
 
     np_small = join_partitions_for(st.count())
@@ -2451,17 +2468,12 @@ def mode_word(ds):
                             zero_copy_batch=True, batch_size=None) \
         .groupby(["lang", "token"]).aggregate(Sum("c", alias_name="n"))
 
-    maxes = counts.groupby("lang").aggregate(Max("n", alias_name="mx"))
-    mx_tbl = maxes.take_all()
-    if len(mx_tbl) > MODE_MAX_LANGS:
-        raise ValueError(
-            f"mode_word: {len(mx_tbl)} langs exceeds the "
-            f"{MODE_MAX_LANGS} driver-fold bound; raise MODE_MAX_LANGS "
-            "or switch the max table to a distributed join")
-    langs = np.array(sorted(r["lang"] for r in mx_tbl))
-    mx_map = {r["lang"]: r["mx"] for r in mx_tbl}
-    mx_vals = np.array([mx_map[x] for x in langs], dtype=np.int64)
-    mx_ref = ray.put((langs, mx_vals))
+    mx_tbl = _fold_rows(
+        counts.groupby("lang").aggregate(Max("n", alias_name="mx")),
+        pa.schema([("lang", pa.string()), ("mx", pa.int64())]),
+        MODE_MAX_LANGS, "mode_word", "lang count").sort_by("lang")
+    langs = np.array(mx_tbl["lang"].to_pylist())
+    mx_ref = ray.put((langs, mx_tbl["mx"].to_numpy()))
 
     def keep_tied(batch: pa.Table) -> pa.Table:
         lg, mv = ray.get(mx_ref)
@@ -2609,12 +2621,10 @@ def source_jaccard(ds):
 
     kv = ts.map_batches(drop_cnt, batch_format="pyarrow")
 
-    sizes = collect(kv.groupby("source").count(),
-                    pa.schema([("source", pa.string()),
-                               ("count()", pa.int64())]), MODE_MAX_LANGS)
-    if sizes is None:
-        raise ValueError("source_jaccard: source count exceeds the "
-                         f"{MODE_MAX_LANGS} driver-fold bound")
+    sizes = _fold_rows(kv.groupby("source").count(),
+                       pa.schema([("source", pa.string()),
+                                  ("count()", pa.int64())]),
+                       MODE_MAX_LANGS, "source_jaccard", "source count")
     vsize = dict(zip(sizes["source"].to_pylist(),
                      sizes["count()"].to_pylist()))
     vref = ray.put(vsize)
@@ -2868,7 +2878,7 @@ def llm_prep(sf_dir: str, q: float = 0.5, chunk_tokens: int = 32,
     from .relational import _parquet_rows, join_partitions_for
 
     path = f"{sf_dir}/documents.parquet"
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
+    docs = read_table(path, ["doc_id", "text"])
     winners = exact_dedup(docs).select_columns(["doc_id"])
 
     n_docs = _parquet_rows(path)
@@ -2930,10 +2940,8 @@ def ttr_stats(sf_dir: str):
     Tokenization matches word_count_topk: split on single spaces, so
     an empty text yields the single empty token ([''] on both the
     Arrow and the DuckDB side) and n_tokens >= 1 always holds."""
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
 
     def stats(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")

@@ -642,62 +642,35 @@ def zonal_stats(geo_ds, grid: GridConfig = DEFAULT_GRID,
     multiple overlapping polygons count for each.
 
     Scale shape: the input reduction is ``pixel_counts`` (shuffle
-    bounded by the raster grid); the polygon layer is broadcast once
-    (``ray.put``) and probed batch-locally; the final groupby is
-    polygon-bounded."""
+    bounded by the raster grid); the polygon layer and its STRtree ride
+    in the probe function and are probed batch-locally
+    (:func:`geom.polygon_hits`, the PIP join's loop); the final groupby
+    is polygon-bounded."""
+    import ray
     from ray.data.aggregate import Count, Sum
 
     from . import synth
-    from .geom import STRtree, point_in_polygon
+    from .geom import STRtree, polygon_hits
 
-    class ZonalJoiner:
-        def __init__(self, polygons_ref=None):
-            if polygons_ref is not None:
-                import ray
-
-                polys = ray.get(polygons_ref)
-            else:
-                polys = synth.polygon_arrays()
-            self.polys = polys
-            self.tree = STRtree(np.array([p["bbox"] for p in polys]))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            py = batch["py"].to_numpy()
-            px = batch["px"].to_numpy()
-            n = pc_cast_i64(batch["n"]).to_numpy()
-            # pixel centers, same expression order as the SQL mirror
-            lonc = grid.min_lon + (px + 0.5) * grid.pix
-            latc = grid.max_lat - (py + 0.5) * grid.pix
-            rows, pids = [], []
-            for item, pts in self.tree.query_points_bulk(lonc, latc):
-                p = self.polys[item]
-                inside = point_in_polygon(lonc[pts], latc[pts],
-                                          p["x1"], p["y1"],
-                                          p["x2"], p["y2"])
-                hit = pts[inside]
-                if len(hit):
-                    rows.append(hit)
-                    pids.append(np.full(len(hit), p["poly_id"],
-                                        dtype=np.int64))
-            if not rows:
-                return pa.table({"poly_id": pa.array([], pa.int64()),
-                                 "n": pa.array([], pa.int64())})
-            r = np.concatenate(rows)
-            return pa.table({
-                "poly_id": pa.array(np.concatenate(pids)),
-                "n": pa.array(n[r])})
-
-    pix = pixel_counts(geo_ds, grid)
-    import ray
-
-    ref = polygons_ref or ray.put(synth.polygon_arrays())
-    joiner = ZonalJoiner(ref)
+    polys = (synth.polygon_arrays() if polygons_ref is None
+             else ray.get(polygons_ref))
+    tree = STRtree(np.array([p["bbox"] for p in polys]))
+    poly_ids = np.array([p["poly_id"] for p in polys], dtype=np.int64)
 
     def probe(batch: pa.Table) -> pa.Table:
-        return joiner(batch)
+        py = batch["py"].to_numpy()
+        px = batch["px"].to_numpy()
+        n = pc_cast_i64(batch["n"]).to_numpy()
+        # pixel centers, same expression order as the SQL mirror
+        lonc = grid.min_lon + (px + 0.5) * grid.pix
+        latc = grid.max_lat - (py + 0.5) * grid.pix
+        rows, item = polygon_hits(tree, polys, lonc, latc)
+        return pa.table({"poly_id": pa.array(poly_ids[item]),
+                         "n": pa.array(n[rows])})
 
+    pix = pixel_counts(geo_ds, grid)
     # the pixel stream is raster-bounded (small), so a stateless task fn
-    # with the broadcast ref captured is cheaper than an actor pool here
+    # that carries the layer is cheaper than an actor pool here
     return pix.map_batches(probe, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None) \
         .groupby("poly_id").aggregate(

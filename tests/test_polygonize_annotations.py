@@ -738,3 +738,24 @@ def test_pipeline_artifacts_match_pinned_bytes(ray_session, sf_dir,
     for name, digest in _SF0001_ARTIFACTS.items():
         with open(out[name], "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == digest, name
+
+
+def test_pipeline_json_is_json_dump_bytes(ray_session, sf_dir, tmp_path):
+    """The GeoJSON and COCO files, written through ``json.dumps`` (the C
+    encoder), hold exactly the bytes that ``json.dump`` (the streaming
+    pure-Python encoder) writes for the same objects."""
+    import io
+    import json
+
+    from geo_inference_ray.pipeline import GeoInferenceRay
+
+    out = GeoInferenceRay(work_dir=str(tmp_path), mask_to_vec=True,
+                          mask_to_coco=True)(sf_dir)
+    for name in ("polygons", "coco"):
+        with open(out[name]) as f:
+            text = f.read()
+        obj = json.loads(text)
+        assert obj["features" if name == "polygons" else "annotations"]
+        buf = io.StringIO()
+        json.dump(obj, buf)
+        assert buf.getvalue() == text, name

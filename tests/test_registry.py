@@ -139,3 +139,23 @@ def test_no_actor_pools():
                 found.append(f"{name}:{line} {what}")
     assert not found, found
     assert allowed == len(POOL_SITES)
+
+
+def test_one_table_reader():
+    """Every Ray read of a parquet table goes through
+    ``sources.read_table`` (or ``ParquetRowGroups`` directly): no
+    ``read_parquet(`` call in the package or the entry module outside
+    ``sources.py``."""
+    pkg = os.path.join(REPO, "geo_inference_ray")
+    paths = [os.path.join(pkg, n) for n in sorted(os.listdir(pkg))
+             if n.endswith(".py") and n != "sources.py"]
+    found = []
+    for path in paths + [os.path.join(REPO, "__ray_entry__.py")]:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for n in ast.walk(tree):
+            name = getattr(n, "func", None)
+            if isinstance(n, ast.Call) and "read_parquet" in (
+                    getattr(name, "attr", None), getattr(name, "id", None)):
+                found.append(f"{os.path.basename(path)}:{n.lineno}")
+    assert not found, found

@@ -357,6 +357,71 @@ def test_pages_read_raises_at_build(ray_session, tmp_path):
         synth.pages_dataset(str(tmp_path / "d"))
 
 
+def test_read_table_blocks_carry_no_schema_metadata(ray_session, sf_dir):
+    """``read_table`` blocks have no schema metadata, so their schema
+    hashes (the testdata files carry a ``pandas`` entry, which pyarrow
+    cannot hash), and their values equal ``pq.read_table``'s; a
+    timestamp column reads back in its Arrow unit."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from geo_inference_ray.sources import read_table
+
+    path = f"{sf_dir}/orders.parquet"
+    cols = ["o_orderkey", "o_orderdate", "o_totalprice"]
+    assert pq.read_schema(path).metadata  # the input does carry it
+    ds = read_table(path, cols)
+    assert ds.schema().base_schema.metadata is None
+    blocks = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert blocks
+    for b in blocks:
+        assert b.schema.metadata is None
+        hash(b.schema)
+    assert pa.concat_tables(blocks).equals(pq.read_table(path, columns=cols))
+    assert str(ds.to_pandas()["o_orderdate"].dtype) == "datetime64[us]"
+
+
+def test_read_table_missing_column_raises_at_build(ray_session, sf_dir):
+    """A column the file does not have raises when the Dataset is built,
+    before any task runs."""
+    from geo_inference_ray.sources import read_table
+
+    with pytest.raises(KeyError, match="o_nope"):
+        read_table(f"{sf_dir}/orders.parquet", ["o_orderkey", "o_nope"])
+
+
+def test_read_table_directory_and_file_list(ray_session, tmp_path,
+                                            monkeypatch):
+    """A spill directory reads its ``*.parquet`` files in name order, a
+    file list in list order, and an empty directory as no rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from geo_inference_ray.sources import read_table
+
+    monkeypatch.setattr(DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    parts = [pa.table({"k": np.arange(i * 10, i * 10 + 10),
+                       "v": np.arange(10) * i}) for i in range(3)]
+    for i, t in enumerate(parts):
+        pq.write_table(t, tmp_path / f"part-{i}.parquet", row_group_size=4)
+    (tmp_path / "notes.txt").write_text("not parquet")
+    def rows(ds):
+        return pa.concat_tables(ds.iter_batches(batch_size=None,
+                                                batch_format="pyarrow"))
+
+    assert rows(read_table(str(tmp_path))).equals(pa.concat_tables(parts))
+    files = [str(tmp_path / f"part-{i}.parquet") for i in (2, 0)]
+    got = rows(read_table(files, ["v"]))
+    assert got.column_names == ["v"]
+    assert got["v"].to_pylist() == (parts[2]["v"].to_pylist()
+                                    + parts[0]["v"].to_pylist())
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert read_table(str(empty)).count() == 0
+
+
 def test_pages_dataset_build_starts_no_task(ray_session, sf_dir,
                                             monkeypatch):
     """Building the pages Dataset (and the page maps on it) submits no

@@ -153,6 +153,31 @@ def test_mode_word_string_tiebreak(ray_session):
     assert out.loc["de", "token"] == "bb" and out.loc["de", "n"] == 2
 
 
+def test_mode_word_lang_bound_is_loud(ray_session, monkeypatch):
+    """More languages than MODE_MAX_LANGS raise, and the per-language
+    max collect stops at the bound instead of pulling every language
+    first; exactly the bound still folds."""
+    from geo_inference_ray import textops
+
+    ds = _docs_ds([{"lang": lang, "text": "a b"} for lang in
+                   ("en", "de", "fr")])
+    monkeypatch.setattr(textops, "MODE_MAX_LANGS", 3)
+    assert textops.mode_word(ds).count() == 3
+
+    collected = []
+    real_collect = textops.collect
+
+    def spy(*args):
+        collected.append(real_collect(*args))
+        return collected[-1]
+
+    monkeypatch.setattr(textops, "collect", spy)
+    monkeypatch.setattr(textops, "MODE_MAX_LANGS", 2)
+    with pytest.raises(ValueError, match="lang count exceeds the 2"):
+        textops.mode_word(ds)
+    assert collected == [None]
+
+
 def test_order_gap_single_event_user_nulls(ray_session, tmp_path):
     from geo_inference_ray.relational import order_gap
 
