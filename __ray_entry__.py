@@ -30,6 +30,7 @@ from geo_inference_ray import stages as _stages
 from geo_inference_ray import synth as _synth
 from geo_inference_ray import textops as _textops
 from geo_inference_ray.shuffle import MAX_SALTS as _MAX_SALTS
+from geo_inference_ray.shuffle import aggregate as _aggregate
 from geo_inference_ray.sources import read_table
 
 # ---------------------------------------------------------------------------
@@ -703,11 +704,11 @@ def q_kmeans(sf_dir: str):
 
 def q_pip_count_by_poly(sf_dir: str):
     """Join + aggregate composition: hits per polygon."""
-    from ray.data.aggregate import Count
+    import pyarrow as pa
 
     ds = _stages.geo_pipeline(sf_dir, mode="inner")
-    return ds.select_columns(["poly_id"]).groupby("poly_id").aggregate(
-        Count(alias_name="n_hits"))
+    return _aggregate(ds, "poly_id", {"n_hits": ("poly_id", "count")},
+                      {"poly_id": pa.int64(), "n_hits": pa.int64()})
 
 
 def q_events_rollup(sf_dir: str):
@@ -740,24 +741,21 @@ def q_multi_source(sf_dir: str):
     per-band union analog), then a grouped aggregate."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     from geo_inference_ray.sources import union_sources
 
     u = union_sources([sf_dir, sf_dir], columns=["text", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def nch(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "lang": batch["lang"],
             "nch": pc.cast(pc.utf8_length(batch["text"]), pa.int64())})
-        g = t.group_by("lang").aggregate([("nch", "sum"),
-                                          ("nch", "count")])
-        return pa.table({"lang": g["lang"], "tc": g["nch_sum"],
-                         "n": pc.cast(g["nch_count"], pa.int64())})
 
-    return u.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None)         .groupby("lang").aggregate(Sum("tc", alias_name="total_chars"),
-                                   Sum("n", alias_name="n_docs"))
+    return _aggregate(
+        u.map_batches(nch, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None),
+        "lang", {"total_chars": ("nch", "sum"), "n_docs": ("nch", "count")},
+        {"lang": pa.string(), "total_chars": pa.int64(),
+         "n_docs": pa.int64()})
 
 
 def q_hash_sample(sf_dir: str):
@@ -803,21 +801,17 @@ def q_stac_union(sf_dir: str):
 
     pages = get_source("stac").dataset(cat, include_html=False)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def nch(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "url": batch["url"],
             "nch": pc.cast(pc.utf8_length(batch["text"]), pa.int64())})
-        g = t.group_by("url").aggregate([("nch", "sum"),
-                                         ("nch", "count")])
-        return pa.table({"url": g["url"], "tc": g["nch_sum"],
-                         "n": pc.cast(g["nch_count"], pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    return pages.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("url").aggregate(Sum("tc", alias_name="total_chars"),
-                                  Sum("n", alias_name="n_copies"))
+    return _aggregate(
+        pages.map_batches(nch, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None),
+        "url", {"total_chars": ("nch", "sum"), "n_copies": ("nch", "count")},
+        {"url": pa.string(), "total_chars": pa.int64(),
+         "n_copies": pa.int64()})
 
 
 def q_union_counts(sf_dir: str):

@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .relational import _parquet_rows, join_partitions_for
-from .shuffle import collect, partitioned, runs
+from .shuffle import aggregate, collect, partitioned, runs
 from .sources import read_table
 
 # interval_union: half-open activity window opened by every event
@@ -113,7 +113,6 @@ def trigram_paths(sf_dir: str):
     the final trigram shuffle carries at most
     (partitions x |types|^3) rows, never the event count.
     """
-    from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
     ev = read_table(path, ["user_id", "ts", "event_id", "event_type"])
@@ -133,8 +132,10 @@ def trigram_paths(sf_dir: str):
                            {"t1": pa.string(), "t2": pa.string(),
                             "t3": pa.string(), "cnt": pa.int64()},
                            rows_hint=_parquet_rows(path))
-    return partials.groupby(["t1", "t2", "t3"]).aggregate(
-        Sum("cnt", alias_name="cnt"))
+    return aggregate(
+        partials, ["t1", "t2", "t3"], {"cnt": ("cnt", "sum")},
+        {"t1": pa.string(), "t2": pa.string(), "t3": pa.string(),
+         "cnt": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +197,15 @@ def cube_counts(sf_dir: str):
     grouping sets re-aggregate the BASE (|langs| x |sources| rows),
     never the corpus, as three more tiny distributed aggregations.
     """
-    from ray.data.aggregate import Sum
 
     docs = read_table(f"{sf_dir}/documents.parquet",
                       ["lang", "source", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["lang", "source"]).aggregate(
-            [("n_chars", "count"), ("n_chars", "sum")])
-        return pa.table({
-            "lang": t["lang"], "source": t["source"],
-            "cnt": pc.cast(t["n_chars_count"], pa.int64()),
-            "chars": pc.cast(t["n_chars_sum"], pa.int64())})
-
-    base = docs.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "source"]).aggregate(
-            Sum("cnt", alias_name="cnt"), Sum("chars", alias_name="chars"))
+    base = aggregate(
+        docs, ["lang", "source"],
+        {"cnt": ("n_chars", "count"), "chars": ("n_chars", "sum")},
+        {"lang": pa.string(), "source": pa.string(), "cnt": pa.int64(),
+         "chars": pa.int64()})
 
     def with_nulls(lang_col: bool, source_col: bool):
         def fix(batch: pa.Table) -> pa.Table:
@@ -227,20 +220,24 @@ def cube_counts(sf_dir: str):
                 "chars": pc.cast(batch["chars"], pa.int64())})
         return fix
 
-    by_lang = base.groupby("lang").aggregate(
-        Sum("cnt", alias_name="cnt"), Sum("chars", alias_name="chars")) \
+    sums = {"cnt": ("cnt", "sum"), "chars": ("chars", "sum")}
+    by_lang = aggregate(
+        base, "lang", sums,
+        {"lang": pa.string(), "cnt": pa.int64(), "chars": pa.int64()}) \
         .map_batches(with_nulls(True, False), batch_format="pyarrow")
-    by_source = base.groupby("source").aggregate(
-        Sum("cnt", alias_name="cnt"), Sum("chars", alias_name="chars")) \
+    by_source = aggregate(
+        base, "source", sums,
+        {"source": pa.string(), "cnt": pa.int64(), "chars": pa.int64()}) \
         .map_batches(with_nulls(False, True), batch_format="pyarrow")
-    tot = base.aggregate(Sum("cnt", alias_name="cnt"),
-                         Sum("chars", alias_name="chars"))
-    import ray.data as _rd
-    total_row = _rd.from_arrow(pa.table({
-        "lang": pa.array(["(all)"], pa.string()),
-        "source": pa.array(["(all)"], pa.string()),
-        "cnt": pa.array([int(tot["cnt"])], pa.int64()),
-        "chars": pa.array([int(tot["chars"])], pa.int64())}))
+
+    def all_row(batch: pa.Table) -> pa.Table:
+        allv = pa.array(["(all)"] * batch.num_rows, pa.string())
+        return pa.table({"lang": allv, "source": allv,
+                         "cnt": batch["cnt"], "chars": batch["chars"]})
+
+    total_row = aggregate(
+        base, [], sums, {"cnt": pa.int64(), "chars": pa.int64()}) \
+        .map_batches(all_row, batch_format="pyarrow")
     fine = base.map_batches(with_nulls(True, True), batch_format="pyarrow")
     return fine.union(by_lang).union(by_source).union(total_row)
 
@@ -261,7 +258,6 @@ def dim_variance(sf_dir: str):
     size; variance = (s2 - s1^2/n)/n stays with the caller so the
     result is integer-exact.
     """
-    from ray.data.aggregate import Sum
 
     emb = read_table(f"{sf_dir}/embeddings.parquet", ["embedding"])
 
@@ -283,11 +279,12 @@ def dim_variance(sf_dir: str):
             "s1": pa.array(q.sum(axis=0)),
             "s2": pa.array((q * q).sum(axis=0))})
 
-    return emb.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("dim").aggregate(Sum("n", alias_name="n"),
-                                  Sum("s1", alias_name="s1"),
-                                  Sum("s2", alias_name="s2"))
+    return aggregate(
+        emb.map_batches(partial, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        "dim", {"n": ("n", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum")},
+        {"dim": pa.int64(), "n": pa.int64(), "s1": pa.int64(),
+         "s2": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +363,21 @@ def ewma_daily(sf_dir: str):
     map-side; the fold itself runs per type over the ~days-long
     aggregate (group-count-bounded Python, never corpus rows).
     """
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
+    def day_cols(batch: pa.Table) -> pa.Table:
         # epoch-day int64 (the except_days/retention convention — no
         # date32<->datetime64 dtype skew against the oracle)
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(day_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(day_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("day", kind="stable")
@@ -419,21 +414,19 @@ def cusum_shift(sf_dir: str):
     aggregate.  Partitioning assumption: event-type cardinality is
     bounded (same contract as ewma_daily/ntile_buckets).
     """
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
+    def day_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(day_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(day_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("day", kind="stable")
@@ -473,21 +466,19 @@ def theilsen_slope(sf_dir: str):
     ~days-long aggregate (days are calendar-bounded — 365/year — so
     pairs are ~66K/type/year, a vectorized triu kernel, never corpus
     rows).  Same bounded-type-cardinality contract as ewma_daily."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
+    def day_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(day_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(day_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("day", kind="stable")
@@ -529,38 +520,34 @@ def fano_factor(sf_dir: str):
     one groupby to exact daily counts, then a SECOND map-side partial
     (c, c^2, 1) fold and a |types|-row final aggregate — no per-group
     Python, no sort."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
+    def day_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(day_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(day_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
-    def mom_partial(batch: pa.Table) -> pa.Table:
+    def mom_cols(batch: pa.Table) -> pa.Table:
         c = batch["c"].to_numpy()
-        t = pa.table({"event_type": batch["event_type"],
-                      "s1": pa.array(c), "s2": pa.array(c * c),
-                      "n": pa.array(np.ones(len(c), dtype=np.int64))})
-        g = t.group_by("event_type").aggregate(
-            [("s1", "sum"), ("s2", "sum"), ("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "s1": g["s1_sum"], "s2": g["s2_sum"],
-                         "n": g["n_sum"]})
+        return pa.table({"event_type": batch["event_type"],
+                         "s1": pa.array(c), "s2": pa.array(c * c),
+                         "n": pa.array(np.ones(len(c), dtype=np.int64))})
 
-    mom = daily.map_batches(mom_partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("event_type").aggregate(Sum("s1", alias_name="s1"),
-                                         Sum("s2", alias_name="s2"),
-                                         Sum("n", alias_name="n"))
+    mom = aggregate(
+        daily.map_batches(mom_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        "event_type", {"s1": ("s1", "sum"),
+                       "s2": ("s2", "sum"),
+                       "n": ("n", "sum")},
+        {"event_type": pa.string(), "s1": pa.int64(), "s2": pa.int64(),
+         "n": pa.int64()})
 
     def fano(batch: pa.Table) -> pa.Table:
         s1 = batch["s1"].to_numpy()
@@ -660,21 +647,19 @@ def acf_lag1(sf_dir: str):
     Scale shape: ewma_daily's — corpus pass to (type, day) map-side
     partials, one groupby, then a vectorized per-type kernel over the
     ~days-long aggregate (bounded type cardinality)."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
+    def day_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(day_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(day_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("day", kind="stable")
@@ -715,19 +700,16 @@ def gini_by_source(sf_dir: str):
     docs).  For a run of count c ending at cumulative rank C (start
     s = C - c), sum of (2i - n - 1) over the run collapses to
     C(C+1) - s(s+1) - c(n+1)."""
-    from ray.data.aggregate import Sum
 
     docs = read_table(f"{sf_dir}/documents.parquet", ["source", "n_chars"])
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source", "n_chars"]) \
-            .aggregate([([], "count_all")])
-        return pa.table({"source": g["source"], "x": g["n_chars"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
-
-    hist = docs.map_batches(hist_partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "x"]).aggregate(Sum("c", alias_name="c"))
+    hist = aggregate(
+        docs.map_batches(lambda b: pa.table({"source": b["source"],
+                                             "x": b["n_chars"]}),
+                         batch_format="pyarrow", zero_copy_batch=True,
+                         batch_size=None),
+        ["source", "x"], {"c": ("x", "count")},
+        {"source": pa.string(), "x": pa.int64(), "c": pa.int64()})
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("x", kind="stable")
@@ -823,9 +805,10 @@ def _bfs_broadcast(edges, seeds, rounds: int):
             dst = np.unique(batch["dst"].to_numpy()[hit])
             return pa.table({"dst": pa.array(dst)})
 
-        dsts = edges().map_batches(probe, batch_format="pyarrow",
-                                   zero_copy_batch=True) \
-            .groupby("dst").count()
+        dsts = aggregate(
+            edges().map_batches(probe, batch_format="pyarrow",
+                                zero_copy_batch=True),
+            "dst", {}, {"dst": pa.int64()})
         reached = np.sort(collect(dsts, pa.schema(
             [("dst", pa.int64())]))["dst"].to_numpy())
         new = np.setdiff1d(reached, visited, assume_unique=True)
@@ -853,8 +836,7 @@ def _bfs_join(edges, seeds, rounds: int, n_edges: int):
         expanded = edges().join(
             frontier.select_columns(["node"]), join_type="inner",
             num_partitions=np_join, on=("src",), right_on=("node",))
-        dsts = expanded.select_columns(["dst"]).groupby("dst").count() \
-            .select_columns(["dst"])
+        dsts = aggregate(expanded, "dst", {}, {"dst": pa.int64()})
         new = dsts.join(visited.select_columns(["node"]),
                         join_type="left_anti",
                         num_partitions=np_join,
@@ -957,15 +939,14 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
             pc.greater_equal(nchars, TYPO_MIN_LEN),
             pc.less_equal(nchars, TYPO_MAX_LEN)),
             pc.equal(nchars, nbytes))         # ASCII only
-        t = pa.table({"w": toks.filter(keep)})
-        return t.group_by(["w"]).aggregate([([], "count_all")]) \
-            .select(["w"])
+        return pa.table({"w": toks.filter(keep)})
 
     # vocabulary-scale materialization: the distinct-word table is
     # consumed twice (variant pass + row-hint count)
-    vocab = docs.map_batches(vocab_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("w").count().select_columns(["w"]).materialize()
+    vocab = aggregate(
+        docs.map_batches(vocab_partial, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None),
+        "w", {}, {"w": pa.string()}).materialize()
     n_vocab = vocab.count()
 
     def variants(batch: pa.Table) -> pa.Table:
@@ -1033,8 +1014,10 @@ def typo_pairs(sf_dir: str, *, bucket_cap: int = TYPO_BUCKET_CAP):
     cand = partitioned(var, "kh", bucket_pairs_part,
                        {"w1": pa.string(), "w2": pa.string()},
                        rows_hint=79 * max(n_vocab, 1))
-    distinct = cand.groupby(["w1", "w2"]).count() \
-        .select_columns(["w1", "w2"])
+    distinct = aggregate(
+        cand,
+        ["w1", "w2"], {},
+        {"w1": pa.string(), "w2": pa.string()})
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1087,14 +1070,8 @@ def lang_concat(sf_dir: str):
 
     docs = read_table(f"{sf_dir}/documents.parquet", ["source", "lang"])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["source", "lang"]).aggregate(
-            [([], "count_all")]).select(["source", "lang"])
-
-    pairs = docs.map_batches(pair_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "lang"]).count() \
-        .select_columns(["source", "lang"])
+    pairs = aggregate(docs, ["source", "lang"], {},
+                      {"source": pa.string(), "lang": pa.string()})
 
     def roster(g: pd.DataFrame) -> pd.DataFrame:
         langs = sorted(g["lang"].tolist())
@@ -1127,14 +1104,13 @@ def hierarchy_rollup(sf_dir: str):
     the per-batch partial collapses them to distinct-ancestor counts
     before the shuffle; no iterative joins, no recursion depth tied to
     data size."""
-    from ray.data.aggregate import Sum
 
     from .relational import _rev_cents
 
     path = f"{sf_dir}/lineitem.parquet"
     li = read_table(path, ["l_partkey", "l_extendedprice", "l_discount"])
 
-    def explode_partial(batch: pa.Table) -> pa.Table:
+    def explode_cols(batch: pa.Table) -> pa.Table:
         k = batch["l_partkey"].to_numpy().astype(np.int64)
         rev = _rev_cents(batch["l_extendedprice"],
                          batch["l_discount"]).to_numpy()
@@ -1149,17 +1125,13 @@ def hierarchy_rollup(sf_dir: str):
             rev_parts.append(rev[live])
         nodes = np.concatenate(node_parts)
         revs = np.concatenate(rev_parts)
-        t = pa.table({"node": pa.array(nodes), "rev": pa.array(revs)})
-        g = t.group_by(["node"]).aggregate([("rev", "sum"),
-                                            ([], "count_all")])
-        return pa.table({"node": g["node"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64()),
-                         "n": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"node": pa.array(nodes), "rev": pa.array(revs)})
 
-    return li.map_batches(explode_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("node").aggregate(Sum("rev", alias_name="rev_cents"),
-                                   Sum("n", alias_name="n_lines"))
+    return aggregate(
+        li.map_batches(explode_cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "node", {"rev_cents": ("rev", "sum"), "n_lines": ("node", "count")},
+        {"node": pa.int64(), "rev_cents": pa.int64(), "n_lines": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -1183,22 +1155,20 @@ def covisit_pairs(sf_dir: str):
     kernel with the deterministic per-day cap (quadratic blowup
     guard); pair counts pre-aggregate inside the kernel so the final
     shuffle carries per-partition partials, not raw pair firings."""
-    from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
     ev = read_table(path, ["user_id", "ts"])
 
-    def day_user_partial(batch: pa.Table) -> pa.Table:
+    def day_user_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"day": day, "user_id": batch["user_id"]})
-        return t.group_by(["day", "user_id"]).aggregate(
-            [([], "count_all")]).select(["day", "user_id"])
+        return pa.table({"day": day, "user_id": batch["user_id"]})
 
-    du = ev.map_batches(day_user_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby(["day", "user_id"]).count() \
-        .select_columns(["day", "user_id"])
+    du = aggregate(
+        ev.map_batches(day_user_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["day", "user_id"], {},
+        {"day": pa.int64(), "user_id": pa.int64()})
 
     def day_pairs_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("day", "ascending"), ("user_id", "ascending")])
@@ -1230,8 +1200,10 @@ def covisit_pairs(sf_dir: str):
                            {"u1": pa.int64(), "u2": pa.int64(),
                             "days": pa.int64()},
                            rows_hint=_parquet_rows(path))
-    counts = partials.groupby(["u1", "u2"]).aggregate(
-        Sum("days", alias_name="days"))
+    counts = aggregate(
+        partials,
+        ["u1", "u2"], {"days": ("days", "sum")},
+        {"u1": pa.int64(), "u2": pa.int64(), "days": pa.int64()})
 
     def floor_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch["days"],
@@ -1256,26 +1228,24 @@ def weighted_median(sf_dir: str):
     row count), then a per-flag sorted cumulative scan over that
     bounded table via map_groups (|flags| = 3 tiny groups).
     """
-    from ray.data.aggregate import Sum
 
     from .relational import _cents
 
     path = f"{sf_dir}/lineitem.parquet"
     ds = read_table(path, ["l_returnflag", "l_quantity", "l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "price_c": _cents(batch["l_extendedprice"]),
             "q": pc.cast(batch["l_quantity"], pa.int64()),
-        }).group_by(["l_returnflag", "price_c"]).aggregate([("q", "sum")])
-        return pa.table({"l_returnflag": g["l_returnflag"],
-                         "price_c": g["price_c"], "qs": g["q_sum"]})
+        })
 
-    by_price = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby(["l_returnflag", "price_c"]) \
-        .aggregate(Sum("qs", alias_name="qs"))
+    by_price = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["l_returnflag", "price_c"], {"qs": ("q", "sum")},
+        {"l_returnflag": pa.string(), "price_c": pa.int64(), "qs": pa.int64()})
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("price_c", kind="stable")
@@ -1369,7 +1339,6 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
     event); partial path counts per partition, one
     path-bounded groupby (≤ |types|^maxlen distinct paths), and a
     driver-free sort-limit."""
-    from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
     ev = read_table(path, ["user_id", "ts", "event_id", "event_type"])
@@ -1391,14 +1360,13 @@ def session_path_topk(sf_dir: str, gap_minutes: int = 30,
         head = pos < maxlen
         p = pd.Series(g["event_type"].to_numpy()[head]) \
             .groupby(sess[head]).agg(">".join)
-        return pa.table({"path": pa.array(p.to_numpy(), pa.string())}) \
-            .group_by("path").aggregate([([], "count_all")]) \
-            .rename_columns(["path", "n"])
+        return pa.table({"path": pa.array(p.to_numpy(), pa.string())})
 
-    counts = partitioned(ev, "user_id", paths_part,
-                         {"path": pa.string(), "n": pa.int64()},
-                         rows_hint=_parquet_rows(path)) \
-        .groupby("path").aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        partitioned(ev, "user_id", paths_part, {"path": pa.string()},
+                    rows_hint=_parquet_rows(path)),
+        "path", {"n": ("path", "count")},
+        {"path": pa.string(), "n": pa.int64()})
     return counts.sort(["n", "path"], descending=[True, False]) \
         .limit(k)
 
@@ -1425,7 +1393,6 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
     global sort; one hash shuffle on the range key."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum, Max
 
     path = f"{sf_dir}/events.parquet"
     if range_ids is None:
@@ -1445,14 +1412,14 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
     kev = ev.map_batches(keyed, batch_format="pyarrow",
                          zero_copy_batch=True, batch_size=None)
 
-    def range_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["rkey", "t"]).group_by("rkey") \
-            .aggregate([("t", "max")])
-        return pa.table({"rkey": g["rkey"], "m": g["t_max"]})
+    def range_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["rkey", "t"])
 
-    t = collect(kev.map_batches(range_partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)
-                .groupby("rkey").aggregate(Max("m", alias_name="m")),
+    t = collect(aggregate(
+        kev.map_batches(range_cols, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None),
+        "rkey", {"m": ("t", "max")},
+        {"rkey": pa.int64(), "m": pa.int64()}),
                 pa.schema([("rkey", pa.int64()), ("m", pa.int64())]))
     if not t.num_rows:
         e = pa.array([], pa.int64())
@@ -1494,13 +1461,15 @@ def out_of_order(sf_dir: str, range_ids: int | None = None):
                          "max_late_us": a["lateness_max"],
                          "sum_late_us": a["lateness_sum"]})
 
-    return partitioned(kev, "rkey", scan_part,
-                       {"event_type": pa.string(), "n_events": pa.int64(),
-                        "n_late": pa.int64(), "max_late_us": pa.int64(),
-                        "sum_late_us": pa.int64()},
-                       rows_hint=_parquet_rows(path)) \
-        .groupby("event_type").aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("n_late", alias_name="n_late"),
-            Max("max_late_us", alias_name="max_late_us"),
-            Sum("sum_late_us", alias_name="sum_late_us"))
+    return aggregate(
+        partitioned(kev, "rkey", scan_part,
+                    {"event_type": pa.string(), "n_events": pa.int64(),
+                     "n_late": pa.int64(), "max_late_us": pa.int64(),
+                     "sum_late_us": pa.int64()},
+                    rows_hint=_parquet_rows(path)),
+        "event_type", {"n_events": ("n_events", "sum"),
+         "n_late": ("n_late", "sum"), "max_late_us": ("max_late_us", "max"),
+         "sum_late_us": ("sum_late_us", "sum")},
+        {"event_type": pa.string(), "n_events": pa.int64(),
+         "n_late": pa.int64(), "max_late_us": pa.int64(),
+         "sum_late_us": pa.int64()})

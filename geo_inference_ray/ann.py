@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .shuffle import aggregate
 from .sources import read_table
 
 TOPK_DEFAULT = 10
@@ -648,12 +649,11 @@ def silhouette(sf_dir: str, k: int = KMEANS_K,
     ``np.partition`` (second-smallest of the k distances), not a
     second scan."""
     import ray
-    from ray.data.aggregate import Sum
 
     ds, cents = _lloyd_cents(sf_dir, k, iters)
     cref = ray.put(cents)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         C = ray.get(cref)
         Q = _quantize(batch["embedding"])
         dists = np.empty((len(Q), len(C)), dtype=np.int64)
@@ -664,19 +664,15 @@ def silhouette(sf_dir: str, k: int = KMEANS_K,
         two = np.partition(dists, 1, axis=1)
         a2, b2 = two[:, 0], two[:, 1]
         s = np.where(b2 > 0, 1000 * (b2 - a2) // np.maximum(b2, 1), 0)
-        df_lab = pa.table({"cluster": pa.array(lab.astype(np.int64)),
-                           "one": pa.array(np.ones(len(Q), np.int64)),
-                           "s": pa.array(s.astype(np.int64))})
-        g = df_lab.group_by("cluster").aggregate(
-            [("one", "sum"), ("s", "sum")])
-        return pa.table({"cluster": g["cluster"], "n": g["one_sum"],
-                         "s_milli_sum": g["s_sum"]})
+        return pa.table({"cluster": pa.array(lab.astype(np.int64)),
+                         "one": pa.array(np.ones(len(Q), np.int64)),
+                         "s": pa.array(s.astype(np.int64))})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("cluster").aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s_milli_sum", alias_name="s_milli_sum"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "cluster", {"n": ("one", "sum"), "s_milli_sum": ("s", "sum")},
+        {"cluster": pa.int64(), "n": pa.int64(), "s_milli_sum": pa.int64()})
 
 
 PQ_SUBS = 4          # product-quantization subspaces (d must divide)
@@ -934,7 +930,6 @@ def centroid_by_label(sf_dir: str):
     <= |labels| x D rows (component-wise int64 sums via np.add.at on
     the label index), then ONE groupby over the (label, dim) keyspace
     — input vectors never cross the shuffle."""
-    from ray.data.aggregate import Sum
 
     ds = read_table(f"{sf_dir}/embeddings.parquet", ["label", "embedding"])
 
@@ -960,11 +955,12 @@ def centroid_by_label(sf_dir: str):
             "n": pa.array(np.repeat(counts, d)),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["label", "dim_idx"]).aggregate(
-            Sum("s", alias_name="sum_milli"),
-            Sum("n", alias_name="n"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["label", "dim_idx"], {"sum_milli": ("s", "sum"), "n": ("n", "sum")},
+        {"label": pa.int64(), "dim_idx": pa.int64(), "sum_milli": pa.int64(),
+         "n": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +984,6 @@ def emb_quantize(sf_dir: str):
     embedding column, zero data shuffles.
     """
     import ray
-    from ray.data.aggregate import Max, Min
 
     from .shuffle import collect
 
@@ -1008,10 +1003,11 @@ def emb_quantize(sf_dir: str):
             "mn": pa.array(q.min(axis=0)),
             "mx": pa.array(q.max(axis=0))})
 
-    stats = ds.map_batches(minmax_partial, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("dim_idx").aggregate(Min("mn", alias_name="mn"),
-                                      Max("mx", alias_name="mx"))
+    stats = aggregate(
+        ds.map_batches(minmax_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "dim_idx", {"mn": ("mn", "min"), "mx": ("mx", "max")},
+        {"dim_idx": pa.int64(), "mn": pa.int64(), "mx": pa.int64()})
     dim = _embedding_dim(path)
     stats = collect(stats, pa.schema([("dim_idx", pa.int64()),
                                       ("mn", pa.int64()),

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import shuffle
-from .shuffle import partitioned, partitions_for, runs
+from .shuffle import aggregate, partitioned, partitions_for, runs
 from .sources import read_table
 
 # MinHash parameters.  The whole hash family is DERANDOMIZED and kept
@@ -149,13 +149,14 @@ def exact_dedup(ds):
     only (no text through the shuffle); the reduce is a vectorized Min
     aggregate — never per-group Python (a map_groups here costs one
     pandas call per group, i.e. per distinct document)."""
-    from ray.data.aggregate import Min
 
     keyed = ds.map_batches(add_md5, batch_format="pyarrow",
                            zero_copy_batch=True) \
               .select_columns(["doc_id", "text_md5"])
-    return keyed.groupby("text_md5").aggregate(
-        Min("doc_id", alias_name="doc_id"))
+    return aggregate(
+        keyed,
+        "text_md5", {"doc_id": ("doc_id", "min")},
+        {"text_md5": pa.string(), "doc_id": pa.int64()})
 
 
 # doc-aligned shingle chunk bound for the batched universal-hash matrix:
@@ -271,8 +272,7 @@ def band_rows(batch: pa.Table) -> pa.Table:
 
 def minhash_candidates(ds, work_dir: str | None = None,
                        bucket_cap: int = MINHASH_BUCKET_CAP,
-                       hot_driver_limit: int = HOT_GID_DRIVER_LIMIT,
-                       count_driver_limit: int | None = None):
+                       hot_driver_limit: int = HOT_GID_DRIVER_LIMIT):
     """documents -> candidate near-dup pairs (doc_a < doc_b) via LSH.
 
     Pipeline: MinHash sigs (a task stage) -> band explode -> bucket-size
@@ -317,47 +317,29 @@ def minhash_candidates(ds, work_dir: str | None = None,
         .write_parquet(spill)
     bands = read_table(spill)
 
-    # bucket-size pre-pass.  The hot set is consumed DRIVER-side either
-    # way (it becomes a broadcast array), so for bounded partial volume
-    # the (gid, count) partials are collected and folded on the driver
-    # (shuffle.sum_partials) — measured 8-9 s cheaper than routing
-    # 1.28 M band rows through Ray's sort-based groupby at the bench's
-    # 16x-dup corpus.  Over the volume bound it bails to the distributed
-    # groupby (the pixel_counts bail-out pattern; one abandoned partial
-    # pass).
-    def count_partial(b: pa.Table) -> pa.Table:
-        u, c = np.unique(b["gid"].to_numpy(), return_counts=True)
-        return pa.table({"gid": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
-    count_limit = (shuffle.PARTIAL_ROWS_DRIVER_LIMIT
-                   if count_driver_limit is None else count_driver_limit)
-    part = bands.map_batches(count_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-    counts = shuffle.collect(
-        part, pa.schema([("gid", pa.int64()), ("c", pa.int64())]),
-        count_limit)
+    # bucket-size pre-pass: shuffle.aggregate_table's per-block counts,
+    # folded on the driver under its bound (measured 8-9 s cheaper than
+    # routing 1.28 M band rows through Ray's sort-based groupby at the
+    # bench's 16x-dup corpus): the hot set and its bounds come straight
+    # from the folded table
+    counts = shuffle.aggregate_table(
+        bands, "gid", {"n": ("gid", "count")},
+        {"gid": pa.int64(), "n": pa.int64()})
     hot_ds = None  # set on the distributed (join) path only
-    if counts is not None:
-        counts = shuffle.sum_partials(counts, "gid", ["c"])
-        sums = counts["c"].to_numpy()
+    if isinstance(counts, pa.Table):
+        sums = counts["n"].to_numpy()
         hm = sums >= 2
-        hot = counts["gid"].to_numpy()[hm]  # np.unique: already sorted
+        hot = counts["gid"].to_numpy()[hm]  # the fold sorts its keys
         nh = sums[hm]
         hot_rows = int(nh.sum())
         pair_bound = int((nh * (nh - 1) // 2).sum())
     else:
-        from ray.data.aggregate import Sum
-
-        # spill the >=2-count bucket set to parquet scratch: it is
-        # consumed twice (scalar bounds stream + broadcast-or-join
-        # side) and re-running the distributed groupby for each read
-        # would double the shuffle
-        counts = part.groupby("gid").aggregate(Sum("c", alias_name="n"))
-
+        # past the fold bound: spill the >=2-count bucket set to
+        # parquet scratch, since it is consumed twice (scalar bounds
+        # stream + broadcast-or-join side) and re-running the
+        # distributed groupby for each read would double the shuffle
         def keep_hot(b: pa.Table) -> pa.Table:
-            m = pc.greater_equal(b["n"], 2)
-            return b.filter(m)
+            return b.filter(pc.greater_equal(b["n"], 2))
 
         hot_spill = spill_dir("minhash_hot", work_dir)
         counts.map_batches(keep_hot, batch_format="pyarrow",
@@ -537,16 +519,17 @@ def jaccard_pairs(pairs_ds, docs_ds, num_partitions: int = 8,
         # distributed id filter: dedup candidate ids with a vectorized
         # Count aggregate (never collected), inner-join the documents
         # table to the id set, shingle only the matches
-        from ray.data.aggregate import Count
 
         def explode_ids(batch: pa.Table) -> pa.Table:
             a = batch["doc_a"].to_numpy()
             b = batch["doc_b"].to_numpy()
             return pa.table({"doc_id": pa.array(np.concatenate([a, b]))})
 
-        ids_ds = pairs.map_batches(explode_ids, batch_format="pyarrow",
-                                   zero_copy_batch=True) \
-            .groupby("doc_id").aggregate(Count(alias_name="nref"))
+        ids_ds = aggregate(
+            pairs.map_batches(explode_ids, batch_format="pyarrow",
+                              zero_copy_batch=True),
+            "doc_id", {"nref": ("doc_id", "count")},
+            {"doc_id": pa.int64(), "nref": pa.int64()})
         jp = max(num_partitions, partitions_for(2 * n_pairs))
         cand_docs = docs_ds.select_columns(["doc_id", "text"]).join(
             ids_ds, join_type="inner", num_partitions=jp, on=("doc_id",))
@@ -746,7 +729,8 @@ def _edges_fingerprint(edges) -> tuple[int, int]:
     n = edges.count()
     if n == 0:
         return (0, 0)
-    cs = edges.map_batches(cs_part, batch_format="pyarrow").sum("cs")
+    cs = aggregate(edges.map_batches(cs_part, batch_format="pyarrow"), [],
+                   {"cs": ("cs", "sum")}, {"cs": pa.int64()}).take_all()[0]["cs"]
     return (n, int(cs) % MERSENNE)
 
 
@@ -807,7 +791,6 @@ def dedup_clusters(docs_ds, pairs_ds, *,
     n_pairs = pairs.count()
 
     if (force_distributed or n_pairs > driver_pair_limit) and n_pairs > 0:
-        from ray.data.aggregate import Min
 
         labels = distributed_components(pairs, n_pairs)
 
@@ -817,8 +800,9 @@ def dedup_clusters(docs_ds, pairs_ds, *,
 
         allmap = docs_ds.select_columns(["doc_id"]).map_batches(
             self_label, batch_format="pyarrow", zero_copy_batch=True)
-        return allmap.union(labels).groupby("doc_id").aggregate(
-            Min("cluster", alias_name="cluster"))
+        return aggregate(allmap.union(labels), "doc_id",
+                         {"cluster": ("cluster", "min")},
+                         {"doc_id": pa.int64(), "cluster": pa.int64()})
 
     parent: dict[int, int] = {}
 
@@ -1106,7 +1090,6 @@ def bloom_probe(ds, m: int = BLOOM_M, k: int = BLOOM_K):
     broadcast once (8 KB at m=2^16) -> probing is batch-local with no
     shuffle.  Returns (doc_id, maybe_seen 0/1) for the probe half."""
     import ray
-    from ray.data.aggregate import Count
 
     def hashes(batch: pa.Table):
         hx = [hashlib.md5(t.encode()).hexdigest()
@@ -1126,9 +1109,11 @@ def bloom_probe(ds, m: int = BLOOM_M, k: int = BLOOM_K):
         pos = (h1[:, None] + np.arange(k)[None, :] * h2[:, None]) % m
         return pa.table({"p": pa.array(np.unique(pos))})
 
-    bits = ds.map_batches(build_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("p").aggregate(Count(alias_name="c"))
+    bits = aggregate(
+        ds.map_batches(build_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "p", {"c": ("p", "count")},
+        {"p": pa.int64(), "c": pa.int64()})
     mask = np.zeros(m, dtype=bool)
     for b in bits.iter_batches(batch_size=65536, batch_format="pyarrow"):
         mask[b["p"].to_numpy()] = True
@@ -1169,11 +1154,10 @@ def hll_registers(ds):
     exact power of two is exact in double), rho = 53 for a zero
     suffix.  Shuffle is register-bounded: per-batch partial MAX per
     bucket -> one 256-row global Max."""
-    from ray.data.aggregate import Max
 
     B = HLL_BUCKETS
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(
             pc.split_pattern(batch["text"], " "))
         uniq = pc.unique(toks).to_pylist()
@@ -1193,12 +1177,13 @@ def hll_registers(ds):
                        .astype(np.int64) + 1)
         t = pa.table({"bucket": pa.array(bucket),
                       "rho": pa.array(rho)})
-        g = t.group_by("bucket").aggregate([("rho", "max")])
-        return pa.table({"bucket": g["bucket"], "rho": g["rho_max"]})
+        return t
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("bucket").aggregate(Max("rho", alias_name="rho"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "bucket", {"rho": ("rho", "max")},
+        {"bucket": pa.int64(), "rho": pa.int64()})
 
 
 def hll_by_source(ds):
@@ -1209,7 +1194,6 @@ def hll_by_source(ds):
     60-bit hash, bucket = h % HLL_BUCKETS, rho = lowest-set-bit rank);
     the shuffle is bounded by sources x HLL_BUCKETS rows per batch,
     never the token stream."""
-    from ray.data.aggregate import Max
 
     B = HLL_BUCKETS
 
@@ -1239,14 +1223,13 @@ def hll_by_source(ds):
         t = pa.table({"source": pairs["source"],
                       "bucket": pa.array(bucket),
                       "rho": pa.array(rho)})
-        g = t.group_by(["source", "bucket"]).aggregate([("rho", "max")])
-        return pa.table({"source": g["source"], "bucket": g["bucket"],
-                         "rho": g["rho_max"]})
+        return t
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "bucket"]).aggregate(
-            Max("rho", alias_name="rho"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["source", "bucket"], {"rho": ("rho", "max")},
+        {"source": pa.string(), "bucket": pa.int64(), "rho": pa.int64()})
 
 
 KMV_K = 128                  # bottom-k sketch width
@@ -1361,7 +1344,6 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
     carry (int, int) rows.  Returns (doc_a, doc_b, jaccard_milli),
     doc_a < doc_b.
     """
-    from ray.data.aggregate import Count
 
     from .relational import join_partitions_for
 
@@ -1386,7 +1368,10 @@ def ppjoin_pairs(docs_ds, tau_milli: int = PPJOIN_TAU_MILLI,
     if n_sh == 0:
         return _empty_verified()
 
-    df = ex().groupby("sh").aggregate(Count(alias_name="df"))
+    df = aggregate(
+        ex(),
+        "sh", {"df": ("sh", "count")},
+        {"sh": pa.int64(), "df": pa.int64()})
     jp = join_partitions_for(n_sh)
     joined = ex().join(df, join_type="inner", num_partitions=jp,
                        on=("sh",))
@@ -1484,7 +1469,6 @@ def dedup_best(docs_ds, pairs_ds, *, rows_hint: int | None = None,
     MAX over a packed (n_chars << 43 | ~doc_id) key — associative, so
     hot clusters never need salting — plus a member Count.  Returns
     (cluster, kept_doc, kept_n_chars, n_members)."""
-    from ray.data.aggregate import Max, Sum
 
     from .relational import join_partitions_for
 
@@ -1502,27 +1486,22 @@ def dedup_best(docs_ds, pairs_ds, *, rows_hint: int | None = None,
     j = q.join(clusters, join_type="inner",
                num_partitions=join_partitions_for(n), on=("doc_id",))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pack(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy()
         nc = batch["n_chars"].to_numpy()
-        cl = batch["cluster"].to_numpy()
         if len(ids):
             assert int(nc.max()) < (1 << 20), "n_chars >= 2^20"
             assert int(ids.max()) < (1 << _BEST_ID_BITS), "doc_id >= 2^43"
         packed = (nc << _BEST_ID_BITS) | (_BEST_ID_MASK - ids)
-        u, inv = np.unique(cl, return_inverse=True)
-        best = np.zeros(len(u), dtype=np.int64)
-        np.maximum.at(best, inv, packed)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({"cluster": pa.array(u),
-                         "packed": pa.array(best),
-                         "cnt": pa.array(cnt)})
+        return pa.table({"cluster": batch["cluster"],
+                         "packed": pa.array(packed)})
 
-    agg = j.map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby("cluster").aggregate(
-            Max("packed", alias_name="packed"),
-            Sum("cnt", alias_name="n_members"))
+    agg = aggregate(
+        j.map_batches(pack, batch_format="pyarrow",
+                      zero_copy_batch=True, batch_size=None),
+        "cluster", {"packed": ("packed", "max"),
+                    "n_members": ("cluster", "count")},
+        {"cluster": pa.int64(), "packed": pa.int64(), "n_members": pa.int64()})
 
     def decode(batch: pa.Table) -> pa.Table:
         packed = batch["packed"].to_numpy()
@@ -1664,8 +1643,8 @@ def novelty_docs(docs_ds, pairs_ds, tau_milli: int = 500,
     bounded) cross-dup id set.  Returns (doc_id, lang)."""
     from .relational import join_partitions_for
 
-    # distinct source values are a bounded vocabulary (driver-safe)
-    new_source = max(docs_ds.unique("source"))
+    new_source = aggregate(docs_ds, [], {"s": ("source", "max")},
+                           {"s": pa.string()}).take_all()[0]["s"]
 
     ver = jaccard_pairs(pairs_ds, docs_ds)
 

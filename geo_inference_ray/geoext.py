@@ -47,7 +47,7 @@ import pyarrow.compute as pc
 from . import synth
 from .knn import HEX_RING1_OFFSETS
 from .relational import _parquet_rows
-from .shuffle import collect, partitioned, run_pairs, runs
+from .shuffle import aggregate, collect, partitioned, run_pairs, runs
 
 EARTH_DIAMETER_KM = 12742.0           # 2 * 6371 — folded identically in SQL
 BBOX_EPS_DEG = 0.25                   # half-width of the per-page query box
@@ -73,17 +73,8 @@ def cell_smooth(ds):
     *aggregated* cell rows (never the pages) and a second groupby-sum.
     Both shuffles carry O(distinct cells), not O(pages).
     """
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cell = batch["hex7"].to_numpy()
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"hex7": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    counts = ds.select_columns(["hex7"]) \
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("n", alias_name="n"))
+    counts = _cell_counts(ds)
 
     offs = np.asarray(HEX_RING1_OFFSETS, dtype=np.int64)
 
@@ -95,9 +86,11 @@ def cell_smooth(ds):
         return pa.table({"hex7": pa.array(tgt),
                          "n": pa.array(n[idx])})
 
-    return counts.map_batches(scatter, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("n", alias_name="n_smooth"))
+    return aggregate(
+        counts.map_batches(scatter, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "hex7", {"n_smooth": ("n", "sum")},
+        {"hex7": pa.int64(), "n_smooth": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +103,15 @@ def _cell_autocorr(ds):
     pair count via a 6x scatter of the AGGREGATED cell rows -> one
     cell-bounded inner join.  Returns (n_cells, z table, z|X|nb join);
     n_cells == 0 short-circuits (empty input)."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cell = batch["hex7"].to_numpy()
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"hex7": pa.array(u),
-                         "x": pa.array(c.astype(np.int64))})
-
-    counts = ds.select_columns(["hex7"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("x", alias_name="x")) \
-        .materialize()
+    counts = aggregate(ds, "hex7", {"x": ("hex7", "count")},
+                       {"hex7": pa.int64(), "x": pa.int64()}).materialize()
 
     n_cells = counts.count()
     if n_cells == 0:
         return 0, None, None
-    s = int(counts.sum("x"))
+    s = aggregate(counts, [], {"s": ("x", "sum")},
+                  {"s": pa.int64()}).take_all()[0]["s"]
 
     def center(batch: pa.Table) -> pa.Table:
         z = n_cells * batch["x"].to_numpy() - s
@@ -148,10 +132,11 @@ def _cell_autocorr(ds):
             "zn": pa.array(zz[idx]),
             "w": pa.array(np.ones(len(idx), dtype=np.int64))})
 
-    nb = z.map_batches(scatter, batch_format="pyarrow",
-                       zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("zn", alias_name="zn"),
-                                   Sum("w", alias_name="w"))
+    nb = aggregate(
+        z.map_batches(scatter, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "hex7", {"zn": ("zn", "sum"), "w": ("w", "sum")},
+        {"hex7": pa.int64(), "zn": pa.int64(), "w": pa.int64()})
 
     from .relational import join_partitions_for
 
@@ -237,24 +222,24 @@ def moran_i(ds):
             "num": pa.array([int((zz * batch["zn"].to_numpy()).sum())]),
             "w_pairs": pa.array([int(batch["w"].to_numpy().sum())])})
 
-    agg = joined.map_batches(num_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .sum(["num", "w_pairs"])
-    if agg is None:          # every populated cell isolated
-        agg = {"sum(num)": 0, "sum(w_pairs)": 0}
+    agg = aggregate(
+        joined.map_batches(num_partial, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None),
+        [], {"num": ("num", "sum"), "w_pairs": ("w_pairs", "sum")},
+        {"num": pa.int64(), "w_pairs": pa.int64()}).take_all()[0]
 
     def den_partial(batch: pa.Table) -> pa.Table:
         zz = batch["z"].to_numpy()
         return pa.table({"den": pa.array([int((zz * zz).sum())])})
 
-    den = z.map_batches(den_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .sum("den")
+    den = aggregate(
+        z.map_batches(den_partial, batch_format="pyarrow",
+                      zero_copy_batch=True, batch_size=None),
+        [], {"den": ("den", "sum")}, {"den": pa.int64()}).take_all()[0]["den"]
 
     return pa.table({"n_cells": pa.array([n_cells], pa.int64()),
-                     "w_pairs": pa.array([int(agg["sum(w_pairs)"])],
-                                         pa.int64()),
-                     "num": pa.array([int(agg["sum(num)"])], pa.int64()),
+                     "w_pairs": pa.array([agg["w_pairs"] or 0], pa.int64()),
+                     "num": pa.array([agg["num"] or 0], pa.int64()),
                      "den": pa.array([int(den)], pa.int64())})
 
 
@@ -381,7 +366,6 @@ def bbox_overlap_counts(sf_dir: str, eps: float = BBOX_EPS_DEG):
     (rows x n_polys) interval-overlap mask reduces to per-polygon
     partial counts, so the shuffle carries O(batches x n_polys) rows.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -408,9 +392,11 @@ def bbox_overlap_counts(sf_dir: str, eps: float = BBOX_EPS_DEG):
         return pa.table({"poly_id": pa.array(pids[keep]),
                          "n": pa.array(n[keep])})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("poly_id").aggregate(Sum("n", alias_name="n_docs"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "poly_id", {"n_docs": ("n", "sum")},
+        {"poly_id": pa.int64(), "n_docs": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +501,13 @@ def zorder_counts(sf_dir: str):
     Scale shape: stateless vectorized per-batch kernel + map-side
     partial counts; the ONE shuffle carries O(batches x 4096) rows.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["lat", "lon"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         lon = batch["lon"].to_numpy(zero_copy_only=False)
         # expression order mirrors the SQL oracle term-for-term
@@ -531,13 +516,13 @@ def zorder_counts(sf_dir: str):
         qy = np.minimum(np.maximum(qy, 0), ZQ_MAX)
         qx = np.minimum(np.maximum(qx, 0), ZQ_MAX)
         z = _part1by1(qx) | (_part1by1(qy) << 1)
-        u, c = np.unique(z >> ZPREFIX_SHIFT, return_counts=True)
-        return pa.table({"zprefix": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
+        return pa.table({"zprefix": pa.array(z >> ZPREFIX_SHIFT)})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("zprefix").aggregate(Sum("n", alias_name="n_pages"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "zprefix", {"n_pages": ("zprefix", "count")},
+        {"zprefix": pa.int64(), "n_pages": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +548,6 @@ def dist_join(sf_dir: str, radius_km: float = DIST_RADIUS_KM):
     coarse cell first (the bbox_overlap_counts filter phase) — the
     brute broadcast is correct for layer sizes up to ~10^4.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -587,9 +571,11 @@ def dist_join(sf_dir: str, radius_km: float = DIST_RADIUS_KM):
         return pa.table({"poly_id": pa.array(pids[keep]),
                          "n": pa.array(n[keep])})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("poly_id").aggregate(Sum("n", alias_name="n_docs"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "poly_id", {"n_docs": ("n", "sum")},
+        {"poly_id": pa.int64(), "n_docs": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +586,11 @@ HOT_FACTOR = 2  # hot iff disk density > HOT_FACTOR x the global mean
 
 
 def _cell_counts(ds):
-    """(hex7, n) exact per-cell page counts via map-side partials + ONE
-    groupby-sum (shared by cell_smooth / hotspots / hex_clusters)."""
-    from ray.data.aggregate import Sum
+    """(hex7, n) exact per-cell page counts, one ``shuffle.aggregate``
+    (shared by cell_smooth / hotspots / hex_clusters)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["hex7"].to_numpy(), return_counts=True)
-        return pa.table({"hex7": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    return ds.select_columns(["hex7"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("n", alias_name="n"))
+    return aggregate(ds, "hex7", {"n": ("hex7", "count")},
+                     {"hex7": pa.int64(), "n": pa.int64()})
 
 
 def hotspots(ds, factor: int = HOT_FACTOR):
@@ -630,10 +608,10 @@ def hotspots(ds, factor: int = HOT_FACTOR):
     (no join), then a broadcast of the two global scalars into a
     vectorized filter.  Shuffles carry O(distinct cells), never pages.
     """
-    from ray.data.aggregate import Sum
 
     counts = _cell_counts(ds).materialize()  # O(cells) rows, 2 readers
-    total = int(counts.sum("n"))             # two scalar aggregates —
+    total = aggregate(counts, [], {"t": ("n", "sum")},  # two scalars —
+                      {"t": pa.int64()}).take_all()[0]["t"] or 0
     n_cells = counts.count()                 # the only driver values
 
     offs = np.asarray(HEX_RING1_OFFSETS, dtype=np.int64)
@@ -649,10 +627,11 @@ def hotspots(ds, factor: int = HOT_FACTOR):
             "self_n": pa.array(np.where(off == 0, n[idx], 0)),
         })
 
-    disk = counts.map_batches(scatter, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("n_src", alias_name="n_disk"),
-                                   Sum("self_n", alias_name="n_pages"))
+    disk = aggregate(
+        counts.map_batches(scatter, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "hex7", {"n_disk": ("n_src", "sum"), "n_pages": ("self_n", "sum")},
+        {"hex7": pa.int64(), "n_disk": pa.int64(), "n_pages": pa.int64()})
 
     thresh = factor * 7 * total
 
@@ -691,7 +670,6 @@ def hex_clusters(ds, minpts: int = HEX_MINPTS):
     alternating star contraction above — then ONE hash join labels the
     dense cells and a final groupby folds per-component stats.
     """
-    from ray.data.aggregate import Count, Sum
 
     from .dedup import dedup_clusters
     from .relational import join_partitions_for
@@ -754,8 +732,10 @@ def hex_clusters(ds, minpts: int = HEX_MINPTS):
     joined = labels.join(cells, join_type="inner",
                          num_partitions=join_partitions_for(n_dense),
                          on=("doc_id",))
-    return joined.groupby("cluster").aggregate(
-        Count(alias_name="n_cells"), Sum("n", alias_name="n_pages"))
+    return aggregate(
+        joined,
+        "cluster", {"n_cells": ("cluster", "count"), "n_pages": ("n", "sum")},
+        {"cluster": pa.int64(), "n_cells": pa.int64(), "n_pages": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -889,23 +869,15 @@ def zonal_mode(sf_dir: str):
     (poly count is tiny next to pages — the shuffle carries
     O(polys x langs)).
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, mode="inner") \
         .select_columns(["poly_id", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.table({"poly_id": batch["poly_id"],
-                         "lang": batch["lang"]}) \
-            .group_by(["poly_id", "lang"]) \
-            .aggregate([([], "count_all")]) \
-            .rename_columns(["poly_id", "lang", "n"])
-
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["poly_id", "lang"]).aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        ds, ["poly_id", "lang"], {"n": ("poly_id", "count")},
+        {"poly_id": pa.int64(), "lang": pa.string(), "n": pa.int64()})
 
     def argmax_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("poly_id", "ascending"), ("n", "descending"),
@@ -955,7 +927,6 @@ def z_range(sf_dir: str, ranges=Z_RANGES):
     row-group prune instead of a scan — zorder_counts is the histogram
     that builds that sort.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -975,9 +946,11 @@ def z_range(sf_dir: str, ranges=Z_RANGES):
         return pa.table({"range_id": pa.array(rid[keep]),
                          "n": pa.array(n[keep])})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("range_id").aggregate(Sum("n", alias_name="n_pages"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "range_id", {"n_pages": ("n", "sum")},
+        {"range_id": pa.int64(), "n_pages": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -999,37 +972,31 @@ def cluster_centroid(sf_dir: str):
     half-microdegrees (~10^7 pages per cluster at extreme latitudes —
     shard the scale factor before that at the 100 TB point).
 
-    Scale shape: map-side partial (cluster, n, slat, slon) rows, ONE
-    groupby-sum, then a stateless per-row division kernel.
+    Scale shape: a column map, ONE ``shuffle.aggregate`` count and
+    int64 sums, then a stateless per-row division kernel.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["cluster", "lat", "lon"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cl = batch["cluster"].to_numpy()
+    def cols(batch: pa.Table) -> pa.Table:
         # expression order mirrors the SQL oracle term-for-term
         ilat = np.floor(batch["lat"].to_numpy(zero_copy_only=False)
                         * LATLON_SCALE + 0.5).astype(np.int64)
         ilon = np.floor(batch["lon"].to_numpy(zero_copy_only=False)
                         * LATLON_SCALE + 0.5).astype(np.int64)
-        u, inv = np.unique(cl, return_inverse=True)
-        return pa.table({
-            "cluster": pa.array(u),
-            "n": pa.array(np.bincount(inv).astype(np.int64)),
-            "slat": pa.array(np.bincount(inv, weights=ilat)
-                             .astype(np.int64)),
-            "slon": pa.array(np.bincount(inv, weights=ilon)
-                             .astype(np.int64))})
+        return pa.table({"cluster": batch["cluster"],
+                         "ilat": pa.array(ilat), "ilon": pa.array(ilon)})
 
-    sums = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("cluster").aggregate(Sum("n", alias_name="n_pages"),
-                                      Sum("slat", alias_name="slat"),
-                                      Sum("slon", alias_name="slon"))
+    sums = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "cluster", {"n_pages": ("cluster", "count"),
+                    "slat": ("ilat", "sum"), "slon": ("ilon", "sum")},
+        {"cluster": pa.int64(), "n_pages": pa.int64(), "slat": pa.int64(),
+         "slon": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n_pages"].to_numpy()
@@ -1060,19 +1027,10 @@ def cell_langmix(ds, rows_hint: int | None = None):
     with a vectorized per-cell fold (shuffles carry
     O(cells x langs), never pages).
     """
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.table({"hex7": batch["hex7"],
-                         "lang": batch["lang"]}) \
-            .group_by(["hex7", "lang"]) \
-            .aggregate([([], "count_all")]) \
-            .rename_columns(["hex7", "lang", "n"])
-
-    counts = ds.select_columns(["hex7", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["hex7", "lang"]).aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        ds, ["hex7", "lang"], {"n": ("hex7", "count")},
+        {"hex7": pa.int64(), "lang": pa.string(), "n": pa.int64()})
 
     def mix_part(g: pa.Table) -> pa.Table:
         a = g.group_by("hex7").aggregate(
@@ -1106,7 +1064,6 @@ def od_flows(sf_dir: str):
     ONE groupby-sum on (o_hex, d_hex).  Both exchanges carry
     O(clusters) rows.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -1142,16 +1099,15 @@ def od_flows(sf_dir: str):
         last = np.ones(len(cl), dtype=bool)
         last[:-1] = cl[d][1:] != cl[d][:-1]
         return pa.table({"o_hex": g["o_hex"].to_numpy()[o][first],
-                         "d_hex": g["d_hex"].to_numpy()[d][last]}) \
-            .group_by(["o_hex", "d_hex"]).aggregate([([], "count_all")]) \
-            .rename_columns(["o_hex", "d_hex", "n"])
+                         "d_hex": g["d_hex"].to_numpy()[d][last]})
 
-    counts = partitioned(partials, "cluster", fold,
-                         {"o_hex": pa.int64(), "d_hex": pa.int64(),
-                          "n": pa.int64()},
+    tracks = partitioned(partials, "cluster", fold,
+                         {"o_hex": pa.int64(), "d_hex": pa.int64()},
                          rows_hint=_docs_rows(sf_dir))
-    return counts.groupby(["o_hex", "d_hex"]) \
-        .aggregate(Sum("n", alias_name="n_tracks"))
+    return aggregate(
+        tracks,
+        ["o_hex", "d_hex"], {"n_tracks": ("o_hex", "count")},
+        {"o_hex": pa.int64(), "d_hex": pa.int64(), "n_tracks": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -1177,39 +1133,32 @@ def radius_gyration(sf_dir: str):
     sxx <= n * 3.24e10, safe to ~2.8e8 pages per cluster; past that
     shard the cluster key before this stage.
 
-    Scale shape: map-side partial rows, ONE groupby-sum, stateless
-    finish kernel.
+    Scale shape: a column map, ONE ``shuffle.aggregate`` of int64
+    sums, stateless finish kernel.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["cluster", "lat", "lon"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cl = batch["cluster"].to_numpy()
+    def cols(batch: pa.Table) -> pa.Table:
         qx = np.floor(batch["lat"].to_numpy(zero_copy_only=False)
                       * RGYR_SCALE + 0.5).astype(np.int64)
         qy = np.floor(batch["lon"].to_numpy(zero_copy_only=False)
                       * RGYR_SCALE + 0.5).astype(np.int64)
-        u, inv = np.unique(cl, return_inverse=True)
-        return pa.table({
-            "cluster": pa.array(u),
-            "n": pa.array(np.bincount(inv).astype(np.int64)),
-            "sx": pa.array(np.bincount(inv, weights=qx).astype(np.int64)),
-            "sy": pa.array(np.bincount(inv, weights=qy).astype(np.int64)),
-            "sxx": pa.array(np.bincount(inv, weights=qx * qx)
-                            .astype(np.int64)),
-            "syy": pa.array(np.bincount(inv, weights=qy * qy)
-                            .astype(np.int64))})
+        return pa.table({"cluster": batch["cluster"],
+                         "qx": pa.array(qx), "qy": pa.array(qy),
+                         "qxx": pa.array(qx * qx),
+                         "qyy": pa.array(qy * qy)})
 
-    sums = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("cluster").aggregate(
-            Sum("n", alias_name="n_pages"),
-            Sum("sx", alias_name="sx"), Sum("sy", alias_name="sy"),
-            Sum("sxx", alias_name="sxx"), Sum("syy", alias_name="syy"))
+    sums = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "cluster", {"n_pages": ("cluster", "count"), "sx": ("qx", "sum"),
+         "sy": ("qy", "sum"), "sxx": ("qxx", "sum"), "syy": ("qyy", "sum")},
+        {"cluster": pa.int64(), "n_pages": pa.int64(), "sx": pa.int64(),
+         "sy": pa.int64(), "sxx": pa.int64(), "syy": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n_pages"].to_numpy().astype(np.float64)
@@ -1268,23 +1217,22 @@ def geohash_counts(sf_dir: str):
     Scale shape: stateless vectorized encode, map-side partial counts,
     ONE groupby-sum carrying O(cells) rows.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["lat", "lon"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         gh = geohash5(batch["lat"].to_numpy(zero_copy_only=False),
                       batch["lon"].to_numpy(zero_copy_only=False))
-        u, cnt = np.unique(gh, return_counts=True)
-        return pa.table({"ghash": pa.array(u, pa.string()),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"ghash": pa.array(gh, pa.string())})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("ghash").aggregate(Sum("n", alias_name="n_pages"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "ghash", {"n_pages": ("ghash", "count")},
+        {"ghash": pa.string(), "n_pages": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -1302,7 +1250,6 @@ def cell_markov(sf_dir: str):
     pre-counts, then ONE groupby-sum on the pair key carrying
     O(cells^2 occupied) rows, never pages.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -1314,17 +1261,15 @@ def cell_markov(sf_dir: str):
         cl = g["cluster"].to_numpy()
         hx = g["hex7"].to_numpy()
         same = cl[1:] == cl[:-1]
-        return pa.table({"from_hex": hx[:-1][same], "to_hex": hx[1:][same]}) \
-            .group_by(["from_hex", "to_hex"]).aggregate(
-                [([], "count_all")]) \
-            .rename_columns(["from_hex", "to_hex", "n"])
+        return pa.table({"from_hex": hx[:-1][same], "to_hex": hx[1:][same]})
 
     moves = partitioned(ds, "cluster", moves_part,
-                        {"from_hex": pa.int64(), "to_hex": pa.int64(),
-                         "n": pa.int64()},
+                        {"from_hex": pa.int64(), "to_hex": pa.int64()},
                         rows_hint=_docs_rows(sf_dir))
-    return moves.groupby(["from_hex", "to_hex"]) \
-        .aggregate(Sum("n", alias_name="n_moves"))
+    return aggregate(
+        moves,
+        ["from_hex", "to_hex"], {"n_moves": ("from_hex", "count")},
+        {"from_hex": pa.int64(), "to_hex": pa.int64(), "n_moves": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -1400,7 +1345,6 @@ def traj_jaccard(sf_dir: str):
     -> stateless integer finish.  Pages never cross a shuffle after
     the first distinct.
     """
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
     from .stages import geo_pipeline
@@ -1416,23 +1360,17 @@ def traj_jaccard(sf_dir: str):
               + np.floor((lon + 180.0) / TRAJ_CELL_DEG)
               .astype(np.int64))
         return pa.table({"cluster": batch["cluster"],
-                         "tcell": pa.array(tc)}) \
-            .group_by(["cluster", "tcell"]).aggregate([])
+                         "tcell": pa.array(tc)})
 
-    distinct = ds.map_batches(distinct_part, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby(["cluster", "tcell"]).count() \
-        .select_columns(["cluster", "tcell"])
+    distinct = aggregate(
+        ds.map_batches(distinct_part, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["cluster", "tcell"], {},
+        {"cluster": pa.int64(), "tcell": pa.int64()})
 
-    def size_partial(batch: pa.Table) -> pa.Table:
-        cl = batch["cluster"].to_numpy()
-        u, cnt = np.unique(cl, return_counts=True)
-        return pa.table({"cluster": pa.array(u),
-                         "s": pa.array(cnt.astype(np.int64))})
-
-    sizes = distinct.map_batches(size_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby("cluster").aggregate(Sum("s", alias_name="s"))
+    sizes = aggregate(
+        distinct, "cluster", {"s": ("cluster", "count")},
+        {"cluster": pa.int64(), "s": pa.int64()})
 
     def pairs_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("tcell", "ascending"), ("cluster", "ascending")])
@@ -1445,16 +1383,15 @@ def traj_jaccard(sf_dir: str):
                 f"{TRAJ_MAX_CLUSTERS_PER_CELL} clusters — salt or "
                 "LSH-bucket hot cells before the pair stage")
         i, j = run_pairs(starts, seg)
-        return pa.table({"c1": cl[i], "c2": cl[j]}).group_by(
-            ["c1", "c2"]).aggregate([([], "count_all")]) \
-            .rename_columns(["c1", "c2", "n"])
+        return pa.table({"c1": cl[i], "c2": cl[j]})
 
     n_hint = _docs_rows(sf_dir)
-    inter = partitioned(distinct, "tcell", pairs_part,
-                        {"c1": pa.int64(), "c2": pa.int64(),
-                         "n": pa.int64()},
-                        rows_hint=n_hint) \
-        .groupby(["c1", "c2"]).aggregate(Sum("n", alias_name="n_inter"))
+    inter = aggregate(
+        partitioned(distinct, "tcell", pairs_part,
+                    {"c1": pa.int64(), "c2": pa.int64()},
+                    rows_hint=n_hint),
+        ["c1", "c2"], {"n_inter": ("c1", "count")},
+        {"c1": pa.int64(), "c2": pa.int64(), "n_inter": pa.int64()})
 
     # attach set sizes: broadcast sorted-array probe under the bound
     # (dedup_apply's drop-set convention), two hash joins above it.
@@ -1532,25 +1469,23 @@ def peak_hour(sf_dir: str):
     groupby-sum over the (cells x 24) keyspace -> hash-partitioned
     vectorized argmax kernel.  Pages never shuffle.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir).select_columns(["hex7", "warc_ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def hours(batch: pa.Table) -> pa.Table:
         ts = batch["warc_ts"].to_numpy(zero_copy_only=False)
         secs = ts.astype("datetime64[s]").astype(np.int64)
         hr = (secs // 3600) % 24
-        t = pa.table({"hex7": batch["hex7"],
-                      "hr": pa.array(hr.astype(np.int64))})
-        return t.group_by(["hex7", "hr"]) \
-            .aggregate([([], "count_all")]) \
-            .rename_columns(["hex7", "hr", "n"])
+        return pa.table({"hex7": batch["hex7"],
+                         "hr": pa.array(hr.astype(np.int64))})
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["hex7", "hr"]).aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        ds.map_batches(hours, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None),
+        ["hex7", "hr"], {"n": ("hex7", "count")},
+        {"hex7": pa.int64(), "hr": pa.int64(), "n": pa.int64()})
 
     def argmax_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("hex7", "ascending"), ("n", "descending"),
@@ -1614,7 +1549,6 @@ def hilbert_counts(sf_dir: str):
     Scale shape: stateless vectorized encode, map-side partial counts,
     ONE groupby-sum over <= 256 prefix buckets.
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -1622,21 +1556,21 @@ def hilbert_counts(sf_dir: str):
         .select_columns(["lat", "lon"])
     grid = 1 << HILBERT_BITS
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         lon = batch["lon"].to_numpy(zero_copy_only=False)
         qx = np.floor((lon + 180.0) / 360.0 * grid).astype(np.int64)
         qy = np.floor((lat + 90.0) / 180.0 * grid).astype(np.int64)
         qx = np.minimum(np.maximum(qx, 0), grid - 1)
         qy = np.minimum(np.maximum(qy, 0), grid - 1)
-        hp = hilbert_d(qx, qy) >> HILBERT_PREFIX_SHIFT
-        u, cnt = np.unique(hp, return_counts=True)
-        return pa.table({"hprefix": pa.array(u),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"hprefix": pa.array(
+            hilbert_d(qx, qy) >> HILBERT_PREFIX_SHIFT)})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("hprefix").aggregate(Sum("n", alias_name="n_pages"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "hprefix", {"n_pages": ("hprefix", "count")},
+        {"hprefix": pa.int64(), "n_pages": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -1708,24 +1642,22 @@ def z_splits(sf_dir: str, n_parts: int = Z_SPLITS_N):
     instead of data-bounded).
     """
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
     ds = geo_pipeline(sf_dir, with_cells=False) \
         .select_columns(["lat", "lon"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         z = zkeys(batch["lat"].to_numpy(zero_copy_only=False),
                   batch["lon"].to_numpy(zero_copy_only=False))
-        zp = z >> ZPREFIX_SHIFT
-        u, cnt = np.unique(zp, return_counts=True)
-        return pa.table({"zprefix": pa.array(u),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"zprefix": pa.array(z >> ZPREFIX_SHIFT)})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("zprefix").aggregate(Sum("n", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "zprefix", {"n": ("zprefix", "count")},
+        {"zprefix": pa.int64(), "n": pa.int64()})
     # the histogram is <= 4096 rows BY CONSTRUCTION (bounded by the key
     # space, not the data), so the split points come from one driver
     # fold — the length_quantiles shape
@@ -1760,7 +1692,6 @@ def cluster_bbox(sf_dir: str):
     Scale shape: map-side min/max partials, ONE groupby over cluster
     (Min/Max are associative), stateless finish.  All-integer.
     """
-    from ray.data.aggregate import Max, Min
 
     from .stages import geo_pipeline
 
@@ -1788,13 +1719,13 @@ def cluster_bbox(sf_dir: str):
             "mn_lat": pa.array(mn_lat), "mx_lat": pa.array(mx_lat),
             "mn_lon": pa.array(mn_lon), "mx_lon": pa.array(mx_lon)})
 
-    agg = ds.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("cluster").aggregate(
-            Min("mn_lat", alias_name="mn_lat"),
-            Max("mx_lat", alias_name="mx_lat"),
-            Min("mn_lon", alias_name="mn_lon"),
-            Max("mx_lon", alias_name="mx_lon"))
+    agg = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "cluster", {"mn_lat": ("mn_lat", "min"), "mx_lat": ("mx_lat", "max"),
+         "mn_lon": ("mn_lon", "min"), "mx_lon": ("mx_lon", "max")},
+        {"cluster": pa.int64(), "mn_lat": pa.int64(), "mx_lat": pa.int64(),
+         "mn_lon": pa.int64(), "mx_lon": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         area = (batch["mx_lat"].to_numpy()
@@ -1835,7 +1766,6 @@ def s2_compact(sf_dir: str):
     cell id groups siblings contiguously because they differ only in
     bits 37-38).
     """
-    from ray.data.aggregate import Sum
 
     from .stages import geo_pipeline
 
@@ -1850,9 +1780,11 @@ def s2_compact(sf_dir: str):
         return pa.table({"s2i": pa.array(u, pa.int64()),
                          "one": pa.array(np.ones(len(u), np.int64))})
 
-    cells12 = ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("s2i").aggregate(Sum("one", alias_name="n")) \
+    cells12 = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "s2i", {"n": ("one", "sum")},
+        {"s2i": pa.int64(), "n": pa.int64()}) \
         .select_columns(["s2i"]).materialize()  # O(populated cells)
     return compact_cells(cells12, cells12.count())
 
@@ -1925,18 +1857,8 @@ def grid_idw(ds):
     O(distinct cells), never the pages.  int64 bound: 1000·num =
     10⁶ × (ring-local page count), safe below ~9·10¹² pages per
     2-ring neighborhood."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cell = batch["hex7"].to_numpy()
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"hex7": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    counts = ds.select_columns(["hex7"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("n", alias_name="n"))
+    counts = _cell_counts(ds)
 
     offs = np.asarray(HEX_RING1_OFFSETS[1:] + HEX_RING2_OFFSETS,
                       dtype=np.int64)          # drop the self-offset 0
@@ -1959,11 +1881,13 @@ def grid_idw(ds):
                 [np.zeros(len(idx), np.int64),
                  np.ones(len(cell), np.int64)]))})
 
-    agg = counts.map_batches(scatter, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("hex7").aggregate(Sum("num", alias_name="num"),
-                                   Sum("den", alias_name="den"),
-                                   Sum("occ", alias_name="occ"))
+    agg = aggregate(
+        counts.map_batches(scatter, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "hex7", {"num": ("num", "sum"), "den": ("den", "sum"),
+         "occ": ("occ", "sum")},
+        {"hex7": pa.int64(), "num": pa.int64(), "den": pa.int64(),
+         "occ": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch["occ"], 0)
@@ -1993,20 +1917,17 @@ def emerging_hotspots(ds):
     kernel (run-detection over cells sorted by day; the per-cell pair
     triangle is CALENDAR-bounded — O(days²) per cell with days ≤ the
     crawl span, never corpus-sized)."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["warc_ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"hex7": batch["hex7"], "day": day})
-        g = t.group_by(["hex7", "day"]).aggregate([([], "count_all")])
-        return pa.table({"hex7": g["hex7"], "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"hex7": batch["hex7"], "day": day})
 
-    daily = ds.select_columns(["hex7", "warc_ts"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None) \
-        .groupby(["hex7", "day"]).aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None),
+        ["hex7", "day"], {"c": ("hex7", "count")},
+        {"hex7": pa.int64(), "day": pa.int64(), "c": pa.int64()})
 
     def mk_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("hex7", "ascending"), ("day", "ascending")])
@@ -2068,13 +1989,12 @@ def poly_geometry(sf_dir: str):
     layer's size, the same guard as the layer itself).
     """
     import ray.data as rd
-    from ray.data.aggregate import Count
 
     from .stages import geo_pipeline
 
-    counts_ds = geo_pipeline(sf_dir, mode="inner") \
-        .select_columns(["poly_id"]).groupby("poly_id") \
-        .aggregate(Count(alias_name="n_pages"))
+    counts_ds = aggregate(geo_pipeline(sf_dir, mode="inner"), "poly_id",
+                         {"n_pages": ("poly_id", "count")},
+                         {"poly_id": pa.int64(), "n_pages": pa.int64()})
     n_polys = len(synth.POLYGONS)
     t = collect(counts_ds, pa.schema([("poly_id", pa.int64()),
                                       ("n_pages", pa.int64())]), n_polys)

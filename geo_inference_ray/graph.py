@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import collect
+from .shuffle import aggregate, collect
 from .sources import read_table
 
 PR_SCALE = 1_000_000       # rank unit: parts-per-million
@@ -73,15 +73,13 @@ def _edge_spill(sf_dir: str, work_dir: str | None,
         else:
             t = pa.table({"src": pa.array(np.concatenate([p, s])),
                           "dst": pa.array(np.concatenate([s, p]))})
-        # per-batch pre-dedup: the global distinct shuffle then carries
-        # (batches x local-distinct) rows, not 2x lineitem rows
-        return t.group_by(["src", "dst"]).aggregate(
-            [([], "count_all")]).select(["src", "dst"])
+        return t
 
-    distinct = li.map_batches(edge_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-        .groupby(["src", "dst"]).count() \
-        .select_columns(["src", "dst"])
+    distinct = aggregate(
+        li.map_batches(edge_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["src", "dst"], {},
+        {"src": pa.int64(), "dst": pa.int64()})
     spill = spill_dir("hits_edges" if directed else "pagerank_edges",
                       work_dir)
     distinct.write_parquet(spill)
@@ -90,18 +88,17 @@ def _edge_spill(sf_dir: str, work_dir: str | None,
     return spill, n_edges
 
 
+def _src_node(batch: pa.Table) -> pa.Table:
+    return pa.table({"node": batch["src"]})
+
+
 def _degrees(edges_ds):
-    """(node, outdeg) via per-batch partial counts -> groupby Sum."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["src"].to_numpy(), return_counts=True)
-        return pa.table({"node": pa.array(u.astype(np.int64)),
-                         "d": pa.array(c.astype(np.int64))})
-
-    return edges_ds.map_batches(partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None) \
-        .groupby("node").aggregate(Sum("d", alias_name="outdeg"))
+    """(node, outdeg): the count of each ``src``."""
+    return aggregate(
+        edges_ds.map_batches(_src_node, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None),
+        "node", {"outdeg": ("node", "count")},
+        {"node": pa.int64(), "outdeg": pa.int64()})
 
 
 def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
@@ -115,7 +112,6 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
     """
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
@@ -126,15 +122,9 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
 
     deg = _degrees(edges())
 
-    def inc_partial(batch: pa.Table) -> pa.Table:
-        """Partial incoming-contribution sum per destination node."""
-        d = batch["dst"].to_numpy()
-        con = batch["contrib"].to_numpy()
-        u, inv = np.unique(d, return_inverse=True)
-        s = np.zeros(len(u), dtype=np.int64)
-        np.add.at(s, inv, con)
-        return pa.table({"node": pa.array(u.astype(np.int64)),
-                         "i": pa.array(s)})
+    def inc_cols(batch: pa.Table) -> pa.Table:
+        """(destination node, incoming contribution) per edge."""
+        return pa.table({"node": batch["dst"], "i": batch["contrib"]})
 
     def new_rank(inc_ds):
         def formula(batch: pa.Table) -> pa.Table:
@@ -164,11 +154,13 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
             def add_contrib(batch: pa.Table) -> pa.Table:
                 nodes, contrib = ray.get(cref)
                 idx = np.searchsorted(nodes, batch["src"].to_numpy())
-                b = batch.append_column("contrib", pa.array(contrib[idx]))
-                return inc_partial(b)
+                return pa.table({"node": batch["dst"],
+                                 "i": pa.array(contrib[idx])})
 
-            inc = edges().map_batches(add_contrib, batch_format="pyarrow") \
-                .groupby("node").aggregate(Sum("i", alias_name="inc"))
+            inc = aggregate(
+                edges().map_batches(add_contrib, batch_format="pyarrow"),
+                "node", {"inc": ("i", "sum")},
+                {"node": pa.int64(), "inc": pa.int64()})
             # fold the node-bounded aggregate back into the rank array
             new = np.empty(n_nodes, dtype=np.int64)
             seen = 0
@@ -205,8 +197,10 @@ def pagerank(sf_dir: str, *, iters: int = PR_ITERS,
         joined = edges().join(contrib, join_type="inner",
                               num_partitions=np_edges,
                               on=("src",), right_on=("node",))
-        inc = joined.map_batches(inc_partial, batch_format="pyarrow") \
-            .groupby("node").aggregate(Sum("i", alias_name="inc"))
+        inc = aggregate(
+            joined.map_batches(inc_cols, batch_format="pyarrow"),
+            "node", {"inc": ("i", "sum")},
+            {"node": pa.int64(), "inc": pa.int64()})
         ranked = new_rank(inc)
         state = ranked.join(deg.map_batches(
             lambda b: pa.table({"dnode": b["node"],
@@ -278,7 +272,6 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
     Returns (node, is_hub, score)."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
 
     from .relational import join_partitions_for
 
@@ -296,28 +289,20 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
     def edges():
         return read_table(spill, ["src", "dst"])
 
-    def sum_partial(key: str):
-        def part(batch: pa.Table) -> pa.Table:
-            d = batch[key].to_numpy()
-            con = batch["contrib"].to_numpy()
-            u, inv = np.unique(d, return_inverse=True)
-            s = np.zeros(len(u), dtype=np.int64)
-            np.add.at(s, inv, con)
-            return pa.table({"node": pa.array(u.astype(np.int64)),
-                             "s": pa.array(s)})
-        return part
+    def sum_cols(key: str):
+        def cols(batch: pa.Table) -> pa.Table:
+            return pa.table({"node": batch[key], "s": batch["contrib"]})
+        return cols
 
     # node inventories (hub side = distinct src, auth side = distinct
-    # dst) via the shared per-batch-partial degree pattern
+    # dst): a count per node, of which only the node is read
     def side_nodes(key: str):
-        def part(batch: pa.Table) -> pa.Table:
-            u = np.unique(batch[key].to_numpy())
-            return pa.table({"node": pa.array(u.astype(np.int64)),
-                             "d": pa.array(np.ones(len(u), np.int64))})
-        return edges().map_batches(part, batch_format="pyarrow",
-                                   zero_copy_batch=True,
-                                   batch_size=None) \
-            .groupby("node").aggregate(Sum("d", alias_name="deg"))
+        return aggregate(
+            edges().map_batches(
+                lambda b: pa.table({"node": b[key]}),
+                batch_format="pyarrow", zero_copy_batch=True),
+            "node", {"deg": ("node", "count")},
+            {"node": pa.int64(), "deg": pa.int64()})
 
     hub_nodes = side_nodes("src")
 
@@ -342,11 +327,13 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
             def push(batch: pa.Table) -> pa.Table:
                 nodes, scores = ray.get(cref)
                 idx = np.searchsorted(nodes, batch[src_key].to_numpy())
-                b = batch.append_column("contrib", pa.array(scores[idx]))
-                return sum_partial(dst_key)(b)
+                return pa.table({"node": batch[dst_key],
+                                 "s": pa.array(scores[idx])})
 
-            agg = edges().map_batches(push, batch_format="pyarrow") \
-                .groupby("node").aggregate(Sum("s", alias_name="s"))
+            agg = aggregate(
+                edges().map_batches(push, batch_format="pyarrow"),
+                "node", {"s": ("s", "sum")},
+                {"node": pa.int64(), "s": pa.int64()})
             t = collect(agg, pa.schema([("node", pa.int64()),
                                         ("s", pa.int64())]))
             nn = t["node"].to_numpy()
@@ -386,11 +373,12 @@ def hits(sf_dir: str, *, iters: int = HITS_ITERS,
                 batch_format="pyarrow", zero_copy_batch=True),
             join_type="inner", num_partitions=np_edges,
             on=(src_key,), right_on=("jnode",))
-        agg = joined.map_batches(sum_partial(dst_key),
-                                 batch_format="pyarrow") \
-            .groupby("node").aggregate(Sum("s", alias_name="s")) \
-            .materialize()
-        mx = max(1, int(agg.aggregate(Max("s"))["max(s)"]))
+        agg = aggregate(
+            joined.map_batches(sum_cols(dst_key), batch_format="pyarrow"),
+            "node", {"s": ("s", "sum")},
+            {"node": pa.int64(), "s": pa.int64()}).materialize()
+        mx = max(1, aggregate(agg, [], {"mx": ("s", "max")},
+                              {"mx": pa.int64()}).take_all()[0]["mx"])
         assert mx < (1 << 63) // HITS_SCALE, \
             "per-sweep sum overflows int64 HITS rescale"
 
@@ -492,7 +480,6 @@ def kcore(sf_dir: str, *, k: int | None = None,
     inside the core."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
@@ -505,17 +492,10 @@ def kcore(sf_dir: str, *, k: int | None = None,
 
     if k is None:
         # (degree value -> node count) histogram: tiny by construction
-        def hist_partial(batch: pa.Table) -> pa.Table:
-            u, c = np.unique(batch["outdeg"].to_numpy(),
-                             return_counts=True)
-            return pa.table({"v": pa.array(u.astype(np.int64)),
-                             "c": pa.array(c.astype(np.int64))})
-
-        hist = deg.map_batches(hist_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-            .groupby("v").aggregate(Sum("c", alias_name="c"))
-        h = collect(hist, pa.schema([("v", pa.int64()), ("c", pa.int64())]))
-        k = _median_from_hist(h["v"].to_numpy(), h["c"].to_numpy())
+        hsch = pa.schema([("outdeg", pa.int64()), ("c", pa.int64())])
+        h = collect(aggregate(deg, "outdeg", {"c": ("outdeg", "count")},
+                              hsch), hsch)
+        k = _median_from_hist(h["outdeg"].to_numpy(), h["c"].to_numpy())
 
     empty = pa.table({"node": pa.array([], pa.int64()),
                       "core_deg": pa.array([], pa.int64())})
@@ -534,13 +514,12 @@ def kcore(sf_dir: str, *, k: int | None = None,
                 s = batch["src"].to_numpy()
                 d = batch["dst"].to_numpy()
                 keep = np.isin(s, alive) & np.isin(d, alive)
-                u, c = np.unique(s[keep], return_counts=True)
-                return pa.table({
-                    "node": pa.array(u.astype(np.int64)),
-                    "c": pa.array(c.astype(np.int64))})
+                return pa.table({"node": pa.array(s[keep])})
 
-            agg = edges().map_batches(deg_alive, batch_format="pyarrow") \
-                .groupby("node").aggregate(Sum("c", alias_name="c"))
+            agg = aggregate(
+                edges().map_batches(deg_alive, batch_format="pyarrow"),
+                "node", {"c": ("node", "count")},
+                {"node": pa.int64(), "c": pa.int64()})
             t = collect(agg, pa.schema([("node", pa.int64()),
                                         ("c", pa.int64())]))
             nn = t["node"].to_numpy()
@@ -570,15 +549,10 @@ def kcore(sf_dir: str, *, k: int | None = None,
     alive_ds = deg.select_columns(["node"]).materialize()
     prev_n = alive_ds.count()
 
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["src"].to_numpy(), return_counts=True)
-        return pa.table({"node": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
-
     for rnd in range(max_rounds + 1):
         if prev_n == 0:
             return rd.from_arrow(empty)
-        dsub = edges().join(
+        dsub = aggregate(edges().join(
             alive_ds.map_batches(
                 lambda b: pa.table({"anode": b["node"]}),
                 batch_format="pyarrow", zero_copy_batch=True),
@@ -588,10 +562,10 @@ def kcore(sf_dir: str, *, k: int | None = None,
                 lambda b: pa.table({"bnode": b["node"]}),
                 batch_format="pyarrow", zero_copy_batch=True),
                 join_type="inner", num_partitions=np_edges,
-                on=("dst",), right_on=("bnode",)) \
-            .map_batches(deg_partial, batch_format="pyarrow") \
-            .groupby("node").aggregate(Sum("c", alias_name="c")) \
-            .materialize()
+                on=("dst",), right_on=("bnode",))
+            .map_batches(_src_node, batch_format="pyarrow"),
+            "node", {"c": ("node", "count")},
+            {"node": pa.int64(), "c": pa.int64()}).materialize()
 
         def keep_core(batch: pa.Table) -> pa.Table:
             t = batch.filter(pc.greater_equal(batch["c"],
@@ -687,7 +661,6 @@ def triangles(sf_dir: str):
     web-scale sparse graphs the node ordering bounds it by arboricity
     (document: TPC-H's co-supplier graph is pathologically dense, a
     worst case real link graphs don't hit)."""
-    from ray.data.aggregate import Sum
 
     from .relational import _parquet_rows
     from .shuffle import partitioned, run_pairs, runs
@@ -696,13 +669,13 @@ def triangles(sf_dir: str):
     li = read_table(li_path, ["l_partkey", "l_suppkey"])
 
     def ps_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"p": batch["l_partkey"], "s": batch["l_suppkey"]})
-        return t.group_by(["p", "s"]).aggregate(
-            [([], "count_all")]).select(["p", "s"])
+        return pa.table({"p": batch["l_partkey"], "s": batch["l_suppkey"]})
 
-    ps = li.map_batches(ps_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby(["p", "s"]).count().select_columns(["p", "s"])
+    ps = aggregate(
+        li.map_batches(ps_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["p", "s"], {},
+        {"p": pa.int64(), "s": pa.int64()})
 
     def pair_kernel(g: pa.Table) -> pa.Table:
         g = g.sort_by([("p", "ascending"), ("s", "ascending")])
@@ -720,14 +693,7 @@ def triangles(sf_dir: str):
     raw_pairs = partitioned(ps, "p", pair_kernel, {"e": pa.int64()},
                             rows_hint=_parquet_rows(li_path))
 
-    def e_partial(batch: pa.Table) -> pa.Table:
-        return pa.table({"e": pa.array(
-            np.unique(batch["e"].to_numpy()))})
-
-    edges = raw_pairs.map_batches(e_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True,
-                                  batch_size=None) \
-        .groupby("e").count().select_columns(["e"])
+    edges = aggregate(raw_pairs, "e", {}, {"e": pa.int64()})
     edges = edges.materialize()   # consumed twice: wedges + probe side
     n_edges = edges.count()
 
@@ -738,32 +704,24 @@ def triangles(sf_dir: str):
     keyed = edges.map_batches(with_u, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    # exact wedge volume = sum_u C(fwd_deg(u), 2), computed
-    # DISTRIBUTED (per-node degrees never reach the driver): one
-    # degree groupby over the edge table, one scalar Sum.  Sizes the
+    # exact wedge volume = sum_u C(fwd_deg(u), 2): one degree
+    # aggregate over the edge table, one scalar Sum.  Sizes the
     # wedge and closure stages honestly (the earlier n_edges*8 guess
     # under-partitions dense graphs) and drives the loud forward-
     # degree bail below.
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        uu, cc = np.unique(batch["u"].to_numpy(), return_counts=True)
-        return pa.table({"node": pa.array(uu.astype(np.int64)),
-                         "d": pa.array(cc.astype(np.int64))})
-
-    from ray.data.aggregate import Max as _Max
-
-    deg = keyed.map_batches(deg_partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("node").aggregate(Sum("d", alias_name="d"))
+    deg = aggregate(keyed, "u", {"d": ("u", "count")},
+                    {"u": pa.int64(), "d": pa.int64()})
 
     def wedge_count(batch: pa.Table) -> pa.Table:
         d = batch["d"].to_numpy()
         return pa.table({"w": pa.array(d * (d - 1) // 2),
                          "dmax": batch["d"]})
 
-    stats = deg.map_batches(wedge_count, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .aggregate(Sum("w", alias_name="n_wedges"),
-                   _Max("dmax", alias_name="max_fwd_deg"))
+    stats = aggregate(
+        deg.map_batches(wedge_count, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        [], {"n_wedges": ("w", "sum"), "max_fwd_deg": ("dmax", "max")},
+        {"n_wedges": pa.int64(), "max_fwd_deg": pa.int64()}).take_all()[0]
     n_wedges = int(stats["n_wedges"] or 0)
     max_fwd = int(stats["max_fwd_deg"] or 0)
     if max_fwd > TRI_MAX_FWD_DEG:
@@ -819,8 +777,10 @@ def triangles(sf_dir: str):
         return pa.table({"s_suppkey": batch["node"],
                          "n_triangles": batch["n_triangles"]})
 
-    return partials.groupby("node").aggregate(
-        Sum("c", alias_name="n_triangles")) \
+    return aggregate(
+        partials,
+        "node", {"n_triangles": ("c", "sum")},
+        {"node": pa.int64(), "n_triangles": pa.int64()}) \
         .map_batches(rename, batch_format="pyarrow",
                      zero_copy_batch=True)
 
@@ -850,7 +810,6 @@ def graph_components(sf_dir: str, *, qty_max: float = CC_QTY_MAX,
 
     Returns (node, comp)."""
     import ray.data as rd
-    from ray.data.aggregate import Min
 
     from .dedup import distributed_components
 
@@ -865,14 +824,13 @@ def graph_components(sf_dir: str, *, qty_max: float = CC_QTY_MAX,
         # doc_a < doc_b invariant: part ids are even, supplier ids odd
         a = np.minimum(p[m] * 2, s[m] * 2 + 1)
         b = np.maximum(p[m] * 2, s[m] * 2 + 1)
-        return pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b)}) \
-            .group_by(["doc_a", "doc_b"]).aggregate(
-                [([], "count_all")]).select(["doc_a", "doc_b"])
+        return pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b)})
 
-    pairs = li.map_batches(edge_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["doc_a", "doc_b"]).count() \
-        .select_columns(["doc_a", "doc_b"]).materialize()
+    pairs = aggregate(
+        li.map_batches(edge_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["doc_a", "doc_b"], {},
+        {"doc_a": pa.int64(), "doc_b": pa.int64()}).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
         return rd.from_arrow(pa.table({
@@ -882,10 +840,9 @@ def graph_components(sf_dir: str, *, qty_max: float = CC_QTY_MAX,
     labels = distributed_components(pairs, n_pairs)
 
     def self_rows(batch: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([batch["doc_a"].to_numpy(),
-                                      batch["doc_b"].to_numpy()]))
-        return pa.table({"doc_id": pa.array(u.astype(np.int64)),
-                         "cluster": pa.array(u.astype(np.int64))})
+        u = pa.concat_arrays([batch["doc_a"].combine_chunks(),
+                              batch["doc_b"].combine_chunks()])
+        return pa.table({"doc_id": u, "cluster": u})
 
     nodes = pairs.map_batches(self_rows, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -894,7 +851,9 @@ def graph_components(sf_dir: str, *, qty_max: float = CC_QTY_MAX,
         return pa.table({"node": batch["doc_id"],
                          "comp": batch["min(cluster)"]})
 
-    return labels.union(nodes).groupby("doc_id") \
-        .aggregate(Min("cluster")) \
+    return aggregate(
+        labels.union(nodes),
+        "doc_id", {"min(cluster)": ("cluster", "min")},
+        {"doc_id": pa.int64(), "min(cluster)": pa.int64()}) \
         .map_batches(rename, batch_format="pyarrow",
                      zero_copy_batch=True)

@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .shuffle import DEFAULT_CAP, key_counts, partitioned, runs, salt_plan
+from .shuffle import (DEFAULT_CAP, aggregate, key_counts, partitioned, runs,
+                      salt_plan)
 
 K_DEFAULT = 5
 
@@ -317,43 +318,21 @@ def knn_in_cells(ds, k: int = K_DEFAULT, cap: int = DEFAULT_CAP,
 def cell_aggregate(ds):
     """Per-hex7-cell aggregate with map-side partial aggregation.
 
-    Emits (hex7, n_pages, min/max lat/lon) — partials are combined inside
-    map_batches first so the groupby shuffles one row per (cell, batch)
-    instead of one per page (SURVEY §7.4).  Associative partials make
+    Emits (hex7, n_pages, min/max lat/lon) — ``shuffle.aggregate``
+    combines each block first, so one row per (cell, block) crosses
+    the wire instead of one per page (SURVEY §7.4).  Associative partials make
     hot cells a non-issue here — this IS the salting-free fast path for
     algebraic aggregates.  Counts are integers -> the DuckDB oracle hash
     is exact; min/max pick exact float values (order-independent).
     """
-    from ray.data.aggregate import Max, Min, Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = batch["hex7"].to_numpy()
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        cells, inv = np.unique(h, return_inverse=True)
-        cnt = np.bincount(inv)
-        mnlat = np.full(len(cells), np.inf)
-        mxlat = np.full(len(cells), -np.inf)
-        mnlon = np.full(len(cells), np.inf)
-        mxlon = np.full(len(cells), -np.inf)
-        np.minimum.at(mnlat, inv, lat)
-        np.maximum.at(mxlat, inv, lat)
-        np.minimum.at(mnlon, inv, lon)
-        np.maximum.at(mxlon, inv, lon)
-        return pa.table({
-            "hex7": pa.array(cells), "pc": pa.array(cnt.astype(np.int64)),
-            "mnlat": pa.array(mnlat), "mxlat": pa.array(mxlat),
-            "mnlon": pa.array(mnlon), "mxlon": pa.array(mxlon),
-        })
-
-    partials = ds.select_columns(["hex7", "lat", "lon"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None)
-    return partials.groupby("hex7").aggregate(
-        Sum("pc", alias_name="n_pages"),
-        Min("mnlat", alias_name="min_lat"), Max("mxlat", alias_name="max_lat"),
-        Min("mnlon", alias_name="min_lon"), Max("mxlon", alias_name="max_lon"),
-    )
+    return aggregate(
+        ds.select_columns(["hex7", "lat", "lon"]),
+        "hex7", {"n_pages": ("hex7", "count"), "min_lat": ("lat", "min"),
+         "max_lat": ("lat", "max"), "min_lon": ("lon", "min"),
+         "max_lon": ("lon", "max")},
+        {"hex7": pa.int64(), "n_pages": pa.int64(), "min_lat": pa.float64(),
+         "max_lat": pa.float64(), "min_lon": pa.float64(),
+         "max_lon": pa.float64()})
 
 
 def mutual_knn(ds, k: int = K_DEFAULT, cap: int = DEFAULT_CAP):

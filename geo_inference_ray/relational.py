@@ -17,7 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import collect, partitioned, partitions_for, run_pairs, runs
+from .shuffle import (aggregate, collect, partitioned, partitions_for,
+                      run_pairs, runs)
 from .sources import read_table
 
 
@@ -32,36 +33,30 @@ def pricing_summary(sf_dir: str):
     """TPC-H Q1 analog: lineitem grouped by (returnflag, linestatus) with
     map-side partial aggregation — one row per key per batch crosses the
     shuffle."""
-    from ray.data.aggregate import Sum
 
     ds = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_returnflag", "l_linestatus", "l_quantity",
                      "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        qty = pc.cast(batch["l_quantity"], pa.int64())
-        base = _cents(batch["l_extendedprice"])
-        disc_c = pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)),
-                         pa.int64())
-        g = pa.table({
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
-            "qty": qty, "base_cents": base, "disc_pct": disc_c,
-        }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("base_cents", "sum"), ("disc_pct", "sum"),
-             ([], "count_all")])
-        return pa.table({"l_returnflag": g["l_returnflag"],
-                         "l_linestatus": g["l_linestatus"],
-                         "sq": g["qty_sum"], "sb": g["base_cents_sum"],
-                         "sd": g["disc_pct_sum"], "n": g["count_all"]})
+            "qty": pc.cast(batch["l_quantity"], pa.int64()),
+            "base_cents": _cents(batch["l_extendedprice"]),
+            "disc_pct": pc.cast(pc.round(pc.multiply(
+                batch["l_discount"], 100.0)), pa.int64())})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sq", alias_name="sum_qty"),
-        Sum("sb", alias_name="sum_base_cents"),
-        Sum("sd", alias_name="sum_disc_pct"),
-        Sum("n", alias_name="count_order"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("qty", "sum"), "sum_base_cents": ("base_cents", "sum"),
+         "sum_disc_pct": ("disc_pct", "sum"),
+         "count_order": ("qty", "count")},
+        {"l_returnflag": pa.string(), "l_linestatus": pa.string(),
+         "sum_qty": pa.int64(), "sum_base_cents": pa.int64(),
+         "sum_disc_pct": pa.int64(), "count_order": pa.int64()})
 
 
 def top_customers(sf_dir: str, k: int = 10):
@@ -81,24 +76,17 @@ def top_customers(sf_dir: str, k: int = 10):
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_custkey": batch["o_custkey"],
-            "cents": _cents(batch["o_totalprice"]),
-        })
-        g = t.group_by("o_custkey").aggregate(
-            [("cents", "sum"), ("cents", "count")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "tc": g["cents_sum"],
-                         "n": pc.cast(g["cents_count"], pa.int64())})
+    def cents(batch: pa.Table) -> pa.Table:
+        return pa.table({"o_custkey": batch["o_custkey"],
+                         "cents": _cents(batch["o_totalprice"])})
 
-    from ray.data.aggregate import Sum
-
-    per_cust = orders.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True, batch_size=None) \
-        .groupby("o_custkey").aggregate(
-            Sum("tc", alias_name="total_cents"),
-            Sum("n", alias_name="n_orders"))
+    per_cust = aggregate(
+        orders.map_batches(cents, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None),
+        "o_custkey",
+        {"total_cents": ("cents", "sum"), "n_orders": ("cents", "count")},
+        {"o_custkey": pa.int64(), "total_cents": pa.int64(),
+         "n_orders": pa.int64()})
 
     def attach_name(batch: pa.Table) -> pa.Table:
         joined = batch.join(ray.get(cust_ref), keys="o_custkey",
@@ -122,7 +110,6 @@ def bucketed_join_agg(sf_dir: str, buckets: int = 16):
     both sides shuffle ONCE on the same key; skew in orderkey is
     structurally absent (uniform keys), hot-bucket salting would follow
     shuffle.salt_plan otherwise."""
-    from ray.data.aggregate import Sum
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_orderkey", "o_orderstatus"])
@@ -161,8 +148,11 @@ def bucketed_join_agg(sf_dir: str, buckets: int = 16):
 
     per_bucket = both.groupby("bucket").map_groups(join_bucket,
                                                    batch_format="pyarrow")
-    agg = per_bucket.groupby(["s1", "s2"]).aggregate(
-        Sum("nq", alias_name="sum_qty"), Sum("n", alias_name="n_rows"))
+    agg = aggregate(
+        per_bucket,
+        ["s1", "s2"], {"sum_qty": ("nq", "sum"), "n_rows": ("n", "sum")},
+        {"s1": pa.string(), "s2": pa.string(), "sum_qty": pa.int64(),
+         "n_rows": pa.int64()})
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({"o_orderstatus": batch["s1"],
@@ -235,48 +225,31 @@ def _parquet_rows(path: str) -> int:
     return pq.read_metadata(path).num_rows
 
 
-def _restore_us(col: str):
-    """Ray 2.49's groupby downcasts timestamp[us] group keys to
-    timestamp[s] on the way through the shuffle; cast the (small)
-    aggregate output back so dtypes match the DuckDB oracle exactly."""
-    def fix(batch: pa.Table) -> pa.Table:
-        i = batch.schema.get_field_index(col)
-        return batch.set_column(
-            i, col, pc.cast(batch[col], pa.timestamp("us")))
-    return fix
-
-
 def events_hourly(sf_dir: str):
     """Time-bucket aggregation over the events stream table: per
     (user_id, event_type, hour) counts and milli-value sums — the
     tumbling-window analog (ray_guide 'Streaming-shaped workloads')."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet",
                     ["user_id", "event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         hour = pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
                        pa.timestamp("us"))
         vm = pc.cast(pc.round(pc.multiply(batch["value"], 1000.0)),
                      pa.int64())
-        t = pa.table({"user_id": batch["user_id"],
-                      "event_type": batch["event_type"],
-                      "hour": hour, "vm": vm})
-        g = t.group_by(["user_id", "event_type", "hour"]).aggregate(
-            [("vm", "sum"), ("vm", "count")])
-        return pa.table({"user_id": g["user_id"],
-                         "event_type": g["event_type"],
-                         "hour": g["hour"], "v": g["vm_sum"],
-                         "n": pc.cast(g["vm_count"], pa.int64())})
+        return pa.table({"user_id": batch["user_id"],
+                         "event_type": batch["event_type"],
+                         "hour": hour, "vm": vm})
 
-    return ev.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["user_id", "event_type", "hour"]).aggregate(
-            Sum("v", alias_name="value_milli"),
-            Sum("n", alias_name="n_events")) \
-        .map_batches(_restore_us("hour"), batch_format="pyarrow",
-                     zero_copy_batch=True)
+    return aggregate(
+        ev.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["user_id", "event_type", "hour"], {"value_milli": ("vm", "sum"),
+                                            "n_events": ("vm", "count")},
+        {"user_id": pa.int64(), "event_type": pa.string(),
+         "hour": pa.timestamp("us"), "value_milli": pa.int64(),
+         "n_events": pa.int64()})
 
 
 def native_join_agg(sf_dir: str, num_partitions: int = 8):
@@ -284,7 +257,6 @@ def native_join_agg(sf_dir: str, num_partitions: int = 8):
     this Ray version) — the third join strategy next to broadcast
     (top_customers) and explicit bucketing (bucketed_join_agg).  orders
     x customer on custkey -> per-mktsegment order counts + cents."""
-    from ray.data.aggregate import Sum
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_custkey", "o_totalprice"])
@@ -301,17 +273,12 @@ def native_join_agg(sf_dir: str, num_partitions: int = 8):
                          num_partitions=num_partitions,
                          on=("o_custkey",), right_on=("c_custkey",))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("c_mktsegment").aggregate(
-            [("cents", "sum"), ("cents", "count")])
-        return pa.table({"c_mktsegment": g["c_mktsegment"],
-                         "tc": g["cents_sum"],
-                         "n": pc.cast(g["cents_count"], pa.int64())})
-
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_mktsegment").aggregate(
-            Sum("tc", alias_name="total_cents"),
-            Sum("n", alias_name="n_orders"))
+    return aggregate(
+        joined,
+        "c_mktsegment", {"total_cents": ("cents", "sum"),
+                         "n_orders": ("cents", "count")},
+        {"c_mktsegment": pa.string(), "total_cents": pa.int64(),
+         "n_orders": pa.int64()})
 
 
 def _rev_cents(ext: pa.ChunkedArray, disc: pa.ChunkedArray):
@@ -350,27 +317,24 @@ def q3_shipping(sf_dir: str):
 
     Revenue cents = round(extprice * (1-disc) * 100) per LINE, same
     IEEE-754 expression order as the SQL mirror, summed as int64."""
-    from ray.data.aggregate import Sum
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_orderkey", "l_extendedprice", "l_discount",
                      "l_shipdate"])
 
-    def rev_partial(batch: pa.Table) -> pa.Table:
+    def rev_cols(batch: pa.Table) -> pa.Table:
         keep = pc.greater(pc.cast(batch["l_shipdate"], pa.int64()),
                           Q3_CUTOFF_US)
         b = batch.filter(keep)
         rev = _rev_cents(b["l_extendedprice"], b["l_discount"])
-        t = pa.table({"l_orderkey": b["l_orderkey"], "rev": rev})
-        g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "revenue_cents": g["rev_sum"]})
+        return pa.table({"l_orderkey": b["l_orderkey"], "rev": rev})
 
     li_rows = _parquet_rows(f"{sf_dir}/lineitem.parquet")
-    rev = li.map_batches(rev_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("l_orderkey").aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"))
+    rev = aggregate(
+        li.map_batches(rev_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "l_orderkey", {"revenue_cents": ("rev", "sum")},
+        {"l_orderkey": pa.int64(), "revenue_cents": pa.int64()})
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_orderkey", "o_custkey", "o_orderdate",
@@ -414,8 +378,7 @@ def q3_shipping(sf_dir: str):
     return joined.map_batches(topk_part, batch_format="pyarrow") \
         .repartition(1) \
         .map_batches(topk_part, batch_format="pyarrow",
-                     batch_size=None) \
-        .map_batches(_restore_us("o_orderdate"), batch_format="pyarrow")
+                     batch_size=None)
 
 
 RFM_TILES = 4         # NTILE bucket count
@@ -442,8 +405,8 @@ def _metric_offsets_all(base, metrics):
     """{metric: (lo, width, ray.put(offsets))} for every metric's
     equal-width range grid, in TWO passes over ``base`` total: one
     aggregate for all min/max scalars, one (metric, range)-keyed count
-    pre-pass (map-side partials -> groupby -> a <= |metrics| x
-    RFM_RANGES-row driver fold) -> exclusive prefix offsets, broadcast
+    pre-pass (a ``shuffle.aggregate`` count -> a <= |metrics| x
+    RFM_RANGES-row table) -> exclusive prefix offsets, broadcast
     once each.
 
     Loud bail when any single range holds more than
@@ -454,32 +417,32 @@ def _metric_offsets_all(base, metrics):
     single-task sort.  Callers must re-bucket (finer grid only helps
     when values differ) or split ties by a secondary key."""
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
-    aggs = [Min(m) for m in metrics] + [Max(m) for m in metrics]
-    mm = base.aggregate(*aggs)
+    bounds = {f"{op}_{m}": (m, op) for m in metrics for op in ("min", "max")}
+    mm = aggregate(base, [], bounds,
+                   {n: pa.int64() for n in bounds}).take_all()[0]
     lo_w = {}
     for m in metrics:
-        lo, hi = int(mm[f"min({m})"]), int(mm[f"max({m})"])
+        lo, hi = mm[f"min_{m}"], mm[f"max_{m}"]
         lo_w[m] = (lo, max(1, -(-(hi - lo + 1) // RFM_RANGES)))
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        mids, rids, cs = [], [], []
+    def range_ids(batch: pa.Table) -> pa.Table:
+        # one (metric, range) row per row and metric
+        mids, rids = [], []
         for i, m in enumerate(metrics):
             lo, width = lo_w[m]
-            rid = (batch[m].to_numpy() - lo) // width
-            u, c = np.unique(rid, return_counts=True)
-            mids.append(np.full(len(u), i, np.int64))
-            rids.append(u.astype(np.int64))
-            cs.append(c.astype(np.int64))
+            rids.append((batch[m].to_numpy() - lo) // width)
+            mids.append(np.full(len(batch), i, np.int64))
         return pa.table({"mid": pa.array(np.concatenate(mids)),
-                         "rid": pa.array(np.concatenate(rids)),
-                         "c": pa.array(np.concatenate(cs))})
+                         "rid": pa.array(np.concatenate(rids)
+                                         .astype(np.int64))})
 
     counts = {m: np.zeros(RFM_RANGES, dtype=np.int64) for m in metrics}
-    for b in base.map_batches(count_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .groupby(["mid", "rid"]).aggregate(Sum("c", alias_name="n")) \
+    for b in aggregate(
+        base.map_batches(range_ids, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None),
+        ["mid", "rid"], {"n": ("mid", "count")},
+        {"mid": pa.int64(), "rid": pa.int64(), "n": pa.int64()}) \
             .iter_batches(batch_size=RFM_RANGES,
                           batch_format="pyarrow"):
         mid = b["mid"].to_numpy()
@@ -545,29 +508,24 @@ def rfm_scores(sf_dir: str):
     it feeds three rank passes and their pre-passes), then three
     chained range-partitioned exact-rank passes append the scores.
     Nothing ever global-sorts; each pass is one slim-row shuffle."""
-    from ray.data.aggregate import Max, Sum
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_custkey", "o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_custkey": batch["o_custkey"],
-                      "r_us": pc.cast(batch["o_orderdate"], pa.int64()),
-                      "m_cents": _cents(batch["o_totalprice"]),
-                      "f": pa.array(np.ones(len(batch), np.int64))})
-        g = t.group_by("o_custkey").aggregate(
-            [("r_us", "max"), ("m_cents", "sum"), ("f", "sum")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "r_us": g["r_us_max"],
-                         "m_cents": g["m_cents_sum"],
-                         "f": g["f_sum"]})
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"o_custkey": batch["o_custkey"],
+                         "r_us": pc.cast(batch["o_orderdate"], pa.int64()),
+                         "m_cents": _cents(batch["o_totalprice"]),
+                         "f": pa.array(np.ones(len(batch), np.int64))})
 
-    base = orders.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-        .groupby("o_custkey").aggregate(
-            Max("r_us", alias_name="r_us"),
-            Sum("m_cents", alias_name="m_cents"),
-            Sum("f", alias_name="f")).materialize()
+    base = aggregate(
+        orders.map_batches(cols, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None),
+        "o_custkey", {"r_us": ("r_us", "max"),
+                      "m_cents": ("m_cents", "sum"),
+                      "f": ("f", "sum")},
+        {"o_custkey": pa.int64(), "r_us": pa.int64(), "m_cents": pa.int64(),
+         "f": pa.int64()}).materialize()
     total = base.count()
 
     # all three offset grids come from the materialized base in TWO
@@ -756,7 +714,6 @@ def q5_local_supply(sf_dir: str):
     line side, sized by join_partitions_for on the LINE side; the
     nation-name attach is a 25-row batch-local lookup; the final
     groupby is map-side-partial over <= |nations| keys."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     o_path = f"{sf_dir}/orders.parquet"
@@ -806,18 +763,16 @@ def q5_local_supply(sf_dir: str):
     nat_ref = _name_map_broadcast(f"{sf_dir}/nation.parquet",
                                   "n_nationkey", "n_name")
 
-    def local_partial(batch: pa.Table) -> pa.Table:
+    def local_cols(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch["cnat"], batch["snat"])
         b = batch.filter(keep)
-        t = pa.table({"nk": b["cnat"], "rev": b["rev"],
-                      "n": pa.array(np.ones(len(b), np.int64))})
-        g = t.group_by("nk").aggregate([("rev", "sum"), ("n", "sum")])
-        return pa.table({"nk": g["nk"], "rev": g["rev_sum"],
-                         "n": g["n_sum"]})
+        return pa.table({"nk": b["cnat"], "rev": b["rev"],
+                         "n": pa.array(np.ones(len(b), np.int64))})
 
-    agg = joined.map_batches(local_partial, batch_format="pyarrow") \
-        .groupby("nk").aggregate(Sum("rev", alias_name="revenue_cents"),
-                                 Sum("n", alias_name="n_lines"))
+    agg = aggregate(
+        joined.map_batches(local_cols, batch_format="pyarrow"),
+        "nk", {"revenue_cents": ("rev", "sum"), "n_lines": ("n", "sum")},
+        {"nk": pa.int64(), "revenue_cents": pa.int64(), "n_lines": pa.int64()})
 
     def name_attach(batch: pa.Table) -> pa.Table:
         names = _probe_names(nat_ref, batch["nk"].to_numpy(), "nk")
@@ -840,7 +795,6 @@ def sliding_distinct(sf_dir: str):
     pairs before the ONE distinct shuffle, and the per-window count is
     a second map-side-partial groupby over the (windows x active
     users)-bounded pair table."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
@@ -851,22 +805,16 @@ def sliding_distinct(sf_dir: str):
         t = pa.table({
             "ws_us": pa.array(np.concatenate([ws, ws - SLIDE_HOP_US])),
             "user_id": pa.array(np.concatenate([uid, uid]))})
-        return t.group_by(["ws_us", "user_id"]).aggregate(
-            [([], "count_all")]).select(["ws_us", "user_id"])
+        return t
 
-    pairs = ev.map_batches(emit, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["ws_us", "user_id"]).count() \
-        .select_columns(["ws_us", "user_id"])
+    pairs = aggregate(
+        ev.map_batches(emit, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["ws_us", "user_id"], {},
+        {"ws_us": pa.int64(), "user_id": pa.int64()})
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["ws_us"].to_numpy(), return_counts=True)
-        return pa.table({"ws_us": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
-
-    agg = pairs.map_batches(count_partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("ws_us").aggregate(Sum("c", alias_name="n_users"))
+    agg = aggregate(pairs, "ws_us", {"n_users": ("ws_us", "count")},
+                    {"ws_us": pa.int64(), "n_users": pa.int64()})
 
     def to_ts(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -896,19 +844,18 @@ def weekly_growth(sf_dir: str):
     flat week (same count as the week before); only its position as
     the earliest week marks it."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        w = pc.cast(batch["ts"], pa.int64()).to_numpy() // WEEK_US
-        u, c = np.unique(w, return_counts=True)
-        return pa.table({"week": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
+    def weeks(batch: pa.Table) -> pa.Table:
+        return pa.table({"week": pa.array(
+            pc.cast(batch["ts"], pa.int64()).to_numpy() // WEEK_US)})
 
-    agg = ev.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("week").aggregate(Sum("c", alias_name="n"))
+    agg = aggregate(
+        ev.map_batches(weeks, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "week", {"n": ("week", "count")},
+        {"week": pa.int64(), "n": pa.int64()})
 
     t = collect(agg, pa.schema([("week", pa.int64()), ("n", pa.int64())]),
                 WEEKLY_MAX_WEEKS)
@@ -951,7 +898,6 @@ def transitions(sf_dir: str):
     per partition (the order_gap shape), then a |types|^2-bounded
     count aggregate.  First event per user has no predecessor and
     emits nothing (SQL LAG NULL)."""
-    from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
     ev = read_table(path, ["event_id", "user_id", "ts", "event_type"])
@@ -962,17 +908,15 @@ def transitions(sf_dir: str):
         uid = g["user_id"].to_numpy()
         et = g["event_type"]
         same = uid[1:] == uid[:-1]
-        d = pa.table({"from_type": et[:-1].filter(same),
-                      "to_type": et[1:].filter(same)})
-        return d.group_by(["from_type", "to_type"]).aggregate(
-            [([], "count_all")]).rename_columns(["from_type", "to_type", "n"])
+        return pa.table({"from_type": et[:-1].filter(same),
+                         "to_type": et[1:].filter(same)})
 
     pairs = partitioned(ev, "user_id", pair_part,
-                        {"from_type": pa.string(), "to_type": pa.string(),
-                         "n": pa.int64()},
+                        {"from_type": pa.string(), "to_type": pa.string()},
                         rows_hint=_parquet_rows(path))
-    return pairs.groupby(["from_type", "to_type"]).aggregate(
-        Sum("n", alias_name="n"))
+    return aggregate(
+        pairs, ["from_type", "to_type"], {"n": ("from_type", "count")},
+        {"from_type": pa.string(), "to_type": pa.string(), "n": pa.int64()})
 
 
 def hash_sample(sf_dir: str, pct: int = 10):
@@ -1021,7 +965,6 @@ def rendezvous_shards(sf_dir: str, n_shards: int = HRW_SHARDS):
     Output: per-shard (shard, n_docs, id_sum) — counts plus an id
     checksum, one tiny groupby after a batch-local argmax; the
     (docs x shards) score matrix never leaves the task."""
-    from ray.data.aggregate import Sum
 
     a, b = (HRW_A, HRW_B) if n_shards == HRW_SHARDS \
         else _hrw_coeffs(n_shards)
@@ -1031,19 +974,16 @@ def rendezvous_shards(sf_dir: str, n_shards: int = HRW_SHARDS):
         # (n, S) scores; argmax picks the FIRST max = lowest shard id
         sc = (d[:, None] * a[None, :] + b[None, :]) % HRW_MOD
         sh = np.argmax(sc, axis=1).astype(np.int64)
-        t = pa.table({"shard": pa.array(sh),
-                      "doc_id": batch["doc_id"]})
-        g = t.group_by("shard").aggregate([([], "count_all"),
-                                           ("doc_id", "sum")])
-        return pa.table({"shard": g["shard"],
-                         "n": pc.cast(g["count_all"], pa.int64()),
-                         "s": pc.cast(g["doc_id_sum"], pa.int64())})
+        return pa.table({"shard": pa.array(sh),
+                         "doc_id": batch["doc_id"]})
 
-    return read_table(f"{sf_dir}/documents.parquet", ["doc_id"]) \
-        .map_batches(assign, batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None) \
-        .groupby("shard").aggregate(Sum("n", alias_name="n_docs"),
-                                    Sum("s", alias_name="id_sum"))
+    return aggregate(
+        read_table(f"{sf_dir}/documents.parquet", ["doc_id"]).map_batches(
+            assign, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None),
+        "shard", {"n_docs": ("shard", "count"),
+                  "id_sum": ("doc_id", "sum")},
+        {"shard": pa.int64(), "n_docs": pa.int64(), "id_sum": pa.int64()})
 
 
 PRI_HMOD = 1_000_000_007   # uniform grid for the pseudo-random u
@@ -1142,7 +1082,6 @@ def stratified_sample(sf_dir: str, k: int = 5):
 def union_counts(sf_dir: str):
     """Set-op demo: union of region + nation name columns with source
     tags, counted per source (Dataset.union)."""
-    from ray.data.aggregate import Count
 
     r = read_table(f"{sf_dir}/region.parquet", ["r_name"])
     n = read_table(f"{sf_dir}/nation.parquet", ["n_name"])
@@ -1156,14 +1095,16 @@ def union_counts(sf_dir: str):
 
     u = r.map_batches(tag("region"), batch_format="pyarrow").union(
         n.map_batches(tag("nation"), batch_format="pyarrow"))
-    return u.groupby("src").aggregate(Count(alias_name="n"))
+    return aggregate(
+        u,
+        "src", {"n": ("src", "count")},
+        {"src": pa.string(), "n": pa.int64()})
 
 
 def events_sliding(sf_dir: str):
     """Sliding windows: 1-hour windows hopping every 30 minutes — each
     event lands in exactly two windows (flat emit to both owners, then
     the same grouped aggregate as the tumbling case)."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
@@ -1177,21 +1118,12 @@ def events_sliding(sf_dir: str):
                        "window_start": prev})
         return pa.concat_tables([t1, t2]).combine_chunks()
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "window_start"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g["event_type"],
-                         "window_start": g["window_start"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    return ev.map_batches(emit, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .map_batches(partial, batch_format="pyarrow",
-                     batch_size=None) \
-        .groupby(["event_type", "window_start"]).aggregate(
-            Sum("n", alias_name="n_events")) \
-        .map_batches(_restore_us("window_start"), batch_format="pyarrow",
-                     zero_copy_batch=True)
+    return aggregate(
+        ev.map_batches(emit, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["event_type", "window_start"], {"n_events": ("event_type", "count")},
+        {"event_type": pa.string(), "window_start": pa.timestamp("us"),
+         "n_events": pa.int64()})
 
 
 def sessionize(sf_dir: str, gap_minutes: int = 30):
@@ -1366,7 +1298,6 @@ def train_shuffle(sf_dir: str, num_shards: int = 8):
     ORDER BY h, doc_id)."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     M, K = TS_HASH_M, TS_HASH_K
     n_ranges = (M >> TS_RANGE_BITS) + 1
@@ -1389,14 +1320,10 @@ def train_shuffle(sf_dir: str, num_shards: int = 8):
     base = ds.map_batches(keyed, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    def cell_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["cell"].to_numpy(), return_counts=True)
-        return pa.table({"cell": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
-    t = collect(base.map_batches(cell_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
-                .groupby("cell").aggregate(Sum("c", alias_name="n")),
+    t = collect(aggregate(
+        base,
+        "cell", {"n": ("cell", "count")},
+        {"cell": pa.int64(), "n": pa.int64()}),
                 pa.schema([("cell", pa.int64()), ("n", pa.int64())]))
     if not t.num_rows:
         import ray.data as rd
@@ -1492,7 +1419,6 @@ def events_rollup(sf_dir: str):
     levels (key space = 3x types x hours, never rows), then a single
     groupby Sum.  Rolled-up keys use sentinels ('ALL', -1) instead of
     NULLs so the group keys stay non-nullable through Ray's shuffle."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts", "value"])
 
@@ -1523,11 +1449,13 @@ def events_rollup(sf_dir: str):
                 "n": pc.cast(g["vm_count"], pa.int64())}))
         return pa.concat_tables(levels)
 
-    return ev.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["level", "event_type", "hour"]).aggregate(
-            Sum("v", alias_name="value_milli"),
-            Sum("n", alias_name="n_events"))
+    return aggregate(
+        ev.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["level", "event_type", "hour"], {"value_milli": ("v", "sum"),
+         "n_events": ("n", "sum")},
+        {"level": pa.int64(), "event_type": pa.string(), "hour": pa.int64(),
+         "value_milli": pa.int64(), "n_events": pa.int64()})
 
 
 def distinct_users(sf_dir: str):
@@ -1536,23 +1464,14 @@ def distinct_users(sf_dir: str):
     distinct groupby -> a type-bounded count aggregate.  The shuffle
     carries one row per DISTINCT (type, user) pair, never the event
     stream."""
-    from ray.data.aggregate import Count
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "user_id"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "user_id"]).aggregate([])
-        return g
-
-    pairs = ev.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "user_id"]).count()
-
-    def drop_cnt(batch: pa.Table) -> pa.Table:
-        return batch.select(["event_type", "user_id"])
-
-    return pairs.map_batches(drop_cnt, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(Count(alias_name="n_users"))
+    pairs = aggregate(ev, ["event_type", "user_id"], {},
+                      {"event_type": pa.string(), "user_id": pa.int64()})
+    return aggregate(
+        pairs, "event_type", {"n_users": ("event_type", "count")},
+        {"event_type": pa.string(), "n_users": pa.int64()})
 
 
 def length_percentile_rank(sf_dir: str):
@@ -1566,7 +1485,6 @@ def length_percentile_rank(sf_dir: str):
     state is one row per DISTINCT length (value-space-bounded)."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
 
@@ -1577,14 +1495,14 @@ def length_percentile_rank(sf_dir: str):
     base = ds.map_batches(keyed, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["n_chars"].to_numpy(), return_counts=True)
-        return pa.table({"L": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
+    def lengths(batch: pa.Table) -> pa.Table:
+        return pa.table({"L": batch["n_chars"]})
 
-    t = collect(base.map_batches(hist_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
-                .groupby("L").aggregate(Sum("c", alias_name="n")),
+    t = collect(aggregate(
+        base.map_batches(lengths, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None),
+        "L", {"n": ("L", "count")},
+        {"L": pa.int64(), "n": pa.int64()}),
                 pa.schema([("L", pa.int64()), ("n", pa.int64())]))
     if not t.num_rows:
         return rd.from_arrow(pa.table({
@@ -1641,7 +1559,6 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
     - day keys are integer floor epoch-days (``epoch_us // 86400e6``,
       same arithmetic in the DuckDB oracle), so the result is exact."""
     import ray
-    from ray.data.aggregate import Min, Sum
 
     from .pools import spill_dir
 
@@ -1652,41 +1569,37 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
             .astype(np.int64) // RET_DAY_US
         t = pa.table({"user_id": batch["user_id"],
                       "day": pa.array(day)})
-        return t.group_by(["user_id", "day"]).aggregate(
-            [([], "count_all")]).select(["user_id", "day"])
+        return t
 
     # the distinct user-day table is consumed twice (first-day groupby +
     # cohort attach): spill it to parquet scratch instead of recomputing
     # the distinct shuffle or pinning it in plasma (minhash band pattern)
     spill = spill_dir("retention_userdays")
-    ev.map_batches(day_partial, batch_format="pyarrow",
-                   zero_copy_batch=True, batch_size=None) \
-        .groupby(["user_id", "day"]).count() \
-        .select_columns(["user_id", "day"]) \
-        .write_parquet(spill)
+    aggregate(
+        ev.map_batches(day_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["user_id", "day"], {},
+        {"user_id": pa.int64(), "day": pa.int64()}).write_parquet(spill)
 
     def user_days_ds():
         return read_table(spill, ["user_id", "day"])
 
     # first-day map: one row per user
-    first = user_days_ds().groupby("user_id").aggregate(
-        Min("day", alias_name="cohort_day"))
+    first = aggregate(
+        user_days_ds(),
+        "user_id", {"cohort_day": ("day", "min")},
+        {"user_id": pa.int64(), "cohort_day": pa.int64()})
 
     firsts = collect(first, pa.schema([("user_id", pa.int64()),
                                        ("cohort_day", pa.int64())]),
                      broadcast_cap)
 
-    def cell_partial(batch: pa.Table) -> pa.Table:
-        """(cohort_day, day_offset) partial counts; input rows are
-        distinct user-days so COUNT here is distinct users."""
-        t = pa.table({"cohort_day": batch["cohort_day"],
-                      "day_offset": pc.subtract(batch["day"],
-                                                batch["cohort_day"])})
-        g = t.group_by(["cohort_day", "day_offset"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"cohort_day": g["cohort_day"],
-                         "day_offset": g["day_offset"],
-                         "u": pc.cast(g["count_all"], pa.int64())})
+    def cell_cols(batch: pa.Table) -> pa.Table:
+        """(cohort_day, day_offset) rows; input rows are distinct
+        user-days, so their COUNT is distinct users."""
+        return pa.table({"cohort_day": batch["cohort_day"],
+                         "day_offset": pc.subtract(batch["day"],
+                                                   batch["cohort_day"])})
 
     if firsts is not None:
         u = firsts["user_id"].to_numpy()
@@ -1699,7 +1612,7 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
             users, cohort = ray.get(fref)
             idx = np.searchsorted(users, batch["user_id"].to_numpy())
             b = batch.append_column("cohort_day", pa.array(cohort[idx]))
-            return cell_partial(b)
+            return cell_cols(b)
 
         cells = user_days_ds().map_batches(attach_cohort,
                                            batch_format="pyarrow")
@@ -1710,10 +1623,13 @@ def retention(sf_dir: str, *, broadcast_cap: int = 5_000_000):
             first, join_type="inner",
             num_partitions=join_partitions_for((broadcast_cap + 1) * 4),
             on=("user_id",))
-        cells = joined.map_batches(cell_partial, batch_format="pyarrow")
+        cells = joined.map_batches(cell_cols, batch_format="pyarrow")
 
-    return cells.groupby(["cohort_day", "day_offset"]).aggregate(
-        Sum("u", alias_name="n_users"))
+    return aggregate(
+        cells, ["cohort_day", "day_offset"],
+        {"n_users": ("cohort_day", "count")},
+        {"cohort_day": pa.int64(), "day_offset": pa.int64(),
+         "n_users": pa.int64()})
 
 
 def props_extract(sf_dir: str):
@@ -1723,37 +1639,32 @@ def props_extract(sf_dir: str):
     parser), then aggregate per event_type: row count, extracted count,
     sum/min/max of k.  Both sides use RE2 ('"k":\\s*(-?\\d+)'), so the
     DuckDB ``regexp_extract`` oracle is exact."""
-    from ray.data.aggregate import Max, Min, Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "props"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch["props"],
                              pattern=r'"k":\s*(?P<v>-?\d+)')
         k = pc.cast(pc.struct_field(m, "v"), pa.int64())
         has = pc.cast(pc.is_valid(k), pa.int64())
         k0 = pc.fill_null(k, 0)
-        t = pa.table({"event_type": batch["event_type"],
-                      "k": k0, "has": has,
-                      # min/max must ignore misses: sentinel to extremes
-                      "kmin": pc.fill_null(k, np.iinfo(np.int64).max),
-                      "kmax": pc.fill_null(k, np.iinfo(np.int64).min)})
-        g = t.group_by("event_type").aggregate(
-            [("k", "sum"), ("has", "sum"), ("has", "count"),
-             ("kmin", "min"), ("kmax", "max")])
-        return pa.table({"event_type": g["event_type"],
-                         "n": pc.cast(g["has_count"], pa.int64()),
-                         "nk": g["has_sum"], "sk": g["k_sum"],
-                         "mn": g["kmin_min"], "mx": g["kmax_max"]})
+        return pa.table({"event_type": batch["event_type"],
+                         "k": k0, "has": has,
+                         # min/max must ignore misses: sentinel to extremes
+                         "kmin": pc.fill_null(k, np.iinfo(np.int64).max),
+                         "kmax": pc.fill_null(k, np.iinfo(np.int64).min)})
 
-    agg = ev.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("event_type").aggregate(
-            Sum("n", alias_name="n_events"),
-            Sum("nk", alias_name="n_with_k"),
-            Sum("sk", alias_name="sum_k"),
-            Min("mn", alias_name="min_k"),
-            Max("mx", alias_name="max_k"))
+    agg = aggregate(
+        ev.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "event_type", {"n_events": ("has", "count"),
+                       "n_with_k": ("has", "sum"),
+                       "sum_k": ("k", "sum"),
+                       "min_k": ("kmin", "min"),
+                       "max_k": ("kmax", "max")},
+        {"event_type": pa.string(), "n_events": pa.int64(),
+         "n_with_k": pa.int64(), "sum_k": pa.int64(), "min_k": pa.int64(),
+         "max_k": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         """NULL the min/max sentinels for groups with zero extractions
@@ -1788,7 +1699,6 @@ def corr_stats(sf_dir: str):
     double and evaluates the SAME expression tree as the SQL mirror
     (IEEE ops are correctly rounded, so identical op order ⇒ bitwise
     equality — the engine-wide float-exactness convention)."""
-    from ray.data.aggregate import Sum
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_returnflag", "l_quantity", "l_discount"])
@@ -1807,25 +1717,23 @@ def corr_stats(sf_dir: str):
                         or qn.min() < 0 or dn.min() < 0):
             raise ValueError("corr_stats moment overflow guard: "
                              "inputs outside [0, 2^13)")
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "q": q, "d": d,
-                      "qq": pa.array(qn * qn), "dd": pa.array(dn * dn),
-                      "qd": pa.array(qn * dn)})
-        g = t.group_by("l_returnflag").aggregate(
-            [("q", "sum"), ("d", "sum"), ("qq", "sum"),
-             ("dd", "sum"), ("qd", "sum"), ("q", "count")])
-        return pa.table({"l_returnflag": g["l_returnflag"],
-                         "sq": g["q_sum"], "sd": g["d_sum"],
-                         "sqq": g["qq_sum"], "sdd": g["dd_sum"],
-                         "sqd": g["qd_sum"],
-                         "n": pc.cast(g["q_count"], pa.int64())})
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "q": q, "d": d,
+                         "qq": pa.array(qn * qn), "dd": pa.array(dn * dn),
+                         "qd": pa.array(qn * dn)})
 
-    agg = li.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("l_returnflag").aggregate(
-            Sum("sq", alias_name="sq"), Sum("sd", alias_name="sd"),
-            Sum("sqq", alias_name="sqq"), Sum("sdd", alias_name="sdd"),
-            Sum("sqd", alias_name="sqd"), Sum("n", alias_name="n"))
+    agg = aggregate(
+        li.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "l_returnflag", {"sq": ("q", "sum"),
+                         "sd": ("d", "sum"),
+                         "sqq": ("qq", "sum"),
+                         "sdd": ("dd", "sum"),
+                         "sqd": ("qd", "sum"),
+                         "n": ("q", "count")},
+        {"l_returnflag": pa.string(), "sq": pa.int64(), "sd": pa.int64(),
+         "sqq": pa.int64(), "sdd": pa.int64(), "sqd": pa.int64(),
+         "n": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy().astype(np.float64)
@@ -1862,32 +1770,29 @@ def except_days(sf_dir: str):
     flags (had-purchase, had-signup), a single groupby Max merges them,
     and a vectorized filter keeps p=1 ∧ s=0.  No row-level anti-join,
     no driver collect."""
-    from ray.data.aggregate import Max
 
     ev = read_table(f"{sf_dir}/events.parquet",
                     ["user_id", "ts", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["event_type"],
                         value_set=pa.array(["purchase", "signup"]))
         b = batch.filter(keep)
         day = pc.divide(pc.cast(b["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({
-            "user_id": b["user_id"], "d": day,
-            "p": pc.cast(pc.equal(b["event_type"], "purchase"),
-                         pa.int64()),
-            "s": pc.cast(pc.equal(b["event_type"], "signup"),
-                         pa.int64())})
-        g = t.group_by(["user_id", "d"]).aggregate(
-            [("p", "max"), ("s", "max")])
-        return pa.table({"user_id": g["user_id"], "d": g["d"],
-                         "p": g["p_max"], "s": g["s_max"]})
+        return pa.table({
+               "user_id": b["user_id"], "d": day,
+               "p": pc.cast(pc.equal(b["event_type"], "purchase"),
+                            pa.int64()),
+               "s": pc.cast(pc.equal(b["event_type"], "signup"),
+                            pa.int64())})
 
-    flags = ev.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["user_id", "d"]).aggregate(
-            Max("p", alias_name="p"), Max("s", alias_name="s"))
+    flags = aggregate(
+        ev.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["user_id", "d"], {"p": ("p", "max"), "s": ("s", "max")},
+        {"user_id": pa.int64(), "d": pa.int64(), "p": pa.int64(),
+         "s": pa.int64()})
 
     def keep_except(batch: pa.Table) -> pa.Table:
         m = pc.and_(pc.equal(batch["p"], 1), pc.equal(batch["s"], 0))
@@ -2002,7 +1907,6 @@ def range_join(sf_dir: str):
     with one vectorized ``np.searchsorted`` — no shuffle touches the
     big side, and the only exchange is the map-side-combined per-band
     partial table (<= RJ_NUM_BANDS rows per batch)."""
-    from ray.data.aggregate import Max, Min, Sum
 
     edges = (np.arange(RJ_NUM_BANDS, dtype=np.int64) ** 2
              * RJ_BAND_CENTS)
@@ -2014,27 +1918,22 @@ def range_join(sf_dir: str):
         band = np.searchsorted(edges, cents, side="right") - 1
         if len(band) and band.min() < 0:
             raise ValueError("range_join: price below the first band")
-        t = pa.table({"band_id": pa.array(band),
-                      "n_orders": pa.array(np.ones(len(band), np.int64)),
-                      "sum_price_cents": pa.array(cents),
-                      "min_price_cents": pa.array(cents),
-                      "max_price_cents": pa.array(cents)})
-        g = t.group_by("band_id").aggregate(
-            [("n_orders", "sum"), ("sum_price_cents", "sum"),
-             ("min_price_cents", "min"), ("max_price_cents", "max")])
-        return pa.table({"band_id": g["band_id"],
-                         "n_orders": g["n_orders_sum"],
-                         "sum_price_cents": g["sum_price_cents_sum"],
-                         "min_price_cents": g["min_price_cents_min"],
-                         "max_price_cents": g["max_price_cents_max"]})
+        return pa.table({"band_id": pa.array(band),
+                         "n_orders": pa.array(np.ones(len(band), np.int64)),
+                         "sum_price_cents": pa.array(cents),
+                         "min_price_cents": pa.array(cents),
+                         "max_price_cents": pa.array(cents)})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("band_id").aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("sum_price_cents", alias_name="sum_price_cents"),
-            Min("min_price_cents", alias_name="min_price_cents"),
-            Max("max_price_cents", alias_name="max_price_cents"))
+    return aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "band_id", {"n_orders": ("n_orders", "sum"),
+                    "sum_price_cents": ("sum_price_cents", "sum"),
+                    "min_price_cents": ("min_price_cents", "min"),
+                    "max_price_cents": ("max_price_cents", "max")},
+        {"band_id": pa.int64(), "n_orders": pa.int64(),
+         "sum_price_cents": pa.int64(), "min_price_cents": pa.int64(),
+         "max_price_cents": pa.int64()})
 
 
 def order_gap(sf_dir: str):
@@ -2094,7 +1993,6 @@ def cooccur_types(sf_dir: str):
     join never runs on rows, only on the distinct (user, day, type)
     set, and pairs are generated inside a per-partition kernel bounded
     by COOCCUR_MAX_TYPES choose 2 per basket."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet",
                     ["user_id", "ts", "event_type"])
@@ -2111,11 +2009,13 @@ def cooccur_types(sf_dir: str):
         t = pa.table({
             "uk": pa.array((uid << COOCCUR_DAY_BITS) | dn),
             "event_type": batch["event_type"]})
-        return t.group_by(["uk", "event_type"]).aggregate([])
+        return t
 
-    baskets = ev.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby(["uk", "event_type"]).count()
+    baskets = aggregate(
+        ev.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["uk", "event_type"], {},
+        {"uk": pa.int64(), "event_type": pa.string()})
 
     def pairs_part(g: pa.Table) -> pa.Table:
         g = g.sort_by([("uk", "ascending"), ("event_type", "ascending")])
@@ -2125,9 +2025,7 @@ def cooccur_types(sf_dir: str):
             raise ValueError("cooccur_types basket exceeds "
                              f"{COOCCUR_MAX_TYPES} distinct types")
         i, j = run_pairs(starts, sizes)
-        return pa.table({"ta": et.take(i), "tb": et.take(j)}) \
-            .group_by(["ta", "tb"]).aggregate([([], "count_all")]) \
-            .rename_columns(["ta", "tb", "c"])
+        return pa.table({"ta": et.take(i), "tb": et.take(j)})
 
     ev_rows = _parquet_rows(f"{sf_dir}/events.parquet")
 
@@ -2138,10 +2036,12 @@ def cooccur_types(sf_dir: str):
         baskets.map_batches(drop_cnt, batch_format="pyarrow",
                             zero_copy_batch=True),
         "uk", pairs_part,
-        {"ta": pa.string(), "tb": pa.string(), "c": pa.int64()},
+        {"ta": pa.string(), "tb": pa.string()},
         rows_hint=ev_rows)
-    return pairs.groupby(["ta", "tb"]).aggregate(
-        Sum("c", alias_name="n"))
+    return aggregate(
+        pairs,
+        ["ta", "tb"], {"n": ("ta", "count")},
+        {"ta": pa.string(), "tb": pa.string(), "n": pa.int64()})
 
 
 GROWTH_MAX_DAYS = 200_000   # driver-fold bound for the per-day tables
@@ -2158,45 +2058,29 @@ def user_growth(sf_dir: str):
     through a collect that stops past GROWTH_MAX_DAYS rows and raises,
     and are merged driver-side."""
     import ray.data as rd
-    from ray.data.aggregate import Min, Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["user_id", "ts"])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
+    def pair_cols(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"user_id": batch["user_id"], "d": day})
-        g = t.group_by(["user_id", "d"]).aggregate([("d", "count")])
-        return pa.table({"user_id": g["user_id"], "d": g["d"],
-                         "c": pc.cast(g["d_count"], pa.int64())})
+        return pa.table({"user_id": batch["user_id"], "d": day})
 
-    pairs = ev.map_batches(pair_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["user_id", "d"]).aggregate(Sum("c", alias_name="c"))
+    pairs = aggregate(
+        ev.map_batches(pair_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["user_id", "d"], {"c": ("d", "count")},
+        {"user_id": pa.int64(), "d": pa.int64(), "c": pa.int64()})
 
-    def day_counts(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("d").aggregate([("user_id", "count"),
-                                           ("c", "sum")])
-        return pa.table({"d": g["d"],
-                         "na": pc.cast(g["user_id_count"], pa.int64()),
-                         "ne": g["c_sum"]})
+    per_day = aggregate(
+        pairs,
+        "d", {"n_active": ("user_id", "count"), "n_events": ("c", "sum")},
+        {"d": pa.int64(), "n_active": pa.int64(), "n_events": pa.int64()})
 
-    per_day = pairs.map_batches(day_counts, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None) \
-        .groupby("d").aggregate(Sum("na", alias_name="n_active"),
-                                Sum("ne", alias_name="n_events"))
-
-    first = pairs.groupby("user_id").aggregate(Min("d",
-                                                   alias_name="fd"))
-
-    def fd_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("fd").aggregate([("user_id", "count")])
-        return pa.table({"d": g["fd"],
-                         "nn": pc.cast(g["user_id_count"], pa.int64())})
-
-    news = first.map_batches(fd_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("d").aggregate(Sum("nn", alias_name="n_new"))
+    first = aggregate(pairs, "user_id", {"d": ("d", "min")},
+                      {"user_id": pa.int64(), "d": pa.int64()})
+    news = aggregate(first, "d", {"n_new": ("user_id", "count")},
+                     {"d": pa.int64(), "n_new": pa.int64()})
 
     act = collect(per_day, pa.schema([("d", pa.int64()),
                                       ("n_events", pa.int64()),
@@ -2241,7 +2125,6 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
     SQL semi-join — the Bloom stage is pure pruning, invisible in the
     result."""
     import ray
-    from ray.data.aggregate import Sum
 
     FIB = np.uint64(0x9E3779B97F4A7C15)
     FIB2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -2278,13 +2161,13 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
         c[0] = len(kk)
         return pa.table({"p": pa.array(up), "c": pa.array(c)})
 
-    from ray.data.aggregate import Sum as _Sum
-
     mask = np.zeros(BJ_M, dtype=bool)
     key_rows = 0
-    for b in keys.map_batches(bits_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .groupby("p").aggregate(_Sum("c", alias_name="c")) \
+    for b in aggregate(
+        keys.map_batches(bits_partial, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None),
+        "p", {"c": ("c", "sum")},
+        {"p": pa.int64(), "c": pa.int64()}) \
             .iter_batches(batch_size=65536, batch_format="pyarrow"):
         mask[b["p"].to_numpy()] = True
         key_rows += int(b["c"].to_numpy().sum())
@@ -2324,26 +2207,20 @@ def bloom_join(sf_dir: str, priority: str = "1-URGENT"):
                                       zero_copy_batch=True)
     else:
         exact = survivors.join(
-            keys.groupby("o_orderkey").count()
-                .select_columns(["o_orderkey"]),
+            aggregate(keys, "o_orderkey", {}, {"o_orderkey": pa.int64()}),
             join_type="inner",
             num_partitions=join_partitions_for(key_rows),
             on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def agg_partial(batch: pa.Table) -> pa.Table:
+    def agg_cols(batch: pa.Table) -> pa.Table:
         q = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
-        t = pa.table({"l_returnflag": batch["l_returnflag"], "q": q})
-        g = t.group_by("l_returnflag").aggregate(
-            [("q", "sum"), ("q", "count")])
-        return pa.table({"l_returnflag": g["l_returnflag"],
-                         "sq": g["q_sum"],
-                         "n": pc.cast(g["q_count"], pa.int64())})
+        return pa.table({"l_returnflag": batch["l_returnflag"], "q": q})
 
-    return exact.map_batches(agg_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("l_returnflag").aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sq", alias_name="sum_qty"))
+    return aggregate(
+        exact.map_batches(agg_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        "l_returnflag", {"n": ("q", "count"), "sum_qty": ("q", "sum")},
+        {"l_returnflag": pa.string(), "n": pa.int64(), "sum_qty": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -2371,25 +2248,23 @@ def q10_returned(sf_dir: str):
     sized); the nation-name attach is a 25-row broadcast probe; top-k
     is per-batch partial top-k + a k-bounded final reduce, never a
     global sort."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
     li = read_table(li_path, ["l_orderkey", "l_extendedprice", "l_discount",
                               "l_returnflag"])
 
-    def rev_partial(batch: pa.Table) -> pa.Table:
+    def rev_cols(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["l_returnflag"], "R"))
-        t = pa.table({"l_orderkey": b["l_orderkey"],
-                      "rev": _rev_cents(b["l_extendedprice"],
-                                        b["l_discount"])})
-        g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "rev": g["rev_sum"]})
+        return pa.table({"l_orderkey": b["l_orderkey"],
+                         "rev": _rev_cents(b["l_extendedprice"],
+                                           b["l_discount"])})
 
-    rev = li.map_batches(rev_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("l_orderkey").aggregate(Sum("rev", alias_name="rev"))
+    rev = aggregate(
+        li.map_batches(rev_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "l_orderkey", {"rev": ("rev", "sum")},
+        {"l_orderkey": pa.int64(), "rev": pa.int64()})
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                         ["o_orderkey", "o_custkey", "o_orderdate"])
@@ -2407,14 +2282,12 @@ def q10_returned(sf_dir: str):
                       on=("l_orderkey",), right_on=("o_orderkey",))
 
     def cust_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["o_custkey", "rev"]) \
-            .group_by("o_custkey").aggregate([("rev", "sum")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "revenue_cents": g["rev_sum"]})
+        return batch.select(["o_custkey", "rev"])
 
-    per_cust = joined.map_batches(cust_partial, batch_format="pyarrow") \
-        .groupby("o_custkey").aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"))
+    per_cust = aggregate(
+        joined.map_batches(cust_partial, batch_format="pyarrow"),
+        "o_custkey", {"revenue_cents": ("rev", "sum")},
+        {"o_custkey": pa.int64(), "revenue_cents": pa.int64()})
 
     cust_path = f"{sf_dir}/customer.parquet"
     cust = read_table(cust_path,
@@ -2471,7 +2344,6 @@ def q14_promo(sf_dir: str):
     with a loud null check above it; the conditional sums are
     map-side partials so only two int64 scalars per batch reach the
     final fold."""
-    from ray.data.aggregate import Sum
 
     part_path = f"{sf_dir}/part.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -2506,10 +2378,11 @@ def q14_promo(sf_dir: str):
         return pa.table({"pc_": pa.array([int((rev * promo).sum())]),
                          "tc": pa.array([int(rev.sum())])})
 
-    agg = li.map_batches(sums_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .aggregate(Sum("pc_", alias_name="p"),
-                   Sum("tc", alias_name="t"))
+    agg = aggregate(
+        li.map_batches(sums_partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        [], {"p": ("pc_", "sum"), "t": ("tc", "sum")},
+        {"p": pa.int64(), "t": pa.int64()}).take_all()[0]
     p = int(agg["p"] or 0)
     t = int(agg["t"] or 0)
     # empty window -> NULL ratio (the oracle's SUM-over-no-rows shape),
@@ -2534,24 +2407,21 @@ def q18_big_orders(sf_dir: str):
     filter keeps a tiny survivor set; both attribute joins are hash
     joins sized on their corpus-scale fact side; top-k never sorts
     globally."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     o_path = f"{sf_dir}/orders.parquet"
     li = read_table(li_path, ["l_orderkey", "l_quantity"])
 
-    def qty_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"l_orderkey": batch["l_orderkey"],
-                      "q": pc.cast(pc.round(batch["l_quantity"]),
-                                   pa.int64())})
-        g = t.group_by("l_orderkey").aggregate([("q", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "sum_qty": g["q_sum"]})
+    def qty_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": batch["l_orderkey"],
+                         "q": pc.cast(pc.round(batch["l_quantity"]),
+                                      pa.int64())})
 
-    qty = li.map_batches(qty_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("l_orderkey").aggregate(Sum("sum_qty",
-                                             alias_name="sum_qty"))
+    qty = aggregate(
+        li.map_batches(qty_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "l_orderkey", {"sum_qty": ("q", "sum")},
+        {"l_orderkey": pa.int64(), "sum_qty": pa.int64()})
     big = qty.map_batches(
         lambda b: b.filter(pc.greater(b["sum_qty"], Q18_QTY_MIN)),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -2598,8 +2468,7 @@ def q18_big_orders(sf_dir: str):
     return big.map_batches(topk_part, batch_format="pyarrow") \
         .repartition(1) \
         .map_batches(topk_final, batch_format="pyarrow",
-                     batch_size=None) \
-        .map_batches(_restore_us("o_orderdate"), batch_format="pyarrow")
+                     batch_size=None)
 
 
 Q7_LO_US = 820_454_400_000_000   # 1996-01-01
@@ -2616,7 +2485,6 @@ def q7_volume(sf_dir: str):
     the filtered orders side, never per row); the final groupby is
     map-side-partial over <= |nations|^2 x |years| keys and the two
     nation-name attaches are one 25-row broadcast probe."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     o_path = f"{sf_dir}/orders.parquet"
@@ -2668,22 +2536,19 @@ def q7_volume(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows // 4),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def vol_partial(batch: pa.Table) -> pa.Table:
+    def vol_cols(batch: pa.Table) -> pa.Table:
         keep = pc.invert(pc.equal(batch["cnat"], batch["snat"]))
         b = batch.filter(keep)
-        t = pa.table({"snat": b["snat"], "cnat": b["cnat"],
-                      "yr": b["yr"], "rev": b["rev"],
-                      "n": pa.array(np.ones(len(b), np.int64))})
-        g = t.group_by(["snat", "cnat", "yr"]).aggregate(
-            [("rev", "sum"), ("n", "sum")])
-        return pa.table({"snat": g["snat"], "cnat": g["cnat"],
-                         "yr": g["yr"], "rev": g["rev_sum"],
-                         "n": g["n_sum"]})
+        return pa.table({"snat": b["snat"], "cnat": b["cnat"],
+                         "yr": b["yr"], "rev": b["rev"],
+                         "n": pa.array(np.ones(len(b), np.int64))})
 
-    agg = joined.map_batches(vol_partial, batch_format="pyarrow") \
-        .groupby(["snat", "cnat", "yr"]).aggregate(
-            Sum("rev", alias_name="revenue_cents"),
-            Sum("n", alias_name="n_lines"))
+    agg = aggregate(
+        joined.map_batches(vol_cols, batch_format="pyarrow"),
+        ["snat", "cnat", "yr"], {"revenue_cents": ("rev", "sum"),
+                                 "n_lines": ("n", "sum")},
+        {"snat": pa.int64(), "cnat": pa.int64(), "yr": pa.int64(),
+         "revenue_cents": pa.int64(), "n_lines": pa.int64()})
 
     nat_ref = _name_map_broadcast(f"{sf_dir}/nation.parquet",
                                   "n_nationkey", "n_name")
@@ -2716,21 +2581,15 @@ def q13_count_dist(sf_dir: str):
     join_partitions_for sized); nulls become 0 batch-locally; the
     final histogram groupby is map-side-partial over <= |distinct
     counts| keys."""
-    from ray.data.aggregate import Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     c_path = f"{sf_dir}/customer.parquet"
     orders = read_table(o_path, ["o_custkey"])
 
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["o_custkey"].to_numpy(),
-                         return_counts=True)
-        return pa.table({"o_custkey": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
-
-    cnt = orders.map_batches(cnt_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("o_custkey").aggregate(Sum("c", alias_name="c"))
+    cnt = aggregate(
+        orders,
+        "o_custkey", {"c": ("o_custkey", "count")},
+        {"o_custkey": pa.int64(), "c": pa.int64()})
 
     cust = read_table(c_path, ["c_custkey"])
     joined = cust.join(cnt, join_type="left_outer",
@@ -2738,16 +2597,15 @@ def q13_count_dist(sf_dir: str):
                            _parquet_rows(c_path)),
                        on=("c_custkey",), right_on=("o_custkey",))
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
+    def c_count(batch: pa.Table) -> pa.Table:
         # zero-order customers arrive as join nulls
-        c = pc.fill_null(pc.cast(batch["c"], pa.int64()), 0) \
-            .to_numpy(zero_copy_only=False)
-        u, n = np.unique(c, return_counts=True)
-        return pa.table({"c_count": pa.array(u),
-                         "d": pa.array(n.astype(np.int64))})
+        return pa.table({"c_count": pc.fill_null(
+            pc.cast(batch["c"], pa.int64()), 0)})
 
-    return joined.map_batches(hist_partial, batch_format="pyarrow") \
-        .groupby("c_count").aggregate(Sum("d", alias_name="custdist"))
+    return aggregate(
+        joined.map_batches(c_count, batch_format="pyarrow"),
+        "c_count", {"custdist": ("c_count", "count")},
+        {"c_count": pa.int64(), "custdist": pa.int64()})
 
 
 Q17_BRAND = "Brand#1"
@@ -2767,7 +2625,6 @@ def q17_small_qty(sf_dir: str):
     filtered line count; the final fold is two int64 scalars."""
     import ray
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     part_path = f"{sf_dir}/part.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -2822,17 +2679,13 @@ def q17_small_qty(sf_dir: str):
     # twice' pattern) instead of re-running the brand filter lineage
     lines = lines.materialize()
 
-    def pa_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"l_partkey": batch["l_partkey"], "q": batch["q"],
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        g = t.group_by("l_partkey").aggregate(
-            [("q", "sum"), ("one", "sum")])
-        return pa.table({"pk": g["l_partkey"], "tq": g["q_sum"],
-                         "cnt": g["one_sum"]})
+    def pk_q(batch: pa.Table) -> pa.Table:
+        return pa.table({"pk": batch["l_partkey"], "q": batch["q"]})
 
-    per_part = lines.map_batches(pa_partial, batch_format="pyarrow") \
-        .groupby("pk").aggregate(Sum("tq", alias_name="tq"),
-                                 Sum("cnt", alias_name="cnt"))
+    per_part = aggregate(
+        lines.map_batches(pk_q, batch_format="pyarrow"),
+        "pk", {"tq": ("q", "sum"), "cnt": ("q", "count")},
+        {"pk": pa.int64(), "tq": pa.int64(), "cnt": pa.int64()})
 
     joined = lines.join(per_part, join_type="inner",
                         num_partitions=join_partitions_for(
@@ -2847,9 +2700,11 @@ def q17_small_qty(sf_dir: str):
             "rc": pa.array([int(b["rev"].to_numpy().sum())]),
             "n": pa.array([len(b)])})
 
-    agg = joined.map_batches(keep_small, batch_format="pyarrow",
-                             batch_size=None) \
-        .aggregate(Sum("rc", alias_name="rc"), Sum("n", alias_name="n"))
+    agg = aggregate(
+        joined.map_batches(keep_small, batch_format="pyarrow",
+                           batch_size=None),
+        [], {"rc": ("rc", "sum"), "n": ("n", "sum")},
+        {"rc": pa.int64(), "n": pa.int64()}).take_all()[0]
     return pa.table({
         "rev_cents": pa.array([int(agg["rc"])], pa.int64()),
         "n_lines": pa.array([int(agg["n"])], pa.int64())})
@@ -2870,7 +2725,6 @@ def q22_idle_rich(sf_dir: str):
     join above it (dedup_apply's pattern); the final groupby is
     map-side-partial over <= |nations| keys."""
     import ray
-    from ray.data.aggregate import Sum
 
     c_path = f"{sf_dir}/customer.parquet"
     o_path = f"{sf_dir}/orders.parquet"
@@ -2894,9 +2748,11 @@ def q22_idle_rich(sf_dir: str):
             "s": pa.array([int(batch["ac"].to_numpy().sum())]),
             "n": pa.array([len(batch)])})
 
-    g = pos.map_batches(sum_partial, batch_format="pyarrow",
-                        batch_size=None) \
-        .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n"))
+    g = aggregate(
+        pos.map_batches(sum_partial, batch_format="pyarrow",
+                        batch_size=None),
+        [], {"s": ("s", "sum"), "n": ("n", "sum")},
+        {"s": pa.int64(), "n": pa.int64()}).take_all()[0]
     s, n = int(g["s"]), int(g["n"])
 
     urgent = read_table(o_path, ["o_custkey", "o_orderpriority"])
@@ -2934,20 +2790,16 @@ def q22_idle_rich(sf_dir: str):
                         num_partitions=join_partitions_for(o_rows),
                         on=("c_custkey",), right_on=("o_custkey",))
 
-    def nat_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"c_nationkey": batch["c_nationkey"],
-                      "ac": batch["ac"],
-                      "one": pa.array(np.ones(len(batch), np.int64))})
-        g2 = t.group_by("c_nationkey").aggregate(
-            [("ac", "sum"), ("one", "sum")])
-        return pa.table({"c_nationkey": g2["c_nationkey"],
-                         "acct_cents": g2["ac_sum"],
-                         "n_cust": g2["one_sum"]})
+    def nat_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"c_nationkey": batch["c_nationkey"],
+                         "ac": batch["ac"],
+                         "one": pa.array(np.ones(len(batch), np.int64))})
 
-    return kept.map_batches(nat_partial, batch_format="pyarrow") \
-        .groupby("c_nationkey").aggregate(
-            Sum("acct_cents", alias_name="acct_cents"),
-            Sum("n_cust", alias_name="n_cust"))
+    return aggregate(
+        kept.map_batches(nat_cols, batch_format="pyarrow"),
+        "c_nationkey", {"acct_cents": ("ac", "sum"), "n_cust": ("one", "sum")},
+        {"c_nationkey": pa.int64(), "acct_cents": pa.int64(),
+         "n_cust": pa.int64()})
 
 
 DEBOUNCE_US = 21_600_000_000   # 6-hour suppression window
@@ -3024,30 +2876,29 @@ def q15_top_supplier(sf_dir: str):
     (tiny) winner set against the supplier table sized by the
     supplier side."""
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     s_path = f"{sf_dir}/supplier.parquet"
     li = read_table(li_path, ["l_suppkey", "l_extendedprice", "l_discount",
                               "l_shipdate"])
 
-    def rev_partial(batch: pa.Table) -> pa.Table:
+    def rev_cols(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["l_shipdate"], pa.int64())
         keep = pc.and_(pc.greater_equal(us, Q15_LO_US),
                        pc.less(us, Q15_HI_US))
         b = batch.filter(keep)
-        t = pa.table({"l_suppkey": b["l_suppkey"],
-                      "rev": _rev_cents(b["l_extendedprice"],
-                                        b["l_discount"])})
-        g = t.group_by("l_suppkey").aggregate([("rev", "sum")])
-        return pa.table({"l_suppkey": g["l_suppkey"],
-                         "rc": g["rev_sum"]})
+        return pa.table({"l_suppkey": b["l_suppkey"],
+                         "rev": _rev_cents(b["l_extendedprice"],
+                                           b["l_discount"])})
 
-    rev = li.map_batches(rev_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("l_suppkey").aggregate(Sum("rc", alias_name="rc")) \
+    rev = aggregate(
+        li.map_batches(rev_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "l_suppkey", {"rc": ("rev", "sum")},
+        {"l_suppkey": pa.int64(), "rc": pa.int64()}) \
         .materialize()  # consumed twice (max + filter); |suppliers| rows
-    mx_raw = rev.aggregate(Max("rc"))["max(rc)"]
+    mx_raw = aggregate(rev, [], {"mx": ("rc", "max")},
+                       {"mx": pa.int64()}).take_all()[0]["mx"]
     if mx_raw is None:  # empty shipdate window -> empty result, no crash
         return rd.from_arrow(pa.table({
             "s_suppkey": pa.array([], pa.int64()),
@@ -3086,7 +2937,6 @@ def q19_disjunctive(sf_dir: str):
     Q5_BROADCAST_KEYS, loud left_outer join above it); the disjunction
     is then a batch-local vectorized any-arm test — no per-arm scan of
     the fact table, no join amplification."""
-    from ray.data.aggregate import Sum
 
     part_path = f"{sf_dir}/part.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3130,9 +2980,11 @@ def q19_disjunctive(sf_dir: str):
         return pa.table({"rc": pa.array([int(rev.sum())]),
                          "n": pa.array([int(keep.sum())])})
 
-    agg = li.map_batches(keep_partial, batch_format="pyarrow",
-                         batch_size=None) \
-        .aggregate(Sum("rc", alias_name="rc"), Sum("n", alias_name="n"))
+    agg = aggregate(
+        li.map_batches(keep_partial, batch_format="pyarrow",
+                       batch_size=None),
+        [], {"rc": ("rc", "sum"), "n": ("n", "sum")},
+        {"rc": pa.int64(), "n": pa.int64()}).take_all()[0]
     return pa.table({
         "rev_cents": pa.array([int(agg["rc"])], pa.int64()),
         "n_lines": pa.array([int(agg["n"])], pa.int64())})
@@ -3259,7 +3111,6 @@ def q4_late_orders(sf_dir: str):
     on orderkey followed by ONE groupby(orderkey) first-priority
     reduce (keyspace = qualifying orders, not lines); the final
     priority count is map-side-partial over <= 5 keys."""
-    from ray.data.aggregate import Min, Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3290,32 +3141,30 @@ def q4_late_orders(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows // 4),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def late_partial(batch: pa.Table) -> pa.Table:
+    def late_cols(batch: pa.Table) -> pa.Table:
         late = pc.greater(batch["sdate_us"],
                           pc.add(batch["odate_us"],
                                  pa.scalar(Q4_LATE_US, pa.int64())))
         b = batch.filter(late)
         # per-batch distinct orderkeys (priority rides along — it is
         # functionally dependent on the key)
-        g = pa.table({"k": b["l_orderkey"],
-                      "p": b["o_orderpriority"]}) \
-            .group_by("k").aggregate([("p", "min")])
-        return pa.table({"k": g["k"], "p": g["p_min"]})
+        return pa.table({"k": b["l_orderkey"],
+                      "p": b["o_orderpriority"]})
 
-    qual = joined.map_batches(late_partial, batch_format="pyarrow") \
-        .groupby("k").aggregate(Min("p", alias_name="p"))
+    qual = aggregate(
+        joined.map_batches(late_cols, batch_format="pyarrow"),
+        "k", {"p": ("p", "min")},
+        {"k": pa.int64(), "p": pa.string()})
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({"o_orderpriority": batch["p"],
+    def count_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"o_orderpriority": batch["p"],
                       "one": pa.array(np.ones(batch.num_rows,
-                                              np.int64))}) \
-            .group_by("o_orderpriority").aggregate([("one", "sum")])
-        return pa.table({"o_orderpriority": g["o_orderpriority"],
-                         "c": g["one_sum"]})
+                                              np.int64))})
 
-    return qual.map_batches(count_partial, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(
-            Sum("c", alias_name="n_orders"))
+    return aggregate(
+        qual.map_batches(count_cols, batch_format="pyarrow"),
+        "o_orderpriority", {"n_orders": ("one", "sum")},
+        {"o_orderpriority": pa.string(), "n_orders": pa.int64()})
 
 
 Q6_LO_US = 852_076_800_000_000   # 1997-01-01 epoch-us
@@ -3337,7 +3186,6 @@ def q6_forecast(sf_dir: str):
     Revenue uses the shared floor(x*100 + 0.5) fixed-point convention
     (_rev_cents rationale) so the distributed sum is order-independent
     and bitwise-equal to the SQL mirror."""
-    from ray.data.aggregate import Sum
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     ["l_shipdate", "l_discount", "l_quantity",
@@ -3361,10 +3209,11 @@ def q6_forecast(sf_dir: str):
             "rev": pa.array([pc.sum(cents).as_py() or 0], pa.int64()),
             "n": pa.array([b.num_rows], pa.int64())})
 
-    agg = li.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("g").aggregate(Sum("rev", alias_name="revenue_cents"),
-                                Sum("n", alias_name="n_lines"))
+    agg = aggregate(
+        li.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "g", {"revenue_cents": ("rev", "sum"), "n_lines": ("n", "sum")},
+        {"g": pa.int64(), "revenue_cents": pa.int64(), "n_lines": pa.int64()})
     return agg.map_batches(
         lambda b: b.drop_columns(["g"]), batch_format="pyarrow")
 
@@ -3386,7 +3235,6 @@ def q12_late_priority(sf_dir: str):
     late test and the priority split are batch-local vectorized
     kernels; the final groupby is map-side-partial over exactly two
     keys ('F'/'O')."""
-    from ray.data.aggregate import Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3424,7 +3272,7 @@ def q12_late_priority(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows // 4),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def split_partial(batch: pa.Table) -> pa.Table:
+    def split_cols(batch: pa.Table) -> pa.Table:
         late = pc.greater(batch["sdate_us"],
                           pc.add(batch["odate_us"],
                                  pa.scalar(Q12_LATE_US, pa.int64())))
@@ -3432,18 +3280,15 @@ def q12_late_priority(sf_dir: str):
         high = pc.is_in(b["o_orderpriority"],
                         value_set=pa.array(Q12_HIGH)).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        g = pa.table({"l_linestatus": b["l_linestatus"],
+        return pa.table({"l_linestatus": b["l_linestatus"],
                       "h": pa.array(high),
-                      "l": pa.array(1 - high)}) \
-            .group_by("l_linestatus").aggregate([("h", "sum"),
-                                                 ("l", "sum")])
-        return pa.table({"l_linestatus": g["l_linestatus"],
-                         "h": g["h_sum"], "l": g["l_sum"]})
+                      "l": pa.array(1 - high)})
 
-    return joined.map_batches(split_partial, batch_format="pyarrow") \
-        .groupby("l_linestatus").aggregate(
-            Sum("h", alias_name="high_count"),
-            Sum("l", alias_name="low_count"))
+    return aggregate(
+        joined.map_batches(split_cols, batch_format="pyarrow"),
+        "l_linestatus", {"high_count": ("h", "sum"), "low_count": ("l", "sum")},
+        {"l_linestatus": pa.string(), "high_count": pa.int64(),
+         "low_count": pa.int64()})
 
 
 Q8_LO_US = 820_454_400_000_000   # orders in [1996-01-01, 1998-01-01)
@@ -3484,7 +3329,6 @@ def q8_share(sf_dir: str):
     conditional; the final groupby is map-side-partial over <= |years|
     keys, and the one float division happens ONCE per output row after
     integer-exact cent sums (bitwise-stable vs the SQL mirror)."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     o_path = f"{sf_dir}/orders.parquet"
@@ -3561,20 +3405,19 @@ def q8_share(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows // 8),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def share_partial(batch: pa.Table) -> pa.Table:
+    def share_cols(batch: pa.Table) -> pa.Table:
         is_focus = pc.equal(batch["snat"], focus_nat).to_numpy(
             zero_copy_only=False).astype(np.int64)
         rev = batch["rev"].to_numpy()
-        g = pa.table({"yr": batch["yr"],
+        return pa.table({"yr": batch["yr"],
                       "f": pa.array(rev * is_focus),
-                      "t": pa.array(rev)}) \
-            .group_by("yr").aggregate([("f", "sum"), ("t", "sum")])
-        return pa.table({"yr": g["yr"], "f": g["f_sum"],
-                         "t": g["t_sum"]})
+                      "t": pa.array(rev)})
 
-    agg = joined.map_batches(share_partial, batch_format="pyarrow") \
-        .groupby("yr").aggregate(Sum("f", alias_name="focus_cents"),
-                                 Sum("t", alias_name="total_cents"))
+    agg = aggregate(
+        joined.map_batches(share_cols, batch_format="pyarrow"),
+        "yr", {"focus_cents": ("f", "sum"), "total_cents": ("t", "sum")},
+        {"yr": pa.int64(), "focus_cents": pa.int64(),
+         "total_cents": pa.int64()})
 
     def share_col(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -3605,7 +3448,6 @@ def q9_profit(sf_dir: str):
     the cost basis ride a single int64 column (join fallback over the
     cap); supplier nation is a second probe; the final groupby is
     map-side-partial over <= |nations| x |years| keys."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     part_path = f"{sf_dir}/part.parquet"
@@ -3662,18 +3504,16 @@ def q9_profit(sf_dir: str):
                      f"{sf_dir}/supplier.parquet", "s_suppkey",
                      "s_nationkey", rows_hint=li_rows)
 
-    def nat_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({"snat": batch["snat"], "yr": batch["yr"],
-                      "p": batch["p"], "n": batch["n"]}) \
-            .group_by(["snat", "yr"]).aggregate([("p", "sum"),
-                                                 ("n", "sum")])
-        return pa.table({"snat": g["snat"], "yr": g["yr"],
-                         "p": g["p_sum"], "n": g["n_sum"]})
+    def nat_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"snat": batch["snat"], "yr": batch["yr"],
+                      "p": batch["p"], "n": batch["n"]})
 
-    agg = li.map_batches(nat_partial, batch_format="pyarrow") \
-        .groupby(["snat", "yr"]).aggregate(
-            Sum("p", alias_name="profit_fcents"),
-            Sum("n", alias_name="n_lines"))
+    agg = aggregate(
+        li.map_batches(nat_cols, batch_format="pyarrow"),
+        ["snat", "yr"], {"profit_fcents": ("p", "sum"),
+                         "n_lines": ("n", "sum")},
+        {"snat": pa.int64(), "yr": pa.int64(), "profit_fcents": pa.int64(),
+         "n_lines": pa.int64()})
 
     def name_attach(batch: pa.Table) -> pa.Table:
         names = _probe_names(nat_ref, batch["snat"].to_numpy(), "snat")
@@ -3702,7 +3542,6 @@ def q21_waiting(sf_dir: str):
     unique late supplier via SUM(suppkey * late) — no self-join, no
     row explosion; the winner set (<= |suppliers| rows) then joins the
     supplier table for names."""
-    from ray.data.aggregate import Max, Sum
 
     o_path = f"{sf_dir}/orders.parquet"
     li_path = f"{sf_dir}/lineitem.parquet"
@@ -3734,51 +3573,49 @@ def q21_waiting(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows // 2),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def late_partial(batch: pa.Table) -> pa.Table:
+    def late_cols(batch: pa.Table) -> pa.Table:
         late = pc.greater(
             batch["sdate_us"],
             pc.add(batch["odate_us"],
                    pa.scalar(Q21_LATE_US, pa.int64()))).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        g = pa.table({"k": batch["l_orderkey"],
+        return pa.table({"k": batch["l_orderkey"],
                       "s": batch["l_suppkey"],
-                      "late": pa.array(late)}) \
-            .group_by(["k", "s"]).aggregate([("late", "max")])
-        return pa.table({"k": g["k"], "s": g["s"],
-                         "late": g["late_max"]})
+                      "late": pa.array(late)})
 
-    supply = joined.map_batches(late_partial, batch_format="pyarrow") \
-        .groupby(["k", "s"]).aggregate(Max("late", alias_name="late"))
+    supply = aggregate(
+        joined.map_batches(late_cols, batch_format="pyarrow"),
+        ["k", "s"], {"late": ("late", "max")},
+        {"k": pa.int64(), "s": pa.int64(), "late": pa.int64()})
 
-    def order_partial(batch: pa.Table) -> pa.Table:
+    def order_cols(batch: pa.Table) -> pa.Table:
         late = batch["late"].to_numpy()
-        g = pa.table({"k": batch["k"],
+        return pa.table({"k": batch["k"],
                       "ns": pa.array(np.ones(batch.num_rows, np.int64)),
                       "nl": pa.array(late),
-                      "ws": pa.array(batch["s"].to_numpy() * late)}) \
-            .group_by("k").aggregate([("ns", "sum"), ("nl", "sum"),
-                                      ("ws", "sum")])
-        return pa.table({"k": g["k"], "ns": g["ns_sum"],
-                         "nl": g["nl_sum"], "ws": g["ws_sum"]})
+                      "ws": pa.array(batch["s"].to_numpy() * late)})
 
-    per_order = supply.map_batches(order_partial,
-                                   batch_format="pyarrow") \
-        .groupby("k").aggregate(Sum("ns", alias_name="n_supp"),
-                                Sum("nl", alias_name="n_late"),
-                                Sum("ws", alias_name="late_supp"))
+    per_order = aggregate(
+        supply.map_batches(order_cols,
+                           batch_format="pyarrow"),
+        "k", {"n_supp": ("ns", "sum"),
+              "n_late": ("nl", "sum"),
+              "late_supp": ("ws", "sum")},
+        {"k": pa.int64(), "n_supp": pa.int64(), "n_late": pa.int64(),
+         "late_supp": pa.int64()})
 
-    def wait_partial(batch: pa.Table) -> pa.Table:
+    def wait_cols(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater(batch["n_supp"], 1),
                        pc.equal(batch["n_late"], 1))
         b = batch.filter(keep)
-        g = pa.table({"s": b["late_supp"],
-                      "n": pa.array(np.ones(len(b), np.int64))}) \
-            .group_by("s").aggregate([("n", "sum")])
-        return pa.table({"s": g["s"], "n": g["n_sum"]})
+        return pa.table({"s": b["late_supp"],
+                      "n": pa.array(np.ones(len(b), np.int64))})
 
-    waits = per_order.map_batches(wait_partial,
-                                  batch_format="pyarrow") \
-        .groupby("s").aggregate(Sum("n", alias_name="numwait"))
+    waits = aggregate(
+        per_order.map_batches(wait_cols,
+                              batch_format="pyarrow"),
+        "s", {"numwait": ("n", "sum")},
+        {"s": pa.int64(), "numwait": pa.int64()})
 
     sup = read_table(s_path, ["s_suppkey", "s_name"])
     out = waits.join(sup, join_type="inner",
@@ -3806,7 +3643,6 @@ def q16_supplier_cnt(sf_dir: str):
     partial distinct + ONE groupby over the (combo, supplier) supply
     relation; the final count is map-side-partial over |combos|
     keys."""
-    from ray.data.aggregate import Count, Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     part_path = f"{sf_dir}/part.parquet"
@@ -3840,33 +3676,24 @@ def q16_supplier_cnt(sf_dir: str):
                      num_partitions=join_partitions_for(li_rows),
                      on=("l_partkey",), right_on=("p_partkey",))
 
-    def distinct_partial(batch: pa.Table) -> pa.Table:
+    def supply_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
             "p_brand": batch["p_brand"], "p_type": batch["p_type"],
             "p_size": batch["p_size"],
-            "s": batch["l_suppkey"]}).group_by(
-            ["p_brand", "p_type", "p_size", "s"]).aggregate([])
+            "s": batch["l_suppkey"]})
 
-    supply = joined.map_batches(distinct_partial,
-                                batch_format="pyarrow") \
-        .groupby(["p_brand", "p_type", "p_size", "s"]) \
-        .aggregate(Count(alias_name="_c"))
+    supply = aggregate(
+        joined.map_batches(supply_cols,
+                           batch_format="pyarrow"),
+        ["p_brand", "p_type", "p_size", "s"], {},
+        {"p_brand": pa.string(), "p_type": pa.string(), "p_size": pa.int64(),
+         "s": pa.int64()})
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({"p_brand": batch["p_brand"],
-                      "p_type": batch["p_type"],
-                      "p_size": batch["p_size"],
-                      "n": pa.array(np.ones(batch.num_rows,
-                                            np.int64))}) \
-            .group_by(["p_brand", "p_type", "p_size"]) \
-            .aggregate([("n", "sum")])
-        return pa.table({"p_brand": g["p_brand"],
-                         "p_type": g["p_type"],
-                         "p_size": g["p_size"], "n": g["n_sum"]})
-
-    return supply.map_batches(count_partial, batch_format="pyarrow") \
-        .groupby(["p_brand", "p_type", "p_size"]).aggregate(
-            Sum("n", alias_name="supplier_cnt"))
+    return aggregate(
+        supply, ["p_brand", "p_type", "p_size"],
+        {"supplier_cnt": ("s", "count")},
+        {"p_brand": pa.string(), "p_type": pa.string(), "p_size": pa.int64(),
+         "supplier_cnt": pa.int64()})
 
 
 Q11_NATION = "NATION_3"
@@ -3887,7 +3714,6 @@ def q11_important_parts(sf_dir: str):
     |parts|-row) table, and the threshold compare is batch-local
     integer math (value * 10000 > total * 8 — no float share)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     li_rows = _parquet_rows(li_path)
@@ -3903,21 +3729,20 @@ def q11_important_parts(sf_dir: str):
                      f"{sf_dir}/supplier.parquet", "s_suppkey",
                      "s_nationkey", rows_hint=li_rows)
 
-    def value_partial(batch: pa.Table) -> pa.Table:
+    def value_cols(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["snat"], focus_nat))
-        t = pa.table({"p_partkey": b["l_partkey"],
-                      "v": _rev_cents(b["l_extendedprice"],
-                                      b["l_discount"])})
-        g = t.group_by("p_partkey").aggregate([("v", "sum")])
-        return pa.table({"p_partkey": g["p_partkey"], "v": g["v_sum"]})
+        return pa.table({"p_partkey": b["l_partkey"],
+                         "v": _rev_cents(b["l_extendedprice"],
+                                         b["l_discount"])})
 
-    per_part = li.map_batches(value_partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("p_partkey").aggregate(Sum("v",
-                                            alias_name="value_cents")) \
+    per_part = aggregate(
+        li.map_batches(value_cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "p_partkey", {"value_cents": ("v", "sum")},
+        {"p_partkey": pa.int64(), "value_cents": pa.int64()}) \
         .materialize()  # consumed twice: global total + filter
-    total_raw = per_part.aggregate(Sum("value_cents"))[
-        "sum(value_cents)"]
+    total_raw = aggregate(per_part, [], {"t": ("value_cents", "sum")},
+                          {"t": pa.int64()}).take_all()[0]["t"]
     if total_raw is None:  # no lines from the focus nation
         return rd.from_arrow(pa.table({
             "p_partkey": pa.array([], pa.int64()),
@@ -3953,7 +3778,6 @@ def q20_excess_share(sf_dir: str):
     partkey SIZED BY THE PAIR SIDE; the share test is batch-local
     integer math and the winner set (<= |suppliers|) joins the
     supplier table for names."""
-    from ray.data.aggregate import Sum
 
     li_path = f"{sf_dir}/lineitem.parquet"
     part_path = f"{sf_dir}/part.parquet"
@@ -3981,47 +3805,43 @@ def q20_excess_share(sf_dir: str):
         .to_numpy(zero_copy_only=False).astype(np.int64),
         rows_hint=li_rows)
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
+    def pair_cols(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["is_match"], 1))
-        g = pa.table({"l_partkey": b["l_partkey"],
-                      "l_suppkey": b["l_suppkey"], "q": b["qty"]}) \
-            .group_by(["l_partkey", "l_suppkey"]) \
-            .aggregate([("q", "sum")])
-        return pa.table({"l_partkey": g["l_partkey"],
-                         "l_suppkey": g["l_suppkey"], "q": g["q_sum"]})
+        return pa.table({"l_partkey": b["l_partkey"],
+                      "l_suppkey": b["l_suppkey"], "q": b["qty"]})
 
-    pairs = li.map_batches(pair_partial, batch_format="pyarrow") \
-        .groupby(["l_partkey", "l_suppkey"]) \
-        .aggregate(Sum("q", alias_name="q")) \
+    pairs = aggregate(
+        li.map_batches(pair_cols, batch_format="pyarrow"),
+        ["l_partkey", "l_suppkey"], {"q": ("q", "sum")},
+        {"l_partkey": pa.int64(), "l_suppkey": pa.int64(), "q": pa.int64()}) \
         .materialize()  # consumed twice: per-part totals + share join
 
-    def tot_partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({"l_partkey": batch["l_partkey"],
-                      "tq": batch["q"]}) \
-            .group_by("l_partkey").aggregate([("tq", "sum")])
-        return pa.table({"l_partkey": g["l_partkey"],
-                         "tq": g["tq_sum"]})
+    def tot_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"l_partkey": batch["l_partkey"],
+                      "tq": batch["q"]})
 
-    totals = pairs.map_batches(tot_partial, batch_format="pyarrow") \
-        .groupby("l_partkey").aggregate(Sum("tq", alias_name="tq"))
+    totals = aggregate(
+        pairs.map_batches(tot_cols, batch_format="pyarrow"),
+        "l_partkey", {"tq": ("tq", "sum")},
+        {"l_partkey": pa.int64(), "tq": pa.int64()})
 
     shared = pairs.join(totals, join_type="inner",
                         num_partitions=join_partitions_for(li_rows // 8),
                         on=("l_partkey",))
 
-    def win_partial(batch: pa.Table) -> pa.Table:
+    def win_cols(batch: pa.Table) -> pa.Table:
         keep = pc.greater(
             pc.multiply(batch["q"],
                         pa.scalar(Q20_SHARE_MUL, pa.int64())),
             batch["tq"])
         b = batch.filter(keep)
-        g = pa.table({"s": b["l_suppkey"],
-                      "n": pa.array(np.ones(len(b), np.int64))}) \
-            .group_by("s").aggregate([("n", "sum")])
-        return pa.table({"s": g["s"], "n": g["n_sum"]})
+        return pa.table({"s": b["l_suppkey"],
+                      "n": pa.array(np.ones(len(b), np.int64))})
 
-    winners = shared.map_batches(win_partial, batch_format="pyarrow") \
-        .groupby("s").aggregate(Sum("n", alias_name="n_parts"))
+    winners = aggregate(
+        shared.map_batches(win_cols, batch_format="pyarrow"),
+        "s", {"n_parts": ("n", "sum")},
+        {"s": pa.int64(), "n_parts": pa.int64()})
 
     sup = read_table(s_path, ["s_suppkey", "s_name"])
     out = winners.join(sup, join_type="inner",
@@ -4053,7 +3873,6 @@ def attribution(sf_dir: str):
     cheap same-user post-check (no per-user loop, no pandas group
     dispatch), partial (type, count, value) rows per partition, one
     type-bounded groupby Sum."""
-    from ray.data.aggregate import Sum
 
     path = f"{sf_dir}/events.parquet"
     ev = read_table(path, ["event_id", "user_id", "ts", "event_type", "value"])
@@ -4092,9 +3911,12 @@ def attribution(sf_dir: str):
                         {"src_type": pa.string(), "n_conv": pa.int64(),
                          "value_milli": pa.int64()},
                         rows_hint=_parquet_rows(path))
-    return parts.groupby("src_type").aggregate(
-        Sum("n_conv", alias_name="n_conv"),
-        Sum("value_milli", alias_name="value_milli"))
+    return aggregate(
+        parts,
+        "src_type", {"n_conv": ("n_conv", "sum"),
+         "value_milli": ("value_milli", "sum")},
+        {"src_type": pa.string(), "n_conv": pa.int64(),
+         "value_milli": pa.int64()})
 
 
 ROLLMED_FRAME = 7          # ROWS BETWEEN 6 PRECEDING AND CURRENT ROW
@@ -4114,24 +3936,19 @@ def rolling_median(sf_dir: str):
     corpus-bounded — a year is 365 rows per type no matter how many
     events the corpus holds), dispatched through the hash-partitioned
     kernel runner."""
-    from ray.data.aggregate import Sum
 
     ev = read_table(f"{sf_dir}/events.parquet", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()),
                         86_400_000_000)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g["event_type"],
-                         "day": g["day"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"event_type": batch["event_type"], "day": day})
 
-    daily = ev.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["event_type", "day"]) \
-        .aggregate(Sum("c", alias_name="c"))
+    daily = aggregate(
+        ev.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["event_type", "day"], {"c": ("event_type", "count")},
+        {"event_type": pa.string(), "day": pa.int64(), "c": pa.int64()})
 
     k = ROLLMED_FRAME
 

@@ -12,8 +12,14 @@ cells), not the row count, so broadcasting it via ``ray.put`` is safe at
 100 TB.
 
 Driver collects: :func:`collect` is the package's one bounded collect
-of a Dataset (or of driver Arrow tables) into one driver table, and
-:func:`sum_partials` its one driver fold of (key, partial count) rows.
+of a Dataset (or of driver Arrow tables) into one driver table.
+
+Aggregates: :func:`aggregate` is the package's one grouped (or
+whole-Dataset) sum/min/max/count.  It runs one Arrow ``group_by`` per
+block, collects the partials under ``PARTIAL_ROWS_DRIVER_LIMIT`` (and
+``COLLECT_BYTES_LIMIT``) and folds them on the driver with
+:func:`fold_partials`; past the bound :func:`fold_distributed` runs
+Ray's groupby over the partials.
 
 Group kernels: :func:`partitioned` is the package's one hash-partitioned
 group primitive.  It shuffles rows on ``hash_mix(key)`` into
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .pools import cluster_cpus
 
@@ -37,10 +44,13 @@ MAX_SALTS = 8  # replication-factor bound: candidate-replicating consumers
 
 
 # Max buffered partial rows one driver fold takes before it bails to a
-# distributed groupby: key_counts, the minhash bucket counts,
-# textops.dup_spans and tiling.pixel_counts (~256 MB of int64 pairs at
-# the bound).  Read at call time, so tests can lower it.
+# distributed groupby: every aggregate, textops.dup_spans and
+# tiling.pixel_counts.  Read at call time, so tests can lower it.
 PARTIAL_ROWS_DRIVER_LIMIT = 16_000_000
+# Max Arrow bytes any bounded collect buffers, whatever its row limit:
+# a row bound alone lets string or multi-column partials (md5 keys,
+# word pairs) hold several times this on the driver.
+COLLECT_BYTES_LIMIT = 256 << 20
 
 
 def collect(source, schema: pa.Schema,
@@ -50,61 +60,129 @@ def collect(source, schema: pa.Schema,
     ``schema``'s columns, cast to its types, in stream order.  Empty
     and schema-less blocks are skipped; no rows give
     ``schema.empty_table()``.  With a ``limit``, returns ``None`` as
-    soon as more than ``limit`` rows have arrived, without pulling the
-    rest: the caller then takes its distributed path or fails loudly."""
+    soon as more than ``limit`` rows or ``COLLECT_BYTES_LIMIT`` bytes
+    have arrived, without pulling the rest: the caller then takes its
+    distributed path or fails loudly."""
     if hasattr(source, "iter_batches"):
         source = source.iter_batches(batch_size=None,
                                      batch_format="pyarrow")
-    tables, n = [], 0
+    tables, n, nbytes = [], 0, 0
     for t in source:
         if not t.num_rows:
             continue
+        t = t.select(schema.names).cast(schema)
         n += t.num_rows
-        if limit is not None and n > limit:
+        nbytes += t.nbytes
+        if limit is not None and (n > limit
+                                  or nbytes > COLLECT_BYTES_LIMIT):
             return None
-        tables.append(t.select(schema.names).cast(schema))
+        tables.append(t)
     return pa.concat_tables(tables) if tables else schema.empty_table()
 
 
-def sum_partials(table: pa.Table, key: str, values: list[str]) -> pa.Table:
-    """The driver partial-count fold: (key, partial counts) rows -> one
-    row per distinct key in ascending key order, each ``values`` column
-    summed as int64."""
-    uk, inv = np.unique(table[key].to_numpy(), return_inverse=True)
-    out = {key: pa.array(uk)}
-    for v in values:
-        sums = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sums, inv, table[v].to_numpy())
-        out[v] = pa.array(sums)
-    return pa.table(out)
+def _group(t: pa.Table, keys: list[str], aggs: dict, schema: pa.Schema,
+           *, fold: bool) -> pa.Table:
+    """One Arrow ``group_by(keys)`` over ``t``: output ``name`` is
+    ``op`` of ``t[col]`` for each ``name -> (col, op)`` of ``aggs``.  A
+    count counts rows, nulls included; in a fold (``fold=True``) it
+    sums the partial counts, and the keys come out ascending.  Cast to
+    ``schema``."""
+    cols = {k: t[k] for k in keys}
+    cols.update({name: t[col] for name, (col, _) in aggs.items()})
+    spec = [(name, "count", pc.CountOptions("all"))
+            if op == "count" and not fold
+            else (name, "sum" if op == "count" else op)
+            for name, (_, op) in aggs.items()]
+    g = pa.table(cols).group_by(keys, use_threads=False).aggregate(spec)
+    g = g.rename_columns([c if c in keys else c.rsplit("_", 1)[0]
+                          for c in g.column_names])
+    if fold and keys:
+        g = g.sort_by([(k, "ascending") for k in keys])
+    return g.select(schema.names).cast(schema)
+
+
+def fold_partials(partials: pa.Table, keys: list[str], aggs: dict,
+                  schema) -> pa.Table:
+    """The driver fold of :func:`aggregate`'s partials (one column per
+    output name of ``aggs``): one row per key in ascending key order
+    (one row with no keys), a count folded by sum, cast to
+    ``schema``."""
+    return _group(partials, list(keys),
+                  {n: (n, op) for n, (_, op) in aggs.items()},
+                  pa.schema(schema), fold=True)
+
+
+def fold_distributed(partials, keys: list[str], aggs: dict, schema):
+    """:func:`fold_partials` as Ray's sort groupby over the partials
+    Dataset (one column per output name of ``aggs``): the bail-out of
+    every driver fold, and the package's one ``ray.data.aggregate``
+    use.  Lazy; cast to ``schema``."""
+    from ray.data import aggregate as ra
+
+    schema = pa.schema(schema)
+    fns = {"sum": ra.Sum, "min": ra.Min, "max": ra.Max, "count": ra.Sum}
+    folds = [fns[op](n, alias_name=n) for n, (_, op) in aggs.items()]
+    return partials.groupby(list(keys) or None).aggregate(
+        *(folds or [ra.Count()])).map_batches(
+        lambda t: t.select(schema.names).cast(schema),
+        batch_format="pyarrow", zero_copy_batch=True)
+
+
+def aggregate_table(ds, keys, aggs: dict, schema):
+    """:func:`aggregate`'s result as one driver ``pa.Table`` when the
+    per-block partials fit the driver bound, else the lazy Dataset of
+    :func:`fold_distributed` over them.  For callers that consume the
+    result on the driver either way.  Runs its input."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    schema = pa.schema(schema)
+    part = ds.map_batches(lambda t: _group(t, keys, aggs, schema, fold=False),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None)
+    t = collect(part, schema, PARTIAL_ROWS_DRIVER_LIMIT)
+    if t is None:
+        return fold_distributed(part, keys, aggs, schema)
+    return fold_partials(t, keys, aggs, schema)
+
+
+def aggregate(ds, keys, aggs: dict, schema):
+    """The package's one aggregate: ``ds`` grouped by ``keys`` (a name,
+    a list of names, or ``[]`` for one whole-Dataset row), with
+    ``aggs`` mapping each output name to ``(column, "sum" | "min" |
+    "max" | "count")``.  A count counts rows; sum, min and max skip
+    nulls.  Returns a Dataset of one row per key, keys ascending, cast
+    to ``schema`` (keys first, then the outputs, in its order).
+
+    It runs its input when it is called: one Arrow ``group_by`` per
+    whole block, the partials collected with :func:`collect` up to
+    ``PARTIAL_ROWS_DRIVER_LIMIT`` rows (and ``COLLECT_BYTES_LIMIT``
+    bytes) and folded on the driver by :func:`fold_partials`, in
+    blocks of at most ``HP_TARGET_ROWS`` rows.  Past the bound the
+    partials go through :func:`fold_distributed` instead, which runs
+    lazily.  An Arrow fold keeps every key type (Ray's aggregate
+    changes the unit of ``timestamp[us]`` keys; the cast to ``schema``
+    restores it on that path)."""
+    t = aggregate_table(ds, keys, aggs, schema)
+    return table_dataset(t) if isinstance(t, pa.Table) else t
+
+
+def table_dataset(t: pa.Table):
+    """A driver table as a Dataset in blocks of at most
+    ``HP_TARGET_ROWS`` rows."""
+    import ray.data as rd
+
+    return rd.from_arrow([t.slice(i, HP_TARGET_ROWS) for i in
+                          range(0, max(t.num_rows, 1), HP_TARGET_ROWS)])
 
 
 def key_counts(ds, key: str) -> dict[int, int]:
-    """Exact group sizes for one int key column, computed with map-side
-    partial counts (one row per key per batch crosses the wire).  The
-    result is a DRIVER dict either way, so bounded partial volume is
-    collected and folded with :func:`sum_partials`, skipping Ray's
-    sort-based groupby entirely (measured 8-9 s on a 1.28 M-partial
-    input); above PARTIAL_ROWS_DRIVER_LIMIT it bails to the groupby."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch[key].to_numpy()
-        u, c = np.unique(k, return_counts=True)
-        return pa.table({key: pa.array(u),
-                         "cnt": pa.array(c.astype(np.int64))})
-
-    part = ds.select_columns([key]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None)
+    """Exact group sizes for one int key column, as a driver dict:
+    :func:`aggregate_table`'s count, so only one row per key per block
+    crosses the wire (Ray's sort groupby took 8-9 s on a 1.28 M-partial
+    input).  Like :func:`aggregate`, it runs its input."""
     schema = pa.schema([(key, pa.int64()), ("cnt", pa.int64())])
-    t = collect(part, schema, PARTIAL_ROWS_DRIVER_LIMIT)
-    if t is not None:
-        t = sum_partials(t, key, ["cnt"])
-    else:
-        from ray.data.aggregate import Sum
-
-        t = collect(part.groupby(key).aggregate(Sum("cnt", alias_name="cnt")),
-                    schema)
+    t = aggregate_table(ds, key, {"cnt": (key, "count")}, schema)
+    if not isinstance(t, pa.Table):
+        t = collect(t, schema)
     # numpy tolist: Arrow's to_pylist is ~15x slower per element
     return dict(zip(t[key].to_numpy().tolist(), t["cnt"].to_numpy().tolist()))
 
@@ -243,9 +321,14 @@ def partitioned(ds, key: str, kernel, schema, *, rows_hint: int):
     partition count through :func:`partitions_for`.  ``schema`` (a
     ``pa.Schema`` or a name -> type mapping) is the output contract:
     every kernel output is cast to it, an empty one becomes a typed
-    empty table, and a populated one missing a column raises.  (A sort
-    partition that got no rows reaches no kernel: Ray passes its
-    schema-less empty block through, and no later map sees it.)
+    empty table, and a populated one missing a column raises.
+
+    The exchange is Ray's sort on ``pkey`` with the boundaries given
+    (``1 .. n_parts - 1``), so no sampling pass runs and each sort
+    output block is exactly one partition; a whole-block
+    ``map_batches`` then runs the kernel once per partition.  A
+    partition that got no rows stays a schema-less empty block that
+    reaches no kernel.
 
     Ray 2.49 stalls the exchange at ~zero CPU when untyped or
     schema-less blocks feed the next shuffle (measured: 58 s for a
@@ -255,7 +338,7 @@ def partitioned(ds, key: str, kernel, schema, *, rows_hint: int):
     deduplicates block schemas: ``sources.read_table`` blocks carry
     none, but Ray adds a ``pandas`` entry when it turns a pandas block
     (a ``batch_format="pandas"`` map's output) into Arrow.  The
-    groupby is Ray's sort shuffle: ``repartition(keys=)`` under
+    exchange is Ray's sort: ``repartition(keys=)`` under
     ``HASH_SHUFFLE`` deadlocks a 1-CPU session, and with its
     aggregator-CPU override it ran ~9x slower (120 K rows, 8
     partitions, 1 vCPU)."""
@@ -277,5 +360,6 @@ def partitioned(ds, key: str, kernel, schema, *, rows_hint: int):
         return out.select(schema.names).cast(schema)
 
     return ds.map_batches(add_pkey, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("pkey").map_groups(
-        run, batch_format="pyarrow")
+                          zero_copy_batch=True).sort(
+        "pkey", boundaries=list(range(1, n_parts))).map_batches(
+        run, batch_format="pyarrow", batch_size=None)

@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import shuffle
-from .shuffle import collect, partitioned, run_pairs, runs
+from .shuffle import aggregate, collect, partitioned, run_pairs, runs
 from .sources import read_table
 
 # language-ID marker words, checked as substrings " w " over " "||text||" ".
@@ -121,22 +121,18 @@ def lang_confusion(ds):
     over the corpus.  Per-batch partials (one row per (label, pred)
     pair, never documents) -> one groupby Sum bounded by |langs|^2
     keys."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         pred, _ = LangId().predict(batch["text"])
-        t = pa.table({"lang": batch["lang"],
-                      "pred_lang": pa.array(pred, pa.string()),
-                      "n": pa.array(np.ones(len(batch), np.int64))})
-        g = t.group_by(["lang", "pred_lang"]).aggregate([("n", "sum")])
-        return pa.table({"lang": g["lang"],
-                         "pred_lang": g["pred_lang"],
-                         "n": g["n_sum"]})
+        return pa.table({"lang": batch["lang"],
+                         "pred_lang": pa.array(pred, pa.string()),
+                         "n": pa.array(np.ones(len(batch), np.int64))})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby(["lang", "pred_lang"]).aggregate(
-            Sum("n", alias_name="n"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["lang", "pred_lang"], {"n": ("n", "sum")},
+        {"lang": pa.string(), "pred_lang": pa.string(), "n": pa.int64()})
 
 
 def source_stats(ds):
@@ -145,26 +141,24 @@ def source_stats(ds):
     analog of the registrable domain).  Map-side partials (one row per
     source per batch) keep the shuffle bounded by the source key space,
     never the page count."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         src = pc.list_element(pc.split_pattern(batch["url"], "/"), 3)
         nch = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
         ntok = pc.add(pc.cast(pc.count_substring(batch["text"], " "),
                               pa.int64()), 1)
-        t = pa.table({"src": src,
-                      "c": pa.array(np.ones(len(batch), dtype=np.int64)),
-                      "nch": nch, "ntok": ntok})
-        g = t.group_by("src").aggregate(
-            [("c", "sum"), ("nch", "sum"), ("ntok", "sum")])
-        return pa.table({"src": g["src"], "c": g["c_sum"],
-                         "nch": g["nch_sum"], "ntok": g["ntok_sum"]})
+        return pa.table({"src": src,
+                         "c": pa.array(np.ones(len(batch), dtype=np.int64)),
+                         "nch": nch, "ntok": ntok})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("src").aggregate(Sum("c", alias_name="n_pages"),
-                                  Sum("nch", alias_name="total_chars"),
-                                  Sum("ntok", alias_name="total_tokens"))
+    return aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "src", {"n_pages": ("c", "sum"),
+                "total_chars": ("nch", "sum"),
+                "total_tokens": ("ntok", "sum")},
+        {"src": pa.string(), "n_pages": pa.int64(), "total_chars": pa.int64(),
+         "total_tokens": pa.int64()})
 
 
 QUANTILES = (0.5, 0.9, 0.99)
@@ -178,17 +172,15 @@ def length_histogram(ds):
     ``length_quantiles`` / ``quality_filter`` (and mirrored by
     relational.length_percentile_rank's keyed variant).  Returns two
     empty arrays for an empty corpus."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ln = pc.utf8_length(batch["text"]).to_numpy()
-        u, c = np.unique(ln, return_counts=True)
-        return pa.table({"L": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
+    def lengths(batch: pa.Table) -> pa.Table:
+        return pa.table({"L": pc.utf8_length(batch["text"])})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("L").aggregate(Sum("c", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(lengths, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "L", {"n": ("L", "count")},
+        {"L": pa.int64(), "n": pa.int64()})
     t = collect(hist, pa.schema([("L", pa.int64()), ("n", pa.int64())]))
     L = t["L"].to_numpy()
     n = t["n"].to_numpy()
@@ -252,22 +244,18 @@ def unigram_surprisal(ds):
     tf-weighted sum.  All-vectorized aggregates; exactly SQL-mirrorable
     (numpy and DuckDB share the platform libm, so ln() in the same
     expression order is bit-exact)."""
-    from ray.data.aggregate import Sum
 
     tokens = ds.map_batches(doc_token_tf, batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=None)
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([("tf", "sum")])
-        return pa.table({"token": g["token"], "c": g["tf_sum"]})
 
     # the counts aggregate is vocab-bounded — materialize it once and
     # derive the total token count from it (saves a full tokenize pass
     # vs a separate tokens.count(), and a second one when the join
     # consumes counts)
-    counts = tokens.map_batches(count_partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Sum("c", alias_name="n")) \
+    counts = aggregate(
+        tokens,
+        "token", {"n": ("tf", "sum")},
+        {"token": pa.string(), "n": pa.int64()}) \
         .materialize()
     total = 0
     for b in counts.iter_batches(batch_size=65536,
@@ -292,11 +280,12 @@ def unigram_surprisal(ds):
                          "s": pa.array(s * tf),
                          "tf": pa.array(tf)})
 
-    return j.map_batches(surprise, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("doc_id").aggregate(
-            Sum("s", alias_name="surprisal_milli"),
-            Sum("tf", alias_name="n_tokens"))
+    return aggregate(
+        j.map_batches(surprise, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "doc_id", {"surprisal_milli": ("s", "sum"), "n_tokens": ("tf", "sum")},
+        {"doc_id": pa.int64(), "surprisal_milli": pa.int64(),
+         "n_tokens": pa.int64()})
 
 
 def word_count_topk(ds, k: int = 20):
@@ -304,9 +293,8 @@ def word_count_topk(ds, k: int = 20):
     canonical flat-map word count with map-side partial aggregation:
     one (token, count) row per distinct token per batch crosses the
     shuffle, then a vectorized Sum and a small sort."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch["text"], " "))
         vc = toks.value_counts()
         return pa.table({
@@ -314,9 +302,11 @@ def word_count_topk(ds, k: int = 20):
             "c": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Sum("c", alias_name="n"))
+    counts = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "token", {"n": ("c", "sum")},
+        {"token": pa.string(), "n": pa.int64()})
     return counts.sort(["n", "token"], descending=[True, False]).limit(k)
 
 
@@ -345,11 +335,10 @@ def cms_heavy(ds, k: int = 20, w: int = CMS_W):
     is the verification side a production pipeline replaces with a
     candidate heap next to the sketch."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from .dedup import MERSENNE, _hash_tokens
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch["text"], " "))
         vc = toks.value_counts()
         uniq = vc.field("values").to_pylist()
@@ -373,9 +362,11 @@ def cms_heavy(ds, k: int = 20, w: int = CMS_W):
                             else np.array([], dtype=np.int64)),
         })
 
-    sketch_rows = ds.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None) \
-        .groupby(["r", "cell"]).aggregate(Sum("cnt", alias_name="cnt"))
+    sketch_rows = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["r", "cell"], {"cnt": ("cnt", "sum")},
+        {"r": pa.int64(), "cell": pa.int64(), "cnt": pa.int64()})
 
     # driver fold: the aggregate output is <= D x W rows by construction
     cms = np.zeros((CMS_D, w), dtype=np.int64)
@@ -468,12 +459,11 @@ def ngram_topk(ds, n: int = 2, k: int = 20):
     vectorized Sum and a k-row sort.  The shuffle is bounded by the
     n-gram vocabulary per batch, never the token stream."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     if n < 2:
         raise ValueError("use word_count_topk for unigrams")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
         lens = pc.list_value_length(toks).to_numpy()
         flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
@@ -498,9 +488,11 @@ def ngram_topk(ds, n: int = 2, k: int = 20):
     # 16384-doc batches: the kernel materializes the token stream as
     # Python objects, so whole 128 MB blocks would be memory-heavy; 16x
     # the default still folds most in-batch n-gram repetition
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=16384) \
-        .groupby("ngram").aggregate(Sum("c", alias_name="n"))
+    counts = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=16384),
+        "ngram", {"n": ("c", "sum")},
+        {"ngram": pa.string(), "n": pa.int64()})
     return counts.sort(["n", "ngram"], descending=[True, False]).limit(k)
 
 
@@ -517,19 +509,14 @@ def tfidf_topk(ds, n_docs: int, k: int = 3,
     ``shuffle.partitioned`` (one vectorized rank kernel per partition,
     never one call per document).  ``n_docs`` comes from parquet
     footer metadata — no extra pass over the corpus."""
-    from ray.data.aggregate import Sum
 
     pairs = ds.map_batches(doc_token_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([([], "count_all")])
-        return pa.table({"token": g["token"],
-                         "d": pc.cast(g["count_all"], pa.int64())})
-
-    dfs = pairs.map_batches(df_partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Sum("d", alias_name="df")) \
+    dfs = aggregate(
+        pairs,
+        "token", {"df": ("token", "count")},
+        {"token": pa.string(), "df": pa.int64()}) \
         .materialize()
 
     # join fan-out scales with the pair volume, floor 1 for tiny inputs
@@ -675,15 +662,16 @@ def decontaminate(ds, bench_ds=None, n: int = DECON_NGRAM,
     def doc_ngrams(batch: pa.Table):
         return doc_ngram_pairs(batch, n)
 
-    def bench_partial(batch: pa.Table) -> pa.Table:
+    def bench_cols(batch: pa.Table) -> pa.Table:
         _, g = doc_ngrams(batch)
         return pa.table({"g": pa.array(g.drop_duplicates(), pa.string())})
 
     # distinct benchmark n-grams: per-batch dedup partials -> one small
     # global distinct aggregate -> driver list (bench-set-bounded)
-    bench_grams = bench_ds.map_batches(
-        bench_partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None).groupby("g").count()
+    bench_grams = aggregate(
+        bench_ds.map_batches(bench_cols, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None),
+        "g", {}, {"g": pa.string()})
     gset = pd.Index(collect(bench_grams, pa.schema([("g", pa.string())]))
                     ["g"].to_numpy(zero_copy_only=False), dtype=object)
     gref = ray.put(gset)
@@ -727,8 +715,6 @@ def chunk_dedup(ds, chunk_tokens: int = 32):
     ``groupby(doc_id)`` Sum.  Output: (doc_id, n_chunks, n_kept)."""
     import hashlib
 
-    from ray.data.aggregate import Min, Sum
-
     chunks = chunk_docs(ds, chunk_tokens=chunk_tokens, overlap=0)
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -747,33 +733,29 @@ def chunk_dedup(ds, chunk_tokens: int = 32):
         return pa.table({"h": pa.array(h, pa.string()),
                          "packed": pa.array(packed)})
 
-    winners = chunks.map_batches(keyed, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby("h").aggregate(Min("packed", alias_name="w"))
+    winners = aggregate(
+        chunks.map_batches(keyed, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "h", {"w": ("packed", "min")},
+        {"h": pa.string(), "w": pa.int64()})
 
-    def kept_partial(batch: pa.Table) -> pa.Table:
-        d = batch["w"].to_numpy() >> CHUNK_ID_BITS
-        u, c = np.unique(d, return_counts=True)
-        return pa.table({"doc_id": pa.array(u),
-                         "n_chunks": pa.array(np.zeros(len(u),
-                                                       dtype=np.int64)),
-                         "n_kept": pa.array(c.astype(np.int64))})
+    def flagged(d: np.ndarray, kept: int) -> pa.Table:
+        # one row per chunk: counted in n_chunks, or in n_kept
+        return pa.table({"doc_id": pa.array(d),
+                         "n_chunks": pa.array(np.full(len(d), 1 - kept)),
+                         "n_kept": pa.array(np.full(len(d), kept))})
 
-    def total_partial(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy()
-        u, c = np.unique(d, return_counts=True)
-        return pa.table({"doc_id": pa.array(u),
-                         "n_chunks": pa.array(c.astype(np.int64)),
-                         "n_kept": pa.array(np.zeros(len(u),
-                                                     dtype=np.int64))})
-
-    kept = winners.map_batches(kept_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None)
-    totals = chunks.map_batches(total_partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)
-    return totals.union(kept).groupby("doc_id").aggregate(
-        Sum("n_chunks", alias_name="n_chunks"),
-        Sum("n_kept", alias_name="n_kept"))
+    kept = winners.map_batches(
+        lambda b: flagged(b["w"].to_numpy() >> CHUNK_ID_BITS, 1),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+    totals = chunks.map_batches(
+        lambda b: flagged(b["doc_id"].to_numpy(), 0),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+    return aggregate(
+        totals.union(kept),
+        "doc_id", {"n_chunks": ("n_chunks", "sum"),
+         "n_kept": ("n_kept", "sum")},
+        {"doc_id": pa.int64(), "n_chunks": pa.int64(), "n_kept": pa.int64()})
 
 
 DUP_SPANS_NGRAM = 3
@@ -796,8 +778,8 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
     flags runs, so counts are exact (no probabilistic answer).  The
     kernel is ONE vectorized call per partition (sort + run detection +
     per-doc bincount), not per-gram pandas groups; per-doc partials
-    then fold through a single ``groupby(doc_id)`` Sum.  Two shuffles
-    total; gram text never reaches the driver.  At petabyte scale the
+    then fold through ``shuffle.aggregate``.  One shuffle; gram text
+    never reaches the driver.  At petabyte scale the
     carried key would switch to the 64-bit hash itself (documented
     collision odds) to shrink the exchange.
 
@@ -805,11 +787,9 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
     absent from the output (matching the SQL mirror).
     Output: (doc_id, n_grams, n_dup)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     rows_hint = DUP_SPANS_GRAMS_PER_DOC * (
         docs_hint if docs_hint is not None else ds.count())
-    num_parts = shuffle.partitions_for(rows_hint)
 
     def pairs(batch: pa.Table) -> pa.Table:
         idx, g = doc_ngram_pairs(batch, n)
@@ -851,34 +831,16 @@ def dup_spans(ds, n: int = DUP_SPANS_NGRAM, docs_hint: int | None = None):
                             "n_dup": pa.int64()},
                            rows_hint=rows_hint)
 
-    # Final per-doc combine. Partial volume is bounded by
-    # num_parts x docs (every doc contributes <= one row per partition),
-    # so under the driver limit the partials are collected and folded
-    # on the driver (shuffle.sum_partials) — Ray 2.49's sort-based
-    # groupby cost 21 s on a 2.7 M-row partial table this fold does in
-    # ~1 s (the key_counts / pixel_counts volume-aware pattern).  Above
-    # the bound (10^9 docs at the 100 TB design point) it bails to the
-    # distributed groupby.
-    est_partials = (docs_hint * min(num_parts, DUP_SPANS_GRAMS_PER_DOC)
-                    if docs_hint is not None else None)
-    limit = shuffle.PARTIAL_ROWS_DRIVER_LIMIT
-    if est_partials is not None and est_partials <= limit:
-        import ray.data as rd
-
-        # the estimate is a heuristic, not an upper bound (docs can
-        # average more distinct grams than DUP_SPANS_GRAMS_PER_DOC),
-        # so the collect is row-counted too and bails mid-stream to
-        # the distributed groupby — the same overflow contract as
-        # key_counts
-        t = collect(per_part, pa.schema([
-            ("doc_id", pa.int64()), ("n_grams", pa.int64()),
-            ("n_dup", pa.int64())]), limit)
-        if t is not None:
-            return rd.from_arrow(
-                shuffle.sum_partials(t, "doc_id", ["n_grams", "n_dup"]))
-    return per_part.groupby("doc_id").aggregate(
-        Sum("n_grams", alias_name="n_grams"),
-        Sum("n_dup", alias_name="n_dup"))
+    # Final per-doc combine: partial volume is bounded by partitions x
+    # docs (every doc contributes <= one row per partition), so under
+    # the driver bound shuffle.aggregate folds it on the driver — Ray
+    # 2.49's sort-based groupby cost 21 s on a 2.7 M-row partial table
+    # this fold does in ~1 s.
+    return shuffle.aggregate(
+        per_part, "doc_id", {"n_grams": ("n_grams", "sum"),
+                             "n_dup": ("n_dup", "sum")},
+        {"doc_id": pa.int64(), "n_grams": pa.int64(),
+         "n_dup": pa.int64()})
 
 
 MIX_HMOD = 1_000_000_007    # (doc_id % MOD) * MULT + ADD stays < 2^63
@@ -906,17 +868,10 @@ def mix_sample(ds, k: int = MIX_TARGET_DOCS):
     Output: the kept (doc_id, source) rows."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["source"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"source": pa.array(u, pa.string()),
-                         "n": pa.array(c.astype(np.int64))})
-
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby("source").aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        ds, "source", {"n": ("source", "count")},
+        {"source": pa.string(), "n": pa.int64()})
 
     counts = collect(counts, pa.schema([("source", pa.string()),
                                         ("n", pa.int64())]),
@@ -1062,7 +1017,6 @@ def pack_sequences(ds, seq_tokens: int = 512,
     range's global offset.  SQL mirror: SUM() OVER (ORDER BY doc_id
     ROWS UNBOUNDED PRECEDING AND 1 PRECEDING)."""
     import ray
-    from ray.data.aggregate import Sum
 
     def counts(batch: pa.Table) -> pa.Table:
         text = batch["text"]
@@ -1082,14 +1036,14 @@ def pack_sequences(ds, seq_tokens: int = 512,
     cnts = ds.map_batches(counts, batch_format="pyarrow",
                           zero_copy_batch=True, batch_size=None)
 
-    def range_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["rkey", "n_tokens"]).group_by("rkey") \
-            .aggregate([("n_tokens", "sum")])
-        return pa.table({"rkey": g["rkey"], "t": g["n_tokens_sum"]})
+    def range_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["rkey", "n_tokens"])
 
-    t = collect(cnts.map_batches(range_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
-                .groupby("rkey").aggregate(Sum("t", alias_name="t")),
+    t = collect(aggregate(
+        cnts.map_batches(range_cols, batch_format="pyarrow",
+                         zero_copy_batch=True, batch_size=None),
+        "rkey", {"t": ("n_tokens", "sum")},
+        {"rkey": pa.int64(), "t": pa.int64()}),
                 pa.schema([("rkey", pa.int64()), ("t", pa.int64())]))
     if not t.num_rows:
         import ray.data as rd
@@ -1169,30 +1123,28 @@ def bigram_surprisal(ds, rows_hint: int | None = None):
     FROM the bigram table (no second corpus pass) -> one small
     cb x cw join scores every bigram -> ONE hash join of the pair
     rows to scores -> per-doc Sum."""
-    from ray.data.aggregate import Sum
 
     pairs = ds.map_batches(doc_bigram_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=16384)
 
-    def cb_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["b", "w1", "tf"]).group_by(["b", "w1"]) \
-            .aggregate([("tf", "sum")])
-        return pa.table({"b": g["b"], "w1": g["w1"],
-                         "n": g["tf_sum"]})
+    def cb_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["b", "w1", "tf"])
 
-    cb = pairs.map_batches(cb_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["b", "w1"]).aggregate(Sum("n", alias_name="n")) \
+    cb = aggregate(
+        pairs.map_batches(cb_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        ["b", "w1"], {"n": ("tf", "sum")},
+        {"b": pa.string(), "w1": pa.string(), "n": pa.int64()}) \
         .materialize()
 
-    def cw_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["w1", "n"]).group_by("w1") \
-            .aggregate([("n", "sum")])
-        return pa.table({"w1": g["w1"], "c": g["n_sum"]})
+    def cw_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["w1", "n"])
 
-    cw = cb.map_batches(cw_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby("w1").aggregate(Sum("c", alias_name="cn"))
+    cw = aggregate(
+        cb.map_batches(cw_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "w1", {"cn": ("n", "sum")},
+        {"w1": pa.string(), "cn": pa.int64()})
 
     from .relational import join_partitions_for
 
@@ -1224,11 +1176,13 @@ def bigram_surprisal(ds, rows_hint: int | None = None):
                          "sm": pa.array(batch["s"].to_numpy() * tf),
                          "tf": pa.array(tf)})
 
-    return j.map_batches(weigh, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("doc_id").aggregate(
-            Sum("sm", alias_name="bigram_surprisal_milli"),
-            Sum("tf", alias_name="n_bigrams"))
+    return aggregate(
+        j.map_batches(weigh, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "doc_id", {"bigram_surprisal_milli": ("sm", "sum"),
+         "n_bigrams": ("tf", "sum")},
+        {"doc_id": pa.int64(), "bigram_surprisal_milli": pa.int64(),
+         "n_bigrams": pa.int64()})
 
 
 PMI_MIN_COUNT = 5     # bigram support floor for collocation candidates
@@ -1257,17 +1211,16 @@ def _length_grid(hist, site: str) -> pa.Table:
     """Per-(source, x) counts ``hist`` -> the global (x, c) histogram
     in ascending x, one row per distinct length (under
     HIST_MAX_VALUES)."""
-    from ray.data.aggregate import Sum
 
-    def g_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["x", "c"]).group_by("x") \
-            .aggregate([("c", "sum")])
-        return pa.table({"x": g["x"], "c": g["c_sum"]})
+    def g_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["x", "c"])
 
     return _fold_rows(
-        hist.map_batches(g_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None)
-        .groupby("x").aggregate(Sum("c", alias_name="c")),
+        aggregate(
+            hist.map_batches(g_cols, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None),
+            "x", {"c": ("c", "sum")},
+            {"x": pa.int64(), "c": pa.int64()}),
         pa.schema([("x", pa.int64()), ("c", pa.int64())]),
         HIST_MAX_VALUES, site, "distinct length count").sort_by("x")
 
@@ -1289,18 +1242,16 @@ def ks_drift(ds):
     once via ``ray.put`` (distinct lengths x sources bounded — the
     same contract as length_quantiles/gini)."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"source": batch["source"],
-                      "x": pc.cast(batch["n_chars"], pa.int64())})
-        g = t.group_by(["source", "x"]).aggregate([([], "count_all")])
-        return pa.table({"source": g["source"], "x": g["x"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+    def hist_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"source": batch["source"],
+                         "x": pc.cast(batch["n_chars"], pa.int64())})
 
-    hist = ds.map_batches(hist_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "x"]).aggregate(Sum("c", alias_name="c")) \
+    hist = aggregate(
+        ds.map_batches(hist_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["source", "x"], {"c": ("source", "count")},
+        {"source": pa.string(), "x": pa.int64(), "c": pa.int64()}) \
         .materialize()
 
     gl = _length_grid(hist, "ks_drift")
@@ -1355,28 +1306,22 @@ def zipf_fit(ds):
     token partials, one vocab-bounded groupby, one histogram groupby,
     a driver cumsum over the tiny histogram, then rank-range segments
     (chunked to ZIPF_SEG) evaluated as distributed vectorized tasks."""
-    from ray.data.aggregate import Sum
 
-    def tok_partial(batch: pa.Table) -> pa.Table:
+    def tok_cols(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
-        g = pa.table({"token": pc.list_flatten(toks)}) \
-            .group_by("token").aggregate([([], "count_all")])
-        return pa.table({"token": g["token"],
-                         "f": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"token": pc.list_flatten(toks)})
 
-    vocab = ds.map_batches(tok_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=16384) \
-        .groupby("token").aggregate(Sum("f", alias_name="f"))
-
-    def f_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["f"].to_numpy(), return_counts=True)
-        return pa.table({"f": pa.array(u),
-                         "cnt": pa.array(c.astype(np.int64))})
+    vocab = aggregate(
+        ds.map_batches(tok_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=16384),
+        "token", {"f": ("token", "count")},
+        {"token": pa.string(), "f": pa.int64()})
 
     fhist = _fold_rows(
-        vocab.map_batches(f_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None)
-        .groupby("f").aggregate(Sum("cnt", alias_name="cnt")),
+        aggregate(
+            vocab,
+            "f", {"cnt": ("f", "count")},
+            {"f": pa.int64(), "cnt": pa.int64()}),
         pa.schema([("f", pa.int64()), ("cnt", pa.int64())]),
         HIST_MAX_VALUES, "zipf_fit", "distinct frequency count")
     if not fhist.num_rows:
@@ -1420,14 +1365,13 @@ def zipf_fit(ds):
                          "sxy": pa.array([sxy]),
                          "sxx": pa.array([sxx])})
 
-    tot = seg_ds.map_batches(seg_sums, batch_format="pyarrow",
-                             batch_size=8).sum(["sx", "sy", "sxy", "sxx"])
-    return pa.table({
-        "n_vocab": pa.array([n_vocab], pa.int64()),
-        "sx": pa.array([int(tot["sum(sx)"])], pa.int64()),
-        "sy": pa.array([int(tot["sum(sy)"])], pa.int64()),
-        "sxy": pa.array([int(tot["sum(sxy)"])], pa.int64()),
-        "sxx": pa.array([int(tot["sum(sxx)"])], pa.int64())})
+    names = ["sx", "sy", "sxy", "sxx"]
+    tot = aggregate(seg_ds.map_batches(seg_sums, batch_format="pyarrow",
+                                       batch_size=8),
+                    [], {c: (c, "sum") for c in names},
+                    {c: pa.int64() for c in names}).take_all()[0]
+    return pa.table({"n_vocab": pa.array([n_vocab], pa.int64()),
+                     **{c: pa.array([tot[c]], pa.int64()) for c in names}})
 
 
 def mannwhitney_u(ds):
@@ -1444,18 +1388,16 @@ def mannwhitney_u(ds):
     kernel over the value grid with the GLOBAL cumulative histogram
     broadcast once via ``ray.put``."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"source": batch["source"],
-                      "x": pc.cast(batch["n_chars"], pa.int64())})
-        g = t.group_by(["source", "x"]).aggregate([([], "count_all")])
-        return pa.table({"source": g["source"], "x": g["x"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+    def hist_cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"source": batch["source"],
+                         "x": pc.cast(batch["n_chars"], pa.int64())})
 
-    hist = ds.map_batches(hist_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "x"]).aggregate(Sum("c", alias_name="c")) \
+    hist = aggregate(
+        ds.map_batches(hist_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["source", "x"], {"c": ("source", "count")},
+        {"source": pa.string(), "x": pa.int64(), "c": pa.int64()}) \
         .materialize()
 
     gl = _length_grid(hist, "mannwhitney_u")
@@ -1548,38 +1490,38 @@ def keyness_topk(ds):
     per-source top-k is a two-stage partial top-k (each batch emits
     <= sources*k rows before the single final fold), never a global
     sort."""
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
-    def st_partial(batch: pa.Table) -> pa.Table:
+    def st_cols(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
         n = pc.list_value_length(toks).to_numpy()
-        flat = pa.table({
+        return pa.table({
             "source": pa.array(np.repeat(
                 batch["source"].to_numpy(zero_copy_only=False), n)),
             "token": pc.list_flatten(toks)})
-        g = flat.group_by(["source", "token"]) \
-            .aggregate([([], "count_all")])
-        return pa.table({"source": g["source"], "token": g["token"],
-                         "a": pc.cast(g["count_all"], pa.int64())})
 
-    st = ds.map_batches(st_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=16384) \
-        .groupby(["source", "token"]).aggregate(Sum("a", alias_name="a")) \
+    st = aggregate(
+        ds.map_batches(st_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=16384),
+        ["source", "token"], {"a": ("source", "count")},
+        {"source": pa.string(), "token": pa.string(), "a": pa.int64()}) \
         .materialize()
 
-    def tt_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["token", "a"]).group_by("token") \
-            .aggregate([("a", "sum")])
-        return pa.table({"token": g["token"], "t": g["a_sum"]})
+    def tt_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["token", "a"])
 
-    tt = st.map_batches(tt_partial, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Sum("t", alias_name="t"))
+    tt = aggregate(
+        st.map_batches(tt_cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "token", {"t": ("a", "sum")},
+        {"token": pa.string(), "t": pa.int64()})
 
     # source totals: |sources| rows — a driver dict, not a join side
-    tot = _fold_rows(st.groupby("source").aggregate(Sum("a", alias_name="a")),
+    tot = _fold_rows(aggregate(
+        st,
+        "source", {"a": ("a", "sum")},
+        {"source": pa.string(), "a": pa.int64()}),
                      pa.schema([("source", pa.string()), ("a", pa.int64())]),
                      MODE_MAX_LANGS, "keyness_topk", "source count")
     na = dict(zip(tot["source"].to_pylist(), tot["a"].to_pylist()))
@@ -1650,22 +1592,20 @@ def pmi_topk(ds):
     evaluated on the identical double expression the DuckDB oracle
     uses ((n*T)/(c1*c2)), so the floor-quantized score is hash-exact.
     """
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
     pairs = ds.map_batches(doc_bigram_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=16384)
 
-    def cb_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["b", "w1", "tf"]).group_by(["b", "w1"]) \
-            .aggregate([("tf", "sum")])
-        return pa.table({"b": g["b"], "w1": g["w1"],
-                         "n": g["tf_sum"]})
+    def cb_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["b", "w1", "tf"])
 
-    cb = pairs.map_batches(cb_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["b", "w1"]).aggregate(Sum("n", alias_name="n")) \
+    cb = aggregate(
+        pairs.map_batches(cb_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        ["b", "w1"], {"n": ("tf", "sum")},
+        {"b": pa.string(), "w1": pa.string(), "n": pa.int64()}) \
         .materialize()
 
     def add_w2(batch: pa.Table) -> pa.Table:
@@ -1680,24 +1620,25 @@ def pmi_topk(ds):
     cbw = cb.map_batches(add_w2, batch_format="pyarrow",
                          zero_copy_batch=True).materialize()
 
-    def c1_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["w1", "n"]).group_by("w1") \
-            .aggregate([("n", "sum")])
-        return pa.table({"w1": g["w1"], "n1": g["n_sum"]})
+    def c1_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["w1", "n"])
 
-    def c2_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["w2", "n"]).group_by("w2") \
-            .aggregate([("n", "sum")])
-        return pa.table({"w2": g["w2"], "n2": g["n_sum"]})
+    def c2_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["w2", "n"])
 
-    c1 = cbw.map_batches(c1_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("w1").aggregate(Sum("n1", alias_name="n1"))
-    c2 = cbw.map_batches(c2_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("w2").aggregate(Sum("n2", alias_name="n2"))
+    c1 = aggregate(
+        cbw.map_batches(c1_cols, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None),
+        "w1", {"n1": ("n", "sum")},
+        {"w1": pa.string(), "n1": pa.int64()})
+    c2 = aggregate(
+        cbw.map_batches(c2_cols, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None),
+        "w2", {"n2": ("n", "sum")},
+        {"w2": pa.string(), "n2": pa.int64()})
 
-    tot = float(cbw.sum("n"))            # T: one scalar off the small table
+    tot = float(aggregate(cbw, [], {"t": ("n", "sum")},  # T: one scalar
+                          {"t": pa.int64()}).take_all()[0]["t"])
     n_bigrams = cbw.count()              # metadata-cheap (materialized)
     np_small = join_partitions_for(n_bigrams)
 
@@ -1733,36 +1674,34 @@ def host_stats(ds):
     pages), one groupby to fold partials, then the distinct-lang count
     is a second groupby over the already-(host, seg, lang)-sized table
     (the distinct_users two-stage pattern)."""
-    from ray.data.aggregate import Count, Sum
 
     pat = r"^(?P<scheme>[a-z0-9+.-]+)://(?P<host>[^/]+)/(?P<seg>[^/]*)"
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         parts = pc.extract_regex(batch["url"], pat)
         nch = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
         # non-matching urls: DuckDB regexp_extract returns '' while
         # Arrow extract_regex returns null — canonicalize to '' so the
         # engine and oracle group degenerate urls identically
-        t = pa.table({
-            "host": pc.fill_null(pc.struct_field(parts, "host"), ""),
-            "seg": pc.fill_null(pc.struct_field(parts, "seg"), ""),
-            "lang": batch["lang"],
-            "c": pa.array(np.ones(len(batch), dtype=np.int64)),
-            "nch": nch})
-        g = t.group_by(["host", "seg", "lang"]).aggregate(
-            [("c", "sum"), ("nch", "sum")])
-        return pa.table({"host": g["host"], "seg": g["seg"],
-                         "lang": g["lang"], "c": g["c_sum"],
-                         "nch": g["nch_sum"]})
+        return pa.table({
+               "host": pc.fill_null(pc.struct_field(parts, "host"), ""),
+               "seg": pc.fill_null(pc.struct_field(parts, "seg"), ""),
+               "lang": batch["lang"],
+               "c": pa.array(np.ones(len(batch), dtype=np.int64)),
+               "nch": nch})
 
-    per_lang = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-        .groupby(["host", "seg", "lang"]).aggregate(
-            Sum("c", alias_name="c"), Sum("nch", alias_name="nch"))
-    return per_lang.groupby(["host", "seg"]).aggregate(
-        Sum("c", alias_name="n_pages"),
-        Sum("nch", alias_name="total_chars"),
-        Count(alias_name="n_langs"))
+    per_lang = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["host", "seg", "lang"], {"c": ("c", "sum"), "nch": ("nch", "sum")},
+        {"host": pa.string(), "seg": pa.string(), "lang": pa.string(),
+         "c": pa.int64(), "nch": pa.int64()})
+    return aggregate(
+        per_lang,
+        ["host", "seg"], {"n_pages": ("c", "sum"),
+         "total_chars": ("nch", "sum"), "n_langs": ("host", "count")},
+        {"host": pa.string(), "seg": pa.string(), "n_pages": pa.int64(),
+         "total_chars": pa.int64(), "n_langs": pa.int64()})
 
 
 CCNET_Q1, CCNET_Q2 = 1.0, 2.0  # tertile numerators (q = k/3)
@@ -1826,19 +1765,17 @@ def quantiles_by_lang(ds):
     import math
 
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"lang": batch["lang"],
-                      "L": pc.cast(pc.utf8_length(batch["text"]),
-                                   pa.int64())})
-        g = t.group_by(["lang", "L"]).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "L": g["L"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"lang": batch["lang"],
+                         "L": pc.cast(pc.utf8_length(batch["text"]),
+                                      pa.int64())})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "L"], {"n": ("lang", "count")},
+        {"lang": pa.string(), "L": pa.int64(), "n": pa.int64()})
 
     lang, L, n = _lang_hist(hist)
     if not len(lang):
@@ -1877,17 +1814,15 @@ def mad_by_lang(ds):
     import math
 
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"lang": batch["lang"], "L": batch["n_chars"]})
-        g = t.group_by(["lang", "L"]).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "L": g["L"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"lang": batch["lang"], "L": batch["n_chars"]})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "L"], {"n": ("lang", "count")},
+        {"lang": pa.string(), "L": pa.int64(), "n": pa.int64()})
 
     lang, L, n = _lang_hist(hist)
     if not len(lang):
@@ -1930,16 +1865,11 @@ def _doc_freqs(pairs):
     """(token, df) pairs of a (doc_id, token) Dataset with one row per
     document and term: per-batch counts -> one groupby Sum, collected
     to the driver (bounded by the query terms)."""
-    from ray.data.aggregate import Sum
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([([], "count_all")])
-        return pa.table({"token": g["token"],
-                         "d": pc.cast(g["count_all"], pa.int64())})
-
-    t = collect(pairs.map_batches(df_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True, batch_size=None)
-                .groupby("token").aggregate(Sum("d", alias_name="df")),
+    t = collect(aggregate(
+        pairs,
+        "token", {"df": ("token", "count")},
+        {"token": pa.string(), "df": pa.int64()}),
                 pa.schema([("token", pa.string()), ("df", pa.int64())]))
     return zip(t["token"].to_pylist(), t["df"].to_numpy())
 
@@ -1956,7 +1886,6 @@ def search_topk(ds, n_docs: int):
     as a closure constant; the per-doc score is one map-side-partial
     groupby; top-k is per-batch partial top-k + a k-bounded final
     reduce — no global sort."""
-    from ray.data.aggregate import Sum
 
     terms = list(SEARCH_TERMS)
 
@@ -1972,20 +1901,19 @@ def search_topk(ds, n_docs: int):
     idf = {tok: int(np.floor(1000.0 * np.log(float(n_docs) / float(dfv))))
            for tok, dfv in _doc_freqs(pairs)}
 
-    def score_partial(batch: pa.Table) -> pa.Table:
+    def score_cols(batch: pa.Table) -> pa.Table:
         tok = batch["token"].to_pylist()
         sc = batch["tf"].to_numpy() * np.array(
             [idf[t] for t in tok], dtype=np.int64)
         t = pa.table({"doc_id": batch["doc_id"],
                       "score_milli": pa.array(sc)})
-        g = t.group_by("doc_id").aggregate([("score_milli", "sum")])
-        return pa.table({"doc_id": g["doc_id"],
-                         "score_milli": g["score_milli_sum"]})
+        return t
 
-    scored = pairs.map_batches(score_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-        .groupby("doc_id").aggregate(
-            Sum("score_milli", alias_name="score_milli"))
+    scored = aggregate(
+        pairs.map_batches(score_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        "doc_id", {"score_milli": ("score_milli", "sum")},
+        {"doc_id": pa.int64(), "score_milli": pa.int64()})
 
     def topk_part(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(batch, sort_keys=[
@@ -2087,7 +2015,6 @@ def bm25_topk(ds, n_docs: int):
     two scalars; dfs fold as <= |terms| rows; scoring is one
     map-side-partial groupby; top-k is per-batch partial top-k + a
     k-bounded final reduce — no global sort."""
-    from ray.data.aggregate import Sum
 
     terms = list(SEARCH_TERMS)
 
@@ -2126,7 +2053,7 @@ def bm25_topk(ds, n_docs: int):
         ((n_docs - int(dfv)) + 0.5) / (int(dfv) + 0.5))))
            for tok, dfv in _doc_freqs(pairs)}
 
-    def score_partial(batch: pa.Table) -> pa.Table:
+    def score_cols(batch: pa.Table) -> pa.Table:
         tok = batch["token"].to_pylist()
         tf = batch["tf"].to_numpy().astype(np.float64)
         dl = batch["dl"].to_numpy().astype(np.float64)
@@ -2139,14 +2066,13 @@ def bm25_topk(ds, n_docs: int):
         sc = np.floor(num / den).astype(np.int64)
         t = pa.table({"doc_id": batch["doc_id"],
                       "score_milli": pa.array(sc)})
-        g = t.group_by("doc_id").aggregate([("score_milli", "sum")])
-        return pa.table({"doc_id": g["doc_id"],
-                         "score_milli": g["score_milli_sum"]})
+        return t
 
-    scored = pairs.map_batches(score_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-        .groupby("doc_id").aggregate(
-            Sum("score_milli", alias_name="score_milli"))
+    scored = aggregate(
+        pairs.map_batches(score_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        "doc_id", {"score_milli": ("score_milli", "sum")},
+        {"doc_id": pa.int64(), "score_milli": pa.int64()})
 
     def topk_part(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(batch, sort_keys=[
@@ -2179,17 +2105,15 @@ def winsorize_stats(ds):
     import math
 
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"lang": batch["lang"], "L": batch["n_chars"]})
-        g = t.group_by(["lang", "L"]).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "L": g["L"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"lang": batch["lang"], "L": batch["n_chars"]})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "L"]).aggregate(Sum("c", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "L"], {"n": ("lang", "count")},
+        {"lang": pa.string(), "L": pa.int64(), "n": pa.int64()})
 
     lang, L, n = _lang_hist(hist)
     if not len(lang):
@@ -2233,29 +2157,22 @@ def pivot_counts(ds):
     shuffle is bounded by #sources x #batches, never rows.  Languages
     outside PIVOT_LANGS count toward n_total only (mirrors the SQL
     CASE WHEN)."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def one_hot(batch: pa.Table) -> pa.Table:
         cols = {"source": batch["source"]}
         for lg in PIVOT_LANGS:
             cols[f"n_{lg}"] = pc.cast(pc.equal(batch["lang"], lg),
                                       pa.int64())
-        cols["n_total"] = pa.array(np.ones(len(batch), np.int64))
-        t = pa.table(cols)
-        g = t.group_by("source").aggregate(
-            [(c, "sum") for c in cols if c != "source"])
-        return pa.table({"source": g["source"],
-                         **{c: g[f"{c}_sum"] for c in cols
-                            if c != "source"}})
+        return pa.table(cols)
 
-    def agg_cols():
-        return ([Sum(f"n_{lg}", alias_name=f"n_{lg}")
-                 for lg in PIVOT_LANGS]
-                + [Sum("n_total", alias_name="n_total")])
-
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby("source").aggregate(*agg_cols())
+    names = [f"n_{lg}" for lg in PIVOT_LANGS]
+    return aggregate(
+        ds.map_batches(one_hot, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "source", {**{c: (c, "sum") for c in names},
+                   "n_total": ("source", "count")},
+        {"source": pa.string(),
+         **{c: pa.int64() for c in names + ["n_total"]}})
 
 
 REDACT_PATTERN = r"\b(key|customer|value)\b"   # stand-in PII term list
@@ -2300,7 +2217,6 @@ def url_dedup(ds):
     work is Arrow RE2/utf8 kernels; the map-side partial collapses a
     doc's variants before the shuffle, so the exchange carries ~1 row
     per distinct URL per batch, never the 3x variant stream."""
-    from ray.data.aggregate import Min, Sum
 
     def variants(batch: pa.Table) -> pa.Table:
         url = batch["url"]
@@ -2321,19 +2237,16 @@ def url_dedup(ds):
             pc.replace_substring_regex(u, pattern=r"[?#].*$",
                                        replacement=""),
             pattern=r"/$", replacement=""))
-        t = pa.table({"url": canon, "doc_id": did3,
-                      "n_variants": pa.array(
-                          np.ones(len(canon), np.int64))})
-        g = t.group_by("url").aggregate(
-            [("doc_id", "min"), ("n_variants", "sum")])
-        return pa.table({"url": g["url"], "doc_id": g["doc_id_min"],
-                         "n_variants": g["n_variants_sum"]})
+        return pa.table({"url": canon, "doc_id": did3,
+                         "n_variants": pa.array(
+                             np.ones(len(canon), np.int64))})
 
-    return ds.map_batches(variants, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("url").aggregate(
-            Min("doc_id", alias_name="doc_id"),
-            Sum("n_variants", alias_name="n_variants"))
+    return aggregate(
+        ds.map_batches(variants, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "url", {"doc_id": ("doc_id", "min"),
+                "n_variants": ("n_variants", "sum")},
+        {"url": pa.string(), "doc_id": pa.int64(), "n_variants": pa.int64()})
 
 
 ROLLUP_MAX_GROUPS = 65_536  # driver-fold bound for the grain table
@@ -2351,23 +2264,19 @@ def rollup_counts(ds):
     a silent driver OOM)."""
     import pandas as pd
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"source": batch["source"], "lang": batch["lang"],
-                      "n": pa.array(np.ones(len(batch), np.int64)),
-                      "sum_chars": batch["n_chars"]})
-        g = t.group_by(["source", "lang"]).aggregate(
-            [("n", "sum"), ("sum_chars", "sum")])
-        return pa.table({"source": g["source"], "lang": g["lang"],
-                         "n": g["n_sum"],
-                         "sum_chars": g["sum_chars_sum"]})
+    def cols(batch: pa.Table) -> pa.Table:
+        return pa.table({"source": batch["source"], "lang": batch["lang"],
+                         "n": pa.array(np.ones(len(batch), np.int64)),
+                         "sum_chars": batch["n_chars"]})
 
-    grain = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "lang"]).aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_chars", alias_name="sum_chars"))
+    grain = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["source", "lang"], {"n": ("n", "sum"),
+                             "sum_chars": ("sum_chars", "sum")},
+        {"source": pa.string(), "lang": pa.string(), "n": pa.int64(),
+         "sum_chars": pa.int64()})
 
     g = collect(grain, pa.schema([
         ("source", pa.string()), ("lang", pa.string()),
@@ -2402,7 +2311,6 @@ def argmax_doc(ds):
     group and a single groupby Max finishes it; the row is recovered
     by unpacking, never by a join-back.  Guards: n_chars < 2^22,
     doc_id < 2^40 (raises loudly past the packing range)."""
-    from ray.data.aggregate import Max
 
     B = ARGMAX_CHARS_BITS
     MASK = (1 << B) - 1
@@ -2415,16 +2323,14 @@ def argmax_doc(ds):
             raise ValueError("argmax_doc packing range exceeded "
                              "(n_chars >= 2^22 or doc_id >= 2^40)")
         packed = (nc << B) | (MASK - did)
-        t = pa.table({"lang": batch["lang"], "source": batch["source"],
-                      "pk": pa.array(packed)})
-        g = t.group_by(["lang", "source"]).aggregate([("pk", "max")])
-        return pa.table({"lang": g["lang"], "source": g["source"],
-                         "pk": g["pk_max"]})
+        return pa.table({"lang": batch["lang"], "source": batch["source"],
+                         "pk": pa.array(packed)})
 
-    agg = ds.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "source"]).aggregate(Max("pk",
-                                                   alias_name="pk"))
+    agg = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "source"], {"pk": ("pk", "max")},
+        {"lang": pa.string(), "source": pa.string(), "pk": pa.int64()})
 
     def unpack(batch: pa.Table) -> pa.Table:
         pk = batch["pk"].to_numpy()
@@ -2451,25 +2357,26 @@ def mode_word(ds):
     (3) broadcast the max table and filter count == max(lang), then a
     tiny min-token groupby over the tied survivors only."""
     import ray
-    from ray.data.aggregate import Max, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
         n = pc.list_value_length(toks).to_numpy()
         lang = pa.array(np.repeat(batch["lang"].to_numpy(
             zero_copy_only=False), n))
-        t = pa.table({"lang": lang, "token": pc.list_flatten(toks),
-                      "c": pa.array(np.ones(int(n.sum()), np.int64))})
-        g = t.group_by(["lang", "token"]).aggregate([("c", "sum")])
-        return pa.table({"lang": g["lang"], "token": g["token"],
-                         "c": g["c_sum"]})
+        return pa.table({"lang": lang, "token": pc.list_flatten(toks),
+                         "c": pa.array(np.ones(int(n.sum()), np.int64))})
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "token"]).aggregate(Sum("c", alias_name="n"))
+    counts = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "token"], {"n": ("c", "sum")},
+        {"lang": pa.string(), "token": pa.string(), "n": pa.int64()})
 
     mx_tbl = _fold_rows(
-        counts.groupby("lang").aggregate(Max("n", alias_name="mx")),
+        aggregate(
+            counts,
+            "lang", {"mx": ("n", "max")},
+            {"lang": pa.string(), "mx": pa.int64()}),
         pa.schema([("lang", pa.string()), ("mx", pa.int64())]),
         MODE_MAX_LANGS, "mode_word", "lang count").sort_by("lang")
     langs = np.array(mx_tbl["lang"].to_pylist())
@@ -2532,15 +2439,15 @@ def vocab_ids(ds):
     strings."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     def distinct_part(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch["text"], " "))
         return pa.table({"token": toks.unique()})
 
-    vocab = ds.map_batches(distinct_part, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby("token").count()
+    vocab = aggregate(
+        ds.map_batches(distinct_part, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        "token", {}, {"token": pa.string()})
 
     def keyed(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2549,15 +2456,15 @@ def vocab_ids(ds):
 
     kv = vocab.map_batches(keyed, batch_format="pyarrow")
 
-    def range_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["rkey"]).append_column(
-            "c", pa.array(np.ones(len(batch), np.int64))) \
-            .group_by("rkey").aggregate([("c", "sum")])
-        return pa.table({"rkey": g["rkey"], "c": g["c_sum"]})
+    def range_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["rkey"]).append_column(
+            "c", pa.array(np.ones(len(batch), np.int64)))
 
-    t = collect(kv.map_batches(range_partial, batch_format="pyarrow",
-                               batch_size=None)
-                .groupby("rkey").aggregate(Sum("c", alias_name="c")),
+    t = collect(aggregate(
+        kv.map_batches(range_cols, batch_format="pyarrow",
+                       batch_size=None),
+        "rkey", {"c": ("c", "sum")},
+        {"rkey": pa.int64(), "c": pa.int64()}),
                 pa.schema([("rkey", pa.int64()), ("c", pa.int64())]))
     if not t.num_rows:
         return rd.from_arrow(pa.table({
@@ -2600,7 +2507,6 @@ def source_jaccard(ds):
     union term — jaccard = inter / (va + vb - inter), same expression
     tree as the SQL mirror."""
     import ray
-    from ray.data.aggregate import Sum
 
     def distinct_part(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
@@ -2608,25 +2514,28 @@ def source_jaccard(ds):
         src = pa.array(np.repeat(
             batch["source"].to_numpy(zero_copy_only=False), n))
         t = pa.table({"token": pc.list_flatten(toks), "source": src})
-        return t.group_by(["token", "source"]).aggregate([])
+        return t
 
-    ts = ds.map_batches(distinct_part, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None) \
-        .groupby(["token", "source"]).count()
+    ts = aggregate(
+        ds.map_batches(distinct_part, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["token", "source"], {},
+        {"token": pa.string(), "source": pa.string()})
 
-    def drop_cnt(batch: pa.Table) -> pa.Table:
+    def add_rkey(batch: pa.Table) -> pa.Table:
         return pa.table({
             "token": batch["token"], "source": batch["source"],
             "rkey": pa.array(_byte_prefix_key(batch["token"]))})
 
-    kv = ts.map_batches(drop_cnt, batch_format="pyarrow")
+    kv = ts.map_batches(add_rkey, batch_format="pyarrow")
 
-    sizes = _fold_rows(kv.groupby("source").count(),
-                       pa.schema([("source", pa.string()),
-                                  ("count()", pa.int64())]),
-                       MODE_MAX_LANGS, "source_jaccard", "source count")
+    size_schema = pa.schema([("source", pa.string()), ("n", pa.int64())])
+    sizes = _fold_rows(aggregate(kv, "source", {"n": ("source", "count")},
+                                 size_schema),
+                       size_schema, MODE_MAX_LANGS, "source_jaccard",
+                       "source count")
     vsize = dict(zip(sizes["source"].to_pylist(),
-                     sizes["count()"].to_pylist()))
+                     sizes["n"].to_pylist()))
     vref = ray.put(vsize)
 
     def pairs_part(g: pa.Table) -> pa.Table:
@@ -2637,15 +2546,14 @@ def source_jaccard(ds):
                              f"than {JACCARD_MAX_SOURCES} sources")
         i, j = run_pairs(starts, seg)
         src = g["source"]
-        return pa.table({"sa": src.take(i), "sb": src.take(j)}) \
-            .group_by(["sa", "sb"]).aggregate([([], "count_all")]) \
-            .rename_columns(["sa", "sb", "c"])
+        return pa.table({"sa": src.take(i), "sb": src.take(j)})
 
-    inter = partitioned(
-        kv, "rkey", pairs_part,
-        {"sa": pa.string(), "sb": pa.string(), "c": pa.int64()},
-        rows_hint=sum(vsize.values()) or 1) \
-        .groupby(["sa", "sb"]).aggregate(Sum("c", alias_name="n_inter"))
+    inter = aggregate(
+        partitioned(kv, "rkey", pairs_part,
+                    {"sa": pa.string(), "sb": pa.string()},
+                    rows_hint=sum(vsize.values()) or 1),
+        ["sa", "sb"], {"n_inter": ("sa", "count")},
+        {"sa": pa.string(), "sb": pa.string(), "n_inter": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         vs = ray.get(vref)
@@ -2698,33 +2606,28 @@ def kl_by_source(ds):
     totals map is a driver-side fold over <= |sources| rows,
     broadcast into the term kernel."""
     import ray
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
     pairs = ds.map_batches(src_token_tf, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    cst = pairs.groupby(["source", "token"]).aggregate(
-        Sum("tf", alias_name="c_st")).materialize()
+    cst = aggregate(
+        pairs,
+        ["source", "token"], {"c_st": ("tf", "sum")},
+        {"source": pa.string(), "token": pa.string(), "c_st": pa.int64()}).materialize()
 
-    def tok_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([("c_st", "sum")])
-        return pa.table({"token": g["token"], "c": g["c_st_sum"]})
-
-    ct = cst.map_batches(tok_partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Sum("c", alias_name="c_t"))
+    ct = aggregate(
+        cst,
+        "token", {"c_t": ("c_st", "sum")},
+        {"token": pa.string(), "c_t": pa.int64()})
 
     # per-source totals as a DISTRIBUTED map-side-partial groupby (the
     # driver sees <= |sources| aggregate rows, never the (source,
     # token) table itself)
-    def ns_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate([("c_st", "sum")])
-        return pa.table({"source": g["source"], "c": g["c_st_sum"]})
-
-    t = collect(cst.map_batches(ns_partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)
-                .groupby("source").aggregate(Sum("c", alias_name="n_s")),
+    t = collect(aggregate(
+        cst,
+        "source", {"n_s": ("c_st", "sum")},
+        {"source": pa.string(), "n_s": pa.int64()}),
                 pa.schema([("source", pa.string()), ("n_s", pa.int64())]))
     ns = dict(zip(t["source"].to_pylist(), t["n_s"].to_pylist()))
     total = sum(ns.values())
@@ -2750,11 +2653,12 @@ def kl_by_source(ds):
             "kl": pa.array(batch["c_st"].to_numpy() * t_milli),
             "tf": batch["c_st"]})
 
-    return j.map_batches(term, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("source").aggregate(
-            Sum("kl", alias_name="kl_numer_milli"),
-            Sum("tf", alias_name="n_tokens"))
+    return aggregate(
+        j.map_batches(term, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "source", {"kl_numer_milli": ("kl", "sum"), "n_tokens": ("tf", "sum")},
+        {"source": pa.string(), "kl_numer_milli": pa.int64(),
+         "n_tokens": pa.int64()})
 
 
 DSIR_TARGET_LANG = "en"   # target-corpus selector for the oracle
@@ -2782,7 +2686,6 @@ def dsir_weights(ds, target_lang: str = DSIR_TARGET_LANG):
     hash exchange, not a broadcast).
 
     Returns (doc_id, w_milli, n_tokens)."""
-    from ray.data.aggregate import Sum
 
     from .relational import join_partitions_for
 
@@ -2795,18 +2698,12 @@ def dsir_weights(ds, target_lang: str = DSIR_TARGET_LANG):
             "tok": pc.list_flatten(toks),
             "tgt": pc.cast(is_t, pa.int64()).take(idx)})
 
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("tok").aggregate([("tgt", "sum"),
-                                             ([], "count_all")])
-        return pa.table({"tok": g["tok"], "ct": g["tgt_sum"],
-                         "ca": pc.cast(g["count_all"], pa.int64())})
-
     toks = ds.map_batches(tok_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
-    cnt = toks.map_batches(cnt_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby("tok").aggregate(Sum("ct", alias_name="c_tgt"),
-                                  Sum("ca", alias_name="c_raw")) \
+    cnt = aggregate(
+        toks,
+        "tok", {"c_tgt": ("tgt", "sum"), "c_raw": ("tok", "count")},
+        {"tok": pa.string(), "c_tgt": pa.int64(), "c_raw": pa.int64()}) \
         .materialize()
 
     # scalar totals: three ints folded from vocab-bounded partials
@@ -2844,10 +2741,11 @@ def dsir_weights(ds, target_lang: str = DSIR_TARGET_LANG):
         return pa.table({"doc_id": pa.array(u.astype(np.int64)),
                          "ws": pa.array(s), "nt": pa.array(n)})
 
-    return j.map_batches(doc_partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("doc_id").aggregate(Sum("ws", alias_name="w_milli"),
-                                     Sum("nt", alias_name="n_tokens"))
+    return aggregate(
+        j.map_batches(doc_partial, batch_format="pyarrow",
+                      zero_copy_batch=True),
+        "doc_id", {"w_milli": ("ws", "sum"), "n_tokens": ("nt", "sum")},
+        {"doc_id": pa.int64(), "w_milli": pa.int64(), "n_tokens": pa.int64()})
 
 
 KEEP_BROADCAST_IDS = 5_000_000   # winner-id broadcast bound (rows)
@@ -3127,25 +3025,22 @@ def benford(ds):
     no float log), map-side (source, digit) partial counts, one
     digit-grid-bounded groupby.  Rows with ``n_chars < 1`` are
     excluded (no leading digit)."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cols(batch: pa.Table) -> pa.Table:
         x = batch["n_chars"].to_numpy().astype(np.int64)
         d = x[x >= 1].copy()
         while (d >= 10).any():
             np.floor_divide(d, 10, out=d, where=d >= 10)
-        t = pa.table({
-            "source": pc.array_filter(batch["source"],
-                                      pa.array(x >= 1)),
-            "digit": pa.array(d)})
-        g = t.group_by(["source", "digit"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"source": g["source"], "digit": g["digit"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({
+               "source": pc.array_filter(batch["source"],
+                                         pa.array(x >= 1)),
+               "digit": pa.array(d)})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None) \
-        .groupby(["source", "digit"]).aggregate(Sum("n", alias_name="n"))
+    hist = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["source", "digit"], {"n": ("source", "count")},
+        {"source": pa.string(), "digit": pa.int64(), "n": pa.int64()})
 
     def expect(batch: pa.Table) -> pa.Table:
         d = batch["digit"].to_numpy().astype(np.float64)
@@ -3172,17 +3067,15 @@ def chi2_contingency(ds):
     distinct-cell table (bounded by |langs|×|sources|, NOT corpus
     size)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["lang", "source"]) \
-            .group_by(["lang", "source"]).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "source": g["source"],
-                         "o": pc.cast(g["count_all"], pa.int64())})
+    def cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["lang", "source"])
 
-    agg = ds.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None) \
-        .groupby(["lang", "source"]).aggregate(Sum("o", alias_name="o"))
+    agg = aggregate(
+        ds.map_batches(cols, batch_format="pyarrow",
+                       zero_copy_batch=True, batch_size=None),
+        ["lang", "source"], {"o": ("lang", "count")},
+        {"lang": pa.string(), "source": pa.string(), "o": pa.int64()})
     # distinct-(lang, source)-bounded driver fold; hard-guard the
     # bound like the other bounded collects (dedup drop-set, kmeans
     # centroid fold) so a pathological high-cardinality source column
@@ -3245,7 +3138,6 @@ def heaps_law(ds, n_docs: int | None = None):
     grid-bounded Sum.  The raw token stream never shuffles; nothing
     corpus-sized reaches the driver."""
     import ray.data as rd
-    from ray.data.aggregate import Min, Sum
 
     if n_docs is None:
         n_docs = int(ds.count())
@@ -3263,25 +3155,27 @@ def heaps_law(ds, n_docs: int | None = None):
     tokens = ds.map_batches(doc_token_tf, batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=None)
 
-    def min_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["token", "doc_id"]).group_by("token") \
-            .aggregate([("doc_id", "min")])
-        return pa.table({"token": g["token"], "fd": g["doc_id_min"]})
+    def min_cols(batch: pa.Table) -> pa.Table:
+        return batch.select(["token", "doc_id"])
 
-    first = tokens.map_batches(min_partial, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None) \
-        .groupby("token").aggregate(Min("fd", alias_name="fd"))
+    first = aggregate(
+        tokens.map_batches(min_cols, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=None),
+        "token", {"fd": ("doc_id", "min")},
+        {"token": pa.string(), "fd": pa.int64()})
 
-    def grid_partial(batch: pa.Table) -> pa.Table:
+    def grid_cols(batch: pa.Table) -> pa.Table:
         fd = batch["fd"].to_numpy().astype(np.int64)
         # v[j] = # tokens with fd < grid[j]
         v = np.searchsorted(np.sort(fd), garr, side="left")
         return pa.table({"n_docs": pa.array(garr),
                          "vocab": pa.array(v.astype(np.int64))})
 
-    return first.map_batches(grid_partial, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None) \
-        .groupby("n_docs").aggregate(Sum("vocab", alias_name="vocab"))
+    return aggregate(
+        first.map_batches(grid_cols, batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None),
+        "n_docs", {"vocab": ("vocab", "sum")},
+        {"n_docs": pa.int64(), "vocab": pa.int64()})
 
 
 # ---------------------------------------------------------------------------
@@ -3313,7 +3207,6 @@ def cdc_chunks(ds, div: int = CDC_DIV, min_occur: int = CDC_MIN_OCCUR):
     the (key -> occurrences, distinct docs) counts (docs never span
     batches, so batch-local distinct is globally exact) and ONLY the
     bounded partial rows hit the one groupby shuffle."""
-    from ray.data.aggregate import Sum
 
     from .dedup import MERSENNE, _hash_tokens
 
@@ -3364,9 +3257,12 @@ def cdc_chunks(ds, div: int = CDC_DIV, min_occur: int = CDC_MIN_OCCUR):
     partials = ds.select_columns(["doc_id", "text"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None)
-    agg = partials.groupby(["chunk_sum", "chunk_len"]).aggregate(
-        Sum("occ", alias_name="n_occur"),
-        Sum("docs", alias_name="n_docs"))
+    agg = aggregate(
+        partials,
+        ["chunk_sum", "chunk_len"], {"n_occur": ("occ", "sum"),
+         "n_docs": ("docs", "sum")},
+        {"chunk_sum": pa.int64(), "chunk_len": pa.int64(),
+         "n_occur": pa.int64(), "n_docs": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         keep = pc.greater_equal(batch["n_occur"], min_occur)
@@ -3426,7 +3322,6 @@ def span_dedup(ds, div: int = CDC_DIV, rows_hint: int | None = None):
        exactly one row per input doc.
 
     Returns (doc_id, text_clean)."""
-    from ray.data.aggregate import Min
 
     from .dedup import MERSENNE, _hash_tokens
     from .relational import join_partitions_for
@@ -3470,8 +3365,10 @@ def span_dedup(ds, div: int = CDC_DIV, rows_hint: int | None = None):
         return docs.map_batches(inst, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    winners = instances().groupby(["csum", "clen"]).aggregate(
-        Min("wkey", alias_name="w"))
+    winners = aggregate(
+        instances(),
+        ["csum", "clen"], {"w": ("wkey", "min")},
+        {"csum": pa.int64(), "clen": pa.int64(), "w": pa.int64()})
 
     jp = join_partitions_for(n)
     j = instances().join(winners, join_type="inner",
@@ -3571,25 +3468,22 @@ def boiler_score(ds, min_df: int = BOILER_MIN_DF,
       per-doc count groupby, same outputs.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     from .dedup import _token_hashes
 
     docs = ds.select_columns(["doc_id", "text"])
 
-    def sh_partial(batch: pa.Table) -> pa.Table:
+    def shingles(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
-        if not texts:
-            return pa.table({"sh": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
-        hs = np.concatenate([_token_hashes(t) for t in texts])
-        u, c = np.unique(hs, return_counts=True)
-        return pa.table({"sh": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
+        return pa.table({"sh": pa.array(
+            np.concatenate([_token_hashes(t) for t in texts])
+            if texts else [], pa.int64())})
 
-    df = docs.map_batches(sh_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("sh").aggregate(Sum("c", alias_name="df"))
+    df = aggregate(
+        docs.map_batches(shingles, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "sh", {"df": ("sh", "count")},
+        {"sh": pa.int64(), "df": pa.int64()})
     def keep_hot(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.greater_equal(batch["df"],
                                           pa.scalar(int(min_df))))
@@ -3648,20 +3542,14 @@ def boiler_score(ds, min_df: int = BOILER_MIN_DF,
     rows = docs.map_batches(explode, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def tot_partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch["doc_id"].to_numpy(), return_counts=True)
-        return pa.table({"doc_id": pa.array(u),
-                         "t": pa.array(c.astype(np.int64))})
-
-    totals = rows.map_batches(tot_partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("doc_id").aggregate(Sum("t", alias_name="n_sh"))
+    totals = aggregate(rows, "doc_id", {"n_sh": ("doc_id", "count")},
+                       {"doc_id": pa.int64(), "n_sh": pa.int64()})
 
     jp = join_partitions_for(max(n, n_hot))
     hits = rows.join(hot_ds, join_type="inner", num_partitions=jp,
                      on=("sh",))
-    bcounts = hits.map_batches(tot_partial, batch_format="pyarrow") \
-        .groupby("doc_id").aggregate(Sum("t", alias_name="n_boiler"))
+    bcounts = aggregate(hits, "doc_id", {"n_boiler": ("doc_id", "count")},
+                        {"doc_id": pa.int64(), "n_boiler": pa.int64()})
 
     j = totals.join(bcounts, join_type="left_outer",
                     num_partitions=join_partitions_for(n),

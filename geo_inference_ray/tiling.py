@@ -233,56 +233,50 @@ def pixel_counts(geo_ds, grid: GridConfig = DEFAULT_GRID, *,
     execution.  A Dataset input gives a Dataset.
 
     The partial stream is bounded by (n_batches x occupied pixels) and
-    the final key space by the raster grid, NOT the input rows.  For
-    grids up to DRIVER_COMBINE_MAX_PIXELS the combine STARTS as a
-    driver collect of the partials (``shuffle.collect``) folded with
-    ``shuffle.sum_partials`` over the packed ``py * width + px`` key —
-    measured 2x faster than the groupby at 8 CPUs because a downstream
-    AllToAll throttles the (dominant) map stage — but BAILS OUT to the
-    distributed groupby the moment the partial stream exceeds
-    ``shuffle.PARTIAL_ROWS_DRIVER_LIMIT`` (many-block inputs: at 100x
-    input the block count grows ~100x and the driver fold would become
-    a single-threaded funnel even on a small grid), costing one
-    abandoned partial pass only at that scale.  Grids over the pixel
-    bound go distributed directly."""
+    the final key space by the raster grid, NOT the input rows.  A
+    Dataset input goes through ``shuffle.aggregate_table``: its
+    partials are folded on the driver under
+    ``shuffle.PARTIAL_ROWS_DRIVER_LIMIT`` (measured 2x faster than the
+    groupby at 8 CPUs, because a downstream AllToAll throttles the
+    dominant map stage), and past it by Ray's groupby, whatever the
+    grid.  Driver tables are collected and folded with
+    ``shuffle.fold_partials`` over the packed ``py * width + px`` key;
+    past the same bound (many-block inputs, where one driver fold
+    would become a single-threaded funnel even on a small grid) they
+    go straight to ``shuffle.fold_distributed``."""
     import ray.data as rd
 
     global _LAST_COMBINE_PATH
-    on_driver = isinstance(geo_ds, (pa.Table, list))
-    if on_driver:
-        _check_driver_route(grid)
-        part = [geo_ds] if isinstance(geo_ds, pa.Table) else geo_ds
-        if not rasterized:
-            part = [rasterize_partial(grid)(t) for t in part]
-    else:
-        # precomputed partials are small and usually driver-resident
-        # (from_arrow): materialize() hands their blocks over without
-        # a Ray execution, where iterating the lazy dataset would
-        # start one
-        part = geo_ds.materialize() if rasterized \
-            else rasterize(geo_ds, grid)
-    if fits_driver(grid):
-        pix = shuffle.collect(part, PIXEL_SCHEMA,
-                              shuffle.PARTIAL_ROWS_DRIVER_LIMIT)
-        if pix is not None:
-            _LAST_COMBINE_PATH = "driver"
-            w = grid.width
-            key = pix["py"].to_numpy() * w + pix["px"].to_numpy()
-            summed = shuffle.sum_partials(
-                pa.table({"key": key, "n": pix["n"]}), "key", ["n"])
-            key = summed["key"].to_numpy()
-            out = pa.table({"py": key // w, "px": key % w,
-                            "n": summed["n"]}, schema=PIXEL_SCHEMA)
-            return out if on_driver else rd.from_arrow(out)
-    from ray.data.aggregate import Sum
-
-    _LAST_COMBINE_PATH = "distributed"
-    if on_driver:
+    sum_n = {"n": ("n", "sum")}
+    if not isinstance(geo_ds, (pa.Table, list)):
+        part = geo_ds if rasterized else rasterize(geo_ds, grid)
+        pix = shuffle.aggregate_table(part, ["py", "px"], sum_n,
+                                      PIXEL_SCHEMA)
+        on_driver = isinstance(pix, pa.Table)
+        _LAST_COMBINE_PATH = "driver" if on_driver else "distributed"
+        return shuffle.table_dataset(pix) if on_driver else pix
+    _check_driver_route(grid)
+    part = [geo_ds] if isinstance(geo_ds, pa.Table) else geo_ds
+    if not rasterized:
+        part = [rasterize_partial(grid)(t) for t in part]
+    pix = shuffle.collect(part, PIXEL_SCHEMA,
+                          shuffle.PARTIAL_ROWS_DRIVER_LIMIT)
+    if pix is None:
         # the volume bail-out: too many partial rows for one driver fold
+        _LAST_COMBINE_PATH = "distributed"
         part = rd.from_arrow([t for t in part if t.num_rows]
                              or [PIXEL_SCHEMA.empty_table()])
-    summed = part.groupby(["py", "px"]).aggregate(Sum("n", alias_name="n"))
-    return shuffle.collect(summed, PIXEL_SCHEMA) if on_driver else summed
+        return shuffle.collect(shuffle.fold_distributed(
+            part, ["py", "px"], sum_n, PIXEL_SCHEMA), PIXEL_SCHEMA)
+    _LAST_COMBINE_PATH = "driver"
+    w = grid.width
+    key = pix["py"].to_numpy() * w + pix["px"].to_numpy()
+    summed = shuffle.fold_partials(
+        pa.table({"key": key, "n": pix["n"]}), ["key"], sum_n,
+        {"key": pa.int64(), "n": pa.int64()})
+    key = summed["key"].to_numpy()
+    return pa.table({"py": key // w, "px": key % w, "n": summed["n"]},
+                    schema=PIXEL_SCHEMA)
 
 
 def emit_to_patches(grid: GridConfig):
@@ -610,7 +604,6 @@ def tile_pyramid(geo_ds, grid: GridConfig = DEFAULT_GRID,
     Sum — shuffle volume is occupied-pixels x levels, never input rows.
     At 100 TB the input reduction happens in ``pixel_counts``; the
     pyramid itself touches only raster-bounded data."""
-    from ray.data.aggregate import Sum
 
     pix = pixel_counts(geo_ds, grid)
 
@@ -626,10 +619,12 @@ def tile_pyramid(geo_ds, grid: GridConfig = DEFAULT_GRID,
             "px": pa.array(pxt),
             "n": pa.array(np.tile(n, levels))})
 
-    return pix.map_batches(emit, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby(["level", "py", "px"]) \
-        .aggregate(Sum("n", alias_name="n"))
+    return shuffle.aggregate(
+        pix.map_batches(emit, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None),
+        ["level", "py", "px"], {"n": ("n", "sum")},
+        {"level": pa.int64(), "py": pa.int64(), "px": pa.int64(),
+         "n": pa.int64()})
 
 
 def zonal_stats(geo_ds, grid: GridConfig = DEFAULT_GRID,
@@ -647,7 +642,6 @@ def zonal_stats(geo_ds, grid: GridConfig = DEFAULT_GRID,
     (:func:`geom.polygon_hits`, the PIP join's loop); the final groupby
     is polygon-bounded."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     from . import synth
     from .geom import STRtree, polygon_hits
@@ -671,11 +665,11 @@ def zonal_stats(geo_ds, grid: GridConfig = DEFAULT_GRID,
     pix = pixel_counts(geo_ds, grid)
     # the pixel stream is raster-bounded (small), so a stateless task fn
     # that carries the layer is cheaper than an actor pool here
-    return pix.map_batches(probe, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None) \
-        .groupby("poly_id").aggregate(
-            Count(alias_name="n_pixels"),
-            Sum("n", alias_name="n_pages"))
+    return shuffle.aggregate(
+        pix.map_batches(probe, batch_format="pyarrow",
+                        zero_copy_batch=True, batch_size=None),
+        "poly_id", {"n_pixels": ("poly_id", "count"), "n_pages": ("n", "sum")},
+        {"poly_id": pa.int64(), "n_pixels": pa.int64(), "n_pages": pa.int64()})
 
 
 def sql_tile_pyramid(grid: GridConfig = DEFAULT_GRID,

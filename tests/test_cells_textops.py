@@ -882,9 +882,9 @@ def test_dup_spans_golden(ray_session):
 
 
 def test_dup_spans_bails_mid_stream(ray_session, monkeypatch):
-    """An under-estimated docs_hint takes the driver fold, whose collect
-    then overflows the partial-row bound mid-stream: dup_spans must fall
-    back to the distributed groupby with the driver fold's result."""
+    """The per-doc combine's driver collect overflows the partial-row
+    bound mid-stream: dup_spans must fall back to the distributed
+    groupby with the driver fold's result."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -897,18 +897,17 @@ def test_dup_spans_bails_mid_stream(ray_session, monkeypatch):
         "text": pa.array([" ".join(words[i % 7:i % 7 + 30])
                           for i in range(40)])}))
     collected = []
-    real_collect = textops.collect
+    real_collect = shuffle.collect
 
     def spy(*args):
         collected.append(real_collect(*args))
         return collected[-1]
 
-    monkeypatch.setattr(textops, "collect", spy)
+    monkeypatch.setattr(shuffle, "collect", spy)
     ref = textops.dup_spans(docs, docs_hint=1).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert collected[-1] is not None and len(ref) == 40
-    # the driver branch's estimate for docs_hint=1; the 40 docs emit
-    # far more partial rows than that
+    # a bound far below the partial rows the 40 docs emit
     est = min(partitions_for(textops.DUP_SPANS_GRAMS_PER_DOC),
               textops.DUP_SPANS_GRAMS_PER_DOC)
     monkeypatch.setattr(shuffle, "PARTIAL_ROWS_DRIVER_LIMIT", est)

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from geo_inference_ray.dedup import (MinHasher, SimHasher, _token_hashes,
@@ -879,8 +880,21 @@ def _run_partitioned(table: pa.Table, rows_hint: int):
     return ray.get(out.materialize().to_arrow_refs())
 
 
+@pytest.fixture
+def small_blocks():
+    """Ray's block size target lowered to 64 KiB, so a block split
+    would show as a partition reaching two kernel calls."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 * 1024
+    yield
+    ctx.target_max_block_size = old
+
+
 @pytest.mark.parametrize("case", ["skewed", "single_key", "empty"])
-def test_partitioned_one_call_per_key(ray_session, case):
+def test_partitioned_one_call_per_key(ray_session, small_blocks, case):
     """Every row of a key reaches exactly one kernel call, no row is
     lost or duplicated, and every populated output block carries
     exactly the declared schema (Ray's sort hands no kernel the
@@ -909,6 +923,23 @@ def test_partitioned_one_call_per_key(ray_session, case):
         assert got["call"].nunique() == 1
 
 
+def test_partitioned_populated_partitions_are_typed(ray_session):
+    """Each populated partition comes out as typed blocks: the
+    boundary sort makes one block per partition, so only partitions
+    that got no key can be schema-less, and a block with rows never
+    is."""
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 5, 4000).astype(np.int64)
+    table = pa.table({"row": np.arange(len(keys), dtype=np.int64),
+                      "key": keys})
+    blocks = _run_partitioned(table, rows_hint=len(keys))
+    typed = [b for b in blocks if b.schema.equals(PART_SCHEMA)]
+    assert sum(b.num_rows for b in typed) == len(keys)
+    assert all(b.schema.equals(PART_SCHEMA) for b in blocks if b.num_rows)
+    # 5 keys fill at most 5 of the partitions; the others are empty
+    assert len([b for b in blocks if not b.num_rows]) <= len(blocks) - 1
+
+
 def test_partitioned_missing_column_is_loud(ray_session):
     """A populated kernel output missing a declared column raises; an
     empty one becomes a typed empty block."""
@@ -930,15 +961,15 @@ def test_partitioned_missing_column_is_loud(ray_session):
 
 
 def _count_folds(monkeypatch, sh) -> list:
-    """Record each shuffle.sum_partials call: a driver fold ran."""
+    """Record each shuffle.fold_partials call: a driver fold ran."""
     calls = []
-    fold = sh.sum_partials
+    fold = sh.fold_partials
 
     def spy(*args):
         calls.append(1)
         return fold(*args)
 
-    monkeypatch.setattr(sh, "sum_partials", spy)
+    monkeypatch.setattr(sh, "fold_partials", spy)
     return calls
 
 
@@ -971,15 +1002,16 @@ def test_minhash_bucket_count_bailout(ray_session, monkeypatch):
     assert ((out["doc_a"] == 100) & (out["doc_b"] == 101)).any()
 
 
-def test_minhash_hot_gid_join_fallback(ray_session):
+def test_minhash_hot_gid_join_fallback(ray_session, monkeypatch):
     """Above hot_driver_limit the >=2-member bucket set must NOT
     concatenate on the driver: the filter routes through the
-    distributed inner join and yields the identical pair set.
-    count_driver_limit=0 forces the distributed-groupby pre-pass
-    (the join fallback lives on that branch)."""
+    distributed inner join and yields the identical pair set.  A zero
+    PARTIAL_ROWS_DRIVER_LIMIT forces the distributed-groupby pre-pass
+    as well."""
     import ray.data as rd
 
     from geo_inference_ray import dedup as dd
+    from geo_inference_ray import shuffle as sh
 
     base = ("data processing engines shuffle sort join aggregate "
             "stream batch " * 4)
@@ -992,8 +1024,8 @@ def test_minhash_hot_gid_join_fallback(ray_session):
     docs = rd.from_pandas(pd.DataFrame(rows))
     ref = dd.minhash_candidates(docs).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    out = dd.minhash_candidates(docs, count_driver_limit=0,
-                                hot_driver_limit=0).to_pandas() \
+    monkeypatch.setattr(sh, "PARTIAL_ROWS_DRIVER_LIMIT", 0)
+    out = dd.minhash_candidates(docs, hot_driver_limit=0).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert out.equals(ref)
     assert ((out["doc_a"] == 100) & (out["doc_b"] == 101)).any()
@@ -1085,6 +1117,20 @@ def test_collect_stops_pulling_past_limit():
     assert pulled == [0, 1]
 
 
+def test_collect_byte_bound(monkeypatch):
+    """A bounded collect also stops past COLLECT_BYTES_LIMIT bytes of
+    the cast rows, under its row limit; an unbounded one does not."""
+    from geo_inference_ray import shuffle as sh
+
+    schema = pa.schema([("s", pa.string())])
+    tables = [pa.table({"s": pa.array(["x" * 100] * 4)})
+              for _ in range(3)]
+    monkeypatch.setattr(sh, "COLLECT_BYTES_LIMIT", 2 * tables[0].nbytes)
+    assert sh.collect(tables[:2], schema, 100).num_rows == 8
+    assert sh.collect(tables, schema, 100) is None
+    assert sh.collect(tables, schema).num_rows == 12
+
+
 def test_collect_empty_and_schemaless_blocks(ray_session):
     """Empty and schema-less blocks are skipped; no rows give the typed
     empty table."""
@@ -1127,12 +1173,12 @@ def test_collect_dataset_equals_tables(ray_session):
         v for t in tables for v in t["k"].to_pylist()]
 
 
-def test_sum_partials_matches_counter():
-    """sum_partials == a Counter over the partial rows, keys ascending,
-    for every value column."""
+def test_fold_partials_matches_counter():
+    """fold_partials == a Counter over the partial rows, keys ascending,
+    for a summed and a count column (a count partial folds by sum)."""
     from collections import Counter
 
-    from geo_inference_ray.shuffle import sum_partials
+    from geo_inference_ray.shuffle import fold_partials
 
     rng = np.random.default_rng(11)
     k = rng.integers(-50, 50, 3000)
@@ -1140,7 +1186,10 @@ def test_sum_partials_matches_counter():
     b = rng.integers(0, 7, 3000)
     t = pa.table({"key": pa.array(k), "a": pa.array(a),
                   "b": pa.array(b)})
-    got = sum_partials(t, "key", ["a", "b"])
+    aggs = {"a": ("x", "sum"), "b": ("key", "count")}
+    schema = pa.schema([("key", pa.int64()), ("a", pa.int64()),
+                        ("b", pa.int64())])
+    got = fold_partials(t, ["key"], aggs, schema)
     assert got.column_names == ["key", "a", "b"]
     keys = got["key"].to_pylist()
     assert keys == sorted(set(k.tolist()))
@@ -1149,8 +1198,123 @@ def test_sum_partials_matches_counter():
         for kk, vv in zip(k.tolist(), vals.tolist()):
             want[kk] += vv
         assert dict(zip(keys, got[col].to_pylist())) == want
-    empty = sum_partials(t.slice(0, 0), "key", ["a"])
-    assert empty.num_rows == 0 and empty["a"].type == pa.int64()
+    empty = fold_partials(t.slice(0, 0), ["key"], aggs, schema)
+    assert empty.num_rows == 0 and empty.schema.equals(schema)
+
+
+AGG_SCHEMA = {"s": pa.int64(), "lo": pa.float64(), "hi": pa.float64(),
+              "n": pa.int64()}
+
+
+def _agg_case(case: str):
+    """(blocks, keys, key schema) of one aggregate test input."""
+    import datetime
+
+    rng = np.random.default_rng(5)
+    n = 2000
+    v = rng.integers(0, 100, n)
+    f = rng.random(n)
+    k = rng.integers(0, 40, n)
+    keys, kschema = ["k"], {"k": pa.int64()}
+    cols = {"k": pa.array(k), "v": pa.array(v), "f": pa.array(f)}
+    if case == "skewed":
+        cols["k"] = pa.array(np.where(rng.random(n) < 0.8, 7, k))
+    elif case == "one_key":
+        cols["k"] = pa.array(np.full(n, 3))
+    elif case == "empty":
+        cols = {c: a.slice(0, 0) for c, a in cols.items()}
+    elif case == "null_values":
+        mask = rng.random(n) < 0.3
+        cols["v"] = pa.array(v, mask=mask)
+        cols["f"] = pa.array(f, mask=mask)
+    elif case == "null_keys":
+        cols["k"] = pa.array(k, mask=rng.random(n) < 0.1)
+    elif case == "ts_key":
+        base = datetime.datetime(2024, 1, 1)
+        cols["k"] = pa.array([base + datetime.timedelta(microseconds=int(
+            x) * 1_000_003) for x in k], pa.timestamp("us"))
+        kschema = {"k": pa.timestamp("us")}
+    elif case == "string_key":
+        cols["k"] = pa.array([f"key{x}" for x in k])
+        kschema = {"k": pa.string()}
+    elif case == "two_keys":
+        cols["j"] = pa.array(rng.integers(0, 3, n))
+        keys, kschema = ["k", "j"], {"k": pa.int64(), "j": pa.int64()}
+    t = pa.table(cols)
+    step = 37 if case == "many_blocks" else 400
+    blocks = [t.slice(i, step) for i in range(0, max(t.num_rows, 1), step)]
+    return blocks, keys, kschema
+
+
+AGG_CASES = ["skewed", "one_key", "empty", "many_blocks", "null_values",
+             "null_keys", "ts_key", "string_key", "two_keys"]
+
+
+@pytest.mark.parametrize("path", ["driver", "fallback"])
+@pytest.mark.parametrize("case", AGG_CASES)
+def test_aggregate_equals_arrow_group_by(ray_session, monkeypatch, case,
+                                         path):
+    """shuffle.aggregate == a key-sorted ``pa.Table.group_by`` over the
+    concatenated input, on the driver fold and past its bound (Ray's
+    groupby over the partials), with the declared key types kept."""
+    import ray
+    import ray.data as rd
+
+    from geo_inference_ray import shuffle as sh
+
+    blocks, keys, kschema = _agg_case(case)
+    if path == "fallback":
+        monkeypatch.setattr(sh, "PARTIAL_ROWS_DRIVER_LIMIT", 3)
+    folds = _count_folds(monkeypatch, sh)
+    schema = pa.schema({**kschema, **AGG_SCHEMA})
+    out = sh.aggregate(rd.from_arrow(blocks), keys,
+                       {"s": ("v", "sum"), "lo": ("f", "min"),
+                        "hi": ("f", "max"), "n": ("v", "count")}, schema)
+    # no partial rows never pass the bound
+    assert folds == ([1] if path == "driver" or case == "empty" else [])
+    got = [b for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+    assert all(b.schema.equals(schema) for b in got)
+    got = pa.concat_tables(got) if got else schema.empty_table()
+    t = pa.concat_tables(blocks)
+    want = t.group_by(keys).aggregate(
+        [("v", "sum"), ("f", "min"), ("f", "max"),
+         ("v", "count", pc.CountOptions("all"))])
+    want = want.rename_columns([{"v_sum": "s", "f_min": "lo",
+                                 "f_max": "hi", "v_count": "n"}.get(c, c)
+                                for c in want.column_names])
+    want = want.sort_by([(k, "ascending") for k in keys]) \
+        .select(schema.names).cast(schema)
+    if path == "fallback":
+        # Ray's sort places null keys by its own rule
+        got = got.sort_by([(k, "ascending") for k in keys])
+    assert got.equals(want), (got.to_pandas(), want.to_pandas())
+    if path == "driver":
+        assert out.num_blocks() == max(1, -(-got.num_rows
+                                             // sh.HP_TARGET_ROWS))
+
+
+@pytest.mark.parametrize("path", ["driver", "fallback"])
+def test_aggregate_scalar_and_distinct(ray_session, monkeypatch, path):
+    """No keys give one whole-Dataset row (nulls over no rows); no
+    aggregates give the distinct keys."""
+    import ray.data as rd
+
+    from geo_inference_ray import shuffle as sh
+
+    if path == "fallback":
+        monkeypatch.setattr(sh, "PARTIAL_ROWS_DRIVER_LIMIT", 1)
+    blocks, _, _ = _agg_case("many_blocks")
+    ds = rd.from_arrow(blocks)
+    t = pa.concat_tables(blocks)
+    row = sh.aggregate(ds, [], {"s": ("v", "sum"), "hi": ("f", "max")},
+                       {"s": pa.int64(), "hi": pa.float64()}).take_all()
+    assert row == [{"s": pc.sum(t["v"]).as_py(),
+                    "hi": pc.max(t["f"]).as_py()}]
+    none = sh.aggregate(rd.from_arrow(t.slice(0, 0)), [],
+                        {"s": ("v", "sum")}, {"s": pa.int64()}).take_all()
+    assert none == [{"s": None}]
+    keys = sh.aggregate(ds, "k", {}, {"k": pa.int64()}).to_pandas()
+    assert sorted(keys["k"]) == sorted(set(t["k"].to_pylist()))
 
 
 def test_sq_topk_quantizer_and_recall(ray_session, sf_dir):

@@ -51,9 +51,10 @@ RETIRED = {"_hash_partitioned", "arrow_bridge"}
 
 
 def _groups_on_pkey(node) -> bool:
-    """``<x>.groupby("pkey")`` or ``<x>.groupby(["pkey"])``."""
+    """``<x>.groupby("pkey")``, ``<x>.sort("pkey", ...)`` or either with
+    ``["pkey"]``."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "groupby" and node.args):
+            and node.func.attr in ("groupby", "sort") and node.args):
         return False
     key = node.args[0]
     keys = key.elts if isinstance(key, (ast.List, ast.Tuple)) else [key]
@@ -158,4 +159,54 @@ def test_one_table_reader():
             if isinstance(n, ast.Call) and "read_parquet" in (
                     getattr(name, "attr", None), getattr(name, "id", None)):
                 found.append(f"{os.path.basename(path)}:{n.lineno}")
+    assert not found, found
+
+
+
+# Ray aggregates kept on purpose, as "file:function".  The helpers' own
+# groupby over the partials, past the driver bound, is the one left.
+AGGREGATE_EXCEPTIONS = {"shuffle.py:fold_distributed"}
+
+
+def _ray_aggregates(path: str):
+    """("file:function", line) of each ``ray.data.aggregate`` import and
+    each ``groupby(...).aggregate(`` call in ``path``."""
+    base = os.path.basename(path)
+    with open(path) as f:
+        tree = ast.parse(f.read())
+
+    def walk(node, fn):
+        for n in ast.iter_child_nodes(node):
+            name = n.name if isinstance(n, ast.FunctionDef) else fn
+            if isinstance(n, ast.ImportFrom):
+                hit = n.module == "ray.data.aggregate" or (
+                    n.module == "ray.data"
+                    and "aggregate" in [a.name for a in n.names])
+            elif isinstance(n, ast.Import):
+                hit = "ray.data.aggregate" in [a.name for a in n.names]
+            else:
+                f = getattr(n, "func", None)
+                hit = (isinstance(n, ast.Call)
+                       and getattr(f, "attr", None) == "aggregate"
+                       and isinstance(f.value, ast.Call)
+                       and getattr(f.value.func, "attr", None) == "groupby")
+            if hit:
+                yield f"{base}:{name}", n.lineno
+            yield from walk(n, name)
+
+    return list(walk(tree, ""))
+
+
+def test_one_aggregate_path():
+    """Every aggregate goes through ``shuffle.aggregate``: no
+    ``ray.data.aggregate`` import and no Dataset ``groupby(...)
+    .aggregate(`` in the package or the entry module, outside the named
+    exceptions."""
+    pkg = os.path.join(REPO, "geo_inference_ray")
+    paths = [os.path.join(pkg, n) for n in sorted(os.listdir(pkg))
+             if n.endswith(".py")]
+    found = [f"{where}:{line}"
+             for path in paths + [os.path.join(REPO, "__ray_entry__.py")]
+             for where, line in _ray_aggregates(path)
+             if where not in AGGREGATE_EXCEPTIONS]
     assert not found, found
